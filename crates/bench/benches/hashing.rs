@@ -1,7 +1,7 @@
 //! Wall-clock benches for the SHA-3 layer: single-message hashing, XOF
 //! squeezing, and the batch API the paper motivates with Kyber.
 
-use krv_sha3::{BatchSponge, ReferenceBackend, Sha3_256, Shake128, SpongeParams, Xof};
+use krv_sha3::{hash_batch, BatchRequest, ReferenceBackend, Sha3_256, Shake128, SpongeParams, Xof};
 use krv_testkit::Stopwatch;
 use std::hint::black_box;
 
@@ -34,15 +34,20 @@ fn bench_shake_squeeze() {
     }
 }
 
-/// Batch lockstep hashing vs hashing the members one by one — the code
-/// path a multi-state hardware backend accelerates.
+/// Batch hashing vs hashing the members one by one — the code path a
+/// multi-state hardware backend accelerates.
 fn bench_batch() {
     let inputs: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i; 136]).collect();
     let sw = Stopwatch::measure(200, 5, || {
-        let refs: Vec<&[u8]> = inputs.iter().map(|v| v.as_slice()).collect();
-        let mut batch = BatchSponge::new(SpongeParams::shake(128), ReferenceBackend::new(), 6);
-        batch.absorb(black_box(&refs));
-        black_box(batch.squeeze(168));
+        let requests: Vec<BatchRequest<'_>> = inputs
+            .iter()
+            .map(|v| BatchRequest::new(black_box(v), 168))
+            .collect();
+        black_box(hash_batch(
+            SpongeParams::shake(128),
+            ReferenceBackend::new(),
+            &requests,
+        ));
     });
     println!("{}", sw.report("batch_vs_sequential/batch6"));
     let sw = Stopwatch::measure(200, 5, || {

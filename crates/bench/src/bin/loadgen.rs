@@ -666,8 +666,8 @@ fn seed32(rng: &mut Rng) -> [u8; 32] {
 
 /// One deterministic KEM operation for slot `index` of a burst: the
 /// parameter sets and the three operation kinds interleave so every
-/// burst mixes all nine (set × kind) combinations and the scheduler's
-/// per-parameter-set packing always has company.
+/// burst mixes all nine (set × kind) combinations in the scheduler's
+/// shared KEM rounds.
 fn planned_kem_op(index: usize, rng: &mut Rng, fixtures: &[KemFixture]) -> KemRequest {
     let set = index % KyberParams::ALL.len();
     let params = KyberParams::ALL[set];

@@ -5,8 +5,8 @@
 //! the processor pre-decodes the result into a [`DecodedProgram`]. None
 //! of that depends on anything but the [`KernelKind`] and the `EleNum`,
 //! yet the seed code repeated it for every engine — so a pool of eight
-//! workers assembled the same kernel eight times, and every
-//! `BatchSponge` constructed for a fresh message set paid it again.
+//! workers assembled the same kernel eight times, and every engine
+//! constructed for a fresh message set paid it again.
 //!
 //! This module memoizes the whole pipeline behind a process-wide map
 //! keyed by `(kind, elenum)`. The first request generates, assembles and

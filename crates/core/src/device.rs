@@ -250,7 +250,7 @@ impl DeviceSponge {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use krv_sha3::{BatchSponge, ReferenceBackend, Shake128, Xof};
+    use krv_sha3::{hash_batch, BatchRequest, ReferenceBackend, Shake128, Xof};
 
     #[test]
     fn device_sponge_matches_host_xof() {
@@ -273,9 +273,10 @@ mod tests {
         let mut device = DeviceSponge::new(SpongeParams::shake(128), 2);
         device.absorb(&refs).unwrap();
         let device_out = device.squeeze(64).unwrap();
-        let mut host = BatchSponge::new(SpongeParams::shake(128), ReferenceBackend::new(), 2);
-        host.absorb(&refs);
-        assert_eq!(device_out, host.squeeze(64));
+        let requests: Vec<BatchRequest<'_>> =
+            refs.iter().map(|m| BatchRequest::new(m, 64)).collect();
+        let host = hash_batch(SpongeParams::shake(128), ReferenceBackend::new(), &requests);
+        assert_eq!(device_out, host);
         // 500 bytes = 2 full blocks absorbed mid-stream + 1 padded block.
         assert!(device.absorb_cycles() >= 3 * 26);
     }

@@ -8,11 +8,11 @@
 //! [`HashJob`]s and consuming their outputs before doing the CPU work
 //! (NTT, module arithmetic, encoding) that leads to the next stage. A
 //! driver that holds many concurrent jobs (the `krv-service` scheduler)
-//! can therefore merge the pending hash jobs of *all* of them into
-//! shared SN-wide [`hash_batch`] passes — the cross-request batching the
-//! paper's conclusion asks for — while a single-caller driver
-//! ([`run_kem_job`]) simply loops one job to completion on a local
-//! backend.
+//! can therefore merge the pending hash jobs of *all* of them — any mix
+//! of SHA3-256/512 and SHAKE128/256 — into one SN-wide [`drive_stream`]
+//! call per round: the cross-request batching the paper's conclusion
+//! asks for. A single-caller driver ([`run_kem_job`]) simply loops one
+//! job to completion on a local backend.
 //!
 //! Hash roles (FIPS 203 §4.1): `H = SHA3-256`, `G = SHA3-512`,
 //! `J = SHAKE256` (32 bytes), `PRF_η = SHAKE256` (64·η bytes),
@@ -24,7 +24,7 @@ use crate::ntt::{basemul, inv_ntt, ntt};
 use crate::poly::Poly;
 use crate::sampling::{sample_cbd, sample_ntt, SHAKE128_BLOCK};
 use crate::KyberParams;
-use krv_sha3::{hash_batch, BatchRequest, PermutationBackend, SpongeParams};
+use krv_sha3::{drive_stream, PermutationBackend, SpongeParams, SpongeState, StreamItem, StreamOp};
 
 /// Why a KEM input was rejected before any Keccak work was spent on it
 /// (FIPS 203 §7.2–7.3 input validation).
@@ -439,9 +439,10 @@ struct NoiseVectors {
 /// [`Self::into_result`] yields the [`KemResult`].
 ///
 /// This shape is what lets a batching scheduler overlap *many* KEM
-/// operations: all concurrent jobs' pending lists are merged into shared
-/// per-parameter `hash_batch` passes, and one job's CPU work interleaves
-/// with other jobs' Keccak work instead of serializing behind it.
+/// operations: all concurrent jobs' pending lists are merged into one
+/// shared [`drive_stream`] call per round, and one job's CPU work
+/// interleaves with other jobs' Keccak work instead of serializing
+/// behind it.
 #[derive(Debug, Clone)]
 pub struct KemJob {
     params: KyberParams,
@@ -954,39 +955,32 @@ fn decrypt_bytes(params: KyberParams, s_hat: &[Poly], ct: &[u8]) -> [u8; 32] {
 }
 
 /// Drives one [`KemJob`] to completion on a local backend: each round,
-/// the pending jobs are grouped by sponge parameters and dispatched as
-/// work-scheduled [`hash_batch`] passes — the single-caller analogue of
-/// the service scheduler's cross-request batching.
+/// every pending hash job — whatever its sponge parameters — rides one
+/// [`drive_stream`] call as a one-shot operation on a fresh state, the
+/// single-caller analogue of the service scheduler's cross-request
+/// batching.
 pub fn run_kem_job<B: PermutationBackend>(job: &mut KemJob, backend: &mut B) {
     while !job.is_done() {
-        let pending = job.pending().to_vec();
-        let mut groups: Vec<(SpongeParams, Vec<usize>)> = Vec::new();
-        for (index, hash_job) in pending.iter().enumerate() {
-            match groups
-                .iter_mut()
-                .find(|(params, _)| *params == hash_job.params)
-            {
-                Some((_, members)) => members.push(index),
-                None => groups.push((hash_job.params, vec![index])),
-            }
-        }
-        let mut outputs: Vec<Option<Vec<u8>>> = vec![None; pending.len()];
-        for (params, members) in groups {
-            let requests: Vec<BatchRequest<'_>> = members
-                .iter()
-                .map(|&index| BatchRequest::new(&pending[index].input, pending[index].output_len))
-                .collect();
-            let results = hash_batch(params, &mut *backend, &requests);
-            for (&index, result) in members.iter().zip(results) {
-                outputs[index] = Some(result);
-            }
-        }
-        job.advance(
-            outputs
-                .into_iter()
-                .map(|output| output.expect("every pending job dispatched"))
-                .collect(),
-        );
+        let pending = job.pending();
+        let mut states: Vec<SpongeState> = pending
+            .iter()
+            .map(|hash_job| SpongeState::new(hash_job.params))
+            .collect();
+        let mut outputs: Vec<Vec<u8>> = pending
+            .iter()
+            .map(|hash_job| vec![0u8; hash_job.output_len])
+            .collect();
+        let mut items: Vec<StreamItem<'_>> = states
+            .iter_mut()
+            .zip(pending)
+            .zip(&mut outputs)
+            .map(|((state, hash_job), out)| StreamItem {
+                state,
+                op: StreamOp::one_shot(&hash_job.input, out),
+            })
+            .collect();
+        drive_stream(backend, &mut items);
+        job.advance(outputs);
     }
 }
 
@@ -1065,7 +1059,9 @@ pub fn ml_kem_decaps<B: PermutationBackend>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use krv_sha3::{ReferenceBackend, Sha3_256, Sha3_512, Shake256, Xof};
+    use krv_sha3::{
+        hash_batch, BatchRequest, ReferenceBackend, Sha3_256, Sha3_512, Shake256, Sponge, Xof,
+    };
 
     fn seeds(tag: u8) -> ([u8; 32], [u8; 32], [u8; 32]) {
         let mut d = [0u8; 32];
@@ -1253,6 +1249,64 @@ mod tests {
         match job.into_result() {
             KemResult::Decaps { shared_secret } => assert_eq!(shared_secret, shared_batched),
             _ => unreachable!(),
+        }
+    }
+
+    /// Counts the states it permutes.
+    #[derive(Default)]
+    struct Counting(usize);
+
+    impl PermutationBackend for Counting {
+        fn permute_all(&mut self, states: &mut [krv_keccak::KeccakState]) {
+            self.0 += states.len();
+            ReferenceBackend::new().permute_all(states);
+        }
+    }
+
+    #[test]
+    fn the_library_driver_spends_only_the_hash_jobs_own_permutations() {
+        // run_kem_job may pack a round's hash jobs however it likes, but
+        // the permutations it issues must be exactly those a standalone
+        // Sponge spends on each HashJob it was handed: none for a squeeze
+        // ending on a rate boundary (SampleNTT's 3 × 168 B), none for
+        // mixing sponge parameters in one drive.
+        for params in KyberParams::ALL {
+            let (d, z, m) = seeds(0xC3);
+            let (ek, dk) = ml_kem_keygen(params, &d, &z, ReferenceBackend::new());
+            let (ct, _) = ml_kem_encaps(params, &ek, &m, ReferenceBackend::new()).unwrap();
+            for op in [
+                KemOp::Keygen { d, z },
+                KemOp::Encaps { ek: ek.clone(), m },
+                KemOp::Decaps {
+                    dk: dk.clone(),
+                    ct: ct.clone(),
+                },
+            ] {
+                let label = format!("{} {}", params.label(), op.tag());
+                let job = KemJob::new(params, op).unwrap();
+                let mut driven = Counting::default();
+                let mut library = job.clone();
+                run_kem_job(&mut library, &mut driven);
+
+                let mut standalone = 0;
+                let mut stepped = job;
+                while !stepped.is_done() {
+                    let outputs: Vec<Vec<u8>> = stepped
+                        .pending()
+                        .iter()
+                        .map(|hash_job| {
+                            let mut sponge = Sponge::new(hash_job.params, Counting::default());
+                            sponge.absorb(&hash_job.input);
+                            let output = sponge.squeeze(hash_job.output_len);
+                            standalone += sponge.into_backend().0;
+                            output
+                        })
+                        .collect();
+                    stepped.advance(outputs);
+                }
+                assert_eq!(driven.0, standalone, "{label}");
+                assert_eq!(library.into_result(), stepped.into_result(), "{label}");
+            }
         }
     }
 

@@ -8,8 +8,18 @@
 //! thread continuously forms micro-batches sized to the engine pool —
 //! closing a batch as soon as every pooled state slot can be filled, or
 //! when the oldest request has waited [`ServiceConfig::max_wait`] — and
-//! dispatches them through [`krv_sha3::hash_batch`] on a
-//! [`krv_core::EnginePool`].
+//! dispatches them on a [`krv_core::EnginePool`] (or the host-native
+//! tier, see [`TierPolicy`]).
+//!
+//! Every lane dispatches through one function. A batch's one-shot
+//! hashes go as one call, its streaming operations as one call, and
+//! each round of its ML-KEM operations as one call. Each call is one
+//! *dispatch group*: one [`krv_sha3::drive_stream`] call over the
+//! group's sponge states, whatever their parameters. The same function
+//! routes the group to its tier, retries it once on a lost worker, and
+//! samples it for the mirror oracle ([`TierPolicy::mirror_every`] counts
+//! these groups). One-shot tickets complete before any of the batch's
+//! stream or KEM work is dispatched.
 //!
 //! Robustness is part of the contract:
 //!
@@ -19,10 +29,12 @@
 //! * **Deadlines** — a request may carry a deadline; one that expires
 //!   before dispatch completes with [`RequestError::TimedOut`] rather
 //!   than occupying engine slots.
-//! * **Supervision** — a batch that loses a pool worker mid-dispatch is
-//!   retried once on the survivors; if the retry also fails, its tickets
-//!   complete with [`RequestError::WorkerFailure`], and the shrunken
-//!   pool capacity is reflected in every later batch.
+//! * **Supervision** — a dispatch group that loses a pool worker is
+//!   retried once on the survivors; if the retry also fails (only
+//!   possible once no live worker is left), every item of the group
+//!   completes with [`RequestError::WorkerFailure`] (or
+//!   [`KemRequestError::WorkerFailure`]), and the shrunken pool
+//!   capacity is reflected in every later batch.
 //! * **Graceful drain** — [`Service::shutdown`] stops admission,
 //!   completes everything already queued, and returns the final
 //!   [`MetricsSnapshot`]; every admitted ticket resolves exactly once.
@@ -174,7 +186,7 @@ impl HashRequest {
 /// server's session table, say) between operations: the caller submits
 /// the state with each operation and receives it back, advanced, in the
 /// [`StreamOutput`]. The scheduler drives every live stream operation of
-/// a batch through shared permutation rounds
+/// a batch as one dispatch group through shared permutation rounds
 /// ([`krv_sha3::drive_stream`]), so a hundred slow-trickling sessions
 /// cost hardware passes like one busy one.
 ///
@@ -270,8 +282,8 @@ impl StreamRequest {
 /// [`krv_kyber::KemJob`] at batch formation and advances every live
 /// operation of a batch in lockstep, packing the pending Keccak jobs of
 /// *all* of them — matrix-expansion SHAKE128 squeezes, CBD PRFs, the
-/// H/G/J hashes of the FO transform — into shared per-parameter-set
-/// `hash_batch` dispatches. Concurrent KEM clients therefore fill
+/// H/G/J hashes of the FO transform — into one dispatch group per
+/// round. Concurrent KEM clients therefore fill
 /// engine slots a single operation could not: the cross-request
 /// batching this crate exists for, applied to FIPS 203.
 ///

@@ -72,7 +72,7 @@ pub(crate) struct ServiceStats {
     pub throttled: u64,
     /// Requests failed after their batch's single retry also failed.
     pub worker_failures: u64,
-    /// Batch groups retried after losing a pool worker.
+    /// Dispatch groups retried after losing a pool worker.
     pub retries: u64,
     /// Batches dispatched (including all-timeout batches).
     pub batches: u64,
@@ -101,7 +101,8 @@ pub(crate) struct ServiceStats {
     pub kem_decaps: u64,
     /// Keccak jobs dispatched on behalf of KEM operations.
     pub kem_hash_jobs: u64,
-    /// Dispatch groups those KEM hash jobs were packed into.
+    /// KEM rounds dispatched: each packs the pending hash jobs of every
+    /// live KEM operation of a batch into one dispatch group.
     pub kem_dispatches: u64,
     /// KEM operations refused at batch formation by FIPS 203 input
     /// validation (malformed key or ciphertext).
@@ -213,7 +214,7 @@ pub struct ShardMetrics {
     pub throttled: u64,
     /// Requests failed after a batch retry also failed.
     pub worker_failures: u64,
-    /// Batch groups retried after losing a pool worker.
+    /// Dispatch groups retried after losing a pool worker.
     pub retries: u64,
     /// Batches dispatched.
     pub batches: u64,
@@ -239,7 +240,8 @@ pub struct ShardMetrics {
     pub kem_decaps: u64,
     /// Keccak jobs dispatched on behalf of KEM operations.
     pub kem_hash_jobs: u64,
-    /// Dispatch groups those KEM hash jobs were packed into.
+    /// KEM rounds dispatched: each packs the pending hash jobs of every
+    /// live KEM operation of a batch into one dispatch group.
     pub kem_dispatches: u64,
     /// KEM operations refused by FIPS 203 input validation.
     pub kem_invalid: u64,
@@ -400,7 +402,7 @@ pub struct MetricsSnapshot {
     pub throttled: u64,
     /// Requests failed after a batch retry also failed.
     pub worker_failures: u64,
-    /// Batch groups retried after losing a pool worker.
+    /// Dispatch groups retried after losing a pool worker.
     pub retries: u64,
     /// Batches dispatched.
     pub batches: u64,
@@ -408,11 +410,11 @@ pub struct MetricsSnapshot {
     pub native_served: u64,
     /// Requests served by the simulator tier.
     pub simulator_served: u64,
-    /// Requests re-hashed through the non-primary tier by the mirror
-    /// sampler.
+    /// Items replayed through the non-primary tier by the mirror
+    /// sampler: one-shot hashes, stream operations and KEM hash jobs.
     pub mirrored: u64,
-    /// Mirrored requests whose native and simulator digests disagreed.
-    /// Latched: any nonzero value means the tiers have diverged and the
+    /// Mirrored items whose native and simulator outputs or final
+    /// sponge states disagreed. Latched: any nonzero value means the tiers have diverged and the
     /// primary tier's output cannot be trusted until investigated.
     pub mirror_mismatches: u64,
     /// Streaming operations completed: each OPEN session's ABSORB /
@@ -438,7 +440,8 @@ pub struct MetricsSnapshot {
     /// expansion squeeze, CBD PRF, rejection-retry block and H/G/J call
     /// the lane packed into shared batches.
     pub kem_hash_jobs: u64,
-    /// Dispatch groups those KEM hash jobs were packed into.
+    /// KEM rounds dispatched: each packs the pending hash jobs of every
+    /// live KEM operation of a batch into one dispatch group.
     /// `kem_hash_jobs / kem_dispatches` is the lane's mean batch
     /// occupancy — above 1.0 means cross-request batching is packing
     /// jobs from concurrent operations into shared passes.

@@ -14,22 +14,20 @@ use crate::tier::{TierKind, TierPolicy};
 use crate::{HashRequest, KemRequest, ServiceConfig, StreamRequest, SubmitError};
 use krv_core::{EnginePool, PoolError};
 use krv_keccak::KeccakState;
-use krv_kyber::KemJob;
+use krv_kyber::{HashJob, KemJob};
 use krv_native::NativeBackend;
-use krv_sha3::{
-    drive_stream, hash_batch, BatchRequest, PermutationBackend, SpongeParams, SpongeState,
-    StreamItem, StreamOp,
-};
+use krv_sha3::{drive_stream, PermutationBackend, SpongeState, StreamItem, StreamOp};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// The three kinds of admitted work: a one-shot hash, one streaming
-/// session operation, and one ML-KEM operation. All ride the same queue
-/// and micro-batches; they differ in how they dispatch (grouped
-/// `hash_batch`, a shared `drive_stream` round, or the staged KEM
-/// pipeline) and in what their tickets carry back.
+/// session operation, and one ML-KEM operation. All ride the same queue,
+/// micro-batches and dispatch function; they differ in how their sponge
+/// operations are formed (a fresh state, the session's state, or the
+/// rounds of the staged KEM pipeline) and in what their tickets carry
+/// back.
 #[derive(Debug)]
 pub(crate) enum Work {
     Hash {
@@ -265,6 +263,10 @@ impl Shared {
     }
 }
 
+/// One live (not expired) one-shot hash of a batch: the request, its
+/// ticket and when it was admitted.
+type HashPending = (HashRequest, Arc<TicketCell<Completion>>, Instant);
+
 /// One live (not expired) stream operation of a batch: the request, its
 /// ticket and when it was admitted.
 type StreamPending = (StreamRequest, Arc<TicketCell<StreamCompletion>>, Instant);
@@ -278,12 +280,34 @@ struct KemLive {
     /// The operation kind (`keygen` / `encaps` / `decaps`), captured
     /// before the job consumed the op, for per-kind counters.
     tag: &'static str,
-    /// A latched stage-dispatch failure: the job stops advancing and
+    /// A latched round-dispatch failure: the job stops advancing and
     /// completes as [`KemRequestError::WorkerFailure`] after the lane
     /// drains.
     failed: Option<PoolError>,
     /// Whether any dispatch group this job rode in was retried.
     retried: bool,
+}
+
+/// What every ticket of one batch shares in its [`RequestTiming`].
+struct BatchClock {
+    formed: Instant,
+    batch_size: usize,
+    slots: usize,
+    tier: TierKind,
+}
+
+impl BatchClock {
+    fn timing(&self, enqueued: Instant, service: Duration, retried: bool) -> RequestTiming {
+        RequestTiming {
+            queue: self.formed.duration_since(enqueued),
+            service,
+            total: enqueued.elapsed(),
+            batch_size: self.batch_size,
+            batch_slots: self.slots,
+            tier: self.tier,
+            retried,
+        }
+    }
 }
 
 /// Per-batch counter accumulators, folded into [`ServiceStats`] under
@@ -307,30 +331,40 @@ struct BatchTally {
     samples: Vec<(Duration, Duration, Duration)>,
 }
 
-/// Routes `hash_batch`'s permutation calls to the pool, latching the
+impl BatchTally {
+    /// Counts one successful completion and samples its latencies.
+    fn served(&mut self, timing: &RequestTiming) {
+        self.completed += 1;
+        self.samples
+            .push((timing.queue, timing.service, timing.total));
+    }
+}
+
+/// How one dispatch group went.
+struct Dispatch {
+    /// `Err` when the primary tier failed twice: every item of the call
+    /// fails.
+    outcome: Result<(), PoolError>,
+    retried: bool,
+    /// Time on the primary tier, retry included, mirror excluded.
+    service: Duration,
+}
+
+/// Routes `drive_stream`'s permutation calls to the pool, latching the
 /// first dispatch error instead of panicking: after an error every
-/// further permute is a no-op, `hash_batch` terminates normally (its
-/// schedule is driven by message lengths, not state contents) and the
-/// caller discards the garbage digests and handles the error.
+/// further permute is a no-op, `drive_stream` terminates normally (its
+/// schedule is driven by byte counts, not state contents) and the
+/// caller discards the garbage states and outputs and handles the error.
 struct SupervisedBackend<'a> {
     pool: &'a mut EnginePool,
-    error: &'a mut Option<PoolError>,
+    error: Option<PoolError>,
 }
 
 impl PermutationBackend for SupervisedBackend<'_> {
     fn permute_all(&mut self, states: &mut [KeccakState]) {
-        if self.error.is_some() {
-            return;
+        if self.error.is_none() {
+            self.error = self.pool.permute_slice(states).err();
         }
-        if let Err(error) = self.pool.permute_slice(states) {
-            *self.error = Some(error);
-        }
-    }
-
-    fn parallel_states(&self) -> usize {
-        // Never 0, even with every worker dead: `hash_batch` sizes its
-        // packing against this.
-        self.pool.capacity().max(1)
     }
 }
 
@@ -414,33 +448,29 @@ impl Scheduler {
         }
     }
 
-    /// Dispatches one closed batch: expires overdue requests, hashes the
-    /// one-shot requests in per-parameter groups, drives every live
-    /// stream operation through one shared `drive_stream` round (each
-    /// lane retrying once on a lost worker) and resolves every ticket.
+    /// Dispatches one closed batch: expires overdue requests, then runs
+    /// its lanes in order — the one-shot hashes as one dispatch group,
+    /// the stream operations as one, and each KEM round as one — and
+    /// resolves every ticket. One-shot tickets therefore complete before
+    /// any of the batch's stream or KEM work is dispatched.
     fn process_batch(&mut self, batch: Vec<Pending>) {
-        let formed = Instant::now();
-        let slots = self.pool.capacity().max(1);
-        let batch_size = batch.len();
+        let clock = BatchClock {
+            formed: Instant::now(),
+            batch_size: batch.len(),
+            slots: self.pool.capacity().max(1),
+            tier: self.tier.primary,
+        };
 
         // Deadline check happens exactly once, at batch formation: an
         // expired request completes as TimedOut without costing a slot.
         let mut timeouts = 0u64;
         let mut tally = BatchTally::default();
-        let mut hash_live: Vec<(HashRequest, Arc<TicketCell<Completion>>, Instant)> = Vec::new();
+        let mut hash_live: Vec<HashPending> = Vec::new();
         let mut stream_live: Vec<StreamPending> = Vec::new();
         let mut kem_live: Vec<KemLive> = Vec::new();
         for pending in batch {
-            let waited = formed.duration_since(pending.enqueued);
-            let expired_timing = RequestTiming {
-                queue: waited,
-                service: Duration::ZERO,
-                total: waited,
-                batch_size,
-                batch_slots: slots,
-                tier: self.tier.primary,
-                retried: false,
-            };
+            let waited = clock.formed.duration_since(pending.enqueued);
+            let expired_timing = clock.timing(pending.enqueued, Duration::ZERO, false);
             match pending.work {
                 Work::Hash { request, ticket } => {
                     if request.deadline.is_some_and(|d| waited >= d) {
@@ -499,110 +529,19 @@ impl Scheduler {
             }
         }
 
-        // `hash_batch` takes one parameter set, so a mixed batch
-        // dispatches as one group per distinct SpongeParams (order
-        // preserved; in practice a handful of FIPS-202 variants).
-        let mut groups: Vec<(SpongeParams, Vec<usize>)> = Vec::new();
-        for (i, (request, _, _)) in hash_live.iter().enumerate() {
-            match groups
-                .iter_mut()
-                .find(|(params, _)| *params == request.params)
-            {
-                Some((_, members)) => members.push(i),
-                None => groups.push((request.params, vec![i])),
-            }
+        if !hash_live.is_empty() {
+            self.hash_lane(hash_live, &clock, &mut tally);
         }
-
-        for (params, members) in &groups {
-            let requests: Vec<BatchRequest<'_>> = members
-                .iter()
-                .map(|&i| BatchRequest::new(&hash_live[i].0.message, hash_live[i].0.output_len))
-                .collect();
-            let group_index = self.groups_dispatched;
-            self.groups_dispatched += 1;
-            let started = Instant::now();
-            let mut retried = false;
-            let mut outcome = self.tier_hash(self.tier.primary, *params, &requests);
-            if outcome.is_err() {
-                // Supervision: one retry on the survivors. The failed
-                // attempt left only scratch states dirty — requests are
-                // re-hashed from their original messages.
-                retried = true;
-                tally.retries += 1;
-                outcome = self.tier_hash(self.tier.primary, *params, &requests);
-            }
-            let service = started.elapsed();
-            // The differential oracle: a sampled group is re-hashed
-            // through the non-primary tier and diffed digest by digest.
-            // Mirroring is best-effort — a mirror-side pool failure
-            // skips the sample rather than failing served requests.
-            if let Ok(digests) = &outcome {
-                if self.tier.mirrors(group_index) {
-                    if let Ok(mirror) =
-                        self.tier_hash(self.tier.primary.other(), *params, &requests)
-                    {
-                        tally.mirrored += requests.len() as u64;
-                        tally.mismatches +=
-                            digests.iter().zip(&mirror).filter(|(a, b)| a != b).count() as u64;
-                    }
-                }
-            }
-            match outcome {
-                Ok(digests) => {
-                    for (&i, digest) in members.iter().zip(digests) {
-                        let (_, ticket, enqueued) = &hash_live[i];
-                        let queue = formed.duration_since(*enqueued);
-                        let total = enqueued.elapsed();
-                        tally.samples.push((queue, service, total));
-                        ticket.complete(Completion {
-                            result: Ok(digest),
-                            timing: RequestTiming {
-                                queue,
-                                service,
-                                total,
-                                batch_size,
-                                batch_slots: slots,
-                                tier: self.tier.primary,
-                                retried,
-                            },
-                        });
-                    }
-                    tally.completed += members.len() as u64;
-                }
-                Err(error) => {
-                    for &i in members {
-                        let (_, ticket, enqueued) = &hash_live[i];
-                        ticket.complete(Completion {
-                            result: Err(RequestError::WorkerFailure {
-                                error: error.clone(),
-                            }),
-                            timing: RequestTiming {
-                                queue: formed.duration_since(*enqueued),
-                                service,
-                                total: enqueued.elapsed(),
-                                batch_size,
-                                batch_slots: slots,
-                                tier: self.tier.primary,
-                                retried,
-                            },
-                        });
-                    }
-                    tally.failures += members.len() as u64;
-                }
-            }
-        }
-
         if !stream_live.is_empty() {
-            self.dispatch_streams(stream_live, formed, batch_size, slots, &mut tally);
+            self.stream_lane(stream_live, &clock, &mut tally);
         }
-
         if !kem_live.is_empty() {
-            self.dispatch_kems(kem_live, formed, batch_size, slots, &mut tally);
+            self.kem_lane(kem_live, &clock, &mut tally);
         }
 
         let mut stats = self.shared.stats.lock().expect("stats lock");
         stats.batches += 1;
-        stats.fill_sum += batch_size as f64 / slots as f64;
+        stats.fill_sum += clock.batch_size as f64 / clock.slots as f64;
         stats.timeouts += timeouts;
         stats.retries += tally.retries;
         stats.completed += tally.completed;
@@ -631,336 +570,198 @@ impl Scheduler {
         stats.batch_slots = self.pool.capacity().max(1);
     }
 
-    /// The streaming lane of one batch: every live stream operation
-    /// advances through a single shared [`drive_stream`] round on the
-    /// primary tier. Operations are rate-agnostic (the permutation does
-    /// not care which rate each state uses), so the whole lane forms one
-    /// dispatch group regardless of how many algorithms it mixes.
-    ///
-    /// States are snapshotted before dispatch: a failed attempt leaves
-    /// garbage mid-stream, so the retry restores every state first, and
-    /// the mirror oracle replays the same snapshots through the other
-    /// tier, diffing both the squeezed bytes and the advanced states.
-    fn dispatch_streams(
-        &mut self,
-        mut stream_live: Vec<StreamPending>,
-        formed: Instant,
-        batch_size: usize,
-        slots: usize,
-        tally: &mut BatchTally,
-    ) {
-        let snapshots: Vec<SpongeState> = stream_live
+    /// The one-shot lane: every live hash request of the batch, whatever
+    /// its sponge parameters, as a one-shot operation on a fresh state
+    /// in one dispatch group.
+    fn hash_lane(&mut self, live: Vec<HashPending>, clock: &BatchClock, tally: &mut BatchTally) {
+        let mut states: Vec<SpongeState> = live
             .iter()
-            .map(|(request, _, _)| (*request.state).clone())
+            .map(|(request, _, _)| SpongeState::new(request.params))
             .collect();
-        let mut outputs: Vec<Vec<u8>> = stream_live
+        let mut outputs: Vec<Vec<u8>> = live
             .iter()
-            .map(|(request, _, _)| vec![0u8; request.squeeze_len])
+            .map(|(request, _, _)| vec![0u8; request.output_len])
             .collect();
-        let group_index = self.groups_dispatched;
-        self.groups_dispatched += 1;
-        let started = Instant::now();
-        let mut retried = false;
-        let mut outcome = self.tier_stream(self.tier.primary, &mut stream_live, &mut outputs);
-        if outcome.is_err() {
-            retried = true;
-            tally.retries += 1;
-            for ((request, _, _), snapshot) in stream_live.iter_mut().zip(&snapshots) {
-                *request.state = snapshot.clone();
-            }
-            for output in &mut outputs {
-                output.fill(0);
-            }
-            outcome = self.tier_stream(self.tier.primary, &mut stream_live, &mut outputs);
-        }
-        let service = started.elapsed();
-        if outcome.is_ok() && self.tier.mirrors(group_index) {
-            let mut mirror_states = snapshots;
-            let mut mirror_outputs: Vec<Vec<u8>> = stream_live
-                .iter()
-                .map(|(request, _, _)| vec![0u8; request.squeeze_len])
-                .collect();
-            let mirror_outcome = {
-                let mut items: Vec<StreamItem<'_>> = mirror_states
-                    .iter_mut()
-                    .zip(stream_live.iter())
-                    .zip(mirror_outputs.iter_mut())
-                    .map(|((state, (request, _, _)), output)| StreamItem {
-                        state,
-                        op: StreamOp {
-                            absorb: &request.absorb,
-                            finalize: request.finalize,
-                            squeeze: output,
-                        },
-                    })
-                    .collect();
-                self.drive_tier(self.tier.primary.other(), &mut items)
-            };
-            if mirror_outcome.is_ok() {
-                tally.mirrored += stream_live.len() as u64;
-                for (i, (request, _, _)) in stream_live.iter().enumerate() {
-                    if *request.state != mirror_states[i] || outputs[i] != mirror_outputs[i] {
-                        tally.mismatches += 1;
-                    }
+        let mut items: Vec<StreamItem<'_>> = states
+            .iter_mut()
+            .zip(&mut outputs)
+            .zip(&live)
+            .map(|((state, out), (request, _, _))| StreamItem {
+                state,
+                op: StreamOp::one_shot(&request.message, out),
+            })
+            .collect();
+        let dispatch = self.dispatch(&mut items, tally);
+        for ((_, ticket, enqueued), output) in live.into_iter().zip(outputs) {
+            let timing = clock.timing(enqueued, dispatch.service, dispatch.retried);
+            let result = match &dispatch.outcome {
+                Ok(()) => {
+                    tally.served(&timing);
+                    Ok(output)
                 }
-            }
-        }
-        match outcome {
-            Ok(()) => {
-                for ((request, ticket, enqueued), output) in stream_live.into_iter().zip(outputs) {
-                    let queue = formed.duration_since(enqueued);
-                    let total = enqueued.elapsed();
-                    tally.samples.push((queue, service, total));
-                    tally.completed += 1;
-                    tally.stream_ops += 1;
-                    tally.stream_absorbed += request.absorb.len() as u64;
-                    tally.stream_squeezed += output.len() as u64;
-                    ticket.complete(StreamCompletion {
-                        result: Ok(StreamOutput {
-                            state: request.state,
-                            output,
-                        }),
-                        timing: RequestTiming {
-                            queue,
-                            service,
-                            total,
-                            batch_size,
-                            batch_slots: slots,
-                            tier: self.tier.primary,
-                            retried,
-                        },
-                    });
-                }
-            }
-            Err(error) => {
-                for (_, ticket, enqueued) in stream_live {
-                    ticket.complete(StreamCompletion {
-                        result: Err(RequestError::WorkerFailure {
-                            error: error.clone(),
-                        }),
-                        timing: RequestTiming {
-                            queue: formed.duration_since(enqueued),
-                            service,
-                            total: enqueued.elapsed(),
-                            batch_size,
-                            batch_slots: slots,
-                            tier: self.tier.primary,
-                            retried,
-                        },
-                    });
+                Err(error) => {
                     tally.failures += 1;
+                    Err(RequestError::WorkerFailure {
+                        error: error.clone(),
+                    })
                 }
-            }
+            };
+            ticket.complete(Completion { result, timing });
         }
     }
 
-    /// The KEM lane of one batch: every live operation's staged FIPS 203
-    /// state machine advances in lockstep, and at each round the pending
-    /// Keccak jobs of *all* operations are packed — across requests —
-    /// into shared per-parameter-set dispatch groups. This is where the
-    /// cross-request batching pays off: one client's matrix-expansion
-    /// SHAKE128 squeezes ride the same SN-wide `hash_batch` pass as
-    /// another client's, filling engine slots a single operation could
-    /// not.
-    ///
-    /// Each dispatch group gets the same supervision as the one-shot
-    /// lane: one retry on a lost worker (KEM hash jobs are pure
-    /// functions of their inputs, so a re-dispatch is always safe), and
-    /// the sampled mirror oracle re-hashing the group through the other
-    /// tier. A group that fails twice latches failure onto exactly the
-    /// operations with a job in it; unrelated operations keep advancing.
-    fn dispatch_kems(
+    /// The streaming lane: every live stream operation of the batch, on
+    /// its session's own state, in one dispatch group.
+    fn stream_lane(
         &mut self,
-        mut kem_live: Vec<KemLive>,
-        formed: Instant,
-        batch_size: usize,
-        slots: usize,
+        mut live: Vec<StreamPending>,
+        clock: &BatchClock,
         tally: &mut BatchTally,
     ) {
+        let mut outputs: Vec<Vec<u8>> = live
+            .iter()
+            .map(|(request, _, _)| vec![0u8; request.squeeze_len])
+            .collect();
+        let mut items: Vec<StreamItem<'_>> = live
+            .iter_mut()
+            .zip(&mut outputs)
+            .map(|((request, _, _), out)| StreamItem {
+                state: &mut request.state,
+                op: StreamOp {
+                    absorb: &request.absorb,
+                    finalize: request.finalize,
+                    squeeze: out,
+                },
+            })
+            .collect();
+        let dispatch = self.dispatch(&mut items, tally);
+        for ((request, ticket, enqueued), output) in live.into_iter().zip(outputs) {
+            let timing = clock.timing(enqueued, dispatch.service, dispatch.retried);
+            let result = match &dispatch.outcome {
+                Ok(()) => {
+                    tally.served(&timing);
+                    tally.stream_ops += 1;
+                    tally.stream_absorbed += request.absorb.len() as u64;
+                    tally.stream_squeezed += output.len() as u64;
+                    Ok(StreamOutput {
+                        state: request.state,
+                        output,
+                    })
+                }
+                Err(error) => {
+                    tally.failures += 1;
+                    Err(RequestError::WorkerFailure {
+                        error: error.clone(),
+                    })
+                }
+            };
+            ticket.complete(StreamCompletion { result, timing });
+        }
+    }
+
+    /// The KEM lane: every live operation's staged FIPS 203 state machine
+    /// advances in lockstep, and each round packs the pending Keccak jobs
+    /// of *all* operations — across requests and sponge parameters — into
+    /// one dispatch group. This is where the cross-request batching pays
+    /// off: one client's matrix-expansion SHAKE128 squeezes ride the same
+    /// SN-wide passes as another client's G and PRF calls, filling engine
+    /// slots a single operation could not. A round that fails twice
+    /// latches the failure onto every operation in it.
+    fn kem_lane(&mut self, mut live: Vec<KemLive>, clock: &BatchClock, tally: &mut BatchTally) {
         let started = Instant::now();
         loop {
-            // Round formation: every live job's pending hashes, grouped
-            // across jobs by sponge parameters in first-seen order. The
-            // (job, local) indices remember where each output goes.
-            let mut groups: Vec<(SpongeParams, Vec<(usize, usize)>)> = Vec::new();
-            for (j, live) in kem_live.iter().enumerate() {
-                if live.failed.is_some() || live.job.is_done() {
-                    continue;
-                }
-                for (l, hash_job) in live.job.pending().iter().enumerate() {
-                    match groups
-                        .iter_mut()
-                        .find(|(params, _)| *params == hash_job.params)
-                    {
-                        Some((_, members)) => members.push((j, l)),
-                        None => groups.push((hash_job.params, vec![(j, l)])),
-                    }
-                }
-            }
-            if groups.is_empty() {
+            let round: Vec<usize> = (0..live.len())
+                .filter(|&j| live[j].failed.is_none() && !live[j].job.is_done())
+                .collect();
+            if round.is_empty() {
                 break;
             }
-
-            let mut round_outputs: Vec<Vec<Option<Vec<u8>>>> = kem_live
+            let jobs: Vec<&HashJob> = round.iter().flat_map(|&j| live[j].job.pending()).collect();
+            let mut states: Vec<SpongeState> = jobs
                 .iter()
-                .map(|live| vec![None; live.job.pending().len()])
+                .map(|hash_job| SpongeState::new(hash_job.params))
                 .collect();
-            let mut round_failures: Vec<Option<PoolError>> = vec![None; kem_live.len()];
-            let mut round_retried: Vec<bool> = vec![false; kem_live.len()];
-            for (params, members) in &groups {
-                let requests: Vec<BatchRequest<'_>> = members
-                    .iter()
-                    .map(|&(j, l)| {
-                        let hash_job = &kem_live[j].job.pending()[l];
-                        BatchRequest::new(&hash_job.input, hash_job.output_len)
-                    })
-                    .collect();
-                let group_index = self.groups_dispatched;
-                self.groups_dispatched += 1;
-                tally.kem_dispatches += 1;
-                tally.kem_hash_jobs += requests.len() as u64;
-                let mut outcome = self.tier_hash(self.tier.primary, *params, &requests);
-                if outcome.is_err() {
-                    tally.retries += 1;
-                    for &(j, _) in members {
-                        round_retried[j] = true;
+            let mut outputs: Vec<Vec<u8>> = jobs
+                .iter()
+                .map(|hash_job| vec![0u8; hash_job.output_len])
+                .collect();
+            let mut items: Vec<StreamItem<'_>> = states
+                .iter_mut()
+                .zip(&mut outputs)
+                .zip(&jobs)
+                .map(|((state, out), hash_job)| StreamItem {
+                    state,
+                    op: StreamOp::one_shot(&hash_job.input, out),
+                })
+                .collect();
+            tally.kem_dispatches += 1;
+            tally.kem_hash_jobs += items.len() as u64;
+            let dispatch = self.dispatch(&mut items, tally);
+            let mut outputs = outputs.into_iter();
+            for j in round {
+                let kem = &mut live[j];
+                kem.retried |= dispatch.retried;
+                match &dispatch.outcome {
+                    Ok(()) => {
+                        let count = kem.job.pending().len();
+                        kem.job.advance(outputs.by_ref().take(count).collect());
                     }
-                    outcome = self.tier_hash(self.tier.primary, *params, &requests);
+                    Err(error) => kem.failed = Some(error.clone()),
                 }
-                if let Ok(outputs) = &outcome {
-                    if self.tier.mirrors(group_index) {
-                        if let Ok(mirror) =
-                            self.tier_hash(self.tier.primary.other(), *params, &requests)
-                        {
-                            tally.mirrored += requests.len() as u64;
-                            tally.mismatches +=
-                                outputs.iter().zip(&mirror).filter(|(a, b)| a != b).count() as u64;
-                        }
-                    }
-                }
-                match outcome {
-                    Ok(outputs) => {
-                        for (&(j, l), output) in members.iter().zip(outputs) {
-                            round_outputs[j][l] = Some(output);
-                        }
-                    }
-                    Err(error) => {
-                        for &(j, _) in members {
-                            round_failures[j] = Some(error.clone());
-                        }
-                    }
-                }
-            }
-
-            // Advance every job whose round came back whole; latch
-            // failure onto the rest.
-            for (j, live) in kem_live.iter_mut().enumerate() {
-                live.retried |= round_retried[j];
-                if live.failed.is_some() || live.job.is_done() {
-                    continue;
-                }
-                if let Some(error) = round_failures[j].take() {
-                    live.failed = Some(error);
-                    continue;
-                }
-                let outputs: Vec<Vec<u8>> = std::mem::take(&mut round_outputs[j])
-                    .into_iter()
-                    .map(|output| output.expect("every pending hash job was dispatched"))
-                    .collect();
-                live.job.advance(outputs);
             }
         }
 
         let service = started.elapsed();
-        for live in kem_live {
-            let queue = formed.duration_since(live.enqueued);
-            let total = live.enqueued.elapsed();
-            let timing = RequestTiming {
-                queue,
-                service,
-                total,
-                batch_size,
-                batch_slots: slots,
-                tier: self.tier.primary,
-                retried: live.retried,
-            };
-            match live.failed {
+        for kem in live {
+            let timing = clock.timing(kem.enqueued, service, kem.retried);
+            let result = match kem.failed {
                 None => {
-                    tally.samples.push((queue, service, total));
-                    tally.completed += 1;
-                    match live.tag {
+                    tally.served(&timing);
+                    match kem.tag {
                         "keygen" => tally.kem_keygen += 1,
                         "encaps" => tally.kem_encaps += 1,
                         _ => tally.kem_decaps += 1,
                     }
-                    live.ticket.complete(KemCompletion {
-                        result: Ok(live.job.into_result()),
-                        timing,
-                    });
+                    Ok(kem.job.into_result())
                 }
                 Some(error) => {
                     tally.failures += 1;
-                    live.ticket.complete(KemCompletion {
-                        result: Err(KemRequestError::WorkerFailure { error }),
-                        timing,
-                    });
+                    Err(KemRequestError::WorkerFailure { error })
                 }
-            }
+            };
+            kem.ticket.complete(KemCompletion { result, timing });
         }
     }
 
-    /// One `drive_stream` attempt over the lane's live operations on the
-    /// chosen tier, writing squeezed bytes into `outputs`.
-    fn tier_stream(
-        &mut self,
-        tier: TierKind,
-        stream_live: &mut [StreamPending],
-        outputs: &mut [Vec<u8>],
-    ) -> Result<(), PoolError> {
-        let mut items: Vec<StreamItem<'_>> = stream_live
-            .iter_mut()
-            .zip(outputs.iter_mut())
-            .map(|(pending, output)| {
-                let request = &mut pending.0;
-                StreamItem {
-                    state: &mut request.state,
-                    op: StreamOp {
-                        absorb: &request.absorb,
-                        finalize: request.finalize,
-                        squeeze: output,
-                    },
-                }
-            })
-            .collect();
-        self.drive_tier(tier, &mut items)
-    }
-
-    /// Drives pre-built stream items through one tier: supervised on the
-    /// simulator pool (errors surface for the retry path), infallible on
-    /// the native kernel — where the corruption drill flips squeezed
-    /// bytes, exactly as it flips one-shot digests, so the stream mirror
-    /// oracle has something to catch.
-    fn drive_tier(
-        &mut self,
-        tier: TierKind,
-        items: &mut [StreamItem<'_>],
-    ) -> Result<(), PoolError> {
-        match tier {
+    /// The one dispatch path every lane shares; one call is one dispatch
+    /// group. It drives `items` through [`drive_stream`] on the primary
+    /// tier; on a pool error it restores the state snapshots and retries
+    /// once on the surviving workers; and for a group the mirror sampler
+    /// picks, it replays the snapshots through the other tier and counts
+    /// every item whose output or final state differs.
+    ///
+    /// The simulator pool runs behind [`SupervisedBackend`], so a lost
+    /// worker surfaces as an error. The native kernel is infallible host
+    /// code that can only fail by producing wrong bits — which is what
+    /// the corruption drill simulates, flipping the first squeezed byte
+    /// of every item whenever the native tier drives.
+    fn dispatch(&mut self, items: &mut [StreamItem<'_>], tally: &mut BatchTally) -> Dispatch {
+        let group_index = self.groups_dispatched;
+        self.groups_dispatched += 1;
+        let corrupt = self.shared.native_corruption.load(Ordering::Relaxed);
+        let (pool, native) = (&mut self.pool, &mut self.native);
+        let mut drive = |tier: TierKind, items: &mut [StreamItem<'_>]| match tier {
             TierKind::Simulator => {
-                let mut error = None;
                 let mut backend = SupervisedBackend {
-                    pool: &mut self.pool,
-                    error: &mut error,
+                    pool: &mut *pool,
+                    error: None,
                 };
                 drive_stream(&mut backend, items);
-                match error {
-                    None => Ok(()),
-                    Some(error) => Err(error),
-                }
+                backend.error.map_or(Ok(()), Err)
             }
             TierKind::Native => {
-                drive_stream(&mut self.native, items);
-                if self.shared.native_corruption.load(Ordering::Relaxed) {
+                drive_stream(&mut *native, items);
+                if corrupt {
                     for item in items.iter_mut() {
                         if let Some(byte) = item.op.squeeze.first_mut() {
                             *byte ^= 0x80;
@@ -969,52 +770,57 @@ impl Scheduler {
                 }
                 Ok(())
             }
-        }
-    }
+        };
 
-    /// One `hash_batch` attempt on the chosen tier. The simulator tier
-    /// is supervised (pool errors surface for the retry path); the
-    /// native tier is infallible host code, so it only fails by
-    /// producing wrong bits — which is exactly what the mirror oracle
-    /// watches for, and what the corruption drill simulates.
-    fn tier_hash(
-        &mut self,
-        tier: TierKind,
-        params: SpongeParams,
-        requests: &[BatchRequest<'_>],
-    ) -> Result<Vec<Vec<u8>>, PoolError> {
-        match tier {
-            TierKind::Simulator => self.supervised_hash(params, requests),
-            TierKind::Native => {
-                let mut digests = hash_batch(params, &mut self.native, requests);
-                if self.shared.native_corruption.load(Ordering::Relaxed) {
-                    for digest in &mut digests {
-                        if let Some(byte) = digest.first_mut() {
-                            *byte ^= 0x80;
-                        }
-                    }
-                }
-                Ok(digests)
+        // A failed attempt leaves the states garbage mid-stream, so the
+        // retry restores them first; the mirror replays them too.
+        let snapshots: Vec<SpongeState> = items.iter().map(|item| item.state.clone()).collect();
+        let started = Instant::now();
+        let mut outcome = drive(self.tier.primary, items);
+        let retried = outcome.is_err();
+        if retried {
+            tally.retries += 1;
+            for (item, snapshot) in items.iter_mut().zip(&snapshots) {
+                item.state.clone_from(snapshot);
+            }
+            outcome = drive(self.tier.primary, items);
+        }
+        let service = started.elapsed();
+
+        // Mirroring is best-effort: a mirror-side pool failure skips the
+        // sample rather than failing served requests.
+        if outcome.is_ok() && self.tier.mirrors(group_index) {
+            let mut states = snapshots;
+            let mut outputs: Vec<Vec<u8>> = items
+                .iter()
+                .map(|item| vec![0u8; item.op.squeeze.len()])
+                .collect();
+            let mut mirror: Vec<StreamItem<'_>> = states
+                .iter_mut()
+                .zip(&mut outputs)
+                .zip(items.iter())
+                .map(|((state, out), item)| StreamItem {
+                    state,
+                    op: StreamOp {
+                        absorb: item.op.absorb,
+                        finalize: item.op.finalize,
+                        squeeze: out,
+                    },
+                })
+                .collect();
+            if drive(self.tier.primary.other(), &mut mirror).is_ok() {
+                tally.mirrored += items.len() as u64;
+                tally.mismatches += items
+                    .iter()
+                    .zip(&mirror)
+                    .filter(|(a, b)| a.state != b.state || a.op.squeeze != b.op.squeeze)
+                    .count() as u64;
             }
         }
-    }
-
-    /// One supervised `hash_batch` attempt: digests, or the first pool
-    /// error the dispatch hit.
-    fn supervised_hash(
-        &mut self,
-        params: SpongeParams,
-        requests: &[BatchRequest<'_>],
-    ) -> Result<Vec<Vec<u8>>, PoolError> {
-        let mut error = None;
-        let backend = SupervisedBackend {
-            pool: &mut self.pool,
-            error: &mut error,
-        };
-        let digests = hash_batch(params, backend, requests);
-        match error {
-            None => Ok(digests),
-            Some(error) => Err(error),
+        Dispatch {
+            outcome,
+            retried,
+            service,
         }
     }
 }

@@ -44,7 +44,7 @@ pub trait PermutationBackend {
 /// backend cannot see where the group boundaries fall. This super-trait
 /// exposes them: [`Self::lane_width`] is the native group size `N`, and
 /// [`Self::permute_group`] runs exactly one full group, so callers that
-/// *can* align their batches (the drain-and-refill scheduler, the
+/// *can* align their batches (the sponge driver, the
 /// serving tier) express "N states at once" natively instead of looping
 /// state by state.
 ///

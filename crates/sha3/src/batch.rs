@@ -1,181 +1,22 @@
-//! Batch hashing: many messages sharing the vector hardware.
+//! One-shot batch hashing: many messages sharing the vector hardware.
 //!
 //! The paper's motivating workload (§1) is CRYSTALS-Kyber matrix
-//! expansion, where many SHAKE128 calls process same-length inputs
+//! expansion, where many SHAKE128 calls process short inputs
 //! (`seed ‖ row ‖ column`). With a backend whose hardware holds `SN`
 //! Keccak states (paper Figures 5/6), all member sponges permute in a
 //! single pass of the vector kernel.
 //!
-//! Two APIs live here:
-//!
-//! * [`BatchSponge`] — `n` sponges advancing in **lockstep**: inputs
-//!   must have equal length so the streams stay aligned on block
-//!   boundaries. This is the natural fit for Kyber's fixed-shape PRF
-//!   calls and mirrors the paper's presentation.
-//! * [`hash_batch`] — a **drain-and-refill scheduler** that lifts the
-//!   equal-length restriction: each [`BatchRequest`] is an independent
-//!   job with its own message length and output length. Every round the
-//!   scheduler drains one block of host-side work per live job (absorb
-//!   the next rate-sized block, or note that more squeeze output is
-//!   needed), packs exactly the live states, and hands them to the
-//!   backend in one call — which the engine layer splits into `SN`-wide
-//!   hardware passes. Jobs that finish drop out and the pack compacts,
-//!   so short messages never pad out the schedule of long ones: every
-//!   pass is as full as the remaining work allows, which is the minimum
-//!   `⌈live/SN⌉` passes per round.
+//! [`hash_batch`] is a thin wrapper over [`drive_stream`], the crate's
+//! one multi-state driver: each [`BatchRequest`] becomes a
+//! [`StreamOp::one_shot`] — absorb the message, pad, squeeze the output —
+//! on a fresh [`SpongeState`]. Message and output lengths are free to
+//! differ: finished requests drop out of the pack, so short messages
+//! never pad out the schedule of long ones and every round is the
+//! minimum `⌈live/SN⌉` passes.
 
 use crate::backend::PermutationBackend;
-use crate::sponge::SpongeParams;
-use krv_keccak::constants::STATE_BYTES;
-use krv_keccak::KeccakState;
-
-/// `n` sponge instances that absorb, pad and squeeze in lockstep so every
-/// permutation is applied to all states in one backend call.
-///
-/// All member sponges share one [`SpongeParams`]; inputs must have equal
-/// length so the streams stay aligned on block boundaries.
-///
-/// # Example
-///
-/// ```
-/// use krv_sha3::{BatchSponge, SpongeParams, ReferenceBackend};
-///
-/// let params = SpongeParams::shake(128);
-/// let mut batch = BatchSponge::new(params, ReferenceBackend::new(), 3);
-/// batch.absorb(&[b"seed0", b"seed1", b"seed2"]);
-/// let outputs = batch.squeeze(16);
-/// assert_eq!(outputs.len(), 3);
-/// assert_ne!(outputs[0], outputs[1]);
-/// ```
-#[derive(Debug, Clone)]
-pub struct BatchSponge<B> {
-    params: SpongeParams,
-    backend: B,
-    states: Vec<KeccakState>,
-    absorbed: usize,
-    squeeze_offset: Option<usize>,
-}
-
-impl<B: PermutationBackend> BatchSponge<B> {
-    /// Creates `n` empty lockstep sponges.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn new(params: SpongeParams, backend: B, n: usize) -> Self {
-        assert!(n > 0, "batch must contain at least one sponge");
-        Self {
-            params,
-            backend,
-            states: vec![KeccakState::new(); n],
-            absorbed: 0,
-            squeeze_offset: None,
-        }
-    }
-
-    /// Number of member sponges.
-    pub fn len(&self) -> usize {
-        self.states.len()
-    }
-
-    /// Whether the batch is empty (never true; a batch has ≥ 1 member).
-    pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
-    }
-
-    /// Read access to the internal states (for tests and diagnostics).
-    pub fn states(&self) -> &[KeccakState] {
-        &self.states
-    }
-
-    /// Absorbs one equal-length chunk into every member sponge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len()` differs from the batch size, if the chunk
-    /// lengths differ from each other, or if squeezing has started.
-    pub fn absorb(&mut self, inputs: &[&[u8]]) {
-        assert!(
-            self.squeeze_offset.is_none(),
-            "cannot absorb after squeezing has started"
-        );
-        assert_eq!(
-            inputs.len(),
-            self.states.len(),
-            "one input chunk per member sponge required"
-        );
-        let len = inputs[0].len();
-        assert!(
-            inputs.iter().all(|i| i.len() == len),
-            "lockstep absorption requires equal-length chunks"
-        );
-        let rate = self.params.rate_bytes();
-        let mut consumed = 0;
-        while consumed < len {
-            let take = (rate - self.absorbed).min(len - consumed);
-            for (state, input) in self.states.iter_mut().zip(inputs) {
-                let mut block = [0u8; STATE_BYTES];
-                block[self.absorbed..self.absorbed + take]
-                    .copy_from_slice(&input[consumed..consumed + take]);
-                state.xor_bytes(&block[..self.absorbed + take]);
-            }
-            self.absorbed += take;
-            consumed += take;
-            if self.absorbed == rate {
-                self.backend.permute_all(&mut self.states);
-                self.absorbed = 0;
-            }
-        }
-    }
-
-    /// Applies domain separation and padding to every member sponge.
-    pub fn finalize_absorb(&mut self) {
-        if self.squeeze_offset.is_some() {
-            return;
-        }
-        let rate = self.params.rate_bytes();
-        let mut block = vec![0u8; rate];
-        block[self.absorbed] = self.params.domain().first_pad_byte();
-        block[rate - 1] |= 0x80;
-        for state in &mut self.states {
-            state.xor_bytes(&block);
-        }
-        self.backend.permute_all(&mut self.states);
-        self.absorbed = 0;
-        self.squeeze_offset = Some(0);
-    }
-
-    /// Squeezes `len` bytes from every member sponge.
-    pub fn squeeze(&mut self, len: usize) -> Vec<Vec<u8>> {
-        self.finalize_absorb();
-        let rate = self.params.rate_bytes();
-        let mut offset = self
-            .squeeze_offset
-            .expect("finalize_absorb sets the squeeze offset");
-        let mut outputs = vec![Vec::with_capacity(len); self.states.len()];
-        let mut written = 0;
-        while written < len {
-            if offset == rate {
-                self.backend.permute_all(&mut self.states);
-                offset = 0;
-            }
-            let take = (rate - offset).min(len - written);
-            for (state, out) in self.states.iter().zip(&mut outputs) {
-                let bytes = state.to_bytes();
-                out.extend_from_slice(&bytes[offset..offset + take]);
-            }
-            offset += take;
-            written += take;
-        }
-        self.squeeze_offset = Some(offset);
-        outputs
-    }
-
-    /// Consumes the batch and returns its backend.
-    pub fn into_backend(self) -> B {
-        self.backend
-    }
-}
+use crate::sponge::{SpongeParams, SpongeState};
+use crate::stream::{drive_stream, StreamItem, StreamOp};
 
 /// One job for [`hash_batch`]: a message and the number of output bytes
 /// wanted for it.
@@ -197,58 +38,9 @@ impl<'a> BatchRequest<'a> {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    Absorb,
-    Squeeze,
-    Done,
-}
-
-/// Per-message progress inside the scheduler. The job's sponge state
-/// lives in the scheduler's dense pack, not here, so the pack can be
-/// permuted in place with no per-round gather/scatter copies.
-struct Job<'a> {
-    message: &'a [u8],
-    consumed: usize,
-    out: Vec<u8>,
-    want: usize,
-    phase: Phase,
-}
-
-impl Job<'_> {
-    /// XORs the next rate-sized block into the state, folding the
-    /// pad10*1 + domain padding into the final (short) block exactly as
-    /// a one-shot [`crate::Sponge`] would.
-    fn absorb_next_block(&mut self, state: &mut KeccakState, rate: usize, pad: u8) {
-        let remaining = self.message.len() - self.consumed;
-        if remaining >= rate {
-            state.xor_bytes(&self.message[self.consumed..self.consumed + rate]);
-            self.consumed += rate;
-        } else {
-            let mut block = vec![0u8; rate];
-            block[..remaining].copy_from_slice(&self.message[self.consumed..]);
-            block[remaining] = pad;
-            block[rate - 1] |= 0x80;
-            state.xor_bytes(&block);
-            self.consumed = self.message.len();
-            self.phase = Phase::Squeeze;
-        }
-    }
-
-    /// Takes up to one rate window of output after a permutation.
-    fn collect_output(&mut self, state: &KeccakState, rate: usize) {
-        let take = (self.want - self.out.len()).min(rate);
-        let bytes = state.to_bytes();
-        self.out.extend_from_slice(&bytes[..take]);
-        if self.out.len() == self.want {
-            self.phase = Phase::Done;
-        }
-    }
-}
-
-/// Hashes an arbitrary mixed-length message set with a drain-and-refill
-/// schedule, packing the live Keccak states into as few backend
-/// permutation calls as the work allows.
+/// Hashes an arbitrary mixed-length message set through one
+/// [`drive_stream`] call, packing the live Keccak states into as few
+/// backend permutation calls as the work allows.
 ///
 /// Each request is hashed exactly as a standalone sponge with `params`
 /// would hash it (there are property tests pinning equality with
@@ -256,10 +48,8 @@ impl Job<'_> {
 /// *scheduling* differs. Results are returned in request order.
 ///
 /// With a wide backend (a `VectorKeccakEngine` or an `EnginePool` from
-/// `krv-core`), every scheduler round permutes all live states in
-/// `⌈live/SN⌉` hardware passes; finished jobs drain out and the pack
-/// compacts, so unlike [`BatchSponge`] the message lengths are free to
-/// differ.
+/// `krv-core`), every round permutes all live states in `⌈live/SN⌉`
+/// hardware passes.
 ///
 /// # Example
 ///
@@ -279,119 +69,30 @@ pub fn hash_batch<B: PermutationBackend>(
     mut backend: B,
     requests: &[BatchRequest<'_>],
 ) -> Vec<Vec<u8>> {
-    let rate = params.rate_bytes();
-    let pad = params.domain().first_pad_byte();
-    let mut jobs: Vec<Job<'_>> = requests
+    let mut states = vec![SpongeState::new(params); requests.len()];
+    let mut outputs: Vec<Vec<u8>> = requests
         .iter()
-        .map(|request| Job {
-            message: request.message,
-            consumed: 0,
-            out: Vec::with_capacity(request.output_len),
-            want: request.output_len,
-            phase: Phase::Absorb,
+        .map(|request| vec![0u8; request.output_len])
+        .collect();
+    let mut items: Vec<StreamItem<'_>> = states
+        .iter_mut()
+        .zip(requests)
+        .zip(&mut outputs)
+        .map(|((state, request), out)| StreamItem {
+            state,
+            op: StreamOp::one_shot(request.message, out),
         })
         .collect();
-    // Dense pack: `states[slot]` is the sponge of `jobs[owners[slot]]`.
-    // Every slot is live by construction, so each round permutes the
-    // whole pack in place — no gather into scratch, no scatter back.
-    let mut states: Vec<KeccakState> = vec![KeccakState::new(); jobs.len()];
-    let mut owners: Vec<usize> = (0..jobs.len()).collect();
-    while !owners.is_empty() {
-        // Drain: one block of host-side work per live job, in place.
-        // Squeezing jobs still short of output just ride into the next
-        // permutation for their next rate window.
-        for (slot, &owner) in owners.iter().enumerate() {
-            let job = &mut jobs[owner];
-            if job.phase == Phase::Absorb {
-                job.absorb_next_block(&mut states[slot], rate, pad);
-            }
-        }
-        backend.permute_all(&mut states);
-        // Refill: collect fresh output, then compact finished jobs out
-        // of the pack (stable, so relative state order is preserved).
-        let mut kept = 0;
-        for slot in 0..owners.len() {
-            let owner = owners[slot];
-            let job = &mut jobs[owner];
-            if job.phase == Phase::Squeeze {
-                job.collect_output(&states[slot], rate);
-            }
-            if job.phase != Phase::Done {
-                states[kept] = states[slot];
-                owners[kept] = owner;
-                kept += 1;
-            }
-        }
-        states.truncate(kept);
-        owners.truncate(kept);
-    }
-    jobs.into_iter().map(|job| job.out).collect()
+    drive_stream(&mut backend, &mut items);
+    outputs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::ReferenceBackend;
-    use crate::functions::{Shake128, Xof};
-    use crate::sponge::Sponge;
-
-    #[test]
-    fn batch_matches_individual_sponges() {
-        let inputs: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 300]).collect();
-        let refs: Vec<&[u8]> = inputs.iter().map(|v| v.as_slice()).collect();
-        let mut batch = BatchSponge::new(SpongeParams::shake(128), ReferenceBackend::new(), 4);
-        batch.absorb(&refs);
-        let outputs = batch.squeeze(200);
-        for (input, output) in inputs.iter().zip(&outputs) {
-            let mut xof = Shake128::new();
-            xof.update(input);
-            assert_eq!(*output, xof.squeeze(200));
-        }
-    }
-
-    #[test]
-    fn batch_squeeze_is_streamable() {
-        let mut batch = BatchSponge::new(SpongeParams::shake(256), ReferenceBackend::new(), 2);
-        batch.absorb(&[b"a", b"b"]);
-        let first = batch.squeeze(10);
-        let second = batch.squeeze(300);
-        let mut single = Sponge::new(SpongeParams::shake(256), ReferenceBackend::new());
-        single.absorb(b"a");
-        let expected = single.squeeze(310);
-        let mut combined = first[0].clone();
-        combined.extend(&second[0]);
-        assert_eq!(combined, expected);
-    }
-
-    #[test]
-    fn multi_chunk_absorb_matches_single() {
-        let mut a = BatchSponge::new(SpongeParams::sha3(256), ReferenceBackend::new(), 2);
-        a.absorb(&[b"hello ", b"world "]);
-        a.absorb(&[b"again", b"again"]);
-        let mut b = BatchSponge::new(SpongeParams::sha3(256), ReferenceBackend::new(), 2);
-        b.absorb(&[b"hello again", b"world again"]);
-        assert_eq!(a.squeeze(32), b.squeeze(32));
-    }
-
-    #[test]
-    #[should_panic(expected = "equal-length chunks")]
-    fn unequal_chunks_rejected() {
-        let mut batch = BatchSponge::new(SpongeParams::sha3(256), ReferenceBackend::new(), 2);
-        batch.absorb(&[b"long input", b"short"]);
-    }
-
-    #[test]
-    #[should_panic(expected = "one input chunk per member")]
-    fn wrong_arity_rejected() {
-        let mut batch = BatchSponge::new(SpongeParams::sha3(256), ReferenceBackend::new(), 3);
-        batch.absorb(&[b"a", b"b"]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one sponge")]
-    fn empty_batch_rejected() {
-        let _ = BatchSponge::new(SpongeParams::sha3(256), ReferenceBackend::new(), 0);
-    }
+    use crate::functions::Shake128;
+    use krv_keccak::KeccakState;
 
     /// A reference backend that records how many states each
     /// `permute_all` call carried (to check schedule density).

@@ -14,9 +14,14 @@
 //!   extensions (`krv_core::EngineBackend`), which processes several
 //!   sponge states in one permutation call.
 //!
-//! [`batch`] exposes the multi-state interface the paper motivates with
-//! CRYSTALS-Kyber: hash `SN` same-length inputs through a backend that
-//! permutes all states simultaneously.
+//! One driver packs many sponge states into each multi-state permutation
+//! call: [`drive_stream`] advances a set of [`StreamItem`]s — each a
+//! [`SpongeState`] and one absorb/pad/squeeze operation — and permutes
+//! every state that stalls on a block boundary in one backend call. A
+//! streaming session's operation and a one-shot hash are the same thing
+//! to it, and so are different rates, so a backend that permutes `SN`
+//! states at once (the paper's CRYSTALS-Kyber motivation) stays full.
+//! [`hash_batch`] is the one-shot wrapper over it.
 //!
 //! # Example
 //!
@@ -45,7 +50,7 @@ pub mod tree;
 pub use backend::{
     permute_all_grouped, BatchPermutationBackend, PermutationBackend, ReferenceBackend,
 };
-pub use batch::{hash_batch, BatchRequest, BatchSponge};
+pub use batch::{hash_batch, BatchRequest};
 pub use functions::{Sha3_224, Sha3_256, Sha3_384, Sha3_512, Shake128, Shake256, Xof};
 pub use sponge::{DomainSeparator, Sponge, SpongeParams, SpongeState};
 pub use stream::{drive_stream, StreamItem, StreamOp};

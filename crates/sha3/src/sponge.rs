@@ -102,12 +102,11 @@ impl SpongeParams {
 /// permutes eagerly whenever a rate block fills. A `SpongeState` on its
 /// own instead *reports* when it owes a permutation
 /// ([`SpongeState::needs_permute`]) and lets an external driver apply it
-/// — which is what allows many live streaming sessions to share one
-/// `permute_all` round (see [`crate::stream::drive_stream`]): the driver
-/// advances every session's host-side byte work, packs exactly the
-/// states that stalled on a permutation, and permutes them in one
-/// backend call, the same drain-and-refill shape as
-/// [`crate::hash_batch`].
+/// — which is what allows many sponges, streaming sessions and one-shot
+/// hashes alike, to share one `permute_all` round (see
+/// [`crate::stream::drive_stream`]): the driver advances every state's
+/// host-side byte work, packs exactly the states that stalled on a
+/// permutation, and permutes them in one backend call.
 ///
 /// The step methods ([`absorb_step`], [`finalize_pad`],
 /// [`squeeze_step`]) each run until the next block boundary; the `_with`
@@ -204,9 +203,13 @@ impl SpongeState {
         assert!(!self.needs_permute(), "permute before absorbing more");
         let rate = self.params.rate_bytes;
         let take = (rate - self.absorbed).min(data.len());
-        let mut block = [0u8; STATE_BYTES];
-        block[self.absorbed..self.absorbed + take].copy_from_slice(&data[..take]);
-        self.state.xor_bytes(&block[..self.absorbed + take]);
+        if self.absorbed == 0 {
+            self.state.xor_bytes(&data[..take]);
+        } else {
+            let mut block = [0u8; STATE_BYTES];
+            block[self.absorbed..self.absorbed + take].copy_from_slice(&data[..take]);
+            self.state.xor_bytes(&block[..self.absorbed + take]);
+        }
         self.absorbed += take;
         take
     }

@@ -1,20 +1,23 @@
-//! Batched streaming: many live sponge sessions sharing each
+//! The multi-state sponge driver: many sponge operations sharing each
 //! permutation round.
 //!
-//! One-shot traffic gets its drain-and-refill schedule from
-//! [`crate::hash_batch`]. Streaming sessions cannot use it: their
-//! [`SpongeState`]s live across micro-batches (in a server session
-//! table), and each scheduler pass only carries *one bounded operation*
-//! per session — absorb a chunk, pad, squeeze a window. [`drive_stream`]
-//! is the batched driver for exactly that shape: it advances every
-//! operation's host-side byte work until the state stalls on a
-//! permutation, packs precisely the stalled states, permutes them in one
-//! backend call, and repeats until every operation completes. Finished
-//! operations drop out and the pack compacts, so a short absorb never
-//! pads out the schedule of a long one — the same minimum-pass property
-//! as `hash_batch`, but over borrowed, resumable states.
+//! [`drive_stream`] is the crate's only driver that packs several sponge
+//! states into one [`PermutationBackend::permute_all`] call. Each
+//! [`StreamItem`] borrows one [`SpongeState`] and carries one bounded
+//! operation — absorb a chunk, pad, squeeze a window — so the same
+//! driver serves streaming sessions whose states live across
+//! micro-batches (in a server session table) and one-shot hashes, which
+//! are simply an operation that does all three on a fresh state
+//! ([`crate::hash_batch`] is that wrapper).
 //!
-//! Unlike `hash_batch`, operations in one drive need **not** share
+//! Each round advances every operation's host-side byte work until its
+//! state stalls on a permutation, packs precisely the stalled states,
+//! permutes them in one backend call, and repeats until every operation
+//! completes. Finished operations drop out and the pack compacts, so a
+//! short message never pads out the schedule of a long one: every round
+//! is `⌈live/SN⌉` hardware passes on a wide backend.
+//!
+//! Operations in one drive need **not** share
 //! [`SpongeParams`](crate::SpongeParams): the permutation is
 //! rate-agnostic, so a SHAKE128 absorb and a SHA3-512 squeeze happily
 //! share hardware passes.
@@ -69,6 +72,16 @@ impl<'a> StreamOp<'a> {
             squeeze: out,
         }
     }
+
+    /// A whole one-shot hash: absorb `message`, pad, squeeze
+    /// `out.len()` bytes (on a fresh state).
+    pub fn one_shot(message: &'a [u8], out: &'a mut [u8]) -> Self {
+        Self {
+            absorb: message,
+            finalize: true,
+            squeeze: out,
+        }
+    }
 }
 
 /// One session's entry in a [`drive_stream`] round: its live state and
@@ -91,9 +104,15 @@ struct Progress {
 
 /// Advances one operation until it completes (returns `true`) or its
 /// state stalls on a permutation (returns `false`).
+///
+/// Permutations are owed exactly when a standalone [`crate::Sponge`]
+/// would apply them: at once for a full absorb block and for the pad,
+/// but for an exhausted squeeze block only when more output is wanted —
+/// so a squeeze ending on a rate boundary completes without permuting.
 fn advance(item: &mut StreamItem<'_>, p: &mut Progress) -> bool {
     loop {
-        if item.state.needs_permute() {
+        let wants_output = p.written < item.op.squeeze.len();
+        if item.state.needs_permute() && (wants_output || !item.state.squeezing()) {
             return false;
         }
         if p.consumed < item.op.absorb.len() {
@@ -102,14 +121,13 @@ fn advance(item: &mut StreamItem<'_>, p: &mut Progress) -> bool {
         }
         if item.op.finalize && !item.state.squeezing() {
             item.state.finalize_pad();
-            continue;
+            return false;
         }
-        if p.written < item.op.squeeze.len() {
-            let written = p.written;
-            p.written += item.state.squeeze_step(&mut item.op.squeeze[written..]);
-            continue;
+        if !wants_output {
+            return true;
         }
-        return true;
+        let written = p.written;
+        p.written += item.state.squeeze_step(&mut item.op.squeeze[written..]);
     }
 }
 
@@ -124,10 +142,10 @@ fn advance(item: &mut StreamItem<'_>, p: &mut Progress) -> bool {
 /// advance it (there are property tests pinning equality at every chunk
 /// split); only the scheduling differs.
 ///
-/// Unlike `hash_batch`'s owned pack, states here are borrowed from
-/// their sessions, so each round gathers the stalled states into a
-/// scratch pack and scatters them back — 200 bytes each way per state
-/// per round, noise next to the permutation itself.
+/// States are borrowed from their owners, so each round gathers the
+/// stalled states into a scratch pack and scatters them back — 200
+/// bytes each way per state per round, noise next to the permutation
+/// itself.
 ///
 /// # Panics
 ///
@@ -324,8 +342,15 @@ mod tests {
     }
 
     /// Records how many states each permute_all call carried.
+    #[derive(Clone, Default)]
     struct CountingBackend {
         calls: Vec<usize>,
+    }
+
+    impl CountingBackend {
+        fn permutations(&self) -> usize {
+            self.calls.iter().sum()
+        }
     }
 
     impl PermutationBackend for CountingBackend {
@@ -344,7 +369,7 @@ mod tests {
         let long = vec![2u8; 4 * rate];
         let mut s1 = SpongeState::new(SpongeParams::shake(128));
         let mut s2 = SpongeState::new(SpongeParams::shake(128));
-        let mut backend = CountingBackend { calls: Vec::new() };
+        let mut backend = CountingBackend::default();
         let mut items = [
             StreamItem {
                 state: &mut s1,
@@ -360,9 +385,65 @@ mod tests {
     }
 
     #[test]
+    fn squeezes_on_rate_boundaries_cost_what_a_sponge_costs() {
+        // A squeeze ending exactly on a rate boundary must not permute
+        // ahead of need: the permutation count and the final state match
+        // a standalone Sponge given the same calls, and a follow-up
+        // squeeze (then an empty one) picks up the owed permutation.
+        let message = b"rate-boundary squeeze";
+        for params in [SpongeParams::shake(128), SpongeParams::sha3(512)] {
+            let rate = params.rate_bytes();
+            for len in [0, 1, rate - 1, rate, rate + 1, 2 * rate, 3 * rate] {
+                let mut sponge = Sponge::new(params, CountingBackend::default());
+                sponge.absorb(message);
+                let expected = sponge.squeeze(len);
+                let mut backend = CountingBackend::default();
+                let mut state = SpongeState::new(params);
+                let mut out = vec![0u8; len];
+                drive_stream(
+                    &mut backend,
+                    &mut [StreamItem {
+                        state: &mut state,
+                        op: StreamOp {
+                            absorb: message,
+                            finalize: true,
+                            squeeze: &mut out,
+                        },
+                    }],
+                );
+                let label = format!("rate {rate}, squeeze {len}");
+                assert_eq!(out, expected, "{label}");
+                assert_eq!(
+                    backend.permutations(),
+                    sponge.clone().into_backend().permutations(),
+                    "{label}"
+                );
+                assert_eq!(state, sponge.clone().into_state(), "{label}");
+
+                let expected = sponge.squeeze(5);
+                let mut more = [0u8; 5];
+                for op in [StreamOp::squeeze(&mut more), StreamOp::squeeze(&mut [])] {
+                    let mut items = [StreamItem {
+                        state: &mut state,
+                        op,
+                    }];
+                    drive_stream(&mut backend, &mut items);
+                }
+                assert_eq!(more.to_vec(), expected, "{label}, follow-up");
+                assert_eq!(
+                    backend.permutations(),
+                    sponge.clone().into_backend().permutations(),
+                    "{label}, follow-up"
+                );
+                assert_eq!(state, sponge.into_state(), "{label}, follow-up");
+            }
+        }
+    }
+
+    #[test]
     fn empty_ops_need_no_permutation() {
         let mut state = SpongeState::new(SpongeParams::sha3(256));
-        let mut backend = CountingBackend { calls: Vec::new() };
+        let mut backend = CountingBackend::default();
         let mut items = [StreamItem {
             state: &mut state,
             op: StreamOp::absorb(b""),

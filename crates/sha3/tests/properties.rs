@@ -1,8 +1,8 @@
 //! Property-based tests of the sponge and hash layer.
 
 use krv_sha3::{
-    hash_batch, BatchRequest, BatchSponge, DomainSeparator, ReferenceBackend, Sha3_224, Sha3_256,
-    Sha3_384, Sha3_512, Shake128, Shake256, Sponge, SpongeParams, Xof,
+    hash_batch, BatchRequest, DomainSeparator, ReferenceBackend, Sha3_224, Sha3_256, Sha3_384,
+    Sha3_512, Shake128, Shake256, Sponge, SpongeParams, Xof,
 };
 use krv_testkit::cases;
 
@@ -83,10 +83,10 @@ fn batch_matches_individual_for_random_inputs() {
                     .collect()
             })
             .collect();
-        let refs: Vec<&[u8]> = inputs.iter().map(|v| v.as_slice()).collect();
-        let mut batch = BatchSponge::new(SpongeParams::shake(128), ReferenceBackend::new(), n);
-        batch.absorb(&refs);
-        let outputs = batch.squeeze(64);
+        // Equal lengths: the Kyber matrix-expansion shape.
+        let requests: Vec<BatchRequest<'_>> =
+            inputs.iter().map(|v| BatchRequest::new(v, 64)).collect();
+        let outputs = hash_batch(SpongeParams::shake(128), ReferenceBackend::new(), &requests);
         for (input, output) in inputs.iter().zip(&outputs) {
             let mut xof = Shake128::new();
             xof.update(input);
@@ -378,27 +378,6 @@ fn batch_sizes_off_the_backend_width_still_match_one_shot() {
                 "sn {sn}, n {n}, len {}",
                 request.message.len()
             );
-        }
-    });
-}
-
-#[test]
-fn lockstep_batch_works_at_widths_off_the_backend_width() {
-    cases(16, |rng| {
-        // BatchSponge with n ∤ SN, zero-length lockstep chunks included.
-        let sn = 2 + rng.below(3);
-        let n = 1 + rng.below(2 * sn + 1);
-        let len = rng.below(300);
-        let inputs: Vec<Vec<u8>> = (0..n).map(|_| rng.bytes(len)).collect();
-        let refs: Vec<&[u8]> = inputs.iter().map(|v| v.as_slice()).collect();
-        let empties: Vec<&[u8]> = inputs.iter().map(|_| [].as_slice()).collect();
-        let mut batch = BatchSponge::new(SpongeParams::shake(128), SnWideBackend::new(sn), n);
-        batch.absorb(&empties); // zero-length absorb is a no-op
-        batch.absorb(&refs);
-        let want = rng.below(300);
-        let outputs = batch.squeeze(want);
-        for (input, output) in inputs.iter().zip(&outputs) {
-            assert_eq!(*output, Shake128::digest(input, want), "sn {sn}, n {n}");
         }
     });
 }

@@ -1,9 +1,11 @@
 //! Cross-crate end-to-end tests: random states through every kernel,
-//! SHA-3 known answers on the simulated hardware, lockstep batches.
+//! SHA-3 known answers on the simulated hardware, multi-state batches.
 
 use keccak_rvv::core::{KernelKind, VectorKeccakEngine};
 use keccak_rvv::keccak::{keccak_f1600, KeccakState};
-use keccak_rvv::sha3::{hex, BatchSponge, Sha3_256, Sha3_512, Shake128, SpongeParams, Xof};
+use keccak_rvv::sha3::{
+    hash_batch, hex, BatchRequest, Sha3_256, Sha3_512, Shake128, SpongeParams, Xof,
+};
 use krv_testkit::Rng;
 
 fn random_states(rng: &mut Rng, n: usize) -> Vec<KeccakState> {
@@ -74,23 +76,20 @@ fn shake_streaming_on_the_simulated_processor() {
 #[test]
 fn batch_on_hardware_matches_batch_on_software() {
     let inputs: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i ^ 0x5A; 333]).collect();
-    let refs: Vec<&[u8]> = inputs.iter().map(|v| v.as_slice()).collect();
+    let requests: Vec<BatchRequest<'_>> =
+        inputs.iter().map(|v| BatchRequest::new(v, 256)).collect();
 
-    let mut hw = BatchSponge::new(
+    let hw_out = hash_batch(
         SpongeParams::shake(256),
         VectorKeccakEngine::new(KernelKind::E64Lmul8, 6),
-        6,
+        &requests,
     );
-    hw.absorb(&refs);
-    let hw_out = hw.squeeze(256);
-
-    let mut sw = BatchSponge::new(
+    let sw_out = hash_batch(
         SpongeParams::shake(256),
         keccak_rvv::sha3::ReferenceBackend::new(),
-        6,
+        &requests,
     );
-    sw.absorb(&refs);
-    assert_eq!(hw_out, sw.squeeze(256));
+    assert_eq!(hw_out, sw_out);
 }
 
 #[test]
