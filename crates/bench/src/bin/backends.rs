@@ -1,4 +1,4 @@
-//! Backend comparison: reference vs interpreted vs compiled
+//! Backend comparison: reference vs the simulator's stepper vs compiled
 //! single-engine vs pooled vs the host-native lane-parallel kernel at
 //! every compiled width.
 //!
@@ -34,9 +34,9 @@
 //! committed `BENCH_backends.json` — the CI smoke guard that the wall
 //! clock optimisations never move the modelled hardware numbers. It
 //! additionally pins the compiled tier's contract: one E64/LMUL=8 pass
-//! costs exactly 1,909 cycles, the compiled and interpreted tiers agree
+//! costs exactly 1,909 cycles, the compiled tier and the stepper agree
 //! on outputs and critical path, and the compiled tier's device-resident
-//! wall speedup over the fused interpreter stays at or above 3×.
+//! wall speedup over the stepper stays at or above 3×.
 //!
 //! Run with: `cargo run --release -p krv-bench --bin backends`
 
@@ -61,15 +61,14 @@ const CLOCK_HZ: f64 = 100e6;
 /// just agreement with the committed JSON.
 const EXPECTED_CYCLES_PER_PASS: u64 = 1909;
 
-/// `--check` floor for the compiled tier's wall speedup over the fused
-/// interpreter, measured device-resident (kernel passes only, no host
+/// `--check` floor for the compiled tier's wall speedup over the
+/// stepper, measured device-resident (kernel passes only, no host
 /// staging) so the ratio is robust to host load.
 const COMPILED_SPEEDUP_FLOOR: f64 = 3.0;
 
 /// Single-engine wall-clock permutations/sec of the seed revision's
 /// per-instruction interpreter on the reference host, recorded before
-/// the fast-path work (word-level vector unit, macro-op fusion,
-/// persistent pool) landed. The committed baseline for
+/// any host-side fast path landed. The committed baseline for
 /// `wall_speedup_vs_seed`.
 const SEED_SINGLE_ENGINE_WALL: f64 = 8_387.0;
 
@@ -200,7 +199,7 @@ fn probe_cycles_per_pass() -> u64 {
 /// Device-resident wall seconds per hardware pass for one engine tier:
 /// keeps the states on the simulated device and times back-to-back
 /// kernel passes, so host staging and scheduler noise stay out of the
-/// compiled-vs-interpreted ratio. Best of five windows.
+/// compiled-vs-stepper ratio. Best of five windows.
 fn probe_pass_seconds(compiled: bool) -> f64 {
     const PASSES: u64 = 64;
     let mut engine = VectorKeccakEngine::with_compiled(KernelKind::E64Lmul8, SN, compiled);
@@ -279,9 +278,8 @@ fn main() -> std::io::Result<()> {
         return run_check(params, &requests, &expected, permutations, cycles_per_pass);
     }
 
-    let workers = std::thread::available_parallelism()
-        .map_or(4, std::num::NonZeroUsize::get)
-        .clamp(4, 8);
+    let nproc = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let workers = nproc.clamp(4, 8);
 
     println!("{messages} mixed-length SHAKE128 messages, {permutations} permutations per batch\n");
 
@@ -299,9 +297,8 @@ fn main() -> std::io::Result<()> {
         simulated_perms_per_sec: None,
     });
 
-    // The fused interpreter with the compiled tier switched off — the
-    // engine every revision before the compiled tier ran, and the
-    // denominator of `compiled_wall_speedup_vs_interpreted`. Its
+    // The stepper — the engine with the compiled tier switched off, and
+    // the denominator of `compiled_wall_speedup_vs_interpreted`. Its
     // simulated figure must equal the compiled rows': the tier changes
     // wall time only, never modelled cycles.
     let mut interp = CyclesBackend::new(VectorKeccakEngine::with_compiled(
@@ -319,7 +316,7 @@ fn main() -> std::io::Result<()> {
     rows.push(Row {
         name: "interpreted",
         detail: format!(
-            "{}, SN = {SN}, fused interpreter (KRV_COMPILED=0)",
+            "{}, SN = {SN}, stepper (KRV_COMPILED=0)",
             KernelKind::E64Lmul8.label()
         ),
         wall_perms_per_sec: interp_wall,
@@ -418,6 +415,7 @@ fn main() -> std::io::Result<()> {
     let _ = writeln!(json, "  \"output_len\": {OUTPUT_LEN},");
     let _ = writeln!(json, "  \"permutations_per_batch\": {permutations},");
     let _ = writeln!(json, "  \"workers\": {workers},");
+    let _ = writeln!(json, "  \"nproc\": {nproc},");
     let _ = writeln!(json, "  \"sn\": {SN},");
     let _ = writeln!(json, "  \"simulated_clock_hz\": {CLOCK_HZ:.0},");
     let _ = writeln!(json, "  \"cycles_per_pass\": {cycles_per_pass},");
@@ -473,7 +471,7 @@ fn main() -> std::io::Result<()> {
         "single-engine wall speedup vs seed interpreter ({SEED_SINGLE_ENGINE_WALL:.0} perm/s): {wall_speedup_vs_seed:.2}x"
     );
     println!(
-        "compiled tier wall speedup vs fused interpreter: {compiled_wall_speedup:.2}x (floor {COMPILED_SPEEDUP_FLOOR:.1}x)"
+        "compiled tier wall speedup vs stepper: {compiled_wall_speedup:.2}x (floor {COMPILED_SPEEDUP_FLOOR:.1}x)"
     );
     println!(
         "best native wall speedup vs sequential reference: {native_wall_speedup_vs_reference:.2}x"
@@ -482,8 +480,7 @@ fn main() -> std::io::Result<()> {
     println!("pooled simulated speedup: {pooled_speedup:.2}x (critical path, host-independent)");
     if pooled_wall < 2.0 * single_wall {
         println!(
-            "note: wall-clock pooled speedup {pooled_wall_speedup:.2}x (host has {} core(s); ≥ 8 cores shows ≥ 2x)",
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+            "note: wall-clock pooled speedup {pooled_wall_speedup:.2}x (host has {nproc} core(s); ≥ 8 cores shows ≥ 2x)"
         );
     }
     Ok(())
@@ -502,16 +499,16 @@ fn run_check(
     let out = hash_batch(params, &mut engine, requests);
     assert_eq!(out, expected, "single-engine outputs diverged");
 
-    // The fused interpreter must agree with the compiled tier on both
-    // outputs and the deterministic critical path: the compiled tier is
-    // a wall-clock optimisation with bit-identical simulated timing.
+    // The stepper must agree with the compiled tier on both outputs and
+    // the deterministic critical path: the compiled tier is a wall-clock
+    // optimisation with bit-identical simulated timing.
     let mut interp = CyclesBackend::new(VectorKeccakEngine::with_compiled(
         KernelKind::E64Lmul8,
         SN,
         false,
     ));
     let out = hash_batch(params, &mut interp, requests);
-    assert_eq!(out, expected, "interpreted outputs diverged");
+    assert_eq!(out, expected, "stepper outputs diverged");
     assert_eq!(
         interp.critical_path, engine.critical_path,
         "compiled tier changed the simulated critical path"
@@ -543,7 +540,7 @@ fn run_check(
     let compiled_pass = probe_pass_seconds(true);
     let live_speedup = interp_pass / compiled_pass;
     println!(
-        "check: device-resident pass time interpreted {:.2}us, compiled {:.2}us \
+        "check: device-resident pass time stepper {:.2}us, compiled {:.2}us \
          — speedup {live_speedup:.2}x (floor {COMPILED_SPEEDUP_FLOOR:.1}x)",
         interp_pass * 1e6,
         compiled_pass * 1e6,

@@ -1,29 +1,48 @@
-//! Compiled-tier differential oracle: every random program family runs
-//! through *three* execution paths of the same simulator — the compiled
-//! tier ([`Processor::set_compiled`]), the fused macro-op interpreter,
-//! and the per-instruction stepper — and all three must agree on the
-//! full machine state: halt/trap outcome, cycle count, retired
-//! counters, PC, every scalar and vector register, and all of data
-//! memory.
+//! Compiled-tier differential oracle: random programs run through both
+//! execution paths of the same simulator — the compiled tier
+//! ([`Processor::set_compiled`]) and the per-instruction stepper — and
+//! the two must agree on the full machine state: halt/trap outcome,
+//! cycle count, retired counters, PC, every scalar and vector register,
+//! and all of data memory.
 //!
 //! The compiled tier lowers straight-line regions to specialized native
 //! transfer functions and overlays fused idioms on the Keccak θ and χ
 //! sequences (DESIGN.md §16); its timing-exactness argument leans on
-//! trap-time prefix retirement and budget-limited early exits. This
-//! layer re-runs the fast-path program families (shared with
-//! [`crate::fastpath`], including the mid-block-trap and
-//! tight-cycle-budget families) through the third path, and adds two
-//! families of its own that the random generators cannot produce: the
-//! verbatim θ/χ idiom sequences of the real kernels — sometimes
-//! perturbed so near-miss sequences keep taking the unfused path — and
-//! the same sequences under budgets that expire inside an idiom span.
+//! trap-time prefix retirement, `vsetvli` guard exits and budget-limited
+//! early exits. Eight program families probe those edges: scalar
+//! straight lines and loops, vector kernels, `vsetvli` reconfiguration,
+//! mid-block traps and tight cycle budgets, plus two families the
+//! random generators cannot produce — the verbatim θ/χ idiom sequences
+//! of the real kernels, sometimes perturbed so near-miss sequences keep
+//! taking the unfused path, and the same sequences under budgets that
+//! expire inside an idiom span.
 //!
 //! [`Processor::set_compiled`]: krv_vproc::Processor::set_compiled
 
-use crate::fastpath::{
-    compare_machines, run_case, ProgramCase, ProgramGen, MAX_CYCLES, PROGRAM_FAMILIES, STAGE_BYTES,
-};
+use krv_isa::{VReg, XReg};
 use krv_testkit::{CaseReport, Rng};
+use krv_vproc::{Processor, ProcessorConfig, RunSummary, Trap};
+
+/// Cycle budget for programs that are expected to halt on their own.
+const MAX_CYCLES: u64 = 100_000;
+
+/// Bytes of data memory pre-staged with random contents so loads see
+/// interesting values. Programs keep their addresses inside this window
+/// (except the deliberate-fault scenario).
+const STAGE_BYTES: usize = 2048;
+
+/// One randomly generated differential case: a program, the memory
+/// image it starts from, and the cycle budget it runs under.
+struct ProgramCase {
+    /// Per-register element count of the vector configuration.
+    elenum: usize,
+    /// Assembly source (must assemble; a rejection is itself a failure).
+    source: String,
+    /// Initial data-memory image, staged identically into every path.
+    image: Vec<u8>,
+    /// Cycle budget; small values deliberately expire mid-run.
+    max_cycles: u64,
+}
 
 /// The outcome of one compiled-tier scenario.
 #[derive(Debug, Clone)]
@@ -32,32 +51,39 @@ pub struct CompiledTierOutcome {
     pub scenario: &'static str,
     /// Random cases executed.
     pub cases: usize,
-    /// Divergences between the compiled, fused and stepped paths.
+    /// Divergences between the compiled tier and the stepper.
     pub failures: Vec<CaseReport>,
 }
 
 impl CompiledTierOutcome {
-    /// Whether all three paths agreed on every case.
+    /// Whether both paths agreed on every case.
     pub fn passed(&self) -> bool {
         self.failures.is_empty()
     }
 }
 
-/// The idiom-heavy families only this layer runs (the shared families
-/// come from [`crate::fastpath::PROGRAM_FAMILIES`]).
-const IDIOM_FAMILIES: [(&str, ProgramGen); 2] = [
+/// One program-family generator: a seeded RNG in, a runnable case out.
+type ProgramGen = fn(&mut Rng) -> ProgramCase;
+
+/// The program shapes the differential covers, as data: six random
+/// families, then two built from the verbatim Keccak idioms.
+const PROGRAM_FAMILIES: [(&str, ProgramGen); 8] = [
+    ("scalar straight-line", gen_scalar_straight_line),
+    ("scalar loop + memory", gen_scalar_loop),
+    ("vector kernel (e64/m1)", gen_vector_m1),
+    ("vsetvli reconfiguration (m1/m8)", gen_reconfiguration),
+    ("mid-block trap", gen_mid_block_trap),
+    ("tight cycle budget", gen_cycle_budget),
     ("keccak theta/chi idiom blocks (m1+m8)", gen_keccak_idioms),
     ("budget expiring inside idiom blocks", gen_idiom_budget),
 ];
 
-/// Runs every scenario — the six shared program families plus the two
-/// idiom families — for `cases_per_scenario` random programs each.
+/// Runs every scenario for `cases_per_scenario` random programs each.
 /// Seeds are split per (scenario, case), offset away from the other
 /// layers' splits, so any failure reproduces in isolation.
 pub fn run_compiledtier(cases_per_scenario: usize, seed: u64) -> Vec<CompiledTierOutcome> {
     PROGRAM_FAMILIES
         .iter()
-        .chain(IDIOM_FAMILIES.iter())
         .enumerate()
         .map(|(index, (scenario, generate))| {
             let mut failures = Vec::new();
@@ -65,7 +91,7 @@ pub fn run_compiledtier(cases_per_scenario: usize, seed: u64) -> Vec<CompiledTie
                 let case_seed = seed
                     ^ ((0x40 + index as u64) << 48)
                     ^ (case as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                if let Err(detail) = diff3(&generate(&mut Rng::new(case_seed))) {
+                if let Err(detail) = diff_compiled(&generate(&mut Rng::new(case_seed))) {
                     failures.push(CaseReport::new(
                         format!("compiledtier/{scenario}"),
                         case_seed,
@@ -82,25 +108,362 @@ pub fn run_compiledtier(cases_per_scenario: usize, seed: u64) -> Vec<CompiledTie
         .collect()
 }
 
-/// Runs `case` through the compiled, fused and stepped paths and
-/// reports the first observable divergence (the stepped path is the
-/// reference for both comparisons).
-fn diff3(case: &ProgramCase) -> Result<(), String> {
-    let (compiled, compiled_result) = run_case(case, |p| p.set_compiled(true))?;
-    let (fused, fused_result) = run_case(case, |_| {})?;
-    let (stepped, stepped_result) = run_case(case, |p| p.set_fusion(false))?;
+/// Runs `case` on the compiled tier and on the stepper and reports the
+/// first observable divergence.
+fn diff_compiled(case: &ProgramCase) -> Result<(), String> {
+    let (compiled, compiled_result) = run_case(case, true)?;
+    let (stepped, stepped_result) = run_case(case, false)?;
     if compiled_result != stepped_result {
         return Err(format!(
             "outcome diverged: compiled {compiled_result:?}, reference {stepped_result:?}"
         ));
     }
-    if fused_result != stepped_result {
+    compare_machines(&compiled, &stepped)
+}
+
+// ---------------------------------------------------------------------
+// Harness: run the same program compiled and stepped, compare everything.
+// ---------------------------------------------------------------------
+
+/// Compares every architectural observable of the compiled and the
+/// stepped processor after the same program: cycle and retired
+/// counters, PC, scalar registers, `vl`, vector registers, and all of
+/// data memory.
+fn compare_machines(got: &Processor, reference: &Processor) -> Result<(), String> {
+    if got.cycles() != reference.cycles() {
         return Err(format!(
-            "outcome diverged: fused {fused_result:?}, reference {stepped_result:?}"
+            "cycle count diverged: compiled {}, reference {}",
+            got.cycles(),
+            reference.cycles()
         ));
     }
-    compare_machines("compiled", &compiled, &stepped)?;
-    compare_machines("fused", &fused, &stepped)
+    if got.retired() != reference.retired() {
+        return Err(format!(
+            "retired count diverged: compiled {}, reference {}",
+            got.retired(),
+            reference.retired()
+        ));
+    }
+    if got.retired_vector() != reference.retired_vector() {
+        return Err(format!(
+            "vector retired count diverged: compiled {}, reference {}",
+            got.retired_vector(),
+            reference.retired_vector()
+        ));
+    }
+    if got.pc() != reference.pc() {
+        return Err(format!(
+            "final PC diverged: compiled {:#x}, reference {:#x}",
+            got.pc(),
+            reference.pc()
+        ));
+    }
+    for index in 0..32 {
+        let reg = XReg::from_index(index);
+        if got.xreg(reg) != reference.xreg(reg) {
+            return Err(format!(
+                "x{index} diverged: compiled {:#010x}, reference {:#010x}",
+                got.xreg(reg),
+                reference.xreg(reg)
+            ));
+        }
+    }
+    if got.vector_unit().vl() != reference.vector_unit().vl() {
+        return Err(format!(
+            "vl diverged: compiled {}, reference {}",
+            got.vector_unit().vl(),
+            reference.vector_unit().vl()
+        ));
+    }
+    for index in 0..32 {
+        let reg = VReg::from_index(index);
+        if got.vector_unit().register_bytes(reg) != reference.vector_unit().register_bytes(reg) {
+            return Err(format!(
+                "v{index} contents diverged (compiled vs reference)"
+            ));
+        }
+    }
+    let len = got.dmem().len();
+    let got_mem = got.dmem().read_bytes(0, len).expect("dmem read-back");
+    let ref_mem = reference.dmem().read_bytes(0, len).expect("dmem read-back");
+    if let Some(addr) = got_mem.iter().zip(&ref_mem).position(|(a, b)| a != b) {
+        return Err(format!(
+            "dmem diverged at {addr:#x}: compiled {:#04x}, reference {:#04x}",
+            got_mem[addr], ref_mem[addr]
+        ));
+    }
+    Ok(())
+}
+
+/// Assembles a case, stages the same memory image into a fresh
+/// processor, and runs it on the compiled tier or on the stepper.
+fn run_case(
+    case: &ProgramCase,
+    compiled: bool,
+) -> Result<(Processor, Result<RunSummary, Trap>), String> {
+    let program = krv_asm::assemble(&case.source).map_err(|e| {
+        format!(
+            "assembler rejected generated program: {e}\n---\n{}",
+            case.source
+        )
+    })?;
+    let mut processor = Processor::new(ProcessorConfig::elen64(case.elenum));
+    processor.set_compiled(compiled);
+    processor
+        .dmem_mut()
+        .write_bytes(0, &case.image)
+        .expect("staging inside dmem");
+    processor.load_program(program.instructions());
+    let outcome = processor.run(case.max_cycles);
+    Ok((processor, outcome))
+}
+
+// ---------------------------------------------------------------------
+// Random program generators.
+// ---------------------------------------------------------------------
+
+/// Scratch registers the generators hand out (never `t0`/`t1`, which
+/// loop scenarios reserve for counters).
+const SCALAR_REGS: [&str; 8] = ["a0", "a1", "a2", "a3", "a4", "a5", "t2", "s2"];
+
+/// Three-operand scalar ALU mnemonics the assembler accepts.
+const SCALAR_OPS: [&str; 10] = [
+    "add", "sub", "xor", "and", "or", "sll", "srl", "slt", "sltu", "mul",
+];
+
+fn reg(rng: &mut Rng) -> &'static str {
+    SCALAR_REGS[rng.below(SCALAR_REGS.len())]
+}
+
+/// One random scalar instruction line (ALU, immediate, or CSR read —
+/// CSR reads are the interesting one: they observe the cycle/instret
+/// counters mid-block, where a buggy fast path would show a lump sum).
+fn scalar_line(rng: &mut Rng, out: &mut String) {
+    match rng.below(8) {
+        0 => {
+            let imm = rng.below(4096) as i64 - 2048;
+            out.push_str(&format!("addi {}, {}, {imm}\n", reg(rng), reg(rng)));
+        }
+        1 => out.push_str(&format!("csrr {}, cycle\n", reg(rng))),
+        2 => out.push_str(&format!("csrr {}, instret\n", reg(rng))),
+        3 => {
+            let shift = rng.below(32);
+            out.push_str(&format!("slli {}, {}, {shift}\n", reg(rng), reg(rng)));
+        }
+        _ => {
+            let op = SCALAR_OPS[rng.below(SCALAR_OPS.len())];
+            out.push_str(&format!("{op} {}, {}, {}\n", reg(rng), reg(rng), reg(rng)));
+        }
+    }
+}
+
+/// Seeds every scratch register with a random 32-bit value.
+fn seed_regs(rng: &mut Rng, out: &mut String) {
+    for name in SCALAR_REGS {
+        out.push_str(&format!("li {name}, {}\n", rng.next_u32() as i32));
+    }
+}
+
+/// A word-aligned address inside the staged window, as a store offset.
+fn aligned_offset(rng: &mut Rng) -> usize {
+    rng.below(STAGE_BYTES / 4) * 4
+}
+
+fn gen_scalar_straight_line(rng: &mut Rng) -> ProgramCase {
+    let image = rng.bytes(STAGE_BYTES);
+    let mut source = String::new();
+    seed_regs(rng, &mut source);
+    for _ in 0..8 + rng.below(17) {
+        if rng.below(5) == 0 {
+            let offset = aligned_offset(rng);
+            if rng.below(2) == 0 {
+                source.push_str(&format!("sw {}, {offset}(x0)\n", reg(rng)));
+            } else {
+                source.push_str(&format!("lw {}, {offset}(x0)\n", reg(rng)));
+            }
+        } else {
+            scalar_line(rng, &mut source);
+        }
+    }
+    source.push_str("ecall\n");
+    ProgramCase {
+        elenum: 10,
+        source,
+        image,
+        max_cycles: MAX_CYCLES,
+    }
+}
+
+fn gen_scalar_loop(rng: &mut Rng) -> ProgramCase {
+    let image = rng.bytes(STAGE_BYTES);
+    let iterations = 1 + rng.below(8);
+    let mut source = String::new();
+    seed_regs(rng, &mut source);
+    source.push_str(&format!("li t0, 0\nli t1, {iterations}\nloop:\n"));
+    for _ in 0..2 + rng.below(6) {
+        scalar_line(rng, &mut source);
+    }
+    // A store/load pair keeps memory traffic inside the loop body, so
+    // the back-edge repeatedly re-enters a block with side effects.
+    let offset = aligned_offset(rng);
+    source.push_str(&format!("sw {}, {offset}(x0)\n", reg(rng)));
+    source.push_str(&format!("lw {}, {offset}(x0)\n", reg(rng)));
+    source.push_str("addi t0, t0, 1\nblt t0, t1, loop\necall\n");
+    ProgramCase {
+        elenum: 10,
+        source,
+        image,
+        max_cycles: MAX_CYCLES,
+    }
+}
+
+/// One random vector instruction over registers `v1..=v6` (e64, m1).
+/// Mixes standard RVV arithmetic with the custom Keccak ops so compiled
+/// regions contain the exact instruction mix of the real kernels.
+fn vector_line_m1(rng: &mut Rng, out: &mut String) {
+    let vd = 1 + rng.below(6);
+    let vs2 = 1 + rng.below(6);
+    let vs1 = 1 + rng.below(6);
+    match rng.below(10) {
+        0 => out.push_str(&format!("vadd.vi v{vd}, v{vs2}, {}\n", rng.below(16))),
+        1 => out.push_str(&format!("vsll.vi v{vd}, v{vs2}, {}\n", rng.below(16))),
+        2 => out.push_str(&format!("vsrl.vi v{vd}, v{vs2}, {}\n", rng.below(16))),
+        3 => out.push_str(&format!("vrotup.vi v{vd}, v{vs2}, {}\n", rng.below(32))),
+        4 => out.push_str(&format!("v64rho.vi v{vd}, v{vs2}, {}\n", rng.below(5))),
+        5 => out.push_str(&format!("vslidedownm.vi v{vd}, v{vs2}, {}\n", rng.below(5))),
+        6 => out.push_str(&format!("vslideupm.vi v{vd}, v{vs2}, {}\n", rng.below(5))),
+        7 => out.push_str(&format!("vxor.vv v{vd}, v{vs2}, v{vs1}\n")),
+        8 => out.push_str(&format!("vand.vv v{vd}, v{vs2}, v{vs1}\n")),
+        _ => out.push_str(&format!("vor.vv v{vd}, v{vs2}, v{vs1}\n")),
+    }
+}
+
+fn gen_vector_m1(rng: &mut Rng) -> ProgramCase {
+    let image = rng.bytes(STAGE_BYTES);
+    // vl = 5 or 10 keeps the custom ops' five-lane row structure valid;
+    // the occasional ragged vl exercises the partial-group cost rule.
+    let vl = match rng.below(4) {
+        0 => 5,
+        1 => 1 + rng.below(10),
+        _ => 10,
+    };
+    let mut source = String::new();
+    source.push_str(&format!(
+        "li t0, {vl}\nli a0, 0\nli a1, 256\nli a2, 1024\n\
+         vsetvli x0, t0, e64, m1, tu, mu\n\
+         vle64.v v1, (a0)\nvle64.v v2, (a1)\n"
+    ));
+    for _ in 0..3 + rng.below(8) {
+        vector_line_m1(rng, &mut source);
+    }
+    let stored = 1 + rng.below(6);
+    source.push_str(&format!("vse64.v v{stored}, (a2)\necall\n"));
+    ProgramCase {
+        elenum: 10,
+        source,
+        image,
+        max_cycles: MAX_CYCLES,
+    }
+}
+
+fn gen_reconfiguration(rng: &mut Rng) -> ProgramCase {
+    let image = rng.bytes(STAGE_BYTES);
+    // EleNum = 5: m1 holds one row, m8 holds a whole 25-lane state.
+    // Each vsetvli changes VL inside a compiled region, so the guarded
+    // prediction and the per-configuration lowering must charge the
+    // stepper's cost at every group count.
+    let vl_m8 = 1 + rng.below(25);
+    let mut source = String::new();
+    source.push_str(
+        "li t0, 5\nli t2, 0\nli a1, 320\nli a2, 1024\n\
+         vsetvli x0, t0, e64, m1, tu, mu\n\
+         vle64.v v0, (t2)\nvle64.v v1, (a1)\n",
+    );
+    source.push_str(&format!(
+        "li t1, {vl_m8}\nvsetvli x0, t1, e64, m8, tu, mu\n"
+    ));
+    for _ in 0..1 + rng.below(4) {
+        match rng.below(4) {
+            0 => source.push_str("vxor.vv v8, v0, v0\n"),
+            1 => source.push_str("vadd.vv v8, v0, v8\n"),
+            2 => source.push_str("v64rho.vi v16, v8, -1\n"),
+            _ => source.push_str(&format!("vrotup.vi v16, v8, {}\n", rng.below(32))),
+        }
+    }
+    source.push_str(
+        "vsetvli x0, t0, e64, m1, tu, mu\n\
+         vse64.v v8, (a2)\necall\n",
+    );
+    ProgramCase {
+        elenum: 5,
+        source,
+        image,
+        max_cycles: MAX_CYCLES,
+    }
+}
+
+fn gen_mid_block_trap(rng: &mut Rng) -> ProgramCase {
+    let image = rng.bytes(STAGE_BYTES);
+    let mut source = String::new();
+    seed_regs(rng, &mut source);
+    for _ in 0..2 + rng.below(6) {
+        scalar_line(rng, &mut source);
+    }
+    // The faulting access lands mid-straight-line, so the compiled tier
+    // must retire the prefix, park the PC on the fault, and charge
+    // exactly the prefix cycles.
+    match rng.below(3) {
+        0 => {
+            // Misaligned word store.
+            let offset = aligned_offset(rng) + 1 + rng.below(3);
+            source.push_str(&format!("li s3, 0\nsw a0, {offset}(s3)\n"));
+        }
+        1 => {
+            // Load past the end of data memory.
+            source.push_str(&format!(
+                "li s3, {}\nlw a0, 0(s3)\n",
+                65536 + rng.below(64) * 4
+            ));
+        }
+        _ => {
+            // Vector load running off the end of data memory.
+            source.push_str(&format!(
+                "li t0, 10\nli s3, {}\nvsetvli x0, t0, e64, m1, tu, mu\nvle64.v v1, (s3)\n",
+                65500 + rng.below(64)
+            ));
+        }
+    }
+    for _ in 0..rng.below(4) {
+        scalar_line(rng, &mut source);
+    }
+    source.push_str("ecall\n");
+    ProgramCase {
+        elenum: 10,
+        source,
+        image,
+        max_cycles: MAX_CYCLES,
+    }
+}
+
+fn gen_cycle_budget(rng: &mut Rng) -> ProgramCase {
+    let image = rng.bytes(STAGE_BYTES);
+    let iterations = 2 + rng.below(6);
+    let mut source = String::new();
+    seed_regs(rng, &mut source);
+    source.push_str(&format!("li t0, 0\nli t1, {iterations}\nloop:\n"));
+    for _ in 0..2 + rng.below(4) {
+        scalar_line(rng, &mut source);
+    }
+    source.push_str("addi t0, t0, 1\nblt t0, t1, loop\necall\n");
+    // A budget that usually expires mid-run — often mid-block — so both
+    // paths must stop at the same instruction with the same counters.
+    let budget = 1 + rng.below(80) as u64;
+    ProgramCase {
+        elenum: 10,
+        source,
+        image,
+        max_cycles: budget,
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -207,14 +570,35 @@ mod tests {
 
     #[test]
     fn every_scenario_passes_a_few_cases() {
-        for outcome in run_compiledtier(3, 0xC0DE_0000) {
-            assert!(
-                outcome.passed(),
-                "{}: {:?}",
-                outcome.scenario,
-                outcome.failures
-            );
-            assert_eq!(outcome.cases, 3);
+        for seed in [0xC0DE_0000, 0xFA57_0000] {
+            for outcome in run_compiledtier(3, seed) {
+                assert!(
+                    outcome.passed(),
+                    "{}: {:?}",
+                    outcome.scenario,
+                    outcome.failures
+                );
+                assert_eq!(outcome.cases, 3);
+            }
+        }
+    }
+
+    #[test]
+    fn generated_programs_assemble() {
+        // The generators must produce valid assembly for any seed; a
+        // rejected program is reported as a failure, so ten arbitrary
+        // seeds double-check the grammar.
+        for seed in 0..10 {
+            for outcome in run_compiledtier(1, seed * 0x1234_5678 + 7) {
+                for failure in &outcome.failures {
+                    assert!(
+                        !failure.detail.contains("assembler rejected"),
+                        "{}: {}",
+                        outcome.scenario,
+                        failure.detail
+                    );
+                }
+            }
         }
     }
 
@@ -232,11 +616,16 @@ mod tests {
     }
 
     #[test]
-    fn scenario_count_covers_shared_and_idiom_families() {
+    fn every_family_runs_once_under_a_unique_name() {
         let outcomes = run_compiledtier(1, 1);
         assert_eq!(
             outcomes.len(),
-            PROGRAM_FAMILIES.len() + IDIOM_FAMILIES.len()
+            8,
+            "six random families plus two idiom families"
         );
+        let mut names: Vec<&str> = outcomes.iter().map(|o| o.scenario).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), outcomes.len());
     }
 }

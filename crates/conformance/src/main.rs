@@ -7,7 +7,7 @@
 //!
 //! `--smoke` (the default) runs the short + long KAT vectors with the
 //! 100-iteration Monte Carlo chain, 500 differential-fuzz cases and 12
-//! cases per instruction-oracle and fast-path scenario — seconds in a
+//! cases per instruction-oracle and compiled-tier scenario — seconds in a
 //! release build, suitable for CI. `--full` is the nightly tier: 1000
 //! Monte Carlo iterations, 5000 fuzz cases, 100 cases per scenario.
 //!

@@ -4,7 +4,6 @@
 
 use crate::compiledtier::CompiledTierOutcome;
 use crate::diff::FuzzReport;
-use crate::fastpath::FastpathOutcome;
 use crate::kat::KatOutcome;
 use crate::oracle::OracleOutcome;
 use krv_testkit::CaseReport;
@@ -154,29 +153,6 @@ pub fn render_oracle(outcomes: &[OracleOutcome]) -> String {
     out
 }
 
-/// Renders the fast-path differential summary table.
-pub fn render_fastpath(outcomes: &[FastpathOutcome]) -> String {
-    let width = outcomes
-        .iter()
-        .map(|o| o.scenario.len())
-        .max()
-        .unwrap_or(0)
-        .max("scenario".len());
-    let mut out = format!("{:<width$}  {:>7}  result\n", "scenario", "cases");
-    for outcome in outcomes {
-        let result = if outcome.passed() {
-            "pass".to_string()
-        } else {
-            format!("FAIL ({} divergences)", outcome.failures.len())
-        };
-        out.push_str(&format!(
-            "{:<width$}  {:>7}  {result}\n",
-            outcome.scenario, outcome.cases
-        ));
-    }
-    out
-}
-
 /// Renders the compiled-tier differential summary table.
 pub fn render_compiledtier(outcomes: &[CompiledTierOutcome]) -> String {
     let width = outcomes
@@ -256,19 +232,20 @@ mod tests {
             failures: vec![CaseReport::new("oracle", 1, "bad lane")],
         }];
         assert!(render_oracle(&oracle).contains("FAIL (1 divergences)"));
-        let fastpath = vec![FastpathOutcome {
-            scenario: "scalar loop + memory",
-            cases: 8,
-            failures: Vec::new(),
-        }];
-        let text = render_fastpath(&fastpath);
-        assert!(text.contains("scalar loop + memory") && text.contains("pass"));
-        let compiled = vec![CompiledTierOutcome {
-            scenario: "keccak theta/chi idiom blocks (m1+m8)",
-            cases: 8,
-            failures: Vec::new(),
-        }];
+        let compiled = vec![
+            CompiledTierOutcome {
+                scenario: "scalar loop + memory",
+                cases: 8,
+                failures: Vec::new(),
+            },
+            CompiledTierOutcome {
+                scenario: "keccak theta/chi idiom blocks (m1+m8)",
+                cases: 8,
+                failures: Vec::new(),
+            },
+        ];
         let text = render_compiledtier(&compiled);
+        assert!(text.contains("scalar loop + memory") && text.contains("pass"));
         assert!(text.contains("idiom blocks") && text.contains("pass"));
     }
 }

@@ -77,9 +77,9 @@ pub enum BackendKind {
     /// A single [`VectorKeccakEngine`] driven through `permute_slice`
     /// with the compiled execution tier enabled (the default).
     Engine(KernelKind),
-    /// A single engine pinned to the per-instruction interpreter
+    /// A single engine pinned to the per-instruction stepper
     /// (`KRV_COMPILED=0` semantics). Paired with [`BackendKind::Engine`]
-    /// this puts both execution tiers of the same kernel in the matrix,
+    /// this puts both execution paths of the same kernel in the matrix,
     /// so a compiled-tier bug shows up as a row disagreement.
     Interpreted(KernelKind),
     /// A single engine driven through the device-resident session path.

@@ -16,9 +16,10 @@ use std::sync::{Arc, OnceLock};
 /// Whether engines default to the compiled execution tier.
 ///
 /// The compiled tier (see [`krv_vproc::CompiledProgram`]) is on by
-/// default; setting `KRV_COMPILED=0` in the environment forces the
-/// interpreted fused path everywhere, as an escape hatch for debugging
-/// or A/B measurement. The variable is read once per process.
+/// default; setting `KRV_COMPILED=0` in the environment pins every
+/// engine and pool to the per-instruction stepper, as an escape hatch
+/// for debugging or A/B measurement. Simulated cycles are the same
+/// either way. The variable is read once per process.
 pub fn compiled_default() -> bool {
     static DEFAULT: OnceLock<bool> = OnceLock::new();
     *DEFAULT.get_or_init(|| std::env::var("KRV_COMPILED").map_or(true, |v| v != "0"))
@@ -156,7 +157,7 @@ impl VectorKeccakEngine {
     /// Creates an engine with the execution tier pinned explicitly:
     /// `compiled = true` dispatches through the shared
     /// [`krv_vproc::CompiledProgram`] of the cached kernel, `false`
-    /// forces the interpreted fused path. [`VectorKeccakEngine::new`]
+    /// pins the per-instruction stepper. [`VectorKeccakEngine::new`]
     /// picks the process default (see [`compiled_default`]).
     ///
     /// # Panics
@@ -170,7 +171,10 @@ impl VectorKeccakEngine {
         if compiled {
             cpu.load_compiled(Arc::clone(&prepared.compiled));
         } else {
+            // Loading a decoded program leaves the switch as it is, and
+            // a new processor starts with the compiled tier on.
             cpu.load_decoded(Arc::clone(&prepared.decoded));
+            cpu.set_compiled(false);
         }
         Self {
             kind,
@@ -586,6 +590,32 @@ mod tests {
             ),
             "both engines must dispatch from one shared program image"
         );
+    }
+
+    #[test]
+    fn the_compiled_switch_picks_the_execution_path_only() {
+        for kind in KernelKind::WITH_EXTENSIONS {
+            let mut metrics = Vec::new();
+            for compiled in [false, true] {
+                let mut engine = VectorKeccakEngine::with_compiled(kind, 2, compiled);
+                assert_eq!(engine.compiled(), compiled, "{kind}");
+                let mut states = distinct_states(2);
+                let mut expected = states.clone();
+                engine.permute_slice(&mut states).expect("kernel runs");
+                for state in &mut expected {
+                    keccak_f1600(state);
+                }
+                assert_eq!(states, expected, "{kind}, compiled = {compiled}");
+                let dispatches = engine.processor().compiled_dispatches();
+                if compiled {
+                    assert!(dispatches > 0, "{kind}: compiled engine never dispatched");
+                } else {
+                    assert_eq!(dispatches, 0, "{kind}: stepper engine dispatched compiled");
+                }
+                metrics.push(engine.last_metrics().expect("a pass ran"));
+            }
+            assert_eq!(metrics[0], metrics[1], "{kind}: metrics depend on the path");
+        }
     }
 
     #[test]

@@ -1,27 +1,26 @@
 //! The compiled-kernel execution tier: straight-line regions lowered to
 //! specialized native micro-ops over the flat register file.
 //!
-//! The interpreted fused path ([`Processor::run`](crate::Processor::run)
-//! with fusion on) still dispatches every instruction of a
-//! [`FusedBlock`](crate::decoded::FusedBlock) through the full
-//! [`Instruction`] match, re-resolves register groups to word ranges,
-//! and re-proves operand aliasing on every execution — and it breaks at
-//! every `vsetvli` and branch, so a Keccak round costs several block
-//! dispatches plus a handful of individually stepped instructions.
+//! The stepper ([`Processor::step`](crate::Processor::step)) is the
+//! reference semantics: it fetches one instruction, checks the halt
+//! state and the cycle budget, dispatches through the full
+//! [`Instruction`] match, re-resolves register groups to word ranges
+//! and re-proves operand aliasing — on every execution of every
+//! instruction.
 //!
 //! [`CompiledProgram`] instead lowers the **maximal straight-line
 //! region** anchored at a PC, per *entry configuration* (`BlockCtx`),
 //! into a flat sequence of `Op` micro-ops whose word indices, rotation
 //! tables, π scatter segments and folded immediates are resolved at
-//! compile time. Regions extend across everything the interpreter's
-//! fusion refuses:
+//! compile time. Everything the stepper does per instruction happens
+//! once per region:
 //!
 //! * **`vsetvli`** stays inside the region. The lowering predicts the
 //!   granted VL/`vtype` from the AVL register value observed at compile
 //!   time and lowers downstream ops under the new configuration; at run
 //!   time the op re-executes the real `vsetvli` and *guards* the
 //!   prediction — on mismatch the region retires its exact prefix
-//!   (including the `vsetvli`) and hands back to the interpreter, so a
+//!   (including the `vsetvli`) and hands back to the stepper, so a
 //!   stale prediction costs speed, never correctness.
 //! * **Conditional branches** terminate a region as a compiled op that
 //!   resolves the direction, commits the matching (taken/not-taken)
@@ -30,15 +29,16 @@
 //! * **Unlowerable instructions** (masked ops, partial group overlap,
 //!   configurations the executors trap on, jumps, halts) *truncate* the
 //!   region rather than refusing it: the prefix still runs compiled and
-//!   the interpreter handles the rest. Only a region whose very first
-//!   instruction is unlowerable is refused outright.
+//!   the stepper handles the rest. Only a region whose very first
+//!   instruction is unlowerable is refused outright; that instruction
+//!   then steps, and compiled dispatch resumes at the next one.
 //!
 //! Three invariants make the tier an execution fast path only, never a
 //! semantic change:
 //!
 //! * **Refusal, not approximation** — any instruction whose compiled
-//!   form cannot be proven bit-identical to the interpreter ends the
-//!   region, and the interpreter reproduces the exact trap, panic or
+//!   form cannot be proven bit-identical to the stepper ends the
+//!   region, and the stepper reproduces the exact trap, panic or
 //!   masked behaviour from the truncation point.
 //! * **Cycle ledger** — each region carries per-op prefix sums of the
 //!   member costs under its configuration; a mid-region trap or guard
@@ -604,7 +604,7 @@ pub struct CompiledProgram {
 }
 
 /// Memoized per-(entry slot, entry configuration) compilation results;
-/// `None` records a refusal so the interpreter path is chosen without
+/// `None` records a refusal so the stepper is chosen without
 /// re-attempting the lowering.
 type BlockPool = HashMap<(u32, BlockCtx), Option<Arc<CompiledBlock>>>;
 
@@ -627,9 +627,9 @@ impl CompiledProgram {
         self.lock().values().filter(|v| v.is_some()).count()
     }
 
-    /// Number of (block, configuration) pairs refused so far (these run
-    /// on the interpreted fused path).
-    pub fn refused_blocks(&self) -> usize {
+    /// Number of (block, configuration) pairs refused so far (their
+    /// first instruction runs on the stepper).
+    pub fn refusals(&self) -> usize {
         self.lock().values().filter(|v| v.is_none()).count()
     }
 
@@ -671,7 +671,7 @@ impl CompiledProgram {
 /// as the terminal op). Interior `vsetvli`s update the tracked
 /// configuration using the AVL predicted from `xregs` and are guarded
 /// at run time. Returns `None` only when not even the first instruction
-/// is compilable — the caller then uses the interpreted path.
+/// is compilable — the caller then steps that instruction.
 pub(crate) fn compile_region(
     program: &DecodedProgram,
     start: usize,
@@ -1859,9 +1859,9 @@ mod tests {
     const XREGS: [u32; 32] = [0; 32];
 
     #[test]
-    fn compiled_cost_matches_the_fused_block() {
+    fn compiled_cost_matches_the_member_sum() {
         let v = VReg::from_index;
-        let prog = program(&[
+        let instrs = [
             Instruction::addi(XReg::X5, XReg::X5, 1),
             Instruction::varith(VArithOp::Xor, v(8), v(8), VSource::Vector(v(16))),
             Instruction::VLoad {
@@ -1871,14 +1871,15 @@ mod tests {
                 mode: MemMode::UnitStride,
                 vm: true,
             },
-        ]);
-        let block = prog.fused_block_at(0).expect("fuses");
+        ];
+        let prog = program(&instrs);
         let ctx = ctx(20, 20, Sew::E64, Lmul::M1);
         let compiled = compile_region(&prog, 0, ctx, geometry(20), &XREGS).expect("compiles");
+        let model = TimingModel::paper();
+        let member_sum: u64 = instrs.iter().map(|i| model.cost(i, ctx.timing())).sum();
         assert_eq!(
-            compiled.total_cycles,
-            block.cost(ctx.groups(), ctx.vl),
-            "ledger must reproduce the interpreted block cost"
+            compiled.total_cycles, member_sum,
+            "ledger must reproduce the stepped member costs"
         );
         assert_eq!(compiled.total_vector, 2);
         assert_eq!(compiled.len, 3);
@@ -2054,7 +2055,7 @@ mod tests {
         let other = compiled.block_for(0, b, g, &XREGS).expect("compiles");
         assert!(!Arc::ptr_eq(&first, &other), "configurations are distinct");
         assert_eq!(compiled.compiled_blocks(), 2);
-        assert_eq!(compiled.refused_blocks(), 0);
+        assert_eq!(compiled.refusals(), 0);
     }
 
     // -----------------------------------------------------------------

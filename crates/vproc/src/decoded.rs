@@ -142,121 +142,6 @@ pub struct DecodedInstr {
     pub is_vector: bool,
 }
 
-/// A fused macro-op: a maximal straight-line run of non-control
-/// instructions, compiled at load time so the dispatch loop can execute
-/// it without per-instruction fetch checks, halt checks or group-count
-/// divisions.
-///
-/// Blocks never contain control transfers, `ecall`/`ebreak` or
-/// `vsetvli`, so VL and the active-group count are constant across the
-/// whole block and its cycle cost is an *exact* linear form
-/// `fixed + group_mult × groups + vl_mult × VL` — the same sum the
-/// per-instruction path would accumulate, just evaluated in one step.
-/// Blocks also never span a static branch or `jal` target, so every
-/// architecturally reachable entry point of the program starts either a
-/// block or an unfused instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FusedBlock {
-    /// One past the last slot index of the block.
-    pub end: u32,
-    /// Cycle cost independent of the vector configuration.
-    pub fixed: u64,
-    /// Cycles proportional to the active register-group count.
-    pub group_mult: u64,
-    /// Cycles proportional to VL (element-serial vector memory ops).
-    pub vl_mult: u64,
-}
-
-impl FusedBlock {
-    /// The exact cycle cost of the whole block under the (block-constant)
-    /// vector configuration.
-    #[inline]
-    pub fn cost(&self, groups: u32, vl: u32) -> u64 {
-        self.fixed + self.group_mult * groups as u64 + self.vl_mult * vl as u64
-    }
-}
-
-/// Whether an instruction may join a fused block: anything that cannot
-/// redirect the PC, halt the core or change the vector configuration.
-fn fusible(instr: &Instruction) -> bool {
-    !matches!(
-        instr,
-        Instruction::Jal { .. }
-            | Instruction::Jalr { .. }
-            | Instruction::Branch { .. }
-            | Instruction::Ecall
-            | Instruction::Ebreak
-            | Instruction::Vsetvli { .. }
-    )
-}
-
-/// The load-time fusion pass: splits the program at control transfers,
-/// `vsetvli` and static branch/`jal` targets, and records every
-/// resulting straight-line run of two or more instructions as a
-/// [`FusedBlock`] anchored at its first slot.
-fn fuse(slots: &[DecodedInstr]) -> Vec<Option<FusedBlock>> {
-    // Static control-flow targets must start their own block: a loop
-    // back-edge lands on its header every iteration, and a block
-    // spanning the header would be unreachable from the branch.
-    let mut leader = vec![false; slots.len()];
-    for slot in slots {
-        if matches!(
-            slot.instr,
-            Instruction::Jal { .. } | Instruction::Branch { .. }
-        ) && slot.target.is_multiple_of(4)
-        {
-            let index = (slot.target / 4) as usize;
-            if index < slots.len() {
-                leader[index] = true;
-            }
-        }
-    }
-    let mut blocks = vec![None; slots.len()];
-    let mut start = 0;
-    while start < slots.len() {
-        if !fusible(&slots[start].instr) {
-            start += 1;
-            continue;
-        }
-        let mut end = start + 1;
-        while end < slots.len() && fusible(&slots[end].instr) && !leader[end] {
-            end += 1;
-        }
-        // Single-instruction runs gain nothing from fusion.
-        if end - start >= 2 {
-            let mut block = FusedBlock {
-                end: end as u32,
-                fixed: 0,
-                group_mult: 0,
-                vl_mult: 0,
-            };
-            for slot in &slots[start..end] {
-                match slot.timing {
-                    TimingClass::Fixed(cycles) => block.fixed += cycles,
-                    TimingClass::VectorGroups { issue } => {
-                        block.fixed += issue;
-                        block.group_mult += 1;
-                    }
-                    TimingClass::VmemUnit { per_group } => {
-                        block.fixed += 1;
-                        block.group_mult += per_group;
-                    }
-                    TimingClass::VmemElem { per_elem } => {
-                        block.fixed += 1;
-                        block.vl_mult += per_elem;
-                    }
-                    TimingClass::Branch { .. } => {
-                        unreachable!("branches are never fusible")
-                    }
-                }
-            }
-            blocks[start] = Some(block);
-        }
-        start = end;
-    }
-    blocks
-}
-
 /// A program compiled once against a [`TimingModel`]: every slot holds
 /// the instruction plus its resolved timing class and branch target.
 ///
@@ -267,7 +152,6 @@ fn fuse(slots: &[DecodedInstr]) -> Vec<Option<FusedBlock>> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecodedProgram {
     slots: Vec<DecodedInstr>,
-    blocks: Vec<Option<FusedBlock>>,
     timing: TimingModel,
 }
 
@@ -292,11 +176,9 @@ impl DecodedProgram {
                     is_vector: instr.is_vector(),
                 }
             })
-            .collect::<Vec<_>>();
-        let blocks = fuse(&slots);
+            .collect();
         Self {
             slots,
-            blocks,
             timing: timing.clone(),
         }
     }
@@ -320,17 +202,6 @@ impl DecodedProgram {
     #[inline]
     pub fn get(&self, index: usize) -> Option<&DecodedInstr> {
         self.slots.get(index)
-    }
-
-    /// The fused block anchored at slot `index`, if any.
-    #[inline]
-    pub fn fused_block_at(&self, index: usize) -> Option<FusedBlock> {
-        *self.blocks.get(index)?
-    }
-
-    /// Number of fused blocks in the program (diagnostics).
-    pub fn fused_blocks(&self) -> usize {
-        self.blocks.iter().flatten().count()
     }
 
     /// The architectural instructions (e.g. for disassembly).
@@ -479,81 +350,6 @@ mod tests {
         );
         assert_eq!(program.get(1).unwrap().target, 0, "4 + (-4)");
         assert_eq!(program.get(2).unwrap().target, 16, "8 + 8");
-    }
-
-    #[test]
-    fn fusion_splits_at_control_flow_and_targets() {
-        // 0: addi   ─┐ block (2 instrs, ends at branch target)
-        // 1: addi   ─┘
-        // 2: addi   ─┐ block (loop body, starts at the back-edge target)
-        // 3: addi   ─┘
-        // 4: branch → 2
-        // 5: addi     single instruction: no block
-        // 6: ecall
-        let addi = Instruction::addi(XReg::X5, XReg::X5, 1);
-        let program = DecodedProgram::compile(
-            &[
-                addi,
-                addi,
-                addi,
-                addi,
-                Instruction::Branch {
-                    kind: BranchKind::Bne,
-                    rs1: XReg::X5,
-                    rs2: XReg::X6,
-                    offset: -8,
-                },
-                addi,
-                Instruction::Ecall,
-            ],
-            &TimingModel::paper(),
-        );
-        let head = program.fused_block_at(0).expect("head block");
-        assert_eq!(head.end, 2, "must not span the branch target at slot 2");
-        let body = program.fused_block_at(2).expect("loop body block");
-        assert_eq!(body.end, 4, "must stop before the branch");
-        assert!(program.fused_block_at(1).is_none(), "mid-block, no anchor");
-        assert!(program.fused_block_at(4).is_none(), "branches never fuse");
-        assert!(
-            program.fused_block_at(5).is_none(),
-            "single-instruction runs gain nothing"
-        );
-        assert_eq!(program.fused_blocks(), 2);
-    }
-
-    #[test]
-    fn fused_block_cost_is_the_exact_member_sum() {
-        let v = VReg::from_index;
-        let instrs = [
-            Instruction::addi(XReg::X5, XReg::X5, 1),
-            Instruction::varith(VArithOp::Xor, v(8), v(8), VSource::Vector(v(16))),
-            Instruction::VLoad {
-                eew: krv_isa::Sew::E64,
-                vd: v(1),
-                rs1: XReg::X10,
-                mode: MemMode::UnitStride,
-                vm: true,
-            },
-            Instruction::VStore {
-                eew: krv_isa::Sew::E64,
-                vs3: v(1),
-                rs1: XReg::X10,
-                mode: MemMode::Strided(XReg::X11),
-                vm: true,
-            },
-        ];
-        let model = TimingModel::paper();
-        let program = DecodedProgram::compile(&instrs, &model);
-        let block = program.fused_block_at(0).expect("whole program fuses");
-        assert_eq!(block.end, 4);
-        for ctx in contexts() {
-            let member_sum: u64 = instrs.iter().map(|i| model.cost(i, ctx)).sum();
-            assert_eq!(
-                block.cost(ctx.active_groups, ctx.vl),
-                member_sum,
-                "under {ctx:?}"
-            );
-        }
     }
 
     #[test]

@@ -14,6 +14,15 @@
 //! vector ALU operation, 6 cc at LMUL=8, 3/7 cc for `vpi`), which in turn
 //! reproduce the paper's 103 / 75 / 147 cycles-per-round results.
 //!
+//! A [`Processor`] runs code on one of two execution paths, chosen by
+//! the single switch [`Processor::set_compiled`]: the per-instruction
+//! stepper ([`Processor::step`]), which is the reference semantics, and
+//! the compiled tier ([`compiled`]), which lowers straight-line regions
+//! to native word operations and hands anything it cannot prove
+//! bit-identical back to the stepper. The compiled tier is on by
+//! default. Both paths charge cycles from the same timing model, so the
+//! switch changes host speed only, never a simulated result.
+//!
 //! # Example
 //!
 //! ```
@@ -44,7 +53,7 @@ pub mod vector;
 
 pub use compiled::CompiledProgram;
 pub use config::{Elen, ProcessorConfig};
-pub use decoded::{DecodedInstr, DecodedProgram, FusedBlock, TimingClass};
+pub use decoded::{DecodedInstr, DecodedProgram, TimingClass};
 pub use memory::DataMemory;
 pub use processor::{HaltCause, Processor, RunSummary};
 pub use timing::TimingModel;

@@ -68,7 +68,6 @@ pub struct Processor {
     retired_vector: u64,
     halted: Option<HaltCause>,
     tracer: Tracer,
-    fusion: bool,
     compiled_on: bool,
     shared_compiled: Option<Arc<CompiledProgram>>,
     compiled_cache: Vec<CompiledSlot>,
@@ -76,7 +75,9 @@ pub struct Processor {
 }
 
 impl Processor {
-    /// Creates a processor with zeroed state and empty program memory.
+    /// Creates a processor with zeroed state and empty program memory,
+    /// with the compiled execution tier on (see
+    /// [`Processor::set_compiled`]).
     pub fn new(config: ProcessorConfig) -> Self {
         let vu = VectorUnit::new(config.elen, config.elenum);
         let dmem = DataMemory::new(config.dmem_bytes);
@@ -94,8 +95,7 @@ impl Processor {
             retired_vector: 0,
             halted: None,
             tracer,
-            fusion: true,
-            compiled_on: false,
+            compiled_on: true,
             shared_compiled: None,
             compiled_cache: Vec::new(),
             compiled_dispatches: 0,
@@ -263,25 +263,6 @@ impl Processor {
         self.halted
     }
 
-    /// Whether fused macro-op dispatch is enabled (see
-    /// [`Processor::set_fusion`]).
-    pub fn fusion(&self) -> bool {
-        self.fusion
-    }
-
-    /// Enables or disables fused macro-op dispatch in [`Processor::run`]
-    /// and [`Processor::run_until_pc`].
-    ///
-    /// Fusion is on by default. It is an execution fast path only: the
-    /// architectural state, trap behavior and cycle counts are identical
-    /// either way (the fused-block cost is the exact sum of the member
-    /// instructions' costs — there are differential tests pinning this).
-    /// Disabling it forces the per-instruction reference path, which the
-    /// conformance fast-path oracle uses as its baseline.
-    pub fn set_fusion(&mut self, fusion: bool) {
-        self.fusion = fusion;
-    }
-
     /// Whether the compiled execution tier is enabled (see
     /// [`Processor::set_compiled`]).
     pub fn compiled(&self) -> bool {
@@ -289,17 +270,19 @@ impl Processor {
     }
 
     /// Enables or disables the compiled execution tier in
-    /// [`Processor::run`] and [`Processor::run_until_pc`].
+    /// [`Processor::run`] and [`Processor::run_until_pc`] — the
+    /// processor's one execution switch.
     ///
-    /// Off by default; [`Processor::load_compiled`] turns it on. Like
-    /// fusion it is an execution fast path only: blocks are lowered to
-    /// native word ops per vector configuration, any block that cannot
-    /// be proven bit-identical falls back to the interpreted fused path,
-    /// and the per-block cycle ledger keeps all counter, trap and budget
-    /// behaviour exact (see [`crate::compiled`]). The tier additionally
-    /// dispatches *single* vector instructions outside fused blocks
-    /// (fusion never forms one-instruction blocks, but a lone `vle64.v`
-    /// still profits from the bulk word path).
+    /// On by default. The tier is an execution fast path only: regions
+    /// are lowered to native word ops per vector configuration, an
+    /// instruction that cannot be proven bit-identical ends its region
+    /// (or refuses a region that would start with it) and runs on
+    /// [`Processor::step`], and the per-region cycle ledger keeps all
+    /// counter, trap and budget behaviour exact (see [`crate::compiled`]).
+    /// Switching it off pins every instruction to the stepper, the
+    /// reference the differential tests compare against. Loading a
+    /// program leaves the switch as it is, except
+    /// [`Processor::load_compiled`], which turns it on.
     pub fn set_compiled(&mut self, compiled: bool) {
         self.compiled_on = compiled;
     }
@@ -345,9 +328,9 @@ impl Processor {
     /// state, returning the next PC and the instruction's cycle cost.
     ///
     /// This is the single execution path shared by [`Processor::step`]
-    /// and the fused-block loop; neither the PC nor any counter is
-    /// updated here, so a trap leaves them exactly as they were before
-    /// the instruction.
+    /// and the compiled tier's scalar `Interp` ops; neither the PC nor
+    /// any counter is updated here, so a trap leaves them exactly as
+    /// they were before the instruction.
     ///
     /// `groups` is the active register-group count at entry; it can only
     /// change across `vsetvli`, whose cost is flat, so hoisting it is
@@ -578,75 +561,6 @@ impl Processor {
         Ok((next_pc, slot.timing.cost(ctx)))
     }
 
-    /// Attempts to execute the fused block anchored at the current PC.
-    ///
-    /// Returns `Ok(true)` when a whole block retired, `Ok(false)` when no
-    /// block applies and the caller must fall back to [`Processor::step`].
-    /// The guards make the fast path observationally identical to
-    /// stepping:
-    ///
-    /// * tracing forces the per-instruction path (each entry needs its
-    ///   own record);
-    /// * a `stop_pc` strictly inside the block forces stepping so
-    ///   [`Processor::run_until_pc`] still stops exactly there;
-    /// * the block only runs when its full cost fits the cycle budget.
-    ///   Since every instruction costs ≥ 1 cycle, all intra-block
-    ///   prefixes then stay strictly below the budget — exactly the
-    ///   condition under which the stepping loop would have retired the
-    ///   same instructions without a [`Trap::CycleLimit`].
-    fn try_fused(&mut self, max_cycles: u64, stop_pc: Option<u32>) -> Result<bool, Trap> {
-        if !self.fusion || self.tracer.is_enabled() || !self.pc.is_multiple_of(4) {
-            return Ok(false);
-        }
-        let start = (self.pc / 4) as usize;
-        let Some(block) = self.program.fused_block_at(start) else {
-            return Ok(false);
-        };
-        let end_pc = block.end * 4;
-        if let Some(stop) = stop_pc {
-            if stop > self.pc && stop < end_pc {
-                return Ok(false);
-            }
-        }
-        let groups = self.active_groups();
-        if self.cycles + block.cost(groups, self.vu.vl()) > max_cycles {
-            return Ok(false);
-        }
-        self.run_block(start, block.end as usize, groups)?;
-        Ok(true)
-    }
-
-    /// Executes the instructions of a fused block back to back.
-    ///
-    /// Blocks contain no control flow, halts or `vsetvli`, so the PC is
-    /// only committed once at the end — or parked on the faulting
-    /// instruction if one traps, with the preceding prefix fully retired,
-    /// exactly as repeated [`Processor::step`] calls would leave things.
-    fn run_block(&mut self, start: usize, end: usize, groups: u32) -> Result<(), Trap> {
-        for index in start..end {
-            let slot = *self
-                .program
-                .get(index)
-                .expect("fused blocks lie inside the program");
-            let pc = (index as u32) * 4;
-            match self.execute_slot(&slot, pc, groups) {
-                Ok((_, cost)) => {
-                    self.cycles += cost;
-                    self.retired += 1;
-                    if slot.is_vector {
-                        self.retired_vector += 1;
-                    }
-                }
-                Err(trap) => {
-                    self.pc = pc;
-                    return Err(trap);
-                }
-            }
-        }
-        self.pc = (end as u32) * 4;
-        Ok(())
-    }
-
     /// The machine geometry compiled blocks must be proven against.
     fn geometry(&self) -> Geometry {
         Geometry {
@@ -661,8 +575,8 @@ impl Processor {
     ///
     /// Returns `Ok(true)` when it retired (fully, up to an interior
     /// `stop_pc`, or up to a `vsetvli` guard exit), `Ok(false)` to fall
-    /// back to [`Processor::try_fused`] / [`Processor::step`]. The
-    /// guards keep the fast path observationally identical to stepping:
+    /// back to [`Processor::step`]. The guards keep the fast path
+    /// observationally identical to stepping:
     /// tracing forces the per-instruction path; a `stop_pc` at an
     /// interior instruction boundary runs the exact ledger prefix and
     /// parks the PC there; and the region only runs when its worst-case
@@ -671,11 +585,7 @@ impl Processor {
     /// then stay strictly below the budget, exactly the condition under
     /// which the stepping loop would have retired the same instructions.
     fn try_compiled(&mut self, max_cycles: u64, stop_pc: Option<u32>) -> Result<bool, Trap> {
-        if !self.compiled_on
-            || !self.fusion
-            || self.tracer.is_enabled()
-            || !self.pc.is_multiple_of(4)
-        {
+        if !self.compiled_on || self.tracer.is_enabled() || !self.pc.is_multiple_of(4) {
             return Ok(false);
         }
         let start = (self.pc / 4) as usize;
@@ -1101,13 +1011,9 @@ impl Processor {
             if self.cycles >= max_cycles {
                 return Err(Trap::CycleLimit { limit: max_cycles });
             }
-            if self.try_compiled(max_cycles, None)? {
-                continue;
+            if !self.try_compiled(max_cycles, None)? {
+                self.step()?;
             }
-            if self.try_fused(max_cycles, None)? {
-                continue;
-            }
-            self.step()?;
         }
         Ok(RunSummary {
             cycles: self.cycles,
@@ -1131,13 +1037,9 @@ impl Processor {
             if self.halted.is_some() {
                 return Err(Trap::InstructionFetch { pc: self.pc });
             }
-            if self.try_compiled(max_cycles, Some(target))? {
-                continue;
+            if !self.try_compiled(max_cycles, Some(target))? {
+                self.step()?;
             }
-            if self.try_fused(max_cycles, Some(target))? {
-                continue;
-            }
-            self.step()?;
         }
         Ok(())
     }
@@ -1345,153 +1247,51 @@ mod tests {
         assert_eq!(cpu.retired_scalar(), 2, "li + ecall");
     }
 
-    /// Runs `source` twice — fused and per-instruction — and asserts the
-    /// observable outcomes are identical.
-    fn assert_fusion_transparent(source: &str) {
+    /// Runs `source` on the compiled tier and on the stepper under the
+    /// same cycle budget and asserts the observable outcomes are
+    /// identical. Returns the compiled processor for extra per-test
+    /// assertions.
+    fn assert_compiled_transparent(source: &str, max_cycles: u64) -> Processor {
         let program = assemble(source).expect("assembles");
-        let mut fused = Processor::new(ProcessorConfig::elen64(10));
+        let mut compiled = Processor::new(ProcessorConfig::elen64(10));
+        compiled.set_compiled(true);
         let mut stepped = Processor::new(ProcessorConfig::elen64(10));
-        stepped.set_fusion(false);
-        fused.load_program(program.instructions());
-        stepped.load_program(program.instructions());
-        let fused_result = fused.run(100_000);
-        let stepped_result = stepped.run(100_000);
-        assert_eq!(fused_result, stepped_result, "halt/trap outcome");
-        assert_eq!(fused.cycles(), stepped.cycles(), "cycle count");
-        assert_eq!(fused.retired(), stepped.retired(), "retired count");
+        stepped.set_compiled(false);
+        for cpu in [&mut compiled, &mut stepped] {
+            cpu.load_program(program.instructions());
+        }
+        let budget = format!("budget {max_cycles}");
         assert_eq!(
-            fused.retired_vector(),
-            stepped.retired_vector(),
-            "vector retired count"
+            compiled.run(max_cycles),
+            stepped.run(max_cycles),
+            "halt/trap outcome, {budget}"
         );
-        assert_eq!(fused.pc(), stepped.pc(), "final PC");
+        assert_eq!(compiled.cycles(), stepped.cycles(), "cycles, {budget}");
+        assert_eq!(compiled.retired(), stepped.retired(), "retired, {budget}");
+        assert_eq!(
+            compiled.retired_vector(),
+            stepped.retired_vector(),
+            "vector retired, {budget}"
+        );
+        assert_eq!(compiled.pc(), stepped.pc(), "final PC, {budget}");
         for index in 0..32 {
             let reg = XReg::from_index(index);
-            assert_eq!(fused.xreg(reg), stepped.xreg(reg), "x{index}");
+            assert_eq!(compiled.xreg(reg), stepped.xreg(reg), "x{index}, {budget}");
         }
         for index in 0..32 {
             let reg = VReg::from_index(index);
             assert_eq!(
-                fused.vector_unit().register_bytes(reg),
+                compiled.vector_unit().register_bytes(reg),
                 stepped.vector_unit().register_bytes(reg),
-                "v{index}"
+                "v{index}, {budget}"
             );
         }
-        for addr in (0..fused.dmem().len() as u32).step_by(8) {
+        for addr in (0..compiled.dmem().len() as u32).step_by(8) {
             assert_eq!(
-                fused.dmem().read(addr, 8),
+                compiled.dmem().read(addr, 8),
                 stepped.dmem().read(addr, 8),
-                "dmem at {addr}"
+                "dmem at {addr}, {budget}"
             );
-        }
-    }
-
-    #[test]
-    fn fusion_is_transparent_for_scalar_loops() {
-        assert_fusion_transparent(
-            "li t0, 0\nli t1, 25\nli a0, 7\nloop:\naddi a0, a0, 3\nslli a1, a0, 1\nxor a2, a1, a0\nsw a2, 128(t0)\nlw a3, 128(t0)\naddi t0, t0, 4\nblt t0, t1, loop\necall",
-        );
-    }
-
-    #[test]
-    fn fusion_is_transparent_for_vector_kernels() {
-        assert_fusion_transparent(
-            "li s1, 10\nvsetvli x0, s1, e64, m1, tu, mu\nli a0, 0\nli a1, 512\nvle64.v v1, (a0)\nvadd.vi v1, v1, 5\nvxor.vv v2, v1, v1\nvse64.v v1, (a1)\nvle64.v v3, (a1)\necall",
-        );
-    }
-
-    #[test]
-    fn fusion_is_transparent_for_csr_reads_mid_block() {
-        // csrr cycle/instret inside a fused block must observe the same
-        // partial sums the stepping path would.
-        assert_fusion_transparent(
-            "li a0, 1\nli a1, 2\ncsrr a2, cycle\ncsrr a3, instret\nadd a4, a2, a3\necall",
-        );
-    }
-
-    #[test]
-    fn fusion_is_transparent_for_mid_block_traps() {
-        // The store at the end of a fused block faults: the prefix must
-        // retire with its cycles and the PC must park on the store.
-        assert_fusion_transparent("li t0, 1\nli t1, 8\nsw t0, 0(t1)\nsw t0, 1(t1)\necall");
-        assert_fusion_transparent("li t0, 3\nli t1, 100000\naddi t2, t1, 8\nlw a0, 0(t2)\necall");
-    }
-
-    #[test]
-    fn fused_run_until_pc_stops_inside_a_block() {
-        let program = assemble("li a0, 1\nli a0, 2\nli a0, 3\nli a0, 4\necall").unwrap();
-        let mut cpu = Processor::new(ProcessorConfig::elen64(5));
-        cpu.load_program(program.instructions());
-        // PC 8 is strictly inside the 4-instruction fused block: the
-        // fast path must defer to stepping and stop exactly there.
-        cpu.run_until_pc(8, 100).unwrap();
-        assert_eq!(cpu.pc(), 8);
-        assert_eq!(cpu.xreg(XReg::X10), 2);
-    }
-
-    #[test]
-    fn fused_run_respects_the_cycle_limit() {
-        let program = assemble("li a0, 1\nli a0, 2\nli a0, 3\nli a0, 4\necall").unwrap();
-        for limit in 0..6 {
-            let mut fused = Processor::new(ProcessorConfig::elen64(5));
-            let mut stepped = Processor::new(ProcessorConfig::elen64(5));
-            stepped.set_fusion(false);
-            fused.load_program(program.instructions());
-            stepped.load_program(program.instructions());
-            let fused_result = fused.run(limit);
-            let stepped_result = stepped.run(limit);
-            assert_eq!(fused_result, stepped_result, "limit {limit}");
-            assert_eq!(fused.cycles(), stepped.cycles(), "limit {limit}");
-            assert_eq!(fused.pc(), stepped.pc(), "limit {limit}");
-        }
-    }
-
-    /// Runs `source` three ways — compiled, interpreted-fused and
-    /// stepped — and asserts the observable outcomes are identical.
-    /// Returns the compiled processor for extra per-test assertions.
-    fn assert_compiled_transparent(source: &str) -> Processor {
-        let program = assemble(source).expect("assembles");
-        let mut compiled = Processor::new(ProcessorConfig::elen64(10));
-        compiled.set_compiled(true);
-        let mut fused = Processor::new(ProcessorConfig::elen64(10));
-        let mut stepped = Processor::new(ProcessorConfig::elen64(10));
-        stepped.set_fusion(false);
-        for cpu in [&mut compiled, &mut fused, &mut stepped] {
-            cpu.load_program(program.instructions());
-        }
-        let compiled_result = compiled.run(100_000);
-        let fused_result = fused.run(100_000);
-        let stepped_result = stepped.run(100_000);
-        assert_eq!(compiled_result, stepped_result, "halt/trap outcome");
-        assert_eq!(compiled_result, fused_result, "halt/trap outcome (fused)");
-        for (label, other) in [("fused", &fused), ("stepped", &stepped)] {
-            assert_eq!(compiled.cycles(), other.cycles(), "cycles vs {label}");
-            assert_eq!(compiled.retired(), other.retired(), "retired vs {label}");
-            assert_eq!(
-                compiled.retired_vector(),
-                other.retired_vector(),
-                "vector retired vs {label}"
-            );
-            assert_eq!(compiled.pc(), other.pc(), "final PC vs {label}");
-            for index in 0..32 {
-                let reg = XReg::from_index(index);
-                assert_eq!(compiled.xreg(reg), other.xreg(reg), "x{index} vs {label}");
-            }
-            for index in 0..32 {
-                let reg = VReg::from_index(index);
-                assert_eq!(
-                    compiled.vector_unit().register_bytes(reg),
-                    other.vector_unit().register_bytes(reg),
-                    "v{index} vs {label}"
-                );
-            }
-            for addr in (0..compiled.dmem().len() as u32).step_by(8) {
-                assert_eq!(
-                    compiled.dmem().read(addr, 8),
-                    other.dmem().read(addr, 8),
-                    "dmem at {addr} vs {label}"
-                );
-            }
         }
         compiled
     }
@@ -1500,6 +1300,7 @@ mod tests {
     fn compiled_is_transparent_for_scalar_loops() {
         let cpu = assert_compiled_transparent(
             "li t0, 0\nli t1, 25\nli a0, 7\nloop:\naddi a0, a0, 3\nslli a1, a0, 1\nxor a2, a1, a0\nsw a2, 128(t0)\nlw a3, 128(t0)\naddi t0, t0, 4\nblt t0, t1, loop\necall",
+            100_000,
         );
         assert!(cpu.compiled_dispatches() > 0, "blocks actually compiled");
     }
@@ -1508,15 +1309,26 @@ mod tests {
     fn compiled_is_transparent_for_vector_kernels() {
         let cpu = assert_compiled_transparent(
             "li s1, 10\nvsetvli x0, s1, e64, m1, tu, mu\nli a0, 0\nli a1, 512\nvle64.v v1, (a0)\nvadd.vi v1, v1, 5\nvxor.vv v2, v1, v1\nvse64.v v1, (a1)\nvle64.v v3, (a1)\necall",
+            100_000,
         );
         assert!(cpu.compiled_dispatches() > 0, "blocks actually compiled");
     }
 
     #[test]
+    fn compiled_is_transparent_for_csr_reads_mid_block() {
+        // csrr cycle/instret inside a compiled region must observe the
+        // same partial sums the stepping path would.
+        assert_compiled_transparent(
+            "li a0, 1\nli a1, 2\ncsrr a2, cycle\ncsrr a3, instret\nadd a4, a2, a3\necall",
+            100_000,
+        );
+    }
+
+    #[test]
     fn compiled_is_transparent_for_custom_keccak_ops() {
         // A θ/ρπ-shaped sequence over one 5-lane state plus a two-round
-        // ι loop: slides, rotates, ρ, π and `viota` all inside fused
-        // blocks, with `csrr` sampling the counters mid-way.
+        // ι loop: slides, rotates, ρ, π and `viota` all inside compiled
+        // regions, with `csrr` sampling the counters mid-way.
         let cpu = assert_compiled_transparent(
             "li s1, 10\nvsetvli x0, s1, e64, m1, tu, mu\n\
              li a0, 0\nvle64.v v1, (a0)\n\
@@ -1527,27 +1339,53 @@ mod tests {
              round:\nviota.vx v6, v6, s3\ncsrr a2, cycle\ncsrr a3, instret\n\
              addi s3, s3, 1\nblt s3, s4, round\n\
              li a1, 512\nvse64.v v6, (a1)\necall",
+            100_000,
         );
         assert!(cpu.compiled_dispatches() > 0, "blocks actually compiled");
     }
 
     #[test]
     fn compiled_is_transparent_for_mid_block_traps() {
-        // Scalar store fault inside a block: exact prefix retirement.
-        assert_compiled_transparent("li t0, 1\nli t1, 8\nsw t0, 0(t1)\nsw t0, 1(t1)\necall");
+        // Scalar store fault inside a block: the prefix retires with its
+        // cycles and the PC parks on the faulting store.
+        assert_compiled_transparent(
+            "li t0, 1\nli t1, 8\nsw t0, 0(t1)\nsw t0, 1(t1)\necall",
+            100_000,
+        );
+        // Scalar load past the end of memory, address computed in-block.
+        assert_compiled_transparent(
+            "li t0, 3\nli t1, 100000\naddi t2, t1, 8\nlw a0, 0(t2)\necall",
+            100_000,
+        );
         // Vector load past the end of memory after compiled iterations:
         // the bulk path must defer to the element-serial trap.
         assert_compiled_transparent(
             "li s1, 10\nvsetvli x0, s1, e64, m1, tu, mu\nli a0, 100000\nli a1, 1\nvle64.v v1, (a0)\necall",
+            100_000,
         );
         // Misaligned base: same story through the store side.
         assert_compiled_transparent(
             "li s1, 10\nvsetvli x0, s1, e64, m1, tu, mu\nli a0, 4\nli a1, 1\nvse64.v v1, (a0)\necall",
+            100_000,
         );
         // `viota` round index outside the ROM traps identically.
         assert_compiled_transparent(
             "li s1, 10\nvsetvli x0, s1, e64, m1, tu, mu\nli a0, 3\nli s3, 99\nviota.vx v1, v1, s3\necall",
+            100_000,
         );
+    }
+
+    #[test]
+    fn stepper_run_until_pc_stops_mid_straight_line() {
+        let program = assemble("li a0, 1\nli a0, 2\nli a0, 3\nli a0, 4\necall").unwrap();
+        let mut cpu = Processor::new(ProcessorConfig::elen64(5));
+        cpu.set_compiled(false);
+        cpu.load_program(program.instructions());
+        // PC 8 is strictly inside the straight-line run: stepping must
+        // stop exactly there.
+        cpu.run_until_pc(8, 100).unwrap();
+        assert_eq!(cpu.pc(), 8);
+        assert_eq!(cpu.xreg(XReg::X10), 2);
     }
 
     #[test]
@@ -1563,22 +1401,15 @@ mod tests {
 
     #[test]
     fn compiled_run_respects_the_cycle_limit() {
-        let program = assemble(
-            "li s1, 10\nvsetvli x0, s1, e64, m1, tu, mu\nvxor.vv v1, v2, v3\nvadd.vi v1, v1, 1\nli a0, 4\necall",
-        )
-        .unwrap();
-        for limit in 0..12 {
-            let mut compiled = Processor::new(ProcessorConfig::elen64(10));
-            compiled.set_compiled(true);
-            let mut stepped = Processor::new(ProcessorConfig::elen64(10));
-            stepped.set_fusion(false);
-            compiled.load_program(program.instructions());
-            stepped.load_program(program.instructions());
-            let compiled_result = compiled.run(limit);
-            let stepped_result = stepped.run(limit);
-            assert_eq!(compiled_result, stepped_result, "limit {limit}");
-            assert_eq!(compiled.cycles(), stepped.cycles(), "limit {limit}");
-            assert_eq!(compiled.pc(), stepped.pc(), "limit {limit}");
+        // Every budget from 0 up to each program's full cost (and past
+        // it for the vector one), so runs stop before, inside and after
+        // a compiled region.
+        let scalar = "li a0, 1\nli a0, 2\nli a0, 3\nli a0, 4\necall";
+        let vector = "li s1, 10\nvsetvli x0, s1, e64, m1, tu, mu\nvxor.vv v1, v2, v3\nvadd.vi v1, v1, 1\nli a0, 4\necall";
+        for (source, limits) in [(scalar, 0..6), (vector, 0..12)] {
+            for limit in limits {
+                assert_compiled_transparent(source, limit);
+            }
         }
     }
 
@@ -1592,6 +1423,7 @@ mod tests {
              vsetvli x0, s1, e64, m1, tu, mu\nvle64.v v1, (a0)\nvadd.vi v1, v1, 1\nvxor.vv v2, v1, v1\n\
              vsetvli x0, s2, e64, m1, tu, mu\nvle64.v v1, (a0)\nvadd.vi v1, v1, 1\nvxor.vv v2, v1, v1\n\
              ecall",
+            100_000,
         );
     }
 
@@ -1631,8 +1463,8 @@ mod tests {
 
     #[test]
     fn lone_vector_instructions_dispatch_compiled() {
-        // `vxor` between two branch targets never fuses (runs of one);
-        // the compiled tier must still pick it up as a singleton.
+        // `vxor` alone between two branch targets: the compiled tier
+        // must still pick it up as a one-instruction region.
         let program = assemble(
             "li s1, 10\nvsetvli x0, s1, e64, m1, tu, mu\nbeq x0, x0, skip\nnop\nskip:\nvxor.vv v1, v2, v3\nbeq x0, x0, done\nnop\ndone:\necall",
         )

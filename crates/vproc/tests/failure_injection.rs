@@ -2,15 +2,15 @@
 //! real assembled programs — through every program-loading and
 //! execution path.
 //!
-//! Every scenario executes three times: once via
-//! [`Processor::load_program`] (decode at load), once via an explicitly
-//! compiled, shared [`DecodedProgram`] handed to
+//! Every scenario executes three times: on the stepper via
+//! [`Processor::load_program`] (decode at load), on the stepper via an
+//! explicitly compiled, shared [`DecodedProgram`] handed to
 //! [`Processor::load_decoded`] — the path the engine pool uses to share
-//! one pre-decoded kernel across workers — and once with the compiled
-//! execution tier enabled on top. All three must produce the identical
-//! trap: pre-decoding and compiled-tier lowering are pure caching
-//! layers and must never change architectural behaviour, least of all
-//! on the error paths.
+//! one pre-decoded kernel across workers — and on the compiled
+//! execution tier. All three must produce the identical trap:
+//! pre-decoding and compiled-tier lowering are pure caching layers and
+//! must never change architectural behaviour, least of all on the
+//! error paths.
 
 use std::sync::Arc;
 
@@ -20,21 +20,24 @@ use krv_vproc::{DecodedProgram, Processor, ProcessorConfig, Trap};
 fn run(source: &str, config: ProcessorConfig) -> Result<(), Trap> {
     let program = assemble(source).expect("test program assembles");
 
-    // Path 1: decode at load time.
+    // Path 1: decode at load time, stepped.
     let mut cpu = Processor::new(config.clone());
+    cpu.set_compiled(false);
     cpu.load_program(program.instructions());
     let undecoded = cpu.run(100_000).map(|_| ());
 
-    // Path 2: pre-decoded program shared via Arc, as the pool does.
+    // Path 2: pre-decoded program shared via Arc, as the pool does,
+    // stepped.
     let decoded = Arc::new(DecodedProgram::compile(
         program.instructions(),
         &config.timing,
     ));
     let mut cpu = Processor::new(config.clone());
+    cpu.set_compiled(false);
     cpu.load_decoded(decoded);
     let predecoded = cpu.run(100_000).map(|_| ());
 
-    // Path 3: compiled execution tier (lowered regions with interpreter
+    // Path 3: compiled execution tier (lowered regions with stepper
     // fallback on the unlowerable suffix).
     let mut cpu = Processor::new(config);
     cpu.load_program(program.instructions());
@@ -354,7 +357,7 @@ fn compiled_trap_retires_the_same_prefix() {
 
     let mut stepped = Processor::new(ProcessorConfig::elen64(10));
     stepped.load_program(program.instructions());
-    stepped.set_fusion(false);
+    stepped.set_compiled(false);
     let stepped_err = stepped.run(100_000).unwrap_err();
 
     assert_eq!(compiled_err, stepped_err);
@@ -366,7 +369,7 @@ fn compiled_trap_retires_the_same_prefix() {
 fn compiled_budget_expiry_is_bit_identical_at_every_limit() {
     // Total cost of the θ loop, measured once on the stepper.
     let total = {
-        let mut cpu = theta_processor(|p| p.set_fusion(false));
+        let mut cpu = theta_processor(|p| p.set_compiled(false));
         cpu.run(100_000).expect("loop halts");
         cpu.cycles()
     };
@@ -376,7 +379,7 @@ fn compiled_budget_expiry_is_bit_identical_at_every_limit() {
     for limit in 0..=total {
         let mut compiled = theta_processor(|p| p.set_compiled(true));
         let compiled_result = compiled.run(limit).map(|_| ());
-        let mut stepped = theta_processor(|p| p.set_fusion(false));
+        let mut stepped = theta_processor(|p| p.set_compiled(false));
         let stepped_result = stepped.run(limit).map(|_| ());
         assert_eq!(compiled_result, stepped_result, "limit {limit}");
         assert_same_state(&format!("budget limit {limit}"), &compiled, &stepped);
@@ -394,7 +397,7 @@ fn compiled_run_until_pc_stops_at_every_boundary() {
         let target = (target_index * 4) as u32;
         let mut compiled = theta_processor(|p| p.set_compiled(true));
         let compiled_result = compiled.run_until_pc(target, 100_000);
-        let mut stepped = theta_processor(|p| p.set_fusion(false));
+        let mut stepped = theta_processor(|p| p.set_compiled(false));
         let stepped_result = stepped.run_until_pc(target, 100_000);
         assert_eq!(compiled_result, stepped_result, "target {target:#x}");
         assert_eq!(compiled.pc(), target, "stops exactly at {target:#x}");
