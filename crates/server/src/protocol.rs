@@ -20,7 +20,7 @@
 //! | `0x0A` KEM_DECAPS | request | set `u8`, deadline µs `u64`, dk len `u32`, dk bytes, ct len `u32`, ct bytes |
 //! | `0x81` DIGEST | response | digest len `u32`, digest bytes |
 //! | `0x82` ERROR | response | code `u8`, detail len `u16`, UTF-8 detail |
-//! | `0x83` STATS | response | fixed-width [`MetricsSnapshot`] encoding |
+//! | `0x83` STATS | response | fixed-width [`MetricsSnapshot`], 344 B of `u64`s: the counters in the order of the ledger's counter table ([`MetricsSnapshot::counters`]), 4 gauges, 3 [`QuantileSummary`] blocks |
 //! | `0x84` OPENED | response | session `u64` |
 //! | `0x85` ABSORBED | response | session `u64` |
 //! | `0x86` FINALIZED | response | session `u64` |
@@ -1462,38 +1462,20 @@ fn decode_deadline(deadline_us: u64) -> Option<Duration> {
     (deadline_us > 0).then(|| Duration::from_micros(deadline_us))
 }
 
-/// Fixed encoded length of a [`MetricsSnapshot`]: 25 `u64`-width fields
-/// plus three six-field [`QuantileSummary`] blocks.
-const SNAPSHOT_LEN: usize = 25 * 8 + 3 * 6 * 8;
+/// Fixed encoded length of a [`MetricsSnapshot`]: the ledger's table
+/// counters and four gauges as `u64`s, then three six-field
+/// [`QuantileSummary`] blocks (344 bytes at protocol v5).
+const SNAPSHOT_LEN: usize = (MetricsSnapshot::COUNTERS + 4) * 8 + 3 * 6 * 8;
 
 fn encode_snapshot(snapshot: &MetricsSnapshot, out: &mut Vec<u8>) {
-    for value in [
-        snapshot.submitted,
-        snapshot.completed,
-        snapshot.timeouts,
-        snapshot.rejected,
-        snapshot.throttled,
-        snapshot.worker_failures,
-        snapshot.retries,
-        snapshot.batches,
-        snapshot.native_served,
-        snapshot.simulator_served,
-        snapshot.mirrored,
-        snapshot.mirror_mismatches,
-        snapshot.stream_ops,
-        snapshot.stream_absorbed,
-        snapshot.stream_squeezed,
-        snapshot.kem_keygen,
-        snapshot.kem_encaps,
-        snapshot.kem_decaps,
-        snapshot.kem_hash_jobs,
-        snapshot.kem_dispatches,
-        snapshot.kem_invalid,
+    let counters = snapshot.counters().map(|(_, value)| value);
+    let gauges = [
         snapshot.queue_depth as u64,
         snapshot.mean_batch_fill.to_bits(),
         snapshot.alive_workers as u64,
         snapshot.batch_slots as u64,
-    ] {
+    ];
+    for value in counters.into_iter().chain(gauges) {
         out.extend_from_slice(&value.to_le_bytes());
     }
     for quantiles in [&snapshot.queue_ns, &snapshot.service_ns, &snapshot.e2e_ns] {
@@ -1511,54 +1493,29 @@ fn encode_snapshot(snapshot: &MetricsSnapshot, out: &mut Vec<u8>) {
 }
 
 fn decode_snapshot(cursor: &mut Cursor<'_>) -> Result<MetricsSnapshot, ProtocolError> {
-    let u64s = |cursor: &mut Cursor<'_>| -> Result<[u64; 25], ProtocolError> {
-        let mut values = [0u64; 25];
-        for value in &mut values {
-            *value = cursor.u64()?;
-        }
-        Ok(values)
-    };
-    let counters = u64s(cursor)?;
-    let quantiles = |cursor: &mut Cursor<'_>| -> Result<QuantileSummary, ProtocolError> {
-        Ok(QuantileSummary {
+    let mut snapshot = MetricsSnapshot::default();
+    for counter in snapshot.counters_mut() {
+        *counter = cursor.u64()?;
+    }
+    snapshot.queue_depth = cursor.u64()? as usize;
+    snapshot.mean_batch_fill = f64::from_bits(cursor.u64()?);
+    snapshot.alive_workers = cursor.u64()? as usize;
+    snapshot.batch_slots = cursor.u64()? as usize;
+    for quantiles in [
+        &mut snapshot.queue_ns,
+        &mut snapshot.service_ns,
+        &mut snapshot.e2e_ns,
+    ] {
+        *quantiles = QuantileSummary {
             count: cursor.u64()?,
             mean: f64::from_bits(cursor.u64()?),
             p50: cursor.u64()?,
             p90: cursor.u64()?,
             p99: cursor.u64()?,
             max: cursor.u64()?,
-        })
-    };
-    Ok(MetricsSnapshot {
-        submitted: counters[0],
-        completed: counters[1],
-        timeouts: counters[2],
-        rejected: counters[3],
-        throttled: counters[4],
-        worker_failures: counters[5],
-        retries: counters[6],
-        batches: counters[7],
-        native_served: counters[8],
-        simulator_served: counters[9],
-        mirrored: counters[10],
-        mirror_mismatches: counters[11],
-        stream_ops: counters[12],
-        stream_absorbed: counters[13],
-        stream_squeezed: counters[14],
-        kem_keygen: counters[15],
-        kem_encaps: counters[16],
-        kem_decaps: counters[17],
-        kem_hash_jobs: counters[18],
-        kem_dispatches: counters[19],
-        kem_invalid: counters[20],
-        queue_depth: counters[21] as usize,
-        mean_batch_fill: f64::from_bits(counters[22]),
-        alive_workers: counters[23] as usize,
-        batch_slots: counters[24] as usize,
-        queue_ns: quantiles(cursor)?,
-        service_ns: quantiles(cursor)?,
-        e2e_ns: quantiles(cursor)?,
-    })
+        };
+    }
+    Ok(snapshot)
 }
 
 /// A strict little-endian reader over one frame body.
@@ -2245,6 +2202,25 @@ mod tests {
         let decoded = decode_snapshot(&mut cursor).expect("decode");
         cursor.finish().expect("nothing trailing");
         assert_eq!(decoded, snapshot);
+    }
+
+    /// The round trip above holds for any counter order the encoder and
+    /// decoder share; this pins the order itself, and the field widths,
+    /// to the v5 bytes.
+    #[test]
+    fn snapshot_encoding_keeps_the_v5_wire_layout() {
+        let mut encoded = Vec::new();
+        encode_snapshot(&sample_snapshot(), &mut encoded);
+        assert_eq!(SNAPSHOT_LEN, 344);
+        assert_eq!(encoded.len(), SNAPSHOT_LEN);
+        let digest: String = krv_sha3::Sha3_256::digest(&encoded)
+            .iter()
+            .map(|byte| format!("{byte:02x}"))
+            .collect();
+        assert_eq!(
+            digest,
+            "e8de2377f9496a162a5c79f6ed493dc452ae32186d8e5f97e43e0417e43fa6d8"
+        );
     }
 
     #[test]

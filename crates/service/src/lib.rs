@@ -580,11 +580,9 @@ impl Service {
     /// can be [`ShardMetrics::merge`]d without losing fidelity.
     pub fn shard_metrics(&self) -> ShardMetrics {
         let queue_depth = self.shared.queue_depth();
-        self.shared
-            .stats
-            .lock()
-            .expect("stats lock")
-            .shard_metrics(queue_depth)
+        let mut metrics = self.shared.stats.lock().expect("stats lock").clone();
+        metrics.queue_depth = queue_depth;
+        metrics
     }
 
     /// Stops admission without waiting for the drain: subsequent

@@ -5,7 +5,7 @@
 //! nothing acquires them in the other order, and ticket cells are only
 //! locked while holding neither.
 
-use crate::metrics::ServiceStats;
+use crate::metrics::{BatchTally, ShardMetrics};
 use crate::ticket::{
     Completion, KemCompletion, KemRequestError, KemTicket, RequestError, RequestTiming,
     StreamCompletion, StreamOutput, StreamTicket, Ticket, TicketCell,
@@ -14,7 +14,7 @@ use crate::tier::{TierKind, TierPolicy};
 use crate::{HashRequest, KemRequest, ServiceConfig, StreamRequest, SubmitError};
 use krv_core::{EnginePool, PoolError};
 use krv_keccak::KeccakState;
-use krv_kyber::{HashJob, KemJob};
+use krv_kyber::{HashJob, KemJob, KemResult};
 use krv_native::NativeBackend;
 use krv_sha3::{drive_stream, PermutationBackend, SpongeState, StreamItem, StreamOp};
 use std::collections::{HashMap, VecDeque};
@@ -98,7 +98,9 @@ pub(crate) struct Shared {
     pub state: Mutex<QueueState>,
     /// Signalled on every admission, close and kill request.
     pub arrivals: Condvar,
-    pub stats: Mutex<ServiceStats>,
+    /// The ledger; its `queue_depth` stays zero, since readers take it
+    /// from the queue.
+    pub stats: Mutex<ShardMetrics>,
     pub queue_capacity: usize,
     /// Per-client admission cap (`None` = unlimited): the fair-share
     /// half of the backpressure contract.
@@ -118,7 +120,11 @@ impl Shared {
                 kill_requests: Vec::new(),
             }),
             arrivals: Condvar::new(),
-            stats: Mutex::new(ServiceStats::new(config)),
+            stats: Mutex::new(ShardMetrics {
+                alive_workers: config.workers,
+                batch_slots: config.batch_slots(),
+                ..ShardMetrics::default()
+            }),
             queue_capacity: config.queue_capacity,
             fair_share: config.fair_share,
             native_corruption: AtomicBool::new(false),
@@ -277,9 +283,6 @@ struct KemLive {
     job: KemJob,
     ticket: Arc<TicketCell<KemCompletion>>,
     enqueued: Instant,
-    /// The operation kind (`keygen` / `encaps` / `decaps`), captured
-    /// before the job consumed the op, for per-kind counters.
-    tag: &'static str,
     /// A latched round-dispatch failure: the job stops advancing and
     /// completes as [`KemRequestError::WorkerFailure`] after the lane
     /// drains.
@@ -307,36 +310,6 @@ impl BatchClock {
             tier: self.tier,
             retried,
         }
-    }
-}
-
-/// Per-batch counter accumulators, folded into [`ServiceStats`] under
-/// one stats-lock acquisition after all lanes dispatch.
-#[derive(Default)]
-struct BatchTally {
-    retries: u64,
-    completed: u64,
-    failures: u64,
-    mirrored: u64,
-    mismatches: u64,
-    stream_ops: u64,
-    stream_absorbed: u64,
-    stream_squeezed: u64,
-    kem_keygen: u64,
-    kem_encaps: u64,
-    kem_decaps: u64,
-    kem_hash_jobs: u64,
-    kem_dispatches: u64,
-    kem_invalid: u64,
-    samples: Vec<(Duration, Duration, Duration)>,
-}
-
-impl BatchTally {
-    /// Counts one successful completion and samples its latencies.
-    fn served(&mut self, timing: &RequestTiming) {
-        self.completed += 1;
-        self.samples
-            .push((timing.queue, timing.service, timing.total));
     }
 }
 
@@ -463,8 +436,11 @@ impl Scheduler {
 
         // Deadline check happens exactly once, at batch formation: an
         // expired request completes as TimedOut without costing a slot.
-        let mut timeouts = 0u64;
-        let mut tally = BatchTally::default();
+        let mut tally = BatchTally {
+            batches: 1,
+            fill_sum: clock.batch_size as f64 / clock.slots as f64,
+            ..BatchTally::default()
+        };
         let mut hash_live: Vec<HashPending> = Vec::new();
         let mut stream_live: Vec<StreamPending> = Vec::new();
         let mut kem_live: Vec<KemLive> = Vec::new();
@@ -478,7 +454,7 @@ impl Scheduler {
                             result: Err(RequestError::TimedOut),
                             timing: expired_timing,
                         });
-                        timeouts += 1;
+                        tally.timeouts += 1;
                     } else {
                         hash_live.push((request, ticket, pending.enqueued));
                     }
@@ -489,7 +465,7 @@ impl Scheduler {
                             result: Err(RequestError::TimedOut),
                             timing: expired_timing,
                         });
-                        timeouts += 1;
+                        tally.timeouts += 1;
                     } else {
                         stream_live.push((request, ticket, pending.enqueued));
                     }
@@ -500,9 +476,8 @@ impl Scheduler {
                             result: Err(KemRequestError::TimedOut),
                             timing: expired_timing,
                         });
-                        timeouts += 1;
+                        tally.timeouts += 1;
                     } else {
-                        let tag = request.op.tag();
                         // FIPS 203 input validation runs here, before
                         // any hardware dispatch: a malformed key or
                         // ciphertext is the caller's error and resolves
@@ -512,7 +487,6 @@ impl Scheduler {
                                 job,
                                 ticket,
                                 enqueued: pending.enqueued,
-                                tag,
                                 failed: None,
                                 retried: false,
                             }),
@@ -540,32 +514,7 @@ impl Scheduler {
         }
 
         let mut stats = self.shared.stats.lock().expect("stats lock");
-        stats.batches += 1;
-        stats.fill_sum += clock.batch_size as f64 / clock.slots as f64;
-        stats.timeouts += timeouts;
-        stats.retries += tally.retries;
-        stats.completed += tally.completed;
-        match self.tier.primary {
-            TierKind::Native => stats.native_served += tally.completed,
-            TierKind::Simulator => stats.simulator_served += tally.completed,
-        }
-        stats.mirrored += tally.mirrored;
-        stats.mirror_mismatches += tally.mismatches;
-        stats.worker_failures += tally.failures;
-        stats.stream_ops += tally.stream_ops;
-        stats.stream_absorbed += tally.stream_absorbed;
-        stats.stream_squeezed += tally.stream_squeezed;
-        stats.kem_keygen += tally.kem_keygen;
-        stats.kem_encaps += tally.kem_encaps;
-        stats.kem_decaps += tally.kem_decaps;
-        stats.kem_hash_jobs += tally.kem_hash_jobs;
-        stats.kem_dispatches += tally.kem_dispatches;
-        stats.kem_invalid += tally.kem_invalid;
-        for (queue, service, total) in tally.samples {
-            stats.queue_wait.record_duration(queue);
-            stats.service_time.record_duration(service);
-            stats.e2e.record_duration(total);
-        }
+        stats.fold(tally);
         stats.alive_workers = self.pool.alive_workers();
         stats.batch_slots = self.pool.capacity().max(1);
     }
@@ -600,7 +549,7 @@ impl Scheduler {
                     Ok(output)
                 }
                 Err(error) => {
-                    tally.failures += 1;
+                    tally.worker_failures += 1;
                     Err(RequestError::WorkerFailure {
                         error: error.clone(),
                     })
@@ -649,7 +598,7 @@ impl Scheduler {
                     })
                 }
                 Err(error) => {
-                    tally.failures += 1;
+                    tally.worker_failures += 1;
                     Err(RequestError::WorkerFailure {
                         error: error.clone(),
                     })
@@ -717,15 +666,16 @@ impl Scheduler {
             let result = match kem.failed {
                 None => {
                     tally.served(&timing);
-                    match kem.tag {
-                        "keygen" => tally.kem_keygen += 1,
-                        "encaps" => tally.kem_encaps += 1,
-                        _ => tally.kem_decaps += 1,
+                    let result = kem.job.into_result();
+                    match result {
+                        KemResult::Keygen { .. } => tally.kem_keygen += 1,
+                        KemResult::Encaps { .. } => tally.kem_encaps += 1,
+                        KemResult::Decaps { .. } => tally.kem_decaps += 1,
                     }
-                    Ok(kem.job.into_result())
+                    Ok(result)
                 }
                 Some(error) => {
-                    tally.failures += 1;
+                    tally.worker_failures += 1;
                     Err(KemRequestError::WorkerFailure { error })
                 }
             };
@@ -810,7 +760,7 @@ impl Scheduler {
                 .collect();
             if drive(self.tier.primary.other(), &mut mirror).is_ok() {
                 tally.mirrored += items.len() as u64;
-                tally.mismatches += items
+                tally.mirror_mismatches += items
                     .iter()
                     .zip(&mirror)
                     .filter(|(a, b)| a.state != b.state || a.op.squeeze != b.op.squeeze)

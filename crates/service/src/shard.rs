@@ -222,7 +222,7 @@ impl ShardedService {
     /// summarized once — identical to a single service having recorded
     /// every sample.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let mut merged = ShardMetrics::empty();
+        let mut merged = ShardMetrics::default();
         for shard in &self.shards {
             merged.merge(&shard.shard_metrics());
         }
@@ -242,7 +242,7 @@ impl ShardedService {
     /// metrics.
     pub fn shutdown(mut self) -> MetricsSnapshot {
         self.close();
-        let mut merged = ShardMetrics::empty();
+        let mut merged = ShardMetrics::default();
         for shard in &mut self.shards {
             shard.stop();
             merged.merge(&shard.shard_metrics());

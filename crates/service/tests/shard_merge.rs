@@ -4,7 +4,7 @@
 //! — merging raw histograms bucket-wise is lossless with respect to
 //! that bound, unlike averaging pre-summarized percentiles.
 
-use krv_service::{HashRequest, ServiceConfig, ShardConfig, ShardedService, Ticket};
+use krv_service::{HashRequest, ServiceConfig, ShardConfig, ShardMetrics, ShardedService, Ticket};
 use krv_sha3::Sha3_256;
 use krv_testkit::Rng;
 use std::time::Duration;
@@ -52,24 +52,20 @@ fn merged_snapshot_is_the_exact_shard_sum_with_bounded_percentiles() {
     samples.sort_unstable();
 
     // Counter exactness: the merged snapshot is the arithmetic sum of
-    // the per-shard snapshots, field by field.
+    // the per-shard snapshots, for every counter of the ledger's table.
     let shards = service.shard_metrics();
     let merged = service.metrics();
     assert_eq!(shards.len(), 3);
-    let sum =
-        |field: fn(&krv_service::ShardMetrics) -> u64| -> u64 { shards.iter().map(field).sum() };
-    assert_eq!(merged.submitted, sum(|s| s.submitted));
+    let per_shard: Vec<_> = shards.iter().map(ShardMetrics::counters).collect();
+    for (i, (name, value)) in merged.counters().into_iter().enumerate() {
+        let sum: u64 = per_shard.iter().map(|counters| counters[i].1).sum();
+        assert_eq!(value, sum, "merged {name} is not the shard sum");
+    }
     assert_eq!(merged.submitted, 160);
-    assert_eq!(merged.completed, sum(|s| s.completed));
-    assert_eq!(merged.timeouts, sum(|s| s.timeouts));
-    assert_eq!(merged.rejected, sum(|s| s.rejected));
-    assert_eq!(merged.throttled, sum(|s| s.throttled));
-    assert_eq!(merged.worker_failures, sum(|s| s.worker_failures));
-    assert_eq!(merged.retries, sum(|s| s.retries));
-    assert_eq!(merged.batches, sum(|s| s.batches));
-    assert_eq!(merged.native_served, sum(|s| s.native_served));
-    assert_eq!(merged.simulator_served, sum(|s| s.simulator_served));
-    assert_eq!(merged.e2e_ns.count, sum(|s| s.e2e.count()));
+    assert_eq!(
+        merged.e2e_ns.count,
+        shards.iter().map(|s| s.e2e.count()).sum::<u64>()
+    );
     assert_eq!(merged.e2e_ns.count, 160);
     for shard in &shards {
         assert!(
