@@ -4,13 +4,13 @@
 //! vector processor: it permutes at most `SN` states per hardware pass,
 //! and a larger slice is serialized into `⌈n / SN⌉` passes on that
 //! single simulated device. [`EnginePool`] instead instantiates `W`
-//! engines — all sharing one cached, pre-decoded kernel image — and
-//! shards the passes across `W` OS threads, modelling a farm of
-//! identical accelerators fed from one queue.
+//! engines — engines of one width share one cached, pre-decoded kernel
+//! image — and shards the passes across `W` OS threads, modelling a
+//! farm of identical accelerators fed from one queue.
 //!
 //! # Workers are persistent
 //!
-//! Each worker is a long-lived thread owning its engine, fed over a
+//! Each worker is a long-lived thread owning its engines, fed over a
 //! channel: the first dispatch that assigns a worker any passes spawns
 //! it, and it then survives across [`EnginePool::permute_slice`] calls
 //! until the pool is dropped. This removes the per-dispatch
@@ -21,6 +21,18 @@
 //! that touches one worker anyway — the shards run on the calling
 //! thread instead, skipping the channel round trip entirely; the static
 //! schedule makes this invisible in both outputs and metrics.
+//!
+//! # Engines as wide as their live states
+//!
+//! A pass that carries `k ≤ SN` states runs on a `k`-wide engine. The
+//! simulated cost of a pass depends neither on how many states it
+//! carries (paper §4.2) nor on how wide the engine is: no kernel
+//! instruction's cost grows with `EleNum`, so the cycle ledger is the
+//! same either way. The host cost is not: a one-state pass on an `SN`-wide
+//! engine still stages, runs and reads back all `SN` vector slots.
+//! Every worker, and the inline path, therefore keeps one engine per
+//! live width, created on the first pass of that width; full passes
+//! run on the `SN`-wide engine.
 //!
 //! # Determinism
 //!
@@ -170,14 +182,47 @@ struct Worker {
     thread: JoinHandle<()>,
 }
 
+/// One engine per live width, each created on the first pass that
+/// needs it: a pass carrying `k` states runs on the `k`-wide engine.
+#[derive(Debug)]
+struct LiveWidthEngines {
+    kind: KernelKind,
+    compiled: bool,
+    /// The `k`-wide engine at index `k − 1`.
+    by_width: Vec<Option<VectorKeccakEngine>>,
+}
+
+impl LiveWidthEngines {
+    fn new(kind: KernelKind, sn: usize, compiled: bool) -> Self {
+        Self {
+            kind,
+            compiled,
+            by_width: (0..sn).map(|_| None).collect(),
+        }
+    }
+
+    /// Runs one pass over `chunk` (1 to `SN` states) on the engine as
+    /// wide as it and returns the pass's simulated cycles.
+    fn pass(&mut self, chunk: &mut [KeccakState]) -> Result<u64, Trap> {
+        let (kind, compiled) = (self.kind, self.compiled);
+        let engine = self.by_width[chunk.len() - 1]
+            .get_or_insert_with(|| VectorKeccakEngine::with_compiled(kind, chunk.len(), compiled));
+        engine.permute_slice(chunk)?;
+        Ok(engine
+            .last_metrics()
+            .expect("a pass records metrics")
+            .total_cycles)
+    }
+}
+
 fn spawn_worker(kind: KernelKind, sn: usize, compiled: bool) -> Worker {
     let (job_tx, job_rx) = channel::<WorkerJob>();
     let (reply_tx, reply_rx) = channel::<WorkerReply>();
     let thread = std::thread::spawn(move || {
-        // The engine lives on the worker thread for the pool's whole
-        // lifetime; the kernel image comes pre-decoded from the
-        // process-wide cache, so spawning is cheap.
-        let mut engine = VectorKeccakEngine::with_compiled(kind, sn, compiled);
+        // The engines live on the worker thread for the pool's whole
+        // lifetime; the kernel images come pre-decoded from the
+        // process-wide cache, so creating them is cheap.
+        let mut engines = LiveWidthEngines::new(kind, sn, compiled);
         while let Ok(job) = job_rx.recv() {
             let mut chunks = match job {
                 WorkerJob::Batch(chunks) => chunks,
@@ -191,13 +236,10 @@ fn spawn_worker(kind: KernelKind, sn: usize, compiled: bool) -> Worker {
                 if trap.is_some() {
                     break;
                 }
-                match engine.permute_slice(chunk) {
-                    Ok(()) => {
+                match engines.pass(chunk) {
+                    Ok(cycles) => {
                         load.passes += 1;
-                        load.cycles += engine
-                            .last_metrics()
-                            .expect("a pass records metrics")
-                            .total_cycles;
+                        load.cycles += cycles;
                     }
                     Err(fault) => trap = Some(fault),
                 }
@@ -215,8 +257,8 @@ fn spawn_worker(kind: KernelKind, sn: usize, compiled: bool) -> Worker {
     }
 }
 
-/// A pool of `W` identical vector Keccak engines, each `SN` states wide,
-/// dispatching passes across `W` persistent worker threads.
+/// A pool of `W` identical vector Keccak engines, each up to `SN` states
+/// wide, dispatching passes across `W` persistent worker threads.
 ///
 /// The pool implements [`PermutationBackend`] with
 /// `parallel_states = W × SN`. The sponge driver
@@ -254,10 +296,10 @@ pub struct EnginePool {
     /// Failure injection: slots killed via [`Self::kill_worker`] whose
     /// death the next dispatch touching them will observe.
     killed: Vec<bool>,
-    /// Engine for dispatches that run on the calling thread (hosts with
-    /// at most two cores, single-shard dispatches); spawned as lazily as
-    /// the workers.
-    inline_engine: Option<Box<VectorKeccakEngine>>,
+    /// Engines for dispatches that run on the calling thread (hosts
+    /// with at most two cores, single-shard dispatches); created as
+    /// lazily as the workers.
+    inline_engines: LiveWidthEngines,
     /// Host cores, probed once at construction.
     host_parallelism: usize,
     last_metrics: Option<PoolMetrics>,
@@ -296,7 +338,7 @@ impl EnginePool {
             workers: (0..workers).map(|_| None).collect(),
             alive: vec![true; workers],
             killed: vec![false; workers],
-            inline_engine: None,
+            inline_engines: LiveWidthEngines::new(kind, sn, compiled),
             host_parallelism: std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1),
@@ -515,13 +557,6 @@ impl EnginePool {
         active: usize,
     ) -> Result<(), PoolError> {
         let worker_count = self.workers.len();
-        let engine = self.inline_engine.get_or_insert_with(|| {
-            Box::new(VectorKeccakEngine::with_compiled(
-                self.kind,
-                self.sn,
-                self.compiled,
-            ))
-        });
         let mut per_engine = vec![EngineLoad::default(); worker_count];
         let mut bucket_trap: Vec<Option<Trap>> = vec![None; worker_count];
         let mut lost: Option<usize> = None;
@@ -536,14 +571,11 @@ impl EnginePool {
             if bucket_trap[index].is_some() {
                 continue;
             }
-            match engine.permute_slice(chunk) {
-                Ok(()) => {
+            match self.inline_engines.pass(chunk) {
+                Ok(cycles) => {
                     let load = &mut per_engine[index];
                     load.passes += 1;
-                    load.cycles += engine
-                        .last_metrics()
-                        .expect("a pass records metrics")
-                        .total_cycles;
+                    load.cycles += cycles;
                 }
                 Err(fault) => bucket_trap[index] = Some(fault),
             }
@@ -602,6 +634,7 @@ impl PermutationBackend for EnginePool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::KernelMetrics;
     use krv_keccak::keccak_f1600;
 
     fn distinct_states(n: usize) -> Vec<KeccakState> {
@@ -891,6 +924,73 @@ mod tests {
         );
         let trap: PoolError = Trap::VectorConfig { reason: "test" }.into();
         assert!(trap.to_string().contains("trapped"));
+    }
+
+    #[test]
+    fn thin_passes_run_on_live_width_engines_with_an_unchanged_ledger() {
+        // SN = 4, the service's engine width. A dispatch of SN + k
+        // states over two workers puts one full pass on worker 0 and a
+        // k-state pass on worker 1, so both the inline and the threaded
+        // path run the thin pass.
+        const SN: usize = 4;
+        for kind in KernelKind::WITH_EXTENSIONS {
+            let full_cycles = VectorKeccakEngine::new(kind, SN)
+                .measure()
+                .expect("kernel runs")
+                .total_cycles;
+            for k in 1..=SN {
+                let mut wide = VectorKeccakEngine::new(kind, SN);
+                wide.permute_slice(&mut distinct_states(k)).unwrap();
+                let wide = wide.last_metrics().expect("a pass ran");
+                let mut narrow = VectorKeccakEngine::new(kind, k);
+                narrow.permute_slice(&mut distinct_states(k)).unwrap();
+                let narrow = narrow.last_metrics().expect("a pass ran");
+                assert_eq!(
+                    KernelMetrics {
+                        states: SN,
+                        ..narrow
+                    },
+                    wide,
+                    "{kind}: a {k}-wide engine books other cycles than a {SN}-wide one"
+                );
+                for cores in [1, 8] {
+                    let mut pool = EnginePool::new(kind, SN, 2);
+                    pool.set_host_parallelism(cores);
+                    let mut states = distinct_states(SN + k);
+                    let mut expected = states.clone();
+                    pool.permute_slice(&mut states).expect("pool runs");
+                    for state in &mut expected {
+                        keccak_f1600(state);
+                    }
+                    assert_eq!(states, expected, "{kind}, k = {k}, {cores} cores");
+                    let loads = EngineLoad {
+                        passes: 1,
+                        cycles: full_cycles,
+                    };
+                    let thin = EngineLoad {
+                        passes: 1,
+                        cycles: wide.total_cycles,
+                    };
+                    assert_eq!(
+                        pool.last_metrics().expect("metrics").per_engine,
+                        vec![loads, thin],
+                        "{kind}, k = {k}, {cores} cores"
+                    );
+                    if cores == 1 {
+                        let built: Vec<usize> = pool
+                            .inline_engines
+                            .by_width
+                            .iter()
+                            .flatten()
+                            .map(VectorKeccakEngine::capacity)
+                            .collect();
+                        let mut widths = vec![k, SN];
+                        widths.dedup();
+                        assert_eq!(built, widths, "{kind}: engines built on the inline path");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

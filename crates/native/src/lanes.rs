@@ -177,6 +177,29 @@ mod tests {
     }
 
     #[test]
+    fn padded_calls_permute_every_live_state() {
+        // A tail plan may run fewer states than a width's lanes; the
+        // spare lanes carry zero states and nothing of them comes back.
+        for width in LaneWidth::ALL {
+            for live in 1..=width.lanes() {
+                let mut states: Vec<KeccakState> = (0..live as u64)
+                    .map(|i| {
+                        let mut lanes = [0u64; STATE_LANES];
+                        lanes[(i as usize * 7) % STATE_LANES] = i + 1;
+                        KeccakState::from_lanes(lanes)
+                    })
+                    .collect();
+                let mut expected = states.clone();
+                permute_states(width, &mut states);
+                for state in &mut expected {
+                    keccak_f1600(state);
+                }
+                assert_eq!(states, expected, "{width}, {live} live");
+            }
+        }
+    }
+
+    #[test]
     fn zero_state_known_answer_all_widths() {
         // Keccak team reference value for f[1600] of the zero state.
         const LANE_00_AFTER_ONE: u64 = 0xF1258F7940E1DDE7;

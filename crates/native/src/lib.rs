@@ -18,13 +18,15 @@
 //!   structure-of-arrays `[[u64; N]; 25]` form.
 //! * [`dispatch`] — run-time lane-width selection, BLAKE3-style: the
 //!   widest profitable variant is picked once per process (by a short
-//!   calibration pass over every compiled width) and can be pinned with
-//!   the `KRV_NATIVE_LANES` environment variable.
-//! * [`NativeBackend`] — the [`krv_sha3::PermutationBackend`] (and
-//!   [`krv_sha3::BatchPermutationBackend`]) over those kernels: full
-//!   groups run at the selected width and ragged tails cascade down to
-//!   narrower widths, so any slice length is handled with the minimum
-//!   number of wasted lane slots.
+//!   calibration pass that times one call at every compiled width) and
+//!   can be pinned with the `KRV_NATIVE_LANES` environment variable.
+//! * [`NativeBackend`] — the [`krv_sha3::PermutationBackend`] over those
+//!   kernels: full groups run at the selected width `W`, and a ragged
+//!   tail of `r < W` states runs as the cheapest sequence of calls at
+//!   widths up to `W`, planned from the calibration pass's per-call
+//!   times. A call costs about the same however many of its lanes are
+//!   live, so on a host where ×4 is cheaper per call than ×1 and ×2,
+//!   every tail is one zero-padded ×4 call.
 //!
 //! Correctness is anchored the same way as every other backend in the
 //! workspace: property tests pin bit-identical output against
@@ -53,16 +55,18 @@ pub mod lanes;
 
 pub use dispatch::LaneWidth;
 
+use dispatch::TailPlan;
 use krv_keccak::KeccakState;
-use krv_sha3::{BatchPermutationBackend, PermutationBackend};
+use krv_sha3::PermutationBackend;
 
 /// The host-native lane-parallel permutation backend.
 ///
-/// A fixed lane width `N` is chosen at construction ([`Self::new`] picks
-/// it at run time via [`LaneWidth::detect`]); [`PermutationBackend::permute_all`]
-/// then processes `⌈states/N⌉` word-parallel groups, cascading a ragged
-/// tail down through narrower widths (8 → 4 → 2 → 1) instead of padding
-/// it out with dead lanes.
+/// A fixed group width `W` is chosen at construction ([`Self::new`]
+/// picks it at run time via [`LaneWidth::detect`]);
+/// [`PermutationBackend::permute_all`] then runs every full group of `W`
+/// states in one word-parallel call, and a ragged tail as the cheapest
+/// calls at widths up to `W` by this process's measured per-call times:
+/// zero-padded into one wider call, or split into narrower ones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NativeBackend {
     width: LaneWidth,
@@ -103,23 +107,16 @@ impl Default for NativeBackend {
 
 impl PermutationBackend for NativeBackend {
     fn permute_all(&mut self, states: &mut [KeccakState]) {
-        let mut width = self.width;
-        let mut rest = states;
-        loop {
-            let n = width.lanes();
-            while rest.len() >= n {
-                let (group, tail) = rest.split_at_mut(n);
-                lanes::permute_states(width, group);
-                rest = tail;
-            }
-            if rest.is_empty() {
-                return;
-            }
-            // Ragged tail: drop to the widest width that still fits, so
-            // e.g. 13 states at ×8 run as one ×8, one ×4 and one ×1 pass.
-            width = width
-                .narrower()
-                .expect("×1 consumes any remaining state count");
+        let mut groups = states.chunks_exact_mut(self.width.lanes());
+        for group in &mut groups {
+            lanes::permute_states(self.width, group);
+        }
+        let mut tail = groups.into_remainder();
+        while !tail.is_empty() {
+            let call = TailPlan::measured().next(self.width, tail.len());
+            let (live, rest) = tail.split_at_mut(call.lanes().min(tail.len()));
+            lanes::permute_states(call, live);
+            tail = rest;
         }
     }
 
@@ -129,21 +126,6 @@ impl PermutationBackend for NativeBackend {
 
     fn label(&self) -> String {
         format!("native/{}", self.width.tag())
-    }
-}
-
-impl BatchPermutationBackend for NativeBackend {
-    fn lane_width(&self) -> usize {
-        self.width.lanes()
-    }
-
-    fn permute_group(&mut self, states: &mut [KeccakState]) {
-        assert_eq!(
-            states.len(),
-            self.width.lanes(),
-            "permute_group takes exactly one native group"
-        );
-        lanes::permute_states(self.width, states);
     }
 }
 
@@ -182,8 +164,9 @@ mod tests {
     }
 
     #[test]
-    fn ragged_tail_cascades_instead_of_padding() {
-        // 13 states at ×8: the tail must still come out bit-identical.
+    fn ragged_tails_follow_the_measured_plan() {
+        // 13 states at ×8: one full group, then a 5-state tail through
+        // whatever calls this host's plan picks (padded or split).
         let mut rng = Rng::new(0x7A11);
         let mut states = random_states(&mut rng, 13);
         let mut expected = states.clone();
@@ -192,25 +175,6 @@ mod tests {
             keccak_f1600(state);
         }
         assert_eq!(states, expected);
-    }
-
-    #[test]
-    fn permute_group_takes_exactly_one_group() {
-        let mut backend = NativeBackend::with_width(LaneWidth::X2);
-        assert_eq!(backend.lane_width(), 2);
-        let mut states = vec![KeccakState::new(); 2];
-        backend.permute_group(&mut states);
-        let mut expected = KeccakState::new();
-        keccak_f1600(&mut expected);
-        assert_eq!(states, vec![expected; 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "exactly one native group")]
-    fn permute_group_rejects_partial_groups() {
-        let mut backend = NativeBackend::with_width(LaneWidth::X4);
-        let mut states = vec![KeccakState::new(); 3];
-        backend.permute_group(&mut states);
     }
 
     #[test]

@@ -18,8 +18,9 @@ fn random_state(rng: &mut Rng) -> KeccakState {
 }
 
 /// `permute_all` over every ragged state count up to a bit past two
-/// full groups, at every width: each count exercises a different
-/// cascade (full groups of 8/4/2 plus a scalar tail).
+/// full groups, at every width: each count exercises a different tail
+/// (full groups at the pinned width, then the tail's planned calls,
+/// padded or split as this host's per-call times decide).
 #[test]
 fn ragged_state_counts_match_the_scalar_permutation() {
     cases(20, |rng| {

@@ -10,7 +10,9 @@
 //! short timeout, and every external event that could create work — an
 //! accepted connection, a completed request's response frame, shutdown
 //! — notifies that condvar. Under load the loop runs back to back;
-//! idle, it costs one timed wait per park interval.
+//! idle, it costs one timed wait per park interval. A thread that owns
+//! no connection has nothing to sweep, so it parks with no timeout
+//! until something is posted.
 //!
 //! The [`IoShared`] inbox is the only channel into an I/O thread:
 //! the accept thread posts `(token, stream)` pairs, scheduler threads
@@ -115,15 +117,19 @@ impl IoShared {
     /// Takes the whole inbox (the shutdown flag is sticky — it is
     /// copied, not cleared). With `park`, first waits up to [`PARK`]
     /// for anything to arrive (the adaptive part: only a sweep that
-    /// made no progress parks).
-    fn take(&self, park: bool) -> Inbox {
+    /// made no progress parks); with `idle` as well, waits until
+    /// something does.
+    fn take(&self, park: bool, idle: bool) -> Inbox {
+        let empty = |inbox: &Inbox| {
+            inbox.conns.is_empty()
+                && inbox.frames.is_empty()
+                && inbox.events.is_empty()
+                && !inbox.shutdown
+        };
         let mut inbox = self.inbox.lock().expect("io inbox");
-        if park
-            && inbox.conns.is_empty()
-            && inbox.frames.is_empty()
-            && inbox.events.is_empty()
-            && !inbox.shutdown
-        {
+        if park && idle {
+            inbox = self.wake.wait_while(inbox, |i| empty(i)).expect("io inbox");
+        } else if park && empty(&inbox) {
             inbox = self.wake.wait_timeout(inbox, PARK).expect("io inbox").0;
         }
         Inbox {
@@ -157,7 +163,7 @@ pub(crate) fn run(ctx: IoCtx) {
             frames,
             events,
             shutdown,
-        } = ctx.shared.take(park);
+        } = ctx.shared.take(park, conns.is_empty() && !draining);
         let mut progress = false;
 
         if shutdown && !draining {
@@ -215,5 +221,30 @@ pub(crate) fn run(ctx: IoCtx) {
             // monopolize the core; give the shard schedulers a turn.
             std::thread::yield_now();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    #[test]
+    fn an_idle_take_blocks_until_something_is_posted() {
+        let shared = Arc::new(IoShared::new());
+        let (tx, rx) = mpsc::channel();
+        let taker = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || tx.send(shared.take(true, true)).unwrap())
+        };
+        assert!(
+            rx.recv_timeout(PARK * 20).is_err(),
+            "an I/O thread with no connection woke with nothing posted"
+        );
+        shared.post_frame(7, vec![1, 2, 3]);
+        let inbox = rx.recv_timeout(Duration::from_secs(10)).expect("woken");
+        assert_eq!(inbox.frames, vec![(7, vec![1, 2, 3])]);
+        assert!(inbox.conns.is_empty() && inbox.events.is_empty() && !inbox.shutdown);
+        taker.join().unwrap();
     }
 }

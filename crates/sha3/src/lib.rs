@@ -47,9 +47,7 @@ pub mod sponge;
 pub mod stream;
 pub mod tree;
 
-pub use backend::{
-    permute_all_grouped, BatchPermutationBackend, PermutationBackend, ReferenceBackend,
-};
+pub use backend::{PermutationBackend, ReferenceBackend};
 pub use batch::{hash_batch, BatchRequest};
 pub use functions::{Sha3_224, Sha3_256, Sha3_384, Sha3_512, Shake128, Shake256, Xof};
 pub use sponge::{DomainSeparator, Sponge, SpongeParams, SpongeState};
