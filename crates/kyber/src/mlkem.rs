@@ -188,8 +188,8 @@ pub struct HashJob {
     pub output_len: usize,
 }
 
-/// One ML-KEM operation, as submitted to a [`KemJob`] or the
-/// `krv-service` KEM lane.
+/// One ML-KEM operation, as submitted to a [`KemJob`] or to
+/// `krv-service`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum KemOp {
     /// `ML-KEM.KeyGen_internal(d, z)`: derive an (ek, dk) pair.

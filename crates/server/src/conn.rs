@@ -9,12 +9,12 @@
 //! more bytes arrive — framing cannot desynchronize, because nothing is
 //! consumed until the full frame is present and decoded.
 //!
-//! Responses flow back asynchronously: a hash submission registers a
-//! ticket callback that encodes the response on the scheduler thread
-//! and posts it to the I/O thread's inbox ([`crate::poll::IoShared`]),
-//! which routes it to this connection's outbound queue. The request id
-//! is the client's correlation key; responses overtake each other
-//! freely.
+//! Responses flow back asynchronously: a hash or ML-KEM submission
+//! registers a ticket callback that encodes the response on the
+//! scheduler thread and posts it to the I/O thread's inbox
+//! ([`crate::poll::IoShared`]), which routes it to this connection's
+//! outbound queue. The request id is the client's correlation key;
+//! responses overtake each other freely.
 //!
 //! A protocol violation (bad magic, unknown kind, oversized frame, …)
 //! is fatal **to the connection only**: reading stops, already admitted
@@ -28,7 +28,7 @@ use crate::poll::IoCtx;
 use crate::protocol::{ErrorCode, Request, Response};
 use crate::session::{ConnIo, SessionEvent, SessionTable, Violation};
 use krv_kyber::{KemOp, KemResult};
-use krv_service::{HashRequest, KemRequest, KemRequestError, RequestError, SubmitError};
+use krv_service::{HashRequest, KemRequest, Request as ServiceRequest, RequestError, SubmitError};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -294,14 +294,14 @@ impl Connection {
                 params,
                 payload,
             } => {
-                if self.window_full(id, ctx) {
-                    return;
-                }
                 if algorithm.is_tree() {
                     // Tree algorithms serve through an implicit session:
                     // the payload is chunked into leaf blocks that ride
-                    // the batch lane, and the session answers with one
-                    // DIGEST frame.
+                    // the service's batches, and the session answers with
+                    // one DIGEST frame.
+                    if self.window_full(id, ctx) {
+                        return;
+                    }
                     self.in_flight.fetch_add(1, Ordering::AcqRel);
                     let mut io = ConnIo {
                         token: self.token,
@@ -318,8 +318,8 @@ impl Connection {
                     (payload, algorithm.params())
                 } else {
                     // SP 800-185 algorithms absorb their framing around
-                    // it; one flat message serves through the same batch
-                    // lane as everything else.
+                    // it; one flat message serves as a one-shot like
+                    // everything else.
                     let ServePlan::Flat(flat) = plan::plan(algorithm, &params) else {
                         unreachable!("non-tree algorithms plan flat")
                     };
@@ -328,39 +328,10 @@ impl Connection {
                 };
                 let mut hash_request = HashRequest::new(message, sponge_params, output_len);
                 hash_request.deadline = deadline;
-                self.in_flight.fetch_add(1, Ordering::AcqRel);
-                match ctx.service.submit_as(self.token, hash_request) {
-                    Ok(ticket) => {
-                        let shared = Arc::clone(&ctx.shared);
-                        let in_flight = Arc::clone(&self.in_flight);
-                        let token = self.token;
-                        // Runs on the shard's scheduler thread: encode,
-                        // post to the I/O inbox, release the in-flight
-                        // slot — in that order; `drained` depends on it.
-                        ticket.on_complete(move |completion| {
-                            let response = match completion.result {
-                                Ok(bytes) => Response::Digest { id, bytes },
-                                Err(RequestError::TimedOut) => Response::Error {
-                                    id,
-                                    code: ErrorCode::Deadline,
-                                    detail: "deadline elapsed before dispatch".into(),
-                                },
-                                Err(RequestError::WorkerFailure { error }) => Response::Error {
-                                    id,
-                                    code: ErrorCode::Internal,
-                                    detail: error.to_string(),
-                                },
-                            };
-                            shared.post_frame(token, wire(&response.encode()));
-                            in_flight.fetch_sub(1, Ordering::AcqRel);
-                        });
-                    }
-                    Err(refusal) => {
-                        self.in_flight.fetch_sub(1, Ordering::AcqRel);
-                        let (code, detail) = refusal_error(refusal);
-                        self.push_frame(wire(&Response::Error { id, code, detail }.encode()));
-                    }
-                }
+                self.serve(id, hash_request, ctx, |id, bytes| Response::Digest {
+                    id,
+                    bytes,
+                });
             }
             Request::KemKeygen {
                 id,
@@ -374,7 +345,7 @@ impl Connection {
                     op: KemOp::Keygen { d, z },
                     deadline,
                 };
-                self.serve_kem(id, request, ctx);
+                self.serve(id, request, ctx, kem_response);
             }
             Request::KemEncaps {
                 id,
@@ -388,7 +359,7 @@ impl Connection {
                     op: KemOp::Encaps { ek, m },
                     deadline,
                 };
-                self.serve_kem(id, request, ctx);
+                self.serve(id, request, ctx, kem_response);
             }
             Request::KemDecaps {
                 id,
@@ -402,7 +373,7 @@ impl Connection {
                     op: KemOp::Decaps { dk, ct },
                     deadline,
                 };
-                self.serve_kem(id, request, ctx);
+                self.serve(id, request, ctx, kem_response);
             }
             Request::Open {
                 id,
@@ -477,48 +448,37 @@ impl Connection {
         }
     }
 
-    /// Admits one ML-KEM operation through the same window, fair-share
-    /// and callback machinery as a hash request. A malformed key or
-    /// ciphertext comes back as a request-level `BAD_KEY` error — the
-    /// connection survives, unlike a framing violation.
-    fn serve_kem(&mut self, id: u64, request: KemRequest, ctx: &IoCtx) {
+    /// Admits one hash or ML-KEM request through the connection window
+    /// and the service's fair-share admission. A refusal is answered at
+    /// once. Otherwise the ticket's callback runs on the shard's
+    /// scheduler thread: it encodes `respond`'s frame (or the service
+    /// error's), posts it to the I/O inbox, then releases the in-flight
+    /// slot — in that order; `drained` depends on it. A malformed KEM
+    /// key or ciphertext comes back as a request-level `BAD_KEY` error:
+    /// the connection survives, unlike a framing violation.
+    fn serve<R: ServiceRequest>(
+        &mut self,
+        id: u64,
+        request: R,
+        ctx: &IoCtx,
+        respond: fn(u64, R::Output) -> Response,
+    ) {
         if self.window_full(id, ctx) {
             return;
         }
         self.in_flight.fetch_add(1, Ordering::AcqRel);
-        match ctx.service.submit_kem_as(self.token, request) {
+        match ctx.service.submit_as(self.token, request) {
             Ok(ticket) => {
                 let shared = Arc::clone(&ctx.shared);
                 let in_flight = Arc::clone(&self.in_flight);
                 let token = self.token;
-                // Same ordering contract as the hash callback: encode,
-                // post, then release the in-flight slot.
                 ticket.on_complete(move |completion| {
                     let response = match completion.result {
-                        Ok(KemResult::Keygen { ek, dk }) => Response::KemKeys { id, ek, dk },
-                        Ok(KemResult::Encaps { ct, shared_secret }) => Response::KemCiphertext {
-                            id,
-                            ct,
-                            shared_secret,
-                        },
-                        Ok(KemResult::Decaps { shared_secret }) => {
-                            Response::KemSecret { id, shared_secret }
+                        Ok(output) => respond(id, output),
+                        Err(error) => {
+                            let (code, detail) = service_error(&error);
+                            Response::Error { id, code, detail }
                         }
-                        Err(KemRequestError::InvalidInput(error)) => Response::Error {
-                            id,
-                            code: ErrorCode::BadKey,
-                            detail: error.to_string(),
-                        },
-                        Err(KemRequestError::TimedOut) => Response::Error {
-                            id,
-                            code: ErrorCode::Deadline,
-                            detail: "deadline elapsed before dispatch".into(),
-                        },
-                        Err(KemRequestError::WorkerFailure { error }) => Response::Error {
-                            id,
-                            code: ErrorCode::Internal,
-                            detail: error.to_string(),
-                        },
                     };
                     shared.post_frame(token, wire(&response.encode()));
                     in_flight.fetch_sub(1, Ordering::AcqRel);
@@ -564,6 +524,32 @@ impl Connection {
             self.push_frame(wire(&response.encode()));
             self.start_drain();
         }
+    }
+}
+
+/// The reply frame of a served ML-KEM operation.
+fn kem_response(id: u64, result: KemResult) -> Response {
+    match result {
+        KemResult::Keygen { ek, dk } => Response::KemKeys { id, ek, dk },
+        KemResult::Encaps { ct, shared_secret } => Response::KemCiphertext {
+            id,
+            ct,
+            shared_secret,
+        },
+        KemResult::Decaps { shared_secret } => Response::KemSecret { id, shared_secret },
+    }
+}
+
+/// Maps a failed service request to the code and detail of the wire
+/// error answering it.
+pub(crate) fn service_error(error: &RequestError) -> (ErrorCode, String) {
+    match error {
+        RequestError::TimedOut => (
+            ErrorCode::Deadline,
+            "deadline elapsed before dispatch".into(),
+        ),
+        RequestError::WorkerFailure { error } => (ErrorCode::Internal, error.to_string()),
+        RequestError::InvalidInput(error) => (ErrorCode::BadKey, error.to_string()),
     }
 }
 

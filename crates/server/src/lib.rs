@@ -37,10 +37,10 @@
 //!   Per-connection **session tables** enforce the streaming state
 //!   machine (out-of-order frames are connection-fatal typed errors,
 //!   like framing violations), cap live sessions per connection, reap
-//!   idle sessions, carry flat sessions through the service's streaming
-//!   lane as a live sponge state, and stream tree leaves through the
-//!   batch lane under a bounded dispatch window — a session never holds
-//!   the whole message.
+//!   idle sessions, carry flat sessions through the service as a live
+//!   sponge state, one stream operation at a time, and stream tree
+//!   leaves through it as one-shots under a bounded dispatch window — a
+//!   session never holds the whole message.
 //! * [`Client`] — the matching blocking/pipelining client used by the
 //!   tests, the `remote_digest` example and the `netbench` load
 //!   harness, plus [`StreamingSession`] for incremental absorb/squeeze

@@ -322,7 +322,7 @@ pub enum WireAlgorithm {
     TupleHash256 = 12,
     /// ParallelHash128 (SP 800-185 §6), id 13. Params: customization
     /// `S`, block size `B` (required nonzero). Served as a chunked
-    /// tree: the leaves ride the service's batch lane.
+    /// tree: the leaves ride the service as one-shots.
     ParallelHash128 = 13,
     /// ParallelHash256 (SP 800-185 §6), id 14.
     ParallelHash256 = 14,
@@ -420,7 +420,7 @@ impl WireAlgorithm {
     }
 
     /// Whether this algorithm is served as a chunked tree (leaves
-    /// dispatched through the batch lane): ParallelHash and the KRV
+    /// dispatched through the service as one-shots): ParallelHash and the KRV
     /// tree-hash.
     pub const fn is_tree(self) -> bool {
         matches!(
@@ -493,7 +493,7 @@ impl WireAlgorithm {
 ///
 /// Ids are part of the protocol and never change meaning across
 /// versions. Each id maps to the [`krv_kyber::KyberParams`] the service
-/// lane runs the operation under.
+/// runs the operation under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum KemParameterSet {
@@ -532,7 +532,7 @@ impl KemParameterSet {
         }
     }
 
-    /// The FIPS 203 parameters the service lane runs this set under.
+    /// The FIPS 203 parameters the service runs this set under.
     pub const fn params(self) -> krv_kyber::KyberParams {
         match self {
             KemParameterSet::MlKem512 => krv_kyber::KyberParams::KYBER512,

@@ -5,12 +5,11 @@
 //! arrival (out-of-order frames are connection-fatal [`Violation`]s),
 //! queues each accepted frame as one [`SessionOp`], and drives the
 //! queue against the service: flat algorithms carry a live
-//! [`SpongeState`] through the service's streaming lane one operation
-//! at a time; tree algorithms buffer chunks into fixed blocks, dispatch
-//! each block as a one-shot leaf through the batch lane (a bounded
-//! window of leaves rides the same micro-batches as everyone else's
-//! traffic), and finish with one flat root request over the leaf
-//! digests.
+//! [`SpongeState`] through the service one stream operation at a time;
+//! tree algorithms buffer chunks into fixed blocks, submit each block as
+//! a one-shot leaf (a bounded window of leaves rides the same
+//! micro-batches as everyone else's traffic), and finish with one flat
+//! root request over the leaf digests.
 //!
 //! Memory stays bounded by construction: a session holds at most the
 //! framing prefix, one partial tree block, the queued chunks the
@@ -18,7 +17,7 @@
 //! never the whole message.
 //!
 //! Backpressure never loses session bytes: a refused service submission
-//! hands the request back (`try_submit_*`), the operation stays parked
+//! hands the request back (`try_submit_as`), the operation stays parked
 //! at the queue front, and the next I/O sweep retries it. Service
 //! failures (a lost worker, an expired deadline) poison the session —
 //! every queued and later operation is answered with the failure's
@@ -26,13 +25,11 @@
 //! Implicit sessions (one-shot tree requests) answer with a single
 //! `DIGEST`/`ERROR` frame instead of per-operation acks.
 
-use crate::conn::wire;
+use crate::conn::{service_error, wire};
 use crate::plan::{self, ServePlan};
 use crate::poll::IoCtx;
 use crate::protocol::{AlgorithmParams, ErrorCode, Response, WireAlgorithm};
-use krv_service::{
-    Completion, HashRequest, RequestError, StreamCompletion, StreamRequest, SubmitError,
-};
+use krv_service::{Completion, HashRequest, StreamOutput, StreamRequest, SubmitError};
 use krv_sha3::sp800_185::tuple_entry_prefix;
 use krv_sha3::tree::TreeMode;
 use krv_sha3::SpongeState;
@@ -97,8 +94,8 @@ pub(crate) struct SessionEvent {
 /// The service completion a [`SessionEvent`] carries.
 #[derive(Debug)]
 pub(crate) enum EventPayload {
-    /// A streaming-lane operation of a flat session.
-    Stream(StreamCompletion),
+    /// A stream operation of a flat session.
+    Stream(Completion<StreamOutput>),
     /// One tree leaf (`index` into the leaf digest table).
     Leaf {
         /// Which leaf completed.
@@ -329,16 +326,6 @@ struct Session {
     body: Body,
 }
 
-fn request_error_reply(error: &RequestError) -> (ErrorCode, String) {
-    match error {
-        RequestError::TimedOut => (
-            ErrorCode::Deadline,
-            "deadline elapsed before dispatch".into(),
-        ),
-        RequestError::WorkerFailure { error } => (ErrorCode::Internal, error.to_string()),
-    }
-}
-
 impl Session {
     /// Poisons the session with a failure. A wire session stays in the
     /// table (flushing its queue with error replies, waiting for CLOSE);
@@ -457,7 +444,7 @@ impl Session {
             }
         };
         let token = io.token;
-        match ctx.service.try_submit_stream_as(token, request) {
+        match ctx.service.try_submit_as(token, request) {
             Ok(ticket) => {
                 self.busy = true;
                 let shared = Arc::clone(&ctx.shared);
@@ -579,8 +566,12 @@ impl Session {
         }
     }
 
-    /// A streaming-lane completion for this session's front operation.
-    fn on_stream_done(&mut self, completion: StreamCompletion, io: &mut ConnIo<'_>) -> bool {
+    /// A stream-operation completion for this session's front operation.
+    fn on_stream_done(
+        &mut self,
+        completion: Completion<StreamOutput>,
+        io: &mut ConnIo<'_>,
+    ) -> bool {
         self.busy = false;
         match completion.result {
             Ok(output) => {
@@ -607,7 +598,7 @@ impl Session {
                 false
             }
             Err(error) => {
-                let (code, detail) = request_error_reply(&error);
+                let (code, detail) = service_error(&error);
                 matches!(
                     self.fail(code, format!("{detail}; session state lost"), io),
                     Step::Remove
@@ -629,7 +620,7 @@ impl Session {
                 false
             }
             Err(error) => {
-                let (code, detail) = request_error_reply(&error);
+                let (code, detail) = service_error(&error);
                 matches!(
                     self.fail(code, format!("tree leaf {index} failed: {detail}"), io),
                     Step::Remove
@@ -667,7 +658,7 @@ impl Session {
                 }
             }
             Err(error) => {
-                let (code, detail) = request_error_reply(&error);
+                let (code, detail) = service_error(&error);
                 matches!(
                     self.fail(code, format!("tree root failed: {detail}"), io),
                     Step::Remove
@@ -1035,8 +1026,8 @@ impl SessionTable {
     }
 
     /// A one-shot HASH of a tree algorithm: an implicit session that
-    /// chunks the payload, dispatches the leaves through the batch
-    /// lane, and answers with a single DIGEST frame. The caller has
+    /// chunks the payload, submits the leaves as one-shots, and
+    /// answers with a single DIGEST frame. The caller has
     /// already taken the request's in-flight slot.
     #[allow(clippy::too_many_arguments)] // mirrors the decoded HASH frame fields
     pub fn one_shot_tree(

@@ -11,15 +11,20 @@
 //! dispatches them on a [`krv_core::EnginePool`] (or the host-native
 //! tier, see [`TierPolicy`]).
 //!
-//! Every lane dispatches through one function. A batch's one-shot
-//! hashes go as one call, its streaming operations as one call, and
-//! each round of its ML-KEM operations as one call. Each call is one
-//! *dispatch group*: one [`krv_sha3::drive_stream`] call over the
-//! group's sponge states, whatever their parameters. The same function
-//! routes the group to its tier, retries it once on a lost worker, and
-//! samples it for the mirror oracle ([`TierPolicy::mirror_every`] counts
-//! these groups). One-shot tickets complete before any of the batch's
-//! stream or KEM work is dispatched.
+//! One loop serves every request kind. At batch formation each live
+//! request becomes a job that yields sponge operations round by round:
+//! a one-shot [`HashRequest`] is one round on a fresh state, a
+//! [`StreamRequest`] one round on its session's state, and a
+//! [`KemRequest`] the rounds of its staged [`krv_kyber::KemJob`]. Each
+//! round packs every live job's operations into one *dispatch group*:
+//! one [`krv_sha3::drive_stream`] call, whatever the operations' sponge
+//! parameters. The same call routes the round to its tier, retries it
+//! once on a lost worker, and samples it for the mirror oracle
+//! ([`TierPolicy::mirror_every`] counts rounds). A job's ticket
+//! completes at the end of the round it finishes in, so a batch's
+//! one-shot and stream tickets complete after its first round even
+//! while its KEM jobs run on. The round's counts reach
+//! [`Service::metrics`] before any of its tickets complete.
 //!
 //! Robustness is part of the contract:
 //!
@@ -31,10 +36,12 @@
 //!   than occupying engine slots.
 //! * **Supervision** — a dispatch group that loses a pool worker is
 //!   retried once on the survivors; if the retry also fails (only
-//!   possible once no live worker is left), every item of the group
-//!   completes with [`RequestError::WorkerFailure`] (or
-//!   [`KemRequestError::WorkerFailure`]), and the shrunken pool
-//!   capacity is reflected in every later batch.
+//!   possible once no live worker is left), every job in the round
+//!   completes with [`RequestError::WorkerFailure`], and the shrunken
+//!   pool capacity is reflected in every later batch.
+//! * **Validation** — an ML-KEM key or ciphertext that fails FIPS 203
+//!   input checks completes with [`RequestError::InvalidInput`] at batch
+//!   formation, without riding any round.
 //! * **Graceful drain** — [`Service::shutdown`] stops admission,
 //!   completes everything already queued, and returns the final
 //!   [`MetricsSnapshot`]; every admitted ticket resolves exactly once.
@@ -69,15 +76,14 @@ mod tier;
 pub use metrics::{MetricsSnapshot, QuantileSummary, ShardMetrics};
 pub use shard::{ShardConfig, ShardedService};
 pub use ticket::{
-    Completion, KemCompletion, KemRequestError, KemTicket, RequestError, RequestTiming,
-    StreamCompletion, StreamOutput, StreamTicket, Ticket,
+    Completion, KemTicket, RequestError, RequestTiming, StreamOutput, StreamTicket, Ticket,
 };
 pub use tier::{TierKind, TierPolicy};
 
 use krv_core::KernelKind;
-use krv_kyber::{KemOp, KyberParams};
+use krv_kyber::{KemOp, KemResult, KyberParams};
 use krv_sha3::{SpongeParams, SpongeState};
-use scheduler::{Scheduler, Shared};
+use scheduler::{Scheduler, Shared, Work};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -100,10 +106,11 @@ pub struct ServiceConfig {
     /// the other tier as a differential oracle.
     pub tier: TierPolicy,
     /// Per-client fair-share cap: the most admission units one client id
-    /// (see [`Service::submit_as`]) may hold at once. A one-shot request
-    /// holds one unit; a streaming operation holds
-    /// [`StreamRequest::fair_share_cost`] units, so session traffic is
-    /// weighed by its bytes. A client at or above its cap is refused
+    /// (see [`Service::submit_as`]) may hold at once. Each request holds
+    /// its [`Request::fair_share_cost`]: one unit for a one-shot hash,
+    /// byte-weighted units for a streaming operation (so session traffic
+    /// is weighed by its bytes), and the parameter set's rank `k` for an
+    /// ML-KEM operation. A client at or above its cap is refused
     /// with [`SubmitError::ClientThrottled`] even while the queue has
     /// room, so one flooding client cannot starve the rest. `None` (the
     /// default) disables per-client accounting limits.
@@ -186,9 +193,9 @@ impl HashRequest {
 /// server's session table, say) between operations: the caller submits
 /// the state with each operation and receives it back, advanced, in the
 /// [`StreamOutput`]. The scheduler drives every live stream operation of
-/// a batch as one dispatch group through shared permutation rounds
-/// ([`krv_sha3::drive_stream`]), so a hundred slow-trickling sessions
-/// cost hardware passes like one busy one.
+/// a batch in its first round, beside the batch's other work, through
+/// shared permutation passes ([`krv_sha3::drive_stream`]), so a hundred
+/// slow-trickling sessions cost hardware passes like one busy one.
 ///
 /// The service is lifecycle-lenient only to the extent
 /// [`krv_sha3::StreamOp`] is: absorbing into a squeezing state,
@@ -218,9 +225,10 @@ pub struct StreamRequest {
 impl StreamRequest {
     /// Fair-share accounting granularity: a stream operation holds
     /// `1 + absorb.len() / FAIR_SHARE_UNIT` units of its client's
-    /// [`ServiceConfig::fair_share`] quota while queued, so session
-    /// traffic is throttled by *bytes*, not frames — a client cannot
-    /// dodge the cap by packing huge chunks into few operations.
+    /// [`ServiceConfig::fair_share`] quota while queued (its
+    /// [`Request::fair_share_cost`]), so session traffic is throttled by
+    /// *bytes*, not frames — a client cannot dodge the cap by packing
+    /// huge chunks into few operations.
     pub const FAIR_SHARE_UNIT: usize = 64 * 1024;
 
     /// An absorb-only operation.
@@ -267,11 +275,6 @@ impl StreamRequest {
         self.deadline = Some(deadline);
         self
     }
-
-    /// The fair-share units this operation holds while queued.
-    pub fn fair_share_cost(&self) -> usize {
-        1 + self.absorb.len() / Self::FAIR_SHARE_UNIT
-    }
 }
 
 /// One ML-KEM operation — key generation, encapsulation or
@@ -282,10 +285,11 @@ impl StreamRequest {
 /// [`krv_kyber::KemJob`] at batch formation and advances every live
 /// operation of a batch in lockstep, packing the pending Keccak jobs of
 /// *all* of them — matrix-expansion SHAKE128 squeezes, CBD PRFs, the
-/// H/G/J hashes of the FO transform — into one dispatch group per
-/// round. Concurrent KEM clients therefore fill
-/// engine slots a single operation could not: the cross-request
-/// batching this crate exists for, applied to FIPS 203.
+/// H/G/J hashes of the FO transform — into each round, beside the
+/// batch's one-shot hashes and stream operations in the first.
+/// Concurrent KEM clients therefore fill engine slots a single
+/// operation could not: the cross-request batching this crate exists
+/// for, applied to FIPS 203.
 ///
 /// The wire-facing API is deterministic: key generation carries its
 /// `(d, z)` seeds and encapsulation its randomness `m` explicitly, so
@@ -298,7 +302,7 @@ pub struct KemRequest {
     /// The operation itself, with its seeds / key / ciphertext.
     pub op: KemOp,
     /// Deadline relative to admission, as for [`HashRequest::deadline`].
-    /// An expired operation completes as [`KemRequestError::TimedOut`].
+    /// An expired operation completes as [`RequestError::TimedOut`].
     pub deadline: Option<Duration>,
 }
 
@@ -340,13 +344,91 @@ impl KemRequest {
         self.deadline = Some(deadline);
         self
     }
+}
 
-    /// The fair-share units this operation holds while queued: the
-    /// parameter set's rank `k`, since the lane's hash work — a `k × k`
-    /// matrix expansion plus `2k + 1`-ish CBD/encode hashes — scales
-    /// with it.
-    pub fn fair_share_cost(&self) -> usize {
+/// A request kind the service admits: a one-shot [`HashRequest`], a
+/// [`StreamRequest`] or a [`KemRequest`]. [`Service::submit`] and its
+/// siblings are generic over it, and the [`Ticket`] they return resolves
+/// to the kind's [`Self::Output`].
+///
+/// The trait is sealed: the scheduler knows how to run exactly these
+/// three kinds.
+pub trait Request: sealed::Sealed + Sized {
+    /// What a served request hands back, on whichever thread completes
+    /// its ticket.
+    type Output: Send + 'static;
+
+    /// The admission units the request holds against its client's
+    /// [`ServiceConfig::fair_share`] while queued.
+    fn fair_share_cost(&self) -> usize;
+
+    /// The request's deadline, relative to admission.
+    fn deadline(&self) -> Option<Duration>;
+
+    /// Wraps the admitted request with the ticket cell its completion
+    /// resolves, for the queue.
+    #[doc(hidden)]
+    fn lower(self, ticket: &Ticket<Self::Output>) -> Work;
+}
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for super::HashRequest {}
+    impl Sealed for super::StreamRequest {}
+    impl Sealed for super::KemRequest {}
+}
+
+impl Request for HashRequest {
+    type Output = Vec<u8>;
+
+    /// One unit.
+    fn fair_share_cost(&self) -> usize {
+        1
+    }
+
+    fn deadline(&self) -> Option<Duration> {
+        self.deadline
+    }
+
+    fn lower(self, ticket: &Ticket<Vec<u8>>) -> Work {
+        Work::Hash(self, Arc::clone(&ticket.cell))
+    }
+}
+
+impl Request for StreamRequest {
+    type Output = StreamOutput;
+
+    /// `1 + absorb.len() / FAIR_SHARE_UNIT` units
+    /// ([`StreamRequest::FAIR_SHARE_UNIT`]).
+    fn fair_share_cost(&self) -> usize {
+        1 + self.absorb.len() / Self::FAIR_SHARE_UNIT
+    }
+
+    fn deadline(&self) -> Option<Duration> {
+        self.deadline
+    }
+
+    fn lower(self, ticket: &Ticket<StreamOutput>) -> Work {
+        Work::Stream(self, Arc::clone(&ticket.cell))
+    }
+}
+
+impl Request for KemRequest {
+    type Output = KemResult;
+
+    /// The parameter set's rank `k`, since the operation's hash work — a
+    /// `k × k` matrix expansion plus `2k + 1`-ish CBD/encode hashes —
+    /// scales with it.
+    fn fair_share_cost(&self) -> usize {
         self.params.k
+    }
+
+    fn deadline(&self) -> Option<Duration> {
+        self.deadline
+    }
+
+    fn lower(self, ticket: &Ticket<KemResult>) -> Work {
+        Work::Kem(self, Arc::clone(&ticket.cell))
     }
 }
 
@@ -435,6 +517,12 @@ impl Service {
     /// Submits a request for the anonymous client (id 0), returning the
     /// ticket its completion arrives on.
     ///
+    /// Every [`Request`] kind rides the same admission queue and
+    /// micro-batches: a one-shot [`HashRequest`] resolves to its digest,
+    /// a [`StreamRequest`] hands the advanced [`SpongeState`] back in a
+    /// [`StreamOutput`] for the session's next operation, and a
+    /// [`KemRequest`] resolves to its [`KemResult`].
+    ///
     /// With [`ServiceConfig::fair_share`] set, all `submit` traffic
     /// shares client 0's quota; callers serving distinct clients should
     /// use [`Self::submit_as`].
@@ -444,7 +532,7 @@ impl Service {
     /// [`SubmitError::QueueFull`] when the bounded queue is at capacity,
     /// [`SubmitError::ClientThrottled`] when client 0 holds its fair
     /// share, [`SubmitError::ShuttingDown`] once draining has begun.
-    pub fn submit(&self, request: HashRequest) -> Result<Ticket, SubmitError> {
+    pub fn submit<R: Request>(&self, request: R) -> Result<Ticket<R::Output>, SubmitError> {
         self.submit_as(0, request)
     }
 
@@ -455,119 +543,52 @@ impl Service {
     /// # Errors
     ///
     /// [`SubmitError::ClientThrottled`] when `client` already holds
-    /// [`ServiceConfig::fair_share`] queue slots, plus everything
+    /// [`ServiceConfig::fair_share`] admission units, plus everything
     /// [`Self::submit`] can return.
-    pub fn submit_as(&self, client: u64, request: HashRequest) -> Result<Ticket, SubmitError> {
+    pub fn submit_as<R: Request>(
+        &self,
+        client: u64,
+        request: R,
+    ) -> Result<Ticket<R::Output>, SubmitError> {
         self.try_submit_as(client, request).map_err(|(_, e)| e)
     }
 
-    /// [`Self::submit_as`], except a refusal hands the request back
-    /// alongside the error instead of dropping it — the retry primitive
-    /// for callers (a server's session table) that must not lose the
-    /// message bytes on backpressure.
+    /// [`Self::submit_as`], except a refusal hands the request back —
+    /// message bytes, sponge state, key and ciphertext included —
+    /// alongside the error instead of dropping it: the retry primitive
+    /// for callers (a server's session table) that must not lose a
+    /// request to backpressure.
     ///
     /// # Errors
     ///
     /// Exactly [`Self::submit_as`]'s errors, paired with the refused
     /// request.
-    pub fn try_submit_as(
+    pub fn try_submit_as<R: Request>(
         &self,
         client: u64,
-        request: HashRequest,
-    ) -> Result<Ticket, (HashRequest, SubmitError)> {
-        self.shared.submit(client, request)
+        request: R,
+    ) -> Result<Ticket<R::Output>, (R, SubmitError)> {
+        self.shared.admit(client, request)
     }
 
-    /// Submits one streaming operation for the anonymous client (id 0).
-    ///
-    /// The operation rides the same admission queue and micro-batches as
-    /// one-shot traffic; its completion hands the advanced
-    /// [`SpongeState`] back for the session's next operation.
+    /// [`Self::submit`] for one streaming operation: a one-line forward,
+    /// kept for callers that name the request kind.
     ///
     /// # Errors
     ///
-    /// Exactly [`Self::submit`]'s errors; fair-share holds are counted
-    /// in byte-weighted units ([`StreamRequest::fair_share_cost`]).
+    /// Exactly [`Self::submit`]'s errors.
     pub fn submit_stream(&self, request: StreamRequest) -> Result<StreamTicket, SubmitError> {
-        self.submit_stream_as(0, request)
+        self.submit(request)
     }
 
-    /// Submits one streaming operation on behalf of `client` (see
-    /// [`Self::submit_as`]).
+    /// [`Self::submit`] for one ML-KEM operation: a one-line forward,
+    /// kept for callers that name the request kind.
     ///
     /// # Errors
     ///
-    /// See [`Self::submit_stream`].
-    pub fn submit_stream_as(
-        &self,
-        client: u64,
-        request: StreamRequest,
-    ) -> Result<StreamTicket, SubmitError> {
-        self.try_submit_stream_as(client, request)
-            .map_err(|(_, e)| e)
-    }
-
-    /// [`Self::submit_stream_as`], except a refusal hands the operation
-    /// back — sponge state and chunk bytes included — so a streaming
-    /// session survives backpressure and can resubmit the identical
-    /// operation later.
-    ///
-    /// # Errors
-    ///
-    /// Exactly [`Self::submit_stream_as`]'s errors, paired with the
-    /// refused operation.
-    pub fn try_submit_stream_as(
-        &self,
-        client: u64,
-        request: StreamRequest,
-    ) -> Result<StreamTicket, (StreamRequest, SubmitError)> {
-        self.shared.submit_stream(client, request)
-    }
-
-    /// Submits one ML-KEM operation for the anonymous client (id 0).
-    ///
-    /// The operation rides the same admission queue and micro-batches as
-    /// hashing traffic; all of its Keccak work is packed into shared
-    /// dispatches with every other concurrent KEM operation (see
-    /// [`KemRequest`]).
-    ///
-    /// # Errors
-    ///
-    /// Exactly [`Self::submit`]'s errors; fair-share holds are counted
-    /// in rank-weighted units ([`KemRequest::fair_share_cost`]).
+    /// Exactly [`Self::submit`]'s errors.
     pub fn submit_kem(&self, request: KemRequest) -> Result<KemTicket, SubmitError> {
-        self.submit_kem_as(0, request)
-    }
-
-    /// Submits one ML-KEM operation on behalf of `client` (see
-    /// [`Self::submit_as`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::submit_kem`].
-    pub fn submit_kem_as(
-        &self,
-        client: u64,
-        request: KemRequest,
-    ) -> Result<KemTicket, SubmitError> {
-        self.try_submit_kem_as(client, request).map_err(|(_, e)| e)
-    }
-
-    /// [`Self::submit_kem_as`], except a refusal hands the operation
-    /// back — key and ciphertext bytes included — so a caller can
-    /// resubmit the identical operation after backpressure.
-    ///
-    /// # Errors
-    ///
-    /// Exactly [`Self::submit_kem_as`]'s errors, paired with the refused
-    /// operation.
-    #[allow(clippy::result_large_err)] // refusals return the operation by value
-    pub fn try_submit_kem_as(
-        &self,
-        client: u64,
-        request: KemRequest,
-    ) -> Result<KemTicket, (KemRequest, SubmitError)> {
-        self.shared.submit_kem(client, request)
+        self.submit(request)
     }
 
     /// A point-in-time snapshot of the service's instrumentation.
@@ -971,7 +992,7 @@ mod tests {
             .expect("admitted")
             .wait();
         match completion.result {
-            Err(KemRequestError::InvalidInput(KemError::EncapsKeyLength { .. })) => {}
+            Err(RequestError::InvalidInput(KemError::EncapsKeyLength { .. })) => {}
             other => panic!("expected a typed length error, got {other:?}"),
         }
         // An expired KEM deadline resolves as TimedOut, like the other
@@ -982,7 +1003,7 @@ mod tests {
             )
             .expect("admitted")
             .wait();
-        assert_eq!(timed_out.result, Err(KemRequestError::TimedOut));
+        assert_eq!(timed_out.result, Err(RequestError::TimedOut));
         let report = service.shutdown();
         assert_eq!(report.kem_invalid, 1);
         assert_eq!(report.timeouts, 1);
@@ -1003,7 +1024,7 @@ mod tests {
         let tickets: Vec<KemTicket> = (0..6u8)
             .map(|i| {
                 service
-                    .submit_kem_as(
+                    .submit_as(
                         u64::from(i),
                         KemRequest::keygen(params, [i; 32], [i ^ 0xFF; 32]),
                     )

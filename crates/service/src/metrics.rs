@@ -11,7 +11,8 @@
 //! Adding a counter is one line of the table; it also changes the
 //! fixed-width `STATS` layout, so it needs a protocol version bump.
 
-use crate::{RequestTiming, TierKind};
+use crate::{RequestError, RequestTiming, TierKind};
+use krv_core::PoolError;
 use krv_testkit::LatencyHistogram;
 use std::time::Duration;
 
@@ -219,7 +220,8 @@ macro_rules! ledger {
 ledger! {
     /// Requests admitted into the queue.
     submitted,
-    /// Requests completed with a digest.
+    /// Requests served: one-shot hashes, stream operations and ML-KEM
+    /// operations that completed with a result.
     completed,
     /// Requests whose deadline elapsed before dispatch.
     timeouts,
@@ -229,9 +231,10 @@ ledger! {
     /// already held its quota of queue slots, so admitting more would
     /// let it starve everyone else.
     throttled,
-    /// Requests failed after a batch retry also failed.
+    /// Requests failed because a round they rode in failed again on its
+    /// retry.
     worker_failures,
-    /// Dispatch groups retried after losing a pool worker.
+    /// Rounds retried after losing a pool worker.
     retries,
     /// Batches dispatched (including all-timeout batches).
     batches,
@@ -240,7 +243,8 @@ ledger! {
     /// Requests served by the simulator tier.
     simulator_served,
     /// Items replayed through the non-primary tier by the mirror
-    /// sampler: one-shot hashes, stream operations and KEM hash jobs.
+    /// sampler: every one-shot hash, stream operation and KEM hash job of
+    /// each sampled round.
     mirrored,
     /// Mirrored items whose native and simulator outputs or final
     /// sponge states disagreed. Latched: any nonzero value means the
@@ -248,7 +252,7 @@ ledger! {
     /// trusted until investigated.
     mirror_mismatches,
     /// Streaming operations completed: each OPEN session's ABSORB /
-    /// FINALIZE / SQUEEZE micro-ops carried through the batch lane.
+    /// FINALIZE / SQUEEZE micro-ops, each served in one round.
     /// Stream operations also count in `submitted` / `completed` /
     /// `timeouts` / `worker_failures`, so those still tie out.
     stream_ops,
@@ -256,25 +260,26 @@ ledger! {
     stream_absorbed,
     /// Output bytes squeezed by completed streaming operations.
     stream_squeezed,
-    /// ML-KEM key generations completed through the KEM lane. KEM
+    /// ML-KEM key generations completed. KEM
     /// operations also count in `submitted` / `completed` / `timeouts` /
     /// `worker_failures`, so those still tie out (an operation refused
     /// by input validation counts in `kem_invalid` instead of
     /// `completed`).
     kem_keygen,
-    /// ML-KEM encapsulations completed through the KEM lane.
+    /// ML-KEM encapsulations completed.
     kem_encaps,
-    /// ML-KEM decapsulations completed through the KEM lane.
+    /// ML-KEM decapsulations completed.
     kem_decaps,
     /// Keccak jobs dispatched on behalf of KEM operations: every matrix
     /// expansion squeeze, CBD PRF, rejection-retry block and H/G/J call
-    /// the lane packed into shared batches.
+    /// the scheduler packed into shared rounds.
     kem_hash_jobs,
-    /// KEM rounds dispatched: each packs the pending hash jobs of every
-    /// live KEM operation of a batch into one dispatch group.
-    /// `kem_hash_jobs / kem_dispatches` is the lane's mean batch
-    /// occupancy — above 1.0 means cross-request batching is packing
-    /// jobs from concurrent operations into shared passes.
+    /// Rounds that carried at least one KEM hash job; each packs the
+    /// pending hash jobs of every live KEM operation of a batch (beside
+    /// the batch's one-shots and stream operations, in its first round).
+    /// `kem_hash_jobs / kem_dispatches` is the mean KEM occupancy of a
+    /// round — above 1.0 means cross-request batching is packing jobs
+    /// from concurrent operations into shared passes.
     kem_dispatches,
     /// KEM operations refused at batch formation by FIPS 203 input
     /// validation (malformed key or ciphertext); these never reach the
@@ -283,9 +288,18 @@ ledger! {
 }
 
 impl BatchTally {
-    /// Counts one successful completion on the tier that served it and
-    /// samples its latencies.
-    pub(crate) fn served(&mut self, timing: &RequestTiming) {
+    /// Counts one finished request: served on its tier with its
+    /// latencies sampled, or failed when its round failed again on the
+    /// retry. Returns the result the ticket carries.
+    pub(crate) fn finish<T>(
+        &mut self,
+        result: Result<T, PoolError>,
+        timing: &RequestTiming,
+    ) -> Result<T, RequestError> {
+        let output = result.map_err(|error| {
+            self.worker_failures += 1;
+            RequestError::WorkerFailure { error }
+        })?;
         self.completed += 1;
         match timing.tier {
             TierKind::Native => self.native_served += 1,
@@ -293,6 +307,7 @@ impl BatchTally {
         }
         self.samples
             .push((timing.queue, timing.service, timing.total));
+        Ok(output)
     }
 }
 

@@ -6,15 +6,12 @@
 //! locked while holding neither.
 
 use crate::metrics::{BatchTally, ShardMetrics};
-use crate::ticket::{
-    Completion, KemCompletion, KemRequestError, KemTicket, RequestError, RequestTiming,
-    StreamCompletion, StreamOutput, StreamTicket, Ticket, TicketCell,
-};
+use crate::ticket::{Completion, RequestError, RequestTiming, StreamOutput, Ticket, TicketCell};
 use crate::tier::{TierKind, TierPolicy};
-use crate::{HashRequest, KemRequest, ServiceConfig, StreamRequest, SubmitError};
+use crate::{HashRequest, KemRequest, Request, ServiceConfig, StreamRequest, SubmitError};
 use krv_core::{EnginePool, PoolError};
 use krv_keccak::KeccakState;
-use krv_kyber::{HashJob, KemJob, KemResult};
+use krv_kyber::{KemError, KemJob, KemResult};
 use krv_native::NativeBackend;
 use krv_sha3::{drive_stream, PermutationBackend, SpongeState, StreamItem, StreamOp};
 use std::collections::{HashMap, VecDeque};
@@ -22,26 +19,20 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// The three kinds of admitted work: a one-shot hash, one streaming
-/// session operation, and one ML-KEM operation. All ride the same queue,
-/// micro-batches and dispatch function; they differ in how their sponge
-/// operations are formed (a fresh state, the session's state, or the
-/// rounds of the staged KEM pipeline) and in what their tickets carry
-/// back.
+/// The ticket cell a request producing `T` resolves through.
+type CompletionCell<T> = Arc<TicketCell<Completion<T>>>;
+
+/// An admitted request of one of the three kinds, with the ticket cell
+/// its completion resolves. Public only so [`Request`]'s hidden lowering
+/// can name it; the module is private.
 #[derive(Debug)]
-pub(crate) enum Work {
-    Hash {
-        request: HashRequest,
-        ticket: Arc<TicketCell<Completion>>,
-    },
-    Stream {
-        request: StreamRequest,
-        ticket: Arc<TicketCell<StreamCompletion>>,
-    },
-    Kem {
-        request: KemRequest,
-        ticket: Arc<TicketCell<KemCompletion>>,
-    },
+pub enum Work {
+    /// A one-shot hash.
+    Hash(HashRequest, CompletionCell<Vec<u8>>),
+    /// One operation of a streaming session.
+    Stream(StreamRequest, CompletionCell<StreamOutput>),
+    /// One ML-KEM operation.
+    Kem(KemRequest, CompletionCell<KemResult>),
 }
 
 /// One admitted request waiting for a batch.
@@ -49,12 +40,15 @@ pub(crate) enum Work {
 pub(crate) struct Pending {
     pub work: Work,
     pub enqueued: Instant,
+    /// The request's deadline, relative to `enqueued`.
+    pub deadline: Option<Duration>,
     /// The client the request was submitted for — the fair-share
     /// accounting key.
     pub client: u64,
-    /// Fair-share units this entry holds while queued: 1 for a one-shot
-    /// hash, byte-weighted ([`StreamRequest::fair_share_cost`]) for a
-    /// stream operation.
+    /// Fair-share units this entry holds while queued: its
+    /// [`Request::fair_share_cost`] — 1 for a one-shot hash,
+    /// byte-weighted for a stream operation, the rank `k` for an ML-KEM
+    /// operation.
     pub cost: usize,
 }
 
@@ -131,106 +125,46 @@ impl Shared {
         }
     }
 
-    /// Admission of a one-shot hash request (cost: one fair-share unit).
-    /// A refusal hands the request back so the caller can retry it later
-    /// (a server session table parks refused operations instead of
-    /// losing their bytes).
-    pub fn submit(
-        &self,
-        client: u64,
-        request: HashRequest,
-    ) -> Result<Ticket, (HashRequest, SubmitError)> {
-        let cell = Arc::new(TicketCell::default());
-        let work = Work::Hash {
-            request,
-            ticket: Arc::clone(&cell),
-        };
-        match self.admit(client, work, 1) {
-            Ok(()) => Ok(Ticket { cell }),
-            Err((Work::Hash { request, .. }, error)) => Err((request, error)),
-            Err(_) => unreachable!("hash work returns as hash work"),
-        }
-    }
-
-    /// Admission of one streaming operation (byte-weighted cost, so
-    /// fair-share throttling counts session *bytes*, not frames). As for
-    /// [`Self::submit`], a refusal hands the request — sponge state and
-    /// chunk included — back to the caller.
-    pub fn submit_stream(
-        &self,
-        client: u64,
-        request: StreamRequest,
-    ) -> Result<StreamTicket, (StreamRequest, SubmitError)> {
-        let cost = request.fair_share_cost();
-        let cell = Arc::new(TicketCell::default());
-        let work = Work::Stream {
-            request,
-            ticket: Arc::clone(&cell),
-        };
-        match self.admit(client, work, cost) {
-            Ok(()) => Ok(StreamTicket { cell }),
-            Err((Work::Stream { request, .. }, error)) => Err((request, error)),
-            Err(_) => unreachable!("stream work returns as stream work"),
-        }
-    }
-
-    /// Admission of one KEM operation. Cost scales with the parameter
-    /// set's rank `k` ([`KemRequest::fair_share_cost`]): an ML-KEM-1024
-    /// keygen holds twice the admission units of an ML-KEM-512 one,
-    /// matching its share of matrix-expansion hash work. As for
-    /// [`Self::submit`], a refusal hands the request back untouched.
-    // The large Err is the contract: a refusal must return the
-    // operation by value so no key/ciphertext bytes are lost.
-    #[allow(clippy::result_large_err)]
-    pub fn submit_kem(
-        &self,
-        client: u64,
-        request: KemRequest,
-    ) -> Result<KemTicket, (KemRequest, SubmitError)> {
-        let cost = request.fair_share_cost();
-        let cell = Arc::new(TicketCell::default());
-        let work = Work::Kem {
-            request,
-            ticket: Arc::clone(&cell),
-        };
-        match self.admit(client, work, cost) {
-            Ok(()) => Ok(KemTicket { cell }),
-            Err((Work::Kem { request, .. }, error)) => Err((request, error)),
-            Err(_) => unreachable!("kem work returns as kem work"),
-        }
-    }
-
     /// Admission: bounded, with explicit rejection — the backpressure
     /// half of the service contract. A client already holding its
     /// fair share of admission units is throttled before global
     /// capacity is even consulted, so one hot client cannot starve the
-    /// rest. (The threshold is `held >= share`, so a single operation
+    /// rest. (The threshold is `held >= share`, so a single request
     /// costing more than the whole share still admits for an idle
     /// client — its units then throttle everything after it.)
-    /// A refusal returns the work untouched alongside the error, so no
-    /// request bytes (or stream sponge state) are ever lost to
+    /// Admission is checked before the request is lowered for the
+    /// queue, so a refusal hands the caller's request back untouched:
+    /// no message bytes, stream sponge state or KEM key is ever lost to
     /// backpressure.
-    #[allow(clippy::result_large_err)] // refusals return the work by value
-    fn admit(&self, client: u64, work: Work, cost: usize) -> Result<(), (Work, SubmitError)> {
+    pub fn admit<R: Request>(
+        &self,
+        client: u64,
+        request: R,
+    ) -> Result<Ticket<R::Output>, (R, SubmitError)> {
+        let cost = request.fair_share_cost();
+        let ticket = Ticket {
+            cell: Arc::default(),
+        };
         let mut state = self.state.lock().expect("queue lock");
         if !state.open {
-            return Err((work, SubmitError::ShuttingDown));
+            return Err((request, SubmitError::ShuttingDown));
         }
         let held = state.per_client.get(&client).copied().unwrap_or(0);
         if let Some(share) = self.fair_share {
             if held >= share {
                 self.stats.lock().expect("stats lock").throttled += 1;
-                return Err((work, SubmitError::ClientThrottled { client, held }));
+                return Err((request, SubmitError::ClientThrottled { client, held }));
             }
         }
         if state.queue.len() >= self.queue_capacity {
             let depth = state.queue.len();
             self.stats.lock().expect("stats lock").rejected += 1;
-            return Err((work, SubmitError::QueueFull { depth }));
+            return Err((request, SubmitError::QueueFull { depth }));
         }
         state.per_client.insert(client, held + cost);
         state.queue.push_back(Pending {
-            work,
+            deadline: request.deadline(),
+            work: request.lower(&ticket),
             enqueued: Instant::now(),
             client,
             cost,
@@ -238,7 +172,7 @@ impl Shared {
         self.stats.lock().expect("stats lock").submitted += 1;
         drop(state);
         self.arrivals.notify_all();
-        Ok(())
+        Ok(ticket)
     }
 
     /// Stops admission; the scheduler drains the queue and exits.
@@ -269,25 +203,191 @@ impl Shared {
     }
 }
 
-/// One live (not expired) one-shot hash of a batch: the request, its
-/// ticket and when it was admitted.
-type HashPending = (HashRequest, Arc<TicketCell<Completion>>, Instant);
+impl Work {
+    /// Readies the ticket's failure, without running the request.
+    fn fail(self, error: RequestError, timing: RequestTiming) -> Delivery {
+        match self {
+            Work::Hash(_, ticket) => deliver(ticket, Err(error), timing),
+            Work::Stream(_, ticket) => deliver(ticket, Err(error), timing),
+            Work::Kem(_, ticket) => deliver(ticket, Err(error), timing),
+        }
+    }
 
-/// One live (not expired) stream operation of a batch: the request, its
-/// ticket and when it was admitted.
-type StreamPending = (StreamRequest, Arc<TicketCell<StreamCompletion>>, Instant);
+    /// Lowers a live request into the job that runs it. FIPS 203 input
+    /// validation runs here, before any dispatch: a malformed key or
+    /// ciphertext is the caller's error and comes back with its ticket.
+    fn start(self) -> Result<Job, (KemError, CompletionCell<KemResult>)> {
+        Ok(match self {
+            Work::Hash(request, ticket) => Job::Hash {
+                output: vec![0u8; request.output_len],
+                request: StreamRequest::finalize(
+                    Box::new(SpongeState::new(request.params)),
+                    request.message,
+                    request.output_len,
+                ),
+                ticket,
+            },
+            Work::Stream(request, ticket) => Job::Stream {
+                output: vec![0u8; request.squeeze_len],
+                request,
+                ticket,
+            },
+            Work::Kem(request, ticket) => match KemJob::new(request.params, request.op) {
+                Ok(job) => Job::Kem {
+                    job: Box::new(job),
+                    states: Vec::new(),
+                    outputs: Vec::new(),
+                    ticket,
+                },
+                Err(error) => return Err((error, ticket)),
+            },
+        })
+    }
+}
 
-/// One live KEM operation riding a batch through the staged pipeline.
-struct KemLive {
-    /// The staged FIPS 203 state machine driving the operation.
-    job: KemJob,
-    ticket: Arc<TicketCell<KemCompletion>>,
+/// A completion already counted in the ledger, waiting to reach its
+/// ticket.
+type Delivery = Box<dyn FnOnce()>;
+
+fn deliver<T: 'static>(
+    ticket: CompletionCell<T>,
+    result: Result<T, RequestError>,
+    timing: RequestTiming,
+) -> Delivery {
+    Box::new(move || ticket.complete(Completion { result, timing }))
+}
+
+/// One live request of a batch, lowered to the sponge operations it
+/// yields round by round.
+enum Job {
+    /// A one-shot hash: one round on a fresh state, absorbing the
+    /// message, padding and squeezing the digest.
+    Hash {
+        request: StreamRequest,
+        output: Vec<u8>,
+        ticket: CompletionCell<Vec<u8>>,
+    },
+    /// A stream operation: one round on the session's state.
+    Stream {
+        request: StreamRequest,
+        output: Vec<u8>,
+        ticket: CompletionCell<StreamOutput>,
+    },
+    /// An ML-KEM operation: one round per stage of its [`KemJob`], each
+    /// running the stage's pending hash jobs on fresh states.
+    Kem {
+        job: Box<KemJob>,
+        states: Vec<SpongeState>,
+        outputs: Vec<Vec<u8>>,
+        ticket: CompletionCell<KemResult>,
+    },
+}
+
+impl Job {
+    /// Appends this round's sponge operations, borrowing the job's
+    /// inputs, and counts the KEM hash jobs among them.
+    fn push_items<'a>(&'a mut self, items: &mut Vec<StreamItem<'a>>, tally: &mut BatchTally) {
+        match self {
+            Job::Hash {
+                request, output, ..
+            }
+            | Job::Stream {
+                request, output, ..
+            } => items.push(StreamItem {
+                state: &mut request.state,
+                op: StreamOp {
+                    absorb: &request.absorb,
+                    finalize: request.finalize,
+                    squeeze: output,
+                },
+            }),
+            Job::Kem {
+                job,
+                states,
+                outputs,
+                ..
+            } => {
+                let pending = job.pending();
+                tally.kem_hash_jobs += pending.len() as u64;
+                *states = pending
+                    .iter()
+                    .map(|hash_job| SpongeState::new(hash_job.params))
+                    .collect();
+                *outputs = pending
+                    .iter()
+                    .map(|hash_job| vec![0u8; hash_job.output_len])
+                    .collect();
+                items.extend(states.iter_mut().zip(outputs.iter_mut()).zip(pending).map(
+                    |((state, out), hash_job)| StreamItem {
+                        state,
+                        op: StreamOp::one_shot(&hash_job.input, out),
+                    },
+                ));
+            }
+        }
+    }
+
+    /// Consumes a served round's outputs; whether the job has finished.
+    fn advance(&mut self) -> bool {
+        match self {
+            Job::Hash { .. } | Job::Stream { .. } => true,
+            Job::Kem { job, outputs, .. } => {
+                job.advance(std::mem::take(outputs));
+                job.is_done()
+            }
+        }
+    }
+
+    /// Counts the finished job in `tally` — served, or failed with the
+    /// round's pool error — and readies its completion.
+    fn finish(
+        self,
+        outcome: Result<(), PoolError>,
+        timing: RequestTiming,
+        tally: &mut BatchTally,
+    ) -> Delivery {
+        match self {
+            Job::Hash { output, ticket, .. } => {
+                let result = tally.finish(outcome.map(|()| output), &timing);
+                deliver(ticket, result, timing)
+            }
+            Job::Stream {
+                request,
+                output,
+                ticket,
+            } => {
+                let result = outcome.map(|()| {
+                    tally.stream_ops += 1;
+                    tally.stream_absorbed += request.absorb.len() as u64;
+                    tally.stream_squeezed += output.len() as u64;
+                    StreamOutput {
+                        state: request.state,
+                        output,
+                    }
+                });
+                deliver(ticket, tally.finish(result, &timing), timing)
+            }
+            Job::Kem { job, ticket, .. } => {
+                let result = outcome.map(|()| {
+                    let result = job.into_result();
+                    match result {
+                        KemResult::Keygen { .. } => tally.kem_keygen += 1,
+                        KemResult::Encaps { .. } => tally.kem_encaps += 1,
+                        KemResult::Decaps { .. } => tally.kem_decaps += 1,
+                    }
+                    result
+                });
+                deliver(ticket, tally.finish(result, &timing), timing)
+            }
+        }
+    }
+}
+
+/// A live job and what its ticket's timing needs.
+struct Live {
+    job: Job,
     enqueued: Instant,
-    /// A latched round-dispatch failure: the job stops advancing and
-    /// completes as [`KemRequestError::WorkerFailure`] after the lane
-    /// drains.
-    failed: Option<PoolError>,
-    /// Whether any dispatch group this job rode in was retried.
+    /// Whether a round this job rode in was retried.
     retried: bool,
 }
 
@@ -313,14 +413,12 @@ impl BatchClock {
     }
 }
 
-/// How one dispatch group went.
+/// How one round's dispatch went.
 struct Dispatch {
-    /// `Err` when the primary tier failed twice: every item of the call
+    /// `Err` when the primary tier failed twice: every job of the round
     /// fails.
     outcome: Result<(), PoolError>,
     retried: bool,
-    /// Time on the primary tier, retry included, mirror excluded.
-    service: Duration,
 }
 
 /// Routes `drive_stream`'s permutation calls to the pool, latching the
@@ -343,14 +441,15 @@ impl PermutationBackend for SupervisedBackend<'_> {
 
 /// The scheduler thread: owns both execution tiers (the simulator
 /// engine pool and the host-native kernel), forms micro-batches from
-/// the shared queue, routes each dispatch group by the tier policy and
-/// resolves tickets.
+/// the shared queue, runs each batch's rounds, routes each round by the
+/// tier policy and resolves tickets.
 pub(crate) struct Scheduler {
     shared: Arc<Shared>,
     pool: EnginePool,
     native: NativeBackend,
     tier: TierPolicy,
-    /// Dispatch groups routed so far; drives the mirror sampler.
+    /// Dispatch groups (rounds) routed so far; drives the mirror
+    /// sampler.
     groups_dispatched: u64,
     max_wait: Duration,
 }
@@ -421,11 +520,13 @@ impl Scheduler {
         }
     }
 
-    /// Dispatches one closed batch: expires overdue requests, then runs
-    /// its lanes in order — the one-shot hashes as one dispatch group,
-    /// the stream operations as one, and each KEM round as one — and
-    /// resolves every ticket. One-shot tickets therefore complete before
-    /// any of the batch's stream or KEM work is dispatched.
+    /// Dispatches one closed batch. Deadlines and ML-KEM inputs are
+    /// checked once, at batch formation; every other request becomes a
+    /// live job. Rounds then run until no job has operations left: each
+    /// round packs every live job's operations into one dispatch, and a
+    /// job's ticket completes at the end of the round it finishes in.
+    /// Each step folds its tally into the ledger before completing the
+    /// tickets it counts.
     fn process_batch(&mut self, batch: Vec<Pending>) {
         let clock = BatchClock {
             formed: Instant::now(),
@@ -433,262 +534,89 @@ impl Scheduler {
             slots: self.pool.capacity().max(1),
             tier: self.tier.primary,
         };
-
-        // Deadline check happens exactly once, at batch formation: an
-        // expired request completes as TimedOut without costing a slot.
         let mut tally = BatchTally {
             batches: 1,
             fill_sum: clock.batch_size as f64 / clock.slots as f64,
             ..BatchTally::default()
         };
-        let mut hash_live: Vec<HashPending> = Vec::new();
-        let mut stream_live: Vec<StreamPending> = Vec::new();
-        let mut kem_live: Vec<KemLive> = Vec::new();
+        let mut done = Vec::new();
+        let mut live = Vec::new();
         for pending in batch {
+            // An expired or invalid request completes without costing a
+            // slot.
+            let timing = clock.timing(pending.enqueued, Duration::ZERO, false);
             let waited = clock.formed.duration_since(pending.enqueued);
-            let expired_timing = clock.timing(pending.enqueued, Duration::ZERO, false);
-            match pending.work {
-                Work::Hash { request, ticket } => {
-                    if request.deadline.is_some_and(|d| waited >= d) {
-                        ticket.complete(Completion {
-                            result: Err(RequestError::TimedOut),
-                            timing: expired_timing,
-                        });
-                        tally.timeouts += 1;
-                    } else {
-                        hash_live.push((request, ticket, pending.enqueued));
-                    }
-                }
-                Work::Stream { request, ticket } => {
-                    if request.deadline.is_some_and(|d| waited >= d) {
-                        ticket.complete(StreamCompletion {
-                            result: Err(RequestError::TimedOut),
-                            timing: expired_timing,
-                        });
-                        tally.timeouts += 1;
-                    } else {
-                        stream_live.push((request, ticket, pending.enqueued));
-                    }
-                }
-                Work::Kem { request, ticket } => {
-                    if request.deadline.is_some_and(|d| waited >= d) {
-                        ticket.complete(KemCompletion {
-                            result: Err(KemRequestError::TimedOut),
-                            timing: expired_timing,
-                        });
-                        tally.timeouts += 1;
-                    } else {
-                        // FIPS 203 input validation runs here, before
-                        // any hardware dispatch: a malformed key or
-                        // ciphertext is the caller's error and resolves
-                        // immediately without riding the pipeline.
-                        match KemJob::new(request.params, request.op) {
-                            Ok(job) => kem_live.push(KemLive {
-                                job,
-                                ticket,
-                                enqueued: pending.enqueued,
-                                failed: None,
-                                retried: false,
-                            }),
-                            Err(error) => {
-                                ticket.complete(KemCompletion {
-                                    result: Err(KemRequestError::InvalidInput(error)),
-                                    timing: expired_timing,
-                                });
-                                tally.kem_invalid += 1;
-                            }
-                        }
-                    }
+            if pending.deadline.is_some_and(|deadline| waited >= deadline) {
+                tally.timeouts += 1;
+                done.push(pending.work.fail(RequestError::TimedOut, timing));
+                continue;
+            }
+            match pending.work.start() {
+                Ok(job) => live.push(Live {
+                    job,
+                    enqueued: pending.enqueued,
+                    retried: false,
+                }),
+                Err((error, ticket)) => {
+                    tally.kem_invalid += 1;
+                    let error = RequestError::InvalidInput(error);
+                    done.push(deliver(ticket, Err(error), timing));
                 }
             }
         }
+        self.settle(tally, done);
 
-        if !hash_live.is_empty() {
-            self.hash_lane(hash_live, &clock, &mut tally);
-        }
-        if !stream_live.is_empty() {
-            self.stream_lane(stream_live, &clock, &mut tally);
-        }
-        if !kem_live.is_empty() {
-            self.kem_lane(kem_live, &clock, &mut tally);
-        }
-
-        let mut stats = self.shared.stats.lock().expect("stats lock");
-        stats.fold(tally);
-        stats.alive_workers = self.pool.alive_workers();
-        stats.batch_slots = self.pool.capacity().max(1);
-    }
-
-    /// The one-shot lane: every live hash request of the batch, whatever
-    /// its sponge parameters, as a one-shot operation on a fresh state
-    /// in one dispatch group.
-    fn hash_lane(&mut self, live: Vec<HashPending>, clock: &BatchClock, tally: &mut BatchTally) {
-        let mut states: Vec<SpongeState> = live
-            .iter()
-            .map(|(request, _, _)| SpongeState::new(request.params))
-            .collect();
-        let mut outputs: Vec<Vec<u8>> = live
-            .iter()
-            .map(|(request, _, _)| vec![0u8; request.output_len])
-            .collect();
-        let mut items: Vec<StreamItem<'_>> = states
-            .iter_mut()
-            .zip(&mut outputs)
-            .zip(&live)
-            .map(|((state, out), (request, _, _))| StreamItem {
-                state,
-                op: StreamOp::one_shot(&request.message, out),
-            })
-            .collect();
-        let dispatch = self.dispatch(&mut items, tally);
-        for ((_, ticket, enqueued), output) in live.into_iter().zip(outputs) {
-            let timing = clock.timing(enqueued, dispatch.service, dispatch.retried);
-            let result = match &dispatch.outcome {
-                Ok(()) => {
-                    tally.served(&timing);
-                    Ok(output)
-                }
-                Err(error) => {
-                    tally.worker_failures += 1;
-                    Err(RequestError::WorkerFailure {
-                        error: error.clone(),
-                    })
-                }
-            };
-            ticket.complete(Completion { result, timing });
-        }
-    }
-
-    /// The streaming lane: every live stream operation of the batch, on
-    /// its session's own state, in one dispatch group.
-    fn stream_lane(
-        &mut self,
-        mut live: Vec<StreamPending>,
-        clock: &BatchClock,
-        tally: &mut BatchTally,
-    ) {
-        let mut outputs: Vec<Vec<u8>> = live
-            .iter()
-            .map(|(request, _, _)| vec![0u8; request.squeeze_len])
-            .collect();
-        let mut items: Vec<StreamItem<'_>> = live
-            .iter_mut()
-            .zip(&mut outputs)
-            .map(|((request, _, _), out)| StreamItem {
-                state: &mut request.state,
-                op: StreamOp {
-                    absorb: &request.absorb,
-                    finalize: request.finalize,
-                    squeeze: out,
-                },
-            })
-            .collect();
-        let dispatch = self.dispatch(&mut items, tally);
-        for ((request, ticket, enqueued), output) in live.into_iter().zip(outputs) {
-            let timing = clock.timing(enqueued, dispatch.service, dispatch.retried);
-            let result = match &dispatch.outcome {
-                Ok(()) => {
-                    tally.served(&timing);
-                    tally.stream_ops += 1;
-                    tally.stream_absorbed += request.absorb.len() as u64;
-                    tally.stream_squeezed += output.len() as u64;
-                    Ok(StreamOutput {
-                        state: request.state,
-                        output,
-                    })
-                }
-                Err(error) => {
-                    tally.worker_failures += 1;
-                    Err(RequestError::WorkerFailure {
-                        error: error.clone(),
-                    })
-                }
-            };
-            ticket.complete(StreamCompletion { result, timing });
-        }
-    }
-
-    /// The KEM lane: every live operation's staged FIPS 203 state machine
-    /// advances in lockstep, and each round packs the pending Keccak jobs
-    /// of *all* operations — across requests and sponge parameters — into
-    /// one dispatch group. This is where the cross-request batching pays
-    /// off: one client's matrix-expansion SHAKE128 squeezes ride the same
-    /// SN-wide passes as another client's G and PRF calls, filling engine
-    /// slots a single operation could not. A round that fails twice
-    /// latches the failure onto every operation in it.
-    fn kem_lane(&mut self, mut live: Vec<KemLive>, clock: &BatchClock, tally: &mut BatchTally) {
         let started = Instant::now();
-        loop {
-            let round: Vec<usize> = (0..live.len())
-                .filter(|&j| live[j].failed.is_none() && !live[j].job.is_done())
-                .collect();
-            if round.is_empty() {
-                break;
-            }
-            let jobs: Vec<&HashJob> = round.iter().flat_map(|&j| live[j].job.pending()).collect();
-            let mut states: Vec<SpongeState> = jobs
-                .iter()
-                .map(|hash_job| SpongeState::new(hash_job.params))
-                .collect();
-            let mut outputs: Vec<Vec<u8>> = jobs
-                .iter()
-                .map(|hash_job| vec![0u8; hash_job.output_len])
-                .collect();
-            let mut items: Vec<StreamItem<'_>> = states
-                .iter_mut()
-                .zip(&mut outputs)
-                .zip(&jobs)
-                .map(|((state, out), hash_job)| StreamItem {
-                    state,
-                    op: StreamOp::one_shot(&hash_job.input, out),
+        while !live.is_empty() {
+            let mut tally = BatchTally::default();
+            let dispatch = {
+                let mut items = Vec::new();
+                for live in &mut live {
+                    live.job.push_items(&mut items, &mut tally);
+                }
+                tally.kem_dispatches = u64::from(tally.kem_hash_jobs > 0);
+                self.dispatch(&mut items, &mut tally)
+            };
+            let finished: Vec<Live> = live
+                .extract_if(.., |live| {
+                    live.retried |= dispatch.retried;
+                    dispatch.outcome.is_err() || live.job.advance()
                 })
                 .collect();
-            tally.kem_dispatches += 1;
-            tally.kem_hash_jobs += items.len() as u64;
-            let dispatch = self.dispatch(&mut items, tally);
-            let mut outputs = outputs.into_iter();
-            for j in round {
-                let kem = &mut live[j];
-                kem.retried |= dispatch.retried;
-                match &dispatch.outcome {
-                    Ok(()) => {
-                        let count = kem.job.pending().len();
-                        kem.job.advance(outputs.by_ref().take(count).collect());
-                    }
-                    Err(error) => kem.failed = Some(error.clone()),
-                }
-            }
-        }
-
-        let service = started.elapsed();
-        for kem in live {
-            let timing = clock.timing(kem.enqueued, service, kem.retried);
-            let result = match kem.failed {
-                None => {
-                    tally.served(&timing);
-                    let result = kem.job.into_result();
-                    match result {
-                        KemResult::Keygen { .. } => tally.kem_keygen += 1,
-                        KemResult::Encaps { .. } => tally.kem_encaps += 1,
-                        KemResult::Decaps { .. } => tally.kem_decaps += 1,
-                    }
-                    Ok(result)
-                }
-                Some(error) => {
-                    tally.worker_failures += 1;
-                    Err(KemRequestError::WorkerFailure { error })
-                }
-            };
-            kem.ticket.complete(KemCompletion { result, timing });
+            let service = started.elapsed();
+            let done = finished
+                .into_iter()
+                .map(|live| {
+                    let timing = clock.timing(live.enqueued, service, live.retried);
+                    live.job
+                        .finish(dispatch.outcome.clone(), timing, &mut tally)
+                })
+                .collect();
+            self.settle(tally, done);
         }
     }
 
-    /// The one dispatch path every lane shares; one call is one dispatch
-    /// group. It drives `items` through [`drive_stream`] on the primary
-    /// tier; on a pool error it restores the state snapshots and retries
-    /// once on the surviving workers; and for a group the mirror sampler
-    /// picks, it replays the snapshots through the other tier and counts
-    /// every item whose output or final state differs.
+    /// Folds a tally into the ledger, then completes the tickets it
+    /// counts, so a caller woken by its ticket already finds its request
+    /// in the metrics.
+    fn settle(&self, tally: BatchTally, done: Vec<Delivery>) {
+        {
+            let mut stats = self.shared.stats.lock().expect("stats lock");
+            stats.fold(tally);
+            stats.alive_workers = self.pool.alive_workers();
+            stats.batch_slots = self.pool.capacity().max(1);
+        }
+        for delivery in done {
+            delivery();
+        }
+    }
+
+    /// Dispatches one round; one call is one dispatch group. It drives
+    /// `items` through [`drive_stream`] on the primary tier; on a pool
+    /// error it restores the state snapshots and retries once on the
+    /// surviving workers; and for a round the mirror sampler picks, it
+    /// replays the snapshots through the other tier and counts every
+    /// item whose output or final state differs.
     ///
     /// The simulator pool runs behind [`SupervisedBackend`], so a lost
     /// worker surfaces as an error. The native kernel is infallible host
@@ -725,7 +653,6 @@ impl Scheduler {
         // A failed attempt leaves the states garbage mid-stream, so the
         // retry restores them first; the mirror replays them too.
         let snapshots: Vec<SpongeState> = items.iter().map(|item| item.state.clone()).collect();
-        let started = Instant::now();
         let mut outcome = drive(self.tier.primary, items);
         let retried = outcome.is_err();
         if retried {
@@ -735,7 +662,6 @@ impl Scheduler {
             }
             outcome = drive(self.tier.primary, items);
         }
-        let service = started.elapsed();
 
         // Mirroring is best-effort: a mirror-side pool failure skips the
         // sample rather than failing served requests.
@@ -767,10 +693,112 @@ impl Scheduler {
                     .count() as u64;
             }
         }
-        Dispatch {
-            outcome,
-            retried,
-            service,
+        Dispatch { outcome, retried }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{KemTicket, MetricsSnapshot, StreamTicket, TierPolicy};
+    use krv_kyber::{KemOp, KyberParams};
+    use krv_sha3::{ReferenceBackend, Sponge, SpongeParams};
+
+    /// The one-shots of two sponge parameter sets and a stream operation
+    /// that every batch below carries.
+    fn admit_sponge_work(shared: &Shared) -> (Ticket, Ticket, StreamTicket) {
+        let sha3 = shared.admit(0, HashRequest::sha3_256(b"sha3")).unwrap();
+        let shake = shared
+            .admit(0, HashRequest::shake128(b"shake", 200))
+            .unwrap();
+        let state = Box::new(SpongeState::new(SpongeParams::shake(256)));
+        let stream = shared
+            .admit(0, StreamRequest::finalize(state, *b"stream", 64))
+            .unwrap();
+        (sha3, shake, stream)
+    }
+
+    /// Runs everything queued on `shared` as one batch straight through
+    /// `process_batch`, returning the rounds it dispatched and the
+    /// ledger.
+    fn run_one_batch(shared: &Arc<Shared>, config: &ServiceConfig) -> (u64, MetricsSnapshot) {
+        let mut scheduler = Scheduler::new(Arc::clone(shared), config);
+        let batch = shared.state.lock().unwrap().drain_batch(usize::MAX);
+        scheduler.process_batch(batch);
+        let metrics = shared.stats.lock().unwrap().summarize();
+        (scheduler.groups_dispatched, metrics)
+    }
+
+    /// The rounds a KEM operation's staged pipeline takes, counted by
+    /// stepping its [`KemJob`] on the reference backend.
+    fn kem_rounds(params: KyberParams, op: KemOp) -> u64 {
+        let mut job = KemJob::new(params, op).unwrap();
+        let mut rounds = 0;
+        while !job.is_done() {
+            let outputs = job
+                .pending()
+                .iter()
+                .map(|hash_job| {
+                    let mut sponge = Sponge::new(hash_job.params, ReferenceBackend::new());
+                    sponge.absorb(&hash_job.input);
+                    sponge.squeeze(hash_job.output_len)
+                })
+                .collect();
+            job.advance(outputs);
+            rounds += 1;
         }
+        rounds
+    }
+
+    fn config() -> ServiceConfig {
+        ServiceConfig {
+            tier: TierPolicy::native(),
+            ..ServiceConfig::default()
+        }
+    }
+
+    #[test]
+    fn one_shots_and_a_stream_operation_share_one_round() {
+        let config = config();
+        let shared = Arc::new(Shared::new(&config));
+        let (sha3, shake, stream) = admit_sponge_work(&shared);
+        let (rounds, metrics) = run_one_batch(&shared, &config);
+        assert_eq!(
+            rounds, 1,
+            "two sponge parameter sets and a stream op, one dispatch"
+        );
+        assert_eq!(metrics.completed, 3);
+        assert_eq!(metrics.kem_dispatches, 0);
+        for timing in [
+            sha3.wait().timing,
+            shake.wait().timing,
+            stream.wait().timing,
+        ] {
+            assert_eq!(timing.batch_size, 3);
+        }
+    }
+
+    #[test]
+    fn a_keygen_adds_no_round_beyond_its_own() {
+        let config = config();
+        let shared = Arc::new(Shared::new(&config));
+        let (sha3, shake, stream) = admit_sponge_work(&shared);
+        let (params, d, z) = (KyberParams::KYBER512, [7u8; 32], [9u8; 32]);
+        let keygen: KemTicket = shared.admit(0, KemRequest::keygen(params, d, z)).unwrap();
+        let (rounds, metrics) = run_one_batch(&shared, &config);
+        let expected = kem_rounds(params, KemOp::Keygen { d, z });
+        assert!(expected > 1, "a keygen runs several rounds");
+        assert_eq!(
+            rounds, expected,
+            "the sponge work rides the keygen's first round"
+        );
+        assert_eq!(metrics.kem_dispatches, expected);
+        assert_eq!(metrics.completed, 4);
+        // The one-shots and the stream operation finished in round 1,
+        // the keygen in its last round.
+        let first = sha3.wait().timing.service;
+        assert_eq!(shake.wait().timing.service, first);
+        assert_eq!(stream.wait().timing.service, first);
+        assert!(keygen.wait().timing.service > first);
     }
 }

@@ -15,10 +15,7 @@
 //! histogram quantization bound as a single shard's.
 
 use crate::metrics::ShardMetrics;
-use crate::{
-    HashRequest, KemRequest, KemTicket, MetricsSnapshot, Service, ServiceConfig, StreamRequest,
-    StreamTicket, SubmitError, Ticket,
-};
+use crate::{MetricsSnapshot, Request, Service, ServiceConfig, SubmitError, Ticket};
 
 /// How a [`ShardedService`] is shaped: the shard count and the
 /// configuration every shard runs.
@@ -101,13 +98,19 @@ impl ShardedService {
         (mix64(client) % self.shards.len() as u64) as usize
     }
 
-    /// Submits a request on behalf of `client` to its routed shard.
+    /// Submits a request on behalf of `client` to its routed shard. A
+    /// client's hashes, stream operations and ML-KEM calls all land on
+    /// that shard, so its fair-share account never splits.
     ///
     /// # Errors
     ///
     /// Exactly [`Service::submit_as`]'s errors, scoped to the routed
     /// shard's queue and fair-share cap.
-    pub fn submit_as(&self, client: u64, request: HashRequest) -> Result<Ticket, SubmitError> {
+    pub fn submit_as<R: Request>(
+        &self,
+        client: u64,
+        request: R,
+    ) -> Result<Ticket<R::Output>, SubmitError> {
         self.shards[self.route(client)].submit_as(client, request)
     }
 
@@ -118,11 +121,11 @@ impl ShardedService {
     ///
     /// Exactly [`Self::submit_as`]'s errors, paired with the refused
     /// request.
-    pub fn try_submit_as(
+    pub fn try_submit_as<R: Request>(
         &self,
         client: u64,
-        request: HashRequest,
-    ) -> Result<Ticket, (HashRequest, SubmitError)> {
+        request: R,
+    ) -> Result<Ticket<R::Output>, (R, SubmitError)> {
         self.shards[self.route(client)].try_submit_as(client, request)
     }
 
@@ -131,75 +134,8 @@ impl ShardedService {
     /// # Errors
     ///
     /// See [`Self::submit_as`].
-    pub fn submit(&self, request: HashRequest) -> Result<Ticket, SubmitError> {
+    pub fn submit<R: Request>(&self, request: R) -> Result<Ticket<R::Output>, SubmitError> {
         self.submit_as(0, request)
-    }
-
-    /// Submits one streaming operation on behalf of `client` to its
-    /// routed shard. A session's operations all carry the same client
-    /// id, so the whole session stays on one shard and its byte-weighted
-    /// fair-share accounting never splits.
-    ///
-    /// # Errors
-    ///
-    /// Exactly [`Service::submit_stream_as`]'s errors, scoped to the
-    /// routed shard.
-    pub fn submit_stream_as(
-        &self,
-        client: u64,
-        request: StreamRequest,
-    ) -> Result<StreamTicket, SubmitError> {
-        self.shards[self.route(client)].submit_stream_as(client, request)
-    }
-
-    /// [`Service::try_submit_stream_as`] on the routed shard: a refusal
-    /// hands the operation (state and bytes included) back for a later
-    /// retry.
-    ///
-    /// # Errors
-    ///
-    /// Exactly [`Self::submit_stream_as`]'s errors, paired with the
-    /// refused operation.
-    pub fn try_submit_stream_as(
-        &self,
-        client: u64,
-        request: StreamRequest,
-    ) -> Result<StreamTicket, (StreamRequest, SubmitError)> {
-        self.shards[self.route(client)].try_submit_stream_as(client, request)
-    }
-
-    /// Submits one ML-KEM operation on behalf of `client` to its routed
-    /// shard. KEM operations share the shard's admission queue and
-    /// batch lane with hash traffic, so one client's hashes and KEM
-    /// calls stay under one fair-share account.
-    ///
-    /// # Errors
-    ///
-    /// Exactly [`Service::submit_kem_as`]'s errors, scoped to the
-    /// routed shard.
-    pub fn submit_kem_as(
-        &self,
-        client: u64,
-        request: KemRequest,
-    ) -> Result<KemTicket, SubmitError> {
-        self.shards[self.route(client)].submit_kem_as(client, request)
-    }
-
-    /// [`Service::try_submit_kem_as`] on the routed shard: a refusal
-    /// hands the operation (key and ciphertext bytes included) back for
-    /// a later retry.
-    ///
-    /// # Errors
-    ///
-    /// Exactly [`Self::submit_kem_as`]'s errors, paired with the
-    /// refused operation.
-    #[allow(clippy::result_large_err)] // refusals return the operation by value
-    pub fn try_submit_kem_as(
-        &self,
-        client: u64,
-        request: KemRequest,
-    ) -> Result<KemTicket, (KemRequest, SubmitError)> {
-        self.shards[self.route(client)].try_submit_kem_as(client, request)
     }
 
     /// Direct access to one shard (for per-shard drills such as
@@ -254,6 +190,7 @@ impl ShardedService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::HashRequest;
     use krv_sha3::Sha3_256;
     use std::time::Duration;
 

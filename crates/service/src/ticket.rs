@@ -6,18 +6,23 @@ use krv_kyber::{KemError, KemResult};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-/// Why a submitted request did not produce a digest.
+/// Why a submitted request produced no result.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RequestError {
     /// The request's deadline elapsed while it was still queued; it was
     /// dropped at batch formation without occupying an engine slot.
     TimedOut,
-    /// The request's batch failed on the pool and failed again on its
-    /// single retry; the pool error of the final attempt is attached.
+    /// A round the request rode in failed on the pool and failed again
+    /// on its single retry; the pool error of the final attempt is
+    /// attached.
     WorkerFailure {
         /// The pool error reported by the retry.
         error: PoolError,
     },
+    /// An ML-KEM operation's key or ciphertext failed FIPS 203 input
+    /// validation — a caller error, detected at batch formation before
+    /// any hardware was dispatched.
+    InvalidInput(KemError),
 }
 
 impl std::fmt::Display for RequestError {
@@ -29,6 +34,7 @@ impl std::fmt::Display for RequestError {
             RequestError::WorkerFailure { error } => {
                 write!(f, "batch failed after retry: {error}")
             }
+            RequestError::InvalidInput(error) => write!(f, "invalid KEM input: {error}"),
         }
     }
 }
@@ -41,8 +47,12 @@ pub struct RequestTiming {
     /// Admission to batch formation: how long the request sat in the
     /// queue waiting for a batch to close around it.
     pub queue: Duration,
-    /// Dispatch duration of the request's batch group (zero for a
-    /// request that timed out before dispatch).
+    /// From the start of the batch's first round to the end of the
+    /// round the request finished in: one round for a one-shot hash or
+    /// a stream operation, every round of an ML-KEM operation's staged
+    /// pipeline with its interleaved CPU work. Includes any retry and
+    /// mirror replay of those rounds; zero for a request that timed out
+    /// or failed validation before dispatch.
     pub service: Duration,
     /// Admission to completion, end to end.
     pub total: Duration,
@@ -54,15 +64,22 @@ pub struct RequestTiming {
     /// The tier that served (or, for a timeout, would have served) the
     /// request.
     pub tier: TierKind,
-    /// Whether the batch was retried after losing a pool worker.
+    /// Whether a round the request rode in was retried after losing a
+    /// pool worker.
     pub retried: bool,
 }
 
-/// The outcome of one request: a digest or an error, plus its timing.
+/// The outcome of one request: its result or an error, plus its timing.
+///
+/// `T` is the request kind's [`Request::Output`](crate::Request::Output):
+/// the squeezed bytes of a one-shot hash (the default), a
+/// [`StreamOutput`] or a [`krv_kyber::KemResult`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Completion {
-    /// The squeezed output bytes, or why there are none.
-    pub result: Result<Vec<u8>, RequestError>,
+pub struct Completion<T = Vec<u8>> {
+    /// What the request produced, or why it produced nothing. A failed
+    /// stream operation loses its session state: the session must be
+    /// abandoned.
+    pub result: Result<T, RequestError>,
     /// Where the request's latency went.
     pub timing: RequestTiming,
 }
@@ -80,68 +97,6 @@ pub struct StreamOutput {
     ///
     /// [`StreamRequest::squeeze_len`]: crate::StreamRequest::squeeze_len
     pub output: Vec<u8>,
-}
-
-/// The outcome of one streaming operation: the advanced state plus
-/// squeezed bytes, or an error (after which the session's state is lost
-/// and the session must be abandoned).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamCompletion {
-    /// The advanced state and squeezed bytes, or why there are none.
-    pub result: Result<StreamOutput, RequestError>,
-    /// Where the operation's latency went.
-    pub timing: RequestTiming,
-}
-
-/// Why a submitted KEM operation did not produce a [`KemResult`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum KemRequestError {
-    /// The operation's deadline elapsed while it was still queued; it
-    /// was dropped at batch formation without occupying an engine slot.
-    TimedOut,
-    /// One of the operation's staged hash dispatches failed on the pool
-    /// and failed again on its single retry.
-    WorkerFailure {
-        /// The pool error reported by the retry.
-        error: PoolError,
-    },
-    /// The operation's key or ciphertext failed FIPS 203 input
-    /// validation — a caller error, detected at batch formation before
-    /// any hardware was dispatched.
-    InvalidInput(KemError),
-}
-
-impl std::fmt::Display for KemRequestError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            KemRequestError::TimedOut => {
-                write!(f, "deadline elapsed before the operation was dispatched")
-            }
-            KemRequestError::WorkerFailure { error } => {
-                write!(f, "staged dispatch failed after retry: {error}")
-            }
-            KemRequestError::InvalidInput(error) => {
-                write!(f, "invalid KEM input: {error}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for KemRequestError {}
-
-/// The outcome of one KEM operation: keys, a ciphertext + secret, or a
-/// decapsulated secret — or why there is none — plus its timing.
-///
-/// The timing's `service` span covers the whole staged pipeline: every
-/// hash round the operation's [`krv_kyber::KemJob`] dispatched, plus the
-/// interleaved NTT/encoding work, measured from the formation of the
-/// batch the operation rode in.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KemCompletion {
-    /// The finished KEM result, or why there is none.
-    pub result: Result<KemResult, KemRequestError>,
-    /// Where the operation's latency went.
-    pub timing: RequestTiming,
 }
 
 /// What a ticket's slot currently holds: nothing yet, a completion
@@ -175,11 +130,10 @@ impl<T: std::fmt::Debug> std::fmt::Debug for SlotState<T> {
 
 /// The slot a ticket resolves through: the scheduler writes the
 /// completion (or runs the registered callback), the waiting caller is
-/// woken by the condvar. Generic over the completion payload so one-shot
-/// digests ([`Completion`]) and streaming operations
-/// ([`StreamCompletion`]) share the machinery.
+/// woken by the condvar. Public only so [`crate::Request`]'s hidden
+/// lowering can name it; the module is private.
 #[derive(Debug)]
-pub(crate) struct TicketCell<T> {
+pub struct TicketCell<T> {
     slot: Mutex<SlotState<T>>,
     ready: Condvar,
 }
@@ -217,101 +171,77 @@ impl<T> TicketCell<T> {
     }
 }
 
-/// The shared wait/callback behaviour of a ticket handle, implemented
-/// once over the generic cell.
-macro_rules! ticket_handle {
-    ($ticket:ident, $completion:ty) => {
-        impl $ticket {
-            /// Whether the request has completed (so [`Self::wait`] would
-            /// return immediately).
-            pub fn is_ready(&self) -> bool {
-                matches!(
-                    *self.cell.slot.lock().expect("ticket lock"),
-                    SlotState::Completed(_)
-                )
-            }
+/// A handle to one in-flight request, returned by
+/// [`Service::submit`](crate::Service::submit) and its siblings.
+///
+/// `T` is what the request produces (see [`Completion`]). The scheduler
+/// resolves every admitted ticket exactly once — with a result, a
+/// timeout, a worker-failure or an invalid-input error — including
+/// during a shutdown drain, so [`Ticket::wait`] never blocks forever.
+#[derive(Debug)]
+pub struct Ticket<T = Vec<u8>> {
+    pub(crate) cell: Arc<TicketCell<Completion<T>>>,
+}
 
-            /// Blocks until the request completes and returns its outcome.
-            pub fn wait(self) -> $completion {
-                let mut slot = self.cell.slot.lock().expect("ticket lock");
-                loop {
-                    if let SlotState::Completed(_) = *slot {
-                        match std::mem::replace(&mut *slot, SlotState::Delivered) {
-                            SlotState::Completed(completion) => return completion,
-                            _ => unreachable!("state checked under the same lock"),
-                        }
-                    }
-                    slot = self.cell.ready.wait(slot).expect("ticket lock");
-                }
-            }
+/// The ticket of a streaming operation.
+pub type StreamTicket = Ticket<StreamOutput>;
 
-            /// Registers `callback` to run with the completion instead of
-            /// blocking for it, consuming the ticket.
-            ///
-            /// If the request has already completed, the callback runs
-            /// immediately on the calling thread; otherwise it runs on the
-            /// scheduler thread when the request resolves (including during
-            /// a shutdown drain — every admitted ticket resolves exactly
-            /// once, so the callback is guaranteed to run eventually).
-            /// Callbacks should be quick and must not block on the service:
-            /// they execute on the thread that dispatches every batch.
-            ///
-            /// This is what lets a network connection multiplex thousands
-            /// of in-flight requests without a waiting thread per ticket.
-            pub fn on_complete(self, callback: impl FnOnce($completion) + Send + 'static) {
-                let mut slot = self.cell.slot.lock().expect("ticket lock");
+/// The ticket of an ML-KEM operation.
+pub type KemTicket = Ticket<KemResult>;
+
+impl<T> Ticket<T> {
+    /// Whether the request has completed (so [`Self::wait`] would return
+    /// immediately).
+    pub fn is_ready(&self) -> bool {
+        matches!(
+            *self.cell.slot.lock().expect("ticket lock"),
+            SlotState::Completed(_)
+        )
+    }
+
+    /// Blocks until the request completes and returns its outcome.
+    pub fn wait(self) -> Completion<T> {
+        let mut slot = self.cell.slot.lock().expect("ticket lock");
+        loop {
+            if let SlotState::Completed(_) = *slot {
                 match std::mem::replace(&mut *slot, SlotState::Delivered) {
-                    SlotState::Pending => {
-                        *slot = SlotState::Callback(Box::new(callback));
-                    }
-                    SlotState::Completed(completion) => {
-                        drop(slot);
-                        callback(completion);
-                    }
-                    // `on_complete` consumes the only ticket, so the slot
-                    // cannot already hold a callback or have delivered.
-                    SlotState::Callback(_) | SlotState::Delivered => {
-                        unreachable!("ticket consumed twice")
-                    }
+                    SlotState::Completed(completion) => return completion,
+                    _ => unreachable!("state checked under the same lock"),
                 }
+            }
+            slot = self.cell.ready.wait(slot).expect("ticket lock");
+        }
+    }
+
+    /// Registers `callback` to run with the completion instead of
+    /// blocking for it, consuming the ticket.
+    ///
+    /// If the request has already completed, the callback runs
+    /// immediately on the calling thread; otherwise it runs on the
+    /// scheduler thread when the request resolves (including during a
+    /// shutdown drain — every admitted ticket resolves exactly once, so
+    /// the callback is guaranteed to run eventually). The service's
+    /// metrics already count the completion when the callback runs.
+    /// Callbacks should be quick and must not block on the service: they
+    /// execute on the thread that dispatches every batch.
+    ///
+    /// This is what lets a network connection multiplex thousands of
+    /// in-flight requests without a waiting thread per ticket.
+    pub fn on_complete(self, callback: impl FnOnce(Completion<T>) + Send + 'static) {
+        let mut slot = self.cell.slot.lock().expect("ticket lock");
+        match std::mem::replace(&mut *slot, SlotState::Delivered) {
+            SlotState::Pending => {
+                *slot = SlotState::Callback(Box::new(callback));
+            }
+            SlotState::Completed(completion) => {
+                drop(slot);
+                callback(completion);
+            }
+            // `on_complete` consumes the only ticket, so the slot cannot
+            // already hold a callback or have delivered.
+            SlotState::Callback(_) | SlotState::Delivered => {
+                unreachable!("ticket consumed twice")
             }
         }
-    };
+    }
 }
-
-/// A handle to one in-flight request, returned by
-/// [`Service::submit`](crate::Service::submit).
-///
-/// The scheduler resolves every admitted ticket exactly once — with a
-/// digest, a timeout, or a worker-failure error — including during a
-/// shutdown drain, so [`Ticket::wait`] never blocks forever.
-#[derive(Debug)]
-pub struct Ticket {
-    pub(crate) cell: Arc<TicketCell<Completion>>,
-}
-
-ticket_handle!(Ticket, Completion);
-
-/// A handle to one in-flight streaming operation, returned by
-/// [`Service::submit_stream`](crate::Service::submit_stream).
-///
-/// Resolves exactly once with a [`StreamCompletion`], under the same
-/// guarantees as [`Ticket`].
-#[derive(Debug)]
-pub struct StreamTicket {
-    pub(crate) cell: Arc<TicketCell<StreamCompletion>>,
-}
-
-ticket_handle!(StreamTicket, StreamCompletion);
-
-/// A handle to one in-flight KEM operation, returned by
-/// [`Service::submit_kem`](crate::Service::submit_kem).
-///
-/// Resolves exactly once with a [`KemCompletion`], under the same
-/// guarantees as [`Ticket`].
-#[derive(Debug)]
-pub struct KemTicket {
-    pub(crate) cell: Arc<TicketCell<KemCompletion>>,
-}
-
-ticket_handle!(KemTicket, KemCompletion);

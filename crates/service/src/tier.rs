@@ -11,9 +11,10 @@
 //!   permuting 2/4/8 sponge states per call at host speed.
 //!
 //! [`TierPolicy`] picks the primary tier and a mirror sampling rate:
-//! every `mirror_every`-th dispatch group — one lane's call of a batch,
-//! or one KEM round — is replayed through the *other* tier and its
-//! outputs and final sponge states are diffed. A mismatch latches
+//! every `mirror_every`-th dispatch group — one round of a batch, with
+//! every one-shot hash, stream operation and KEM hash job it carries —
+//! is replayed through the *other* tier and its outputs and final sponge
+//! states are diffed. A mismatch latches
 //! [`MetricsSnapshot::mirror_mismatches`](crate::MetricsSnapshot::mirror_mismatches)
 //! — the production analogue of the offline conformance matrix, catching
 //! drift between the tiers while real traffic flows.
@@ -73,9 +74,8 @@ pub struct TierPolicy {
     /// The tier that serves production traffic.
     pub primary: TierKind,
     /// Mirror sampling rate: every `mirror_every`-th dispatch group (one
-    /// lane call or one KEM round) is replayed through the other tier
-    /// and diffed. `0` disables
-    /// mirroring; `1` mirrors every group.
+    /// round of a batch) is replayed through the other tier and diffed.
+    /// `0` disables mirroring; `1` mirrors every round.
     pub mirror_every: u32,
 }
 

@@ -5,7 +5,8 @@
 //! native tier.
 
 use krv_service::{
-    HashRequest, RequestError, Service, ServiceConfig, StreamRequest, SubmitError, TierPolicy,
+    HashRequest, Request, RequestError, Service, ServiceConfig, StreamRequest, SubmitError,
+    TierPolicy,
 };
 use krv_sha3::sp800_185::{cshake_params, kmac256, kmac_stream_prefix, output_length_suffix};
 use krv_sha3::{Sha3_256, Shake256, SpongeParams, SpongeState};
@@ -181,7 +182,7 @@ fn stream_bytes_count_against_fair_share() {
     let big = vec![0u8; 4 * StreamRequest::FAIR_SHARE_UNIT];
     let state = Box::new(SpongeState::new(SpongeParams::sha3(256)));
     let ticket = service
-        .submit_stream_as(7, StreamRequest::absorb(state, big))
+        .submit_as(7, StreamRequest::absorb(state, big))
         .expect("an idle client's oversized op still admits");
     let refused = service.submit_as(7, HashRequest::sha3_256(b"more"));
     assert_eq!(

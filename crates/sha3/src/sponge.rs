@@ -301,8 +301,8 @@ impl SpongeState {
 /// partial block is padded with pad10*1 plus the domain suffix, and output
 /// is squeezed `rate` bytes per permutation.
 ///
-/// Internally this is a [`SpongeState`] (the backend-free core the
-/// streaming lane carries across micro-batches) paired with an owned
+/// Internally this is a [`SpongeState`] (the backend-free core a
+/// service stream operation carries across micro-batches) paired with an owned
 /// backend that permutes eagerly at every block boundary.
 ///
 /// # Example

@@ -151,8 +151,8 @@ fn advance(item: &mut StreamItem<'_>, p: &mut Progress) -> bool {
 ///
 /// Panics if an operation violates the sponge lifecycle: absorbing on a
 /// state already squeezing, finalizing twice, or squeezing an
-/// unfinalized state with `finalize: false`. Callers (the service's
-/// streaming lane) enforce the session state machine before dispatch.
+/// unfinalized state with `finalize: false`. Callers (the server's
+/// session table) enforce the session state machine before dispatch.
 ///
 /// [`permute_all`]: PermutationBackend::permute_all
 pub fn drive_stream<B: PermutationBackend>(backend: &mut B, items: &mut [StreamItem<'_>]) {
