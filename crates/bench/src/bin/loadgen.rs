@@ -15,9 +15,9 @@
 //!   Measures wall permutations per second against a *reference-direct*
 //!   [`hash_batch`] run of the identical workload, and asserts the
 //!   oracle sampled without a single mismatch.
-//! * **tree loop** — bursts of KRV tree-hash messages where every
-//!   4096-byte leaf travels as its own service request (packing the
-//!   batch scheduler) and a root request absorbs the leaf digests.
+//! * **tree loop** — bursts of KRV tree-hash messages, each one
+//!   [`TreeRequest`] whose 4096-byte leaves the scheduler packs into
+//!   shared rounds beside the root absorbing their digests.
 //!   Measured against direct pooled [`TreeMode::digest`] calls of the
 //!   identical workload, with every digest cross-checked between the
 //!   two paths and anchored to the scalar reference.
@@ -59,10 +59,10 @@
 use krv_core::EnginePool;
 use krv_kyber::{ml_kem_decaps, ml_kem_encaps, ml_kem_keygen, KemOp, KemResult, KyberParams};
 use krv_service::{
-    HashRequest, KemRequest, MetricsSnapshot, QuantileSummary, Service, ServiceConfig, TierKind,
-    TierPolicy,
+    HashRequest, KemRequest, MetricsSnapshot, QuantileSummary, Service, ServiceConfig,
+    StreamOutput, Ticket, TierKind, TierPolicy, TreeRequest,
 };
-use krv_sha3::tree::{krv_tree_hash256, TreeMode};
+use krv_sha3::tree::{krv_tree_hash256, TreeMode, TreeState};
 use krv_sha3::{hash_batch, BatchRequest, ReferenceBackend, SpongeParams};
 use krv_testkit::Rng;
 use std::fmt::Write as _;
@@ -91,8 +91,8 @@ const TREE_SALT: u64 = 0x07EE_0001;
 /// XOR'd into the seed for the ML-KEM phase, for the same reason.
 const KEM_SALT: u64 = 0x04B4_5D01;
 /// Tree-loop message length: sixteen full 4096-byte KRV tree blocks, so
-/// every message fans out into sixteen leaf requests plus one root —
-/// two full dispatch waves through the batch scheduler per burst.
+/// every message is a two-round tree request — its sixteen leaves
+/// beside the root, then the root's fold.
 const TREE_MSG_LEN: usize = 16 * 4096;
 /// Native-loop message length: 25 full SHAKE128 rate blocks, so padding
 /// adds a 26th and each request costs 26 permutations. Long messages
@@ -500,9 +500,9 @@ struct TreeLoopResult {
     metrics: MetricsSnapshot,
 }
 
-/// Waits for every ticket, returning the digests in submission order
-/// plus the per-tier served counts.
-fn drain_digests(tickets: Vec<krv_service::Ticket>, context: &str) -> (Vec<Vec<u8>>, u64, u64) {
+/// Waits for every tree ticket, returning the digests in submission
+/// order plus the per-tier served counts.
+fn drain_digests(tickets: Vec<Ticket<StreamOutput<TreeState>>>) -> (Vec<Vec<u8>>, u64, u64) {
     let mut digests = Vec::with_capacity(tickets.len());
     let mut simulator = 0u64;
     let mut native = 0u64;
@@ -510,7 +510,8 @@ fn drain_digests(tickets: Vec<krv_service::Ticket>, context: &str) -> (Vec<Vec<u
         let completion = ticket.wait();
         let digest = completion
             .result
-            .unwrap_or_else(|err| panic!("{context} request failed: {err}"));
+            .unwrap_or_else(|err| panic!("tree request failed: {err}"))
+            .output;
         match completion.timing.tier {
             TierKind::Simulator => simulator += 1,
             TierKind::Native => native += 1,
@@ -521,10 +522,9 @@ fn drain_digests(tickets: Vec<krv_service::Ticket>, context: &str) -> (Vec<Vec<u
 }
 
 /// Tree-hash closed loop: bursts of [`TREE_MSG_LEN`]-byte messages,
-/// each hashed under the KRV tree mode *through the service* — every
-/// leaf travels as its own [`HashRequest`] (so the burst's leaves pack
-/// the batch scheduler), then one root request absorbs the cSHAKE
-/// prefix ‖ leaf digests ‖ suffix. The identical workload runs as
+/// each hashed under the KRV tree mode *through the service* as one
+/// [`TreeRequest`], so the burst's leaves pack the batch's rounds
+/// beside their roots. The identical workload runs as
 /// direct pooled [`TreeMode::digest`] calls for the overhead
 /// comparison, and every service digest is checked against its direct
 /// twin (the first also against the scalar reference).
@@ -537,37 +537,18 @@ fn run_tree_loop(options: &Options, config: ServiceConfig) -> TreeLoopResult {
         .collect();
     let leaves_per_message = mode.leaf_count(TREE_MSG_LEN) as u64;
 
-    // One burst through the service: wave 1 submits every leaf of every
-    // message (burst × leaf_count requests in flight at once), wave 2
-    // submits the roots built from the returned leaf digests.
+    // One burst through the service: one tree request per message, all
+    // in flight at once.
     let tree_burst = |service: &Service, messages: &[Vec<u8>]| -> (Vec<Vec<u8>>, u64, u64) {
-        let leaf_tickets: Vec<_> = messages
+        let tickets = messages
             .iter()
-            .flat_map(|message| message.chunks(mode.block_size()))
-            .map(|chunk| {
-                let request = HashRequest::new(chunk, mode.leaf_params(), mode.leaf_len())
+            .map(|message| {
+                let request = TreeRequest::digest(mode, b"", message.as_slice(), OUTPUT_LEN)
                     .with_deadline(DEADLINE);
-                service.submit(request).expect("leaf burst fits queue")
+                service.submit(request).expect("tree burst fits queue")
             })
             .collect();
-        let (leaves, mut simulator, mut native) = drain_digests(leaf_tickets, "tree-leaf");
-        let root_tickets: Vec<_> = leaves
-            .chunks(leaves_per_message as usize)
-            .map(|message_leaves| {
-                let mut root = mode.root_prefix(b"");
-                for leaf in message_leaves {
-                    root.extend_from_slice(leaf);
-                }
-                root.extend(mode.root_suffix(message_leaves.len() as u64, OUTPUT_LEN));
-                let request =
-                    HashRequest::new(root, mode.root_params(), OUTPUT_LEN).with_deadline(DEADLINE);
-                service.submit(request).expect("root burst fits queue")
-            })
-            .collect();
-        let (digests, sim, nat) = drain_digests(root_tickets, "tree-root");
-        simulator += sim;
-        native += nat;
-        (digests, simulator, native)
+        drain_digests(tickets)
     };
 
     let service = Service::start(config);
@@ -598,8 +579,8 @@ fn run_tree_loop(options: &Options, config: ServiceConfig) -> TreeLoopResult {
         .collect();
     let direct_elapsed = started.elapsed();
 
-    // Correctness: the per-leaf service assembly, the pooled one-shot
-    // and the scalar reference all agree.
+    // Correctness: the served trees, the pooled one-shot and the scalar
+    // reference all agree.
     assert_eq!(service_digests.len(), direct_digests.len());
     let mut digest_checks = 0u64;
     for (index, (service_digest, direct_digest)) in
@@ -1279,12 +1260,11 @@ fn assert_healthy(
     assert_eq!(tree.metrics.worker_failures, 0, "tree-loop failures");
     assert_eq!(tree.digest_checks, tree.messages, "tree digests unchecked");
     assert_eq!(
-        tree.simulator_served,
-        tree.messages * (tree.leaves_per_message + 1),
-        "every leaf and root must ride the default simulator tier"
+        tree.simulator_served, tree.messages,
+        "every tree request must ride the default simulator tier"
     );
-    // Per-leaf tickets and the leaf→root barrier cost something over
-    // the fused direct call; the scheduler must still keep most of it.
+    // The queue and the leaf→root round barrier cost something over the
+    // fused direct call; the scheduler must still keep most of it.
     assert!(
         tree.ratio >= 0.40,
         "tree loop sustained only {:.1} % of the direct pooled throughput",

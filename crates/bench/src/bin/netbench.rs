@@ -759,8 +759,8 @@ struct StreamPoint {
     /// The identical chunks through the in-process streaming lane.
     direct_mibps: f64,
     ratio: f64,
-    /// Streamed KRV tree-hash session over TCP: the same bytes, but the
-    /// leaves fan out through `hash_batch` micro-batches.
+    /// Streamed KRV tree-hash session over TCP: the same bytes, each
+    /// chunk one tree request whose leaves ride the service's rounds.
     tree_mibps: f64,
 }
 
@@ -812,7 +812,7 @@ fn run_streaming_phase(options: &Options, service_config: ServiceConfig) -> Vec<
         session.close().expect("close");
         let wire_elapsed = started.elapsed();
 
-        // Tree session: same bytes, leaves riding hash_batch.
+        // Tree session: same bytes, leaves riding the service's rounds.
         let started = Instant::now();
         let session = client
             .open_session(WireAlgorithm::TreeHash256, AlgorithmParams::none())

@@ -9,7 +9,7 @@
 //! more bytes arrive — framing cannot desynchronize, because nothing is
 //! consumed until the full frame is present and decoded.
 //!
-//! Responses flow back asynchronously: a hash or ML-KEM submission
+//! Responses flow back asynchronously: a hash, tree or ML-KEM submission
 //! registers a ticket callback that encodes the response on the
 //! scheduler thread and posts it to the I/O thread's inbox
 //! ([`crate::poll::IoShared`]), which routes it to this connection's
@@ -26,9 +26,11 @@
 use crate::plan::{self, ServePlan};
 use crate::poll::IoCtx;
 use crate::protocol::{ErrorCode, Request, Response};
-use crate::session::{ConnIo, SessionEvent, SessionTable, Violation};
+use crate::session::{over_leaf_cap, ConnIo, SessionEvent, SessionTable, Violation};
 use krv_kyber::{KemOp, KemResult};
-use krv_service::{HashRequest, KemRequest, Request as ServiceRequest, RequestError, SubmitError};
+use krv_service::{
+    HashRequest, KemRequest, Request as ServiceRequest, RequestError, SubmitError, TreeRequest,
+};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -74,8 +76,7 @@ pub(crate) struct Connection {
     /// `false` once EOF, a violation, idleness or daemon shutdown ends
     /// the inbound side; the connection then drains and closes.
     reading: bool,
-    /// This connection's streaming sessions (wire-opened and implicit
-    /// one-shot trees); dies with the connection.
+    /// This connection's streaming sessions; dies with the connection.
     sessions: SessionTable,
     /// A hard transport failure: the connection is removed immediately,
     /// without draining.
@@ -170,8 +171,7 @@ impl Connection {
             outbound: &mut self.outbound,
             in_flight: &self.in_flight,
         };
-        self.sessions
-            .on_event(event.key, event.payload, ctx, &mut io);
+        self.sessions.on_event(event, ctx, &mut io);
     }
 
     /// Writes queued frames until the socket would block.
@@ -294,39 +294,39 @@ impl Connection {
                 params,
                 payload,
             } => {
-                if algorithm.is_tree() {
-                    // Tree algorithms serve through an implicit session:
-                    // the payload is chunked into leaf blocks that ride
-                    // the service's batches, and the session answers with
-                    // one DIGEST frame.
-                    if self.window_full(id, ctx) {
+                let flat = match plan::plan(algorithm, &params) {
+                    ServePlan::Flat(flat) => flat,
+                    ServePlan::Tree(tree) => {
+                        // A tree is one request: the service packs its
+                        // leaves into shared rounds beside the root.
+                        if let Some(detail) = over_leaf_cap(tree.mode, payload.len(), ctx) {
+                            let code = ErrorCode::SessionLimit;
+                            self.push_frame(wire(&Response::Error { id, code, detail }.encode()));
+                            return;
+                        }
+                        let mut request = TreeRequest::digest(
+                            tree.mode,
+                            &tree.customization,
+                            payload,
+                            output_len,
+                        );
+                        request.deadline = deadline;
+                        self.serve(id, request, ctx, |id, output| Response::Digest {
+                            id,
+                            bytes: output.output,
+                        });
                         return;
                     }
-                    self.in_flight.fetch_add(1, Ordering::AcqRel);
-                    let mut io = ConnIo {
-                        token: self.token,
-                        outbound: &mut self.outbound,
-                        in_flight: &self.in_flight,
-                    };
-                    self.sessions.one_shot_tree(
-                        id, algorithm, &params, output_len, deadline, &payload, ctx, &mut io,
-                    );
-                    return;
-                }
-                let (message, sponge_params) = if algorithm.is_fips() {
-                    // FIPS 202 algorithms absorb the payload as-is.
-                    (payload, algorithm.params())
-                } else {
-                    // SP 800-185 algorithms absorb their framing around
-                    // it; one flat message serves as a one-shot like
-                    // everything else.
-                    let ServePlan::Flat(flat) = plan::plan(algorithm, &params) else {
-                        unreachable!("non-tree algorithms plan flat")
-                    };
-                    let message = plan::flat_message(&flat, algorithm, &payload, output_len);
-                    (message, flat.params)
                 };
-                let mut hash_request = HashRequest::new(message, sponge_params, output_len);
+                // FIPS 202 algorithms absorb the payload as-is; SP 800-185
+                // algorithms absorb their framing around it, so one flat
+                // message serves as a one-shot like everything else.
+                let message = if algorithm.is_fips() {
+                    payload
+                } else {
+                    plan::flat_message(&flat, algorithm, &payload, output_len)
+                };
+                let mut hash_request = HashRequest::new(message, flat.params, output_len);
                 hash_request.deadline = deadline;
                 self.serve(id, hash_request, ctx, |id, bytes| Response::Digest {
                     id,
@@ -448,14 +448,15 @@ impl Connection {
         }
     }
 
-    /// Admits one hash or ML-KEM request through the connection window
-    /// and the service's fair-share admission. A refusal is answered at
-    /// once. Otherwise the ticket's callback runs on the shard's
-    /// scheduler thread: it encodes `respond`'s frame (or the service
-    /// error's), posts it to the I/O inbox, then releases the in-flight
-    /// slot — in that order; `drained` depends on it. A malformed KEM
-    /// key or ciphertext comes back as a request-level `BAD_KEY` error:
-    /// the connection survives, unlike a framing violation.
+    /// Admits one hash, tree or ML-KEM request through the connection
+    /// window and the service's fair-share admission. A refusal is
+    /// answered at once. Otherwise the ticket's callback runs on the
+    /// shard's scheduler thread: it encodes `respond`'s frame (or the
+    /// service error's), posts it to the I/O inbox, then releases the
+    /// in-flight slot — in that order; `drained` depends on it. A
+    /// malformed KEM key or ciphertext comes back as a request-level
+    /// `BAD_KEY` error: the connection survives, unlike a framing
+    /// violation.
     fn serve<R: ServiceRequest>(
         &mut self,
         id: u64,

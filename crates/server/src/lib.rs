@@ -37,10 +37,12 @@
 //!   Per-connection **session tables** enforce the streaming state
 //!   machine (out-of-order frames are connection-fatal typed errors,
 //!   like framing violations), cap live sessions per connection, reap
-//!   idle sessions, carry flat sessions through the service as a live
-//!   sponge state, one stream operation at a time, and stream tree
-//!   leaves through it as one-shots under a bounded dispatch window — a
-//!   session never holds the whole message.
+//!   idle sessions, and carry every session through the service one
+//!   operation at a time as its live state: a sponge for the flat
+//!   algorithms, a tree's root and open leaf for ParallelHash and the
+//!   KRV tree-hash, whose leaves the service packs into shared rounds.
+//!   A session never holds the whole message, and a one-shot tree is
+//!   one service request.
 //! * [`Client`] — the matching blocking/pipelining client used by the
 //!   tests, the `remote_digest` example and the `netbench` load
 //!   harness, plus [`StreamingSession`] for incremental absorb/squeeze

@@ -21,8 +21,8 @@ use krv_sha3::SpongeParams;
 pub(crate) enum ServePlan {
     /// One sponge run flat: the FIPS 202 six, cSHAKE, KMAC, TupleHash.
     Flat(FlatPlan),
-    /// A chunked tree — leaves ride the service as one-shots, then a flat root:
-    /// ParallelHash and the KRV tree-hash.
+    /// A chunked tree, served as service tree requests: ParallelHash and
+    /// the KRV tree-hash.
     Tree(TreePlan),
 }
 

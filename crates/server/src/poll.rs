@@ -59,8 +59,9 @@ struct Inbox {
     conns: Vec<(u64, TcpStream)>,
     /// Encoded response frames (wire bytes) routed by token.
     frames: Vec<(u64, Vec<u8>)>,
-    /// Session completions (stream ops, tree leaves, tree roots) routed
-    /// by token to the owning connection's session table.
+    /// Session operation completions (each carrying the advanced sponge
+    /// or tree state) routed by token to the owning connection's session
+    /// table.
     events: Vec<SessionEvent>,
     /// Set once; the thread drains every connection and exits.
     shutdown: bool,

@@ -322,13 +322,15 @@ pub enum WireAlgorithm {
     TupleHash256 = 12,
     /// ParallelHash128 (SP 800-185 §6), id 13. Params: customization
     /// `S`, block size `B` (required nonzero). Served as a chunked
-    /// tree: the leaves ride the service as one-shots.
+    /// tree: each HASH or session operation is one service tree request,
+    /// whose leaves ride the batch's rounds beside the root.
     ParallelHash128 = 13,
     /// ParallelHash256 (SP 800-185 §6), id 14.
     ParallelHash256 = 14,
     /// The KRV tree-hash, id 15: 32-byte SHAKE256 leaves over fixed
     /// 4 KiB chunks, `cSHAKE256("KRV-TreeHash", S)` root. Params:
-    /// customization `S`; block size 0 or 4096.
+    /// customization `S`; block size 0 or 4096. Served as a chunked tree
+    /// like ParallelHash.
     TreeHash256 = 15,
 }
 
@@ -419,9 +421,9 @@ impl WireAlgorithm {
         (self as u8) <= 6
     }
 
-    /// Whether this algorithm is served as a chunked tree (leaves
-    /// dispatched through the service as one-shots): ParallelHash and the KRV
-    /// tree-hash.
+    /// Whether this algorithm is served as a chunked tree (one service
+    /// tree request per HASH or session operation): ParallelHash and the
+    /// KRV tree-hash.
     pub const fn is_tree(self) -> bool {
         matches!(
             self,
@@ -709,7 +711,9 @@ pub enum ErrorCode {
     /// length, … Fatal to the connection.
     SessionState = 6,
     /// A session quota: too many open sessions on the connection, or a
-    /// tree session past the server's leaf cap.
+    /// tree message (one-shot, or a session's bytes so far) needing more
+    /// leaves than the server's leaf cap. A refused session is poisoned
+    /// until CLOSE; the connection survives.
     SessionLimit = 7,
     /// A KEM key or ciphertext failed FIPS 203 input validation (wrong
     /// length for its parameter set, or a non-canonical encapsulation

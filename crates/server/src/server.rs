@@ -51,10 +51,11 @@ pub struct ServerConfig {
     /// A wire session touched by no frame or completion for this long
     /// is reaped; later frames for its id answer `BAD_SESSION`.
     pub session_idle_timeout: Duration,
-    /// Most leaf blocks one tree session (or one-shot tree request) may
-    /// produce — the bound on buffered leaf digests, hence on session
-    /// memory. The default covers a 1 GiB message at the 4 KiB KRV
-    /// block size.
+    /// Most leaves one tree message — a one-shot tree request, or a
+    /// tree session's bytes so far — may need: the bound on the leaf
+    /// digests one root absorbs, so client input cannot buy unbounded
+    /// root work. A message past it draws `SESSION_LIMIT`. The default
+    /// covers a 1 GiB message at the 4 KiB KRV block size.
     pub max_tree_leaves: usize,
 }
 

@@ -1,11 +1,15 @@
 //! Streaming-session properties over real sockets: a streamed hash
 //! equals its one-shot at **every** chunk split, for absorb and for
 //! squeeze, across the FIPS and SP 800-185 wire algorithms; tree
-//! sessions agree with the scalar reference under any chunking and
-//! demonstrably dispatch their leaves through the batch scheduler.
+//! sessions agree with the scalar reference under any chunking, run as
+//! one service request whose leaves ride the batch scheduler as items,
+//! and stop at the configured leaf cap.
 
-use krv_server::{AlgorithmParams, Client, Server, ServerConfig, WireAlgorithm};
-use krv_service::ServiceConfig;
+use krv_server::{
+    AlgorithmParams, Client, ClientError, ErrorCode, RemoteError, Server, ServerConfig,
+    WireAlgorithm,
+};
+use krv_service::{ServiceConfig, TierPolicy};
 use krv_sha3::sp800_185::{kmac256, tuple_hash128, CShake128};
 use krv_sha3::tree::{krv_tree_hash256, parallel_hash256};
 use krv_sha3::{Sha3_256, Shake256};
@@ -167,11 +171,19 @@ fn tuple_sessions_absorb_one_entry_per_chunk() {
 fn tree_sessions_match_the_reference_under_any_chunking() {
     let server = quick_server();
     let client = Client::connect(server.local_addr()).expect("connect");
-    let message = pattern(10_000);
-    let expected = krv_tree_hash256(&message, 32, b"");
     // Chunk sizes straddling the 4096-byte block: sub-block, prime,
-    // exactly-block and whole-message chunks all land identically.
-    for chunk in [997usize, 4096, 5000, 10_000] {
+    // exactly-block and whole-message chunks all land identically, and
+    // a two-block message in block-sized chunks leaves no open leaf.
+    let long = pattern(10_000);
+    let blocks = pattern(8192);
+    let inputs = [
+        (&long, 997usize),
+        (&long, 4096),
+        (&long, 5000),
+        (&long, 10_000),
+        (&blocks, 4096),
+    ];
+    for (message, chunk) in inputs {
         let session = client
             .open_session(WireAlgorithm::TreeHash256, AlgorithmParams::none())
             .expect("open");
@@ -181,9 +193,17 @@ fn tree_sessions_match_the_reference_under_any_chunking() {
         session.finalize(32).expect("finalize");
         let digest = session.squeeze(32).expect("squeeze");
         session.close().expect("close");
-        assert_eq!(digest, expected, "tree chunked at {chunk}");
+        let expected = krv_tree_hash256(message, 32, b"");
+        assert_eq!(
+            digest,
+            expected,
+            "{} bytes chunked at {chunk}",
+            message.len()
+        );
     }
-    // The empty message is a single empty leaf.
+    let message = long;
+    // The empty message has zero leaves (SP 800-185 §6.2 step 1): the
+    // root absorbs only its framing.
     let session = client
         .open_session(WireAlgorithm::TreeHash256, AlgorithmParams::none())
         .expect("open");
@@ -212,11 +232,21 @@ fn tree_sessions_match_the_reference_under_any_chunking() {
 
 #[test]
 fn tree_leaves_ride_the_batch_scheduler() {
-    let server = quick_server();
+    // Mirroring every round counts the items each round carries.
+    let config = ServerConfig {
+        service: ServiceConfig {
+            max_wait: Duration::from_micros(200),
+            tier: TierPolicy::native().with_mirror_every(1),
+            ..ServiceConfig::default()
+        },
+        ..ServerConfig::default()
+    };
+    let server = Server::bind("127.0.0.1:0", config).expect("bind ephemeral port");
     let client = Client::connect(server.local_addr()).expect("connect");
     let before = client.stats().expect("stats before");
-    // 16 full blocks: one wire request must fan out into 16 leaf
-    // requests plus one root through the service's batch scheduler.
+    // 16 full blocks: one wire request is one service submission, whose
+    // first round carries the 16 leaves beside the root and whose second
+    // folds their digests.
     let message = pattern(16 * 4096);
     let digest = client
         .hash_with(
@@ -228,11 +258,84 @@ fn tree_leaves_ride_the_batch_scheduler() {
         .expect("tree digest");
     assert_eq!(digest, krv_tree_hash256(&message, 32, b""));
     let after = client.stats().expect("stats after");
-    let fanout = after.submitted - before.submitted;
-    assert!(
-        fanout >= 17,
-        "one tree request should fan out into >= 17 service submissions, saw {fanout}"
+    assert_eq!(
+        after.submitted - before.submitted,
+        1,
+        "one tree, one request"
     );
+    assert_eq!(
+        after.mirrored - before.mirrored,
+        16 + 1 + 1,
+        "16 leaves and the root, then the root's fold, mirrored item by item"
+    );
+    assert_eq!(after.mirror_mismatches, 0);
+    server.shutdown();
+}
+
+/// The server's answer to a session frame, as a remote error code.
+fn remote_code<T: std::fmt::Debug>(result: Result<T, ClientError>) -> ErrorCode {
+    match result {
+        Err(ClientError::Remote(RemoteError { code, .. })) => code,
+        other => panic!("expected a remote error, got {other:?}"),
+    }
+}
+
+#[test]
+fn the_tree_leaf_cap_refuses_one_byte_more() {
+    let config = ServerConfig {
+        service: ServiceConfig {
+            max_wait: Duration::from_micros(200),
+            ..ServiceConfig::default()
+        },
+        max_tree_leaves: 4,
+        ..ServerConfig::default()
+    };
+    let server = Server::bind("127.0.0.1:0", config).expect("bind ephemeral port");
+    let client = Client::connect(server.local_addr()).expect("connect");
+    let open = || {
+        client
+            .open_session(WireAlgorithm::TreeHash256, AlgorithmParams::none())
+            .expect("open")
+    };
+    let message = pattern(4 * 4096 + 1);
+    let (full, extra) = message.split_at(4 * 4096);
+
+    // Four blocks fill the cap exactly.
+    let session = open();
+    session
+        .absorb(full)
+        .expect("four leaves are within the cap");
+    session.finalize(32).expect("finalize");
+    assert_eq!(
+        session.squeeze(32).expect("squeeze"),
+        krv_tree_hash256(full, 32, b"")
+    );
+    session.close().expect("close");
+
+    // One more byte needs a fifth leaf: SESSION_LIMIT poisons the
+    // session, CLOSE still frees it, and the connection keeps serving.
+    let session = open();
+    session
+        .absorb(full)
+        .expect("four leaves are within the cap");
+    assert_eq!(remote_code(session.absorb(extra)), ErrorCode::SessionLimit);
+    assert_eq!(remote_code(session.finalize(32)), ErrorCode::SessionLimit);
+    session.close().expect("close");
+    assert_eq!(
+        client
+            .digest(WireAlgorithm::Sha3_256, b"still serving")
+            .expect("hash"),
+        Sha3_256::digest(b"still serving").to_vec()
+    );
+
+    // A five-block one-shot is refused the same way.
+    let oneshot = client.hash_with(
+        WireAlgorithm::TreeHash256,
+        AlgorithmParams::none(),
+        &pattern(5 * 4096),
+        32,
+    );
+    assert_eq!(remote_code(oneshot), ErrorCode::SessionLimit);
     server.shutdown();
 }
 
@@ -268,8 +371,8 @@ fn interleaved_sessions_on_one_socket_stay_independent() {
 /// 1 MiB wire chunks matches the in-process one-shot for SHA3-256,
 /// SHAKE256 (with the squeeze itself streamed), KMAC256 and the KRV
 /// tree-hash. Server memory stays bounded: flat sessions carry a sponge
-/// state (200 bytes) between chunks and tree sessions hold at most one
-/// partial block plus a 64-leaf dispatch window — never the message.
+/// state (200 bytes) between chunks and tree sessions two (the root and
+/// the open leaf) — never the message.
 ///
 /// Ignored by default (it hashes 2 GiB of traffic end to end); run with
 /// `cargo test --release -p krv-server --test stream -- --ignored`.

@@ -14,7 +14,9 @@
 //! One loop serves every request kind. At batch formation each live
 //! request becomes a job that yields sponge operations round by round:
 //! a one-shot [`HashRequest`] is one round on a fresh state, a
-//! [`StreamRequest`] one round on its session's state, and a
+//! [`StreamRequest`] one round on its session's state, a
+//! [`TreeRequest`] the rounds of its [`krv_sha3::TreeJob`] (up to
+//! [`LEAVES_PER_ROUND`] leaves and the root per round), and a
 //! [`KemRequest`] the rounds of its staged [`krv_kyber::KemJob`]. Each
 //! round packs every live job's operations into one *dispatch group*:
 //! one [`krv_sha3::drive_stream`] call, whatever the operations' sponge
@@ -23,7 +25,7 @@
 //! ([`TierPolicy::mirror_every`] counts rounds). A job's ticket
 //! completes at the end of the round it finishes in, so a batch's
 //! one-shot and stream tickets complete after its first round even
-//! while its KEM jobs run on. The round's counts reach
+//! while its tree and KEM jobs run on. The round's counts reach
 //! [`Service::metrics`] before any of its tickets complete.
 //!
 //! Robustness is part of the contract:
@@ -80,9 +82,11 @@ pub use ticket::{
 };
 pub use tier::{TierKind, TierPolicy};
 
+pub use krv_sha3::tree::LEAVES_PER_ROUND;
+
 use krv_core::KernelKind;
 use krv_kyber::{KemOp, KemResult, KyberParams};
-use krv_sha3::{SpongeParams, SpongeState};
+use krv_sha3::{SpongeParams, SpongeState, TreeMode, TreeState};
 use scheduler::{Scheduler, Shared, Work};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -108,9 +112,9 @@ pub struct ServiceConfig {
     /// Per-client fair-share cap: the most admission units one client id
     /// (see [`Service::submit_as`]) may hold at once. Each request holds
     /// its [`Request::fair_share_cost`]: one unit for a one-shot hash,
-    /// byte-weighted units for a streaming operation (so session traffic
-    /// is weighed by its bytes), and the parameter set's rank `k` for an
-    /// ML-KEM operation. A client at or above its cap is refused
+    /// byte-weighted units for a stream or tree operation (so session
+    /// traffic is weighed by its bytes), and the parameter set's rank `k`
+    /// for an ML-KEM operation. A client at or above its cap is refused
     /// with [`SubmitError::ClientThrottled`] even while the queue has
     /// room, so one flooding client cannot starve the rest. `None` (the
     /// default) disables per-client accounting limits.
@@ -277,6 +281,70 @@ impl StreamRequest {
     }
 }
 
+/// One operation of a chunked tree hash — ParallelHash or the KRV
+/// tree-hash ([`TreeMode`]): absorb a chunk, optionally finalize, then
+/// squeeze — carried through the same admission queue and micro-batches
+/// as every other request.
+///
+/// A tree session is a [`TreeState`] that lives outside the service
+/// between operations, as a [`StreamRequest`]'s sponge does, and holds
+/// two sponge states however long the message grows: the root and the
+/// open leaf. The scheduler runs the operation as a
+/// [`krv_sha3::TreeJob`]: each round packs up to [`LEAVES_PER_ROUND`]
+/// leaves of the chunk, plus the root absorbing the previous round's
+/// leaf digests, into the batch's shared dispatch, so one large message
+/// fills `SN`-wide passes on its own. The ticket resolves once, with the
+/// advanced state. A one-shot tree hash is one request on a fresh state
+/// that finalizes ([`Self::digest`]).
+///
+/// The lifecycle contract is [`StreamRequest`]'s: an operation other
+/// than a pure squeeze on a finalized tree, or a squeeze on a tree no
+/// operation has finalized, panics the scheduler. A finalized tree's
+/// root ([`TreeState::into_root`]) squeezes further as a plain
+/// [`StreamRequest`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TreeRequest {
+    /// The tree, consumed by the operation and handed back (advanced)
+    /// in the completion.
+    pub state: Box<TreeState>,
+    /// Message bytes to absorb (may be empty).
+    pub chunk: Vec<u8>,
+    /// `Some(L)` finalizes the tree under the declared output length
+    /// `L`: the last leaf is sealed and the root binds the leaf count
+    /// and `L` before padding.
+    pub finalize: Option<usize>,
+    /// Root output bytes to squeeze after finalizing (0 for none).
+    pub squeeze_len: usize,
+    /// Deadline relative to admission, as for [`HashRequest::deadline`];
+    /// an expired operation loses its state, as a stream operation does.
+    pub deadline: Option<Duration>,
+}
+
+impl TreeRequest {
+    /// A one-shot tree hash: `message` on a fresh tree under `mode` and
+    /// `customization`, finalized and squeezed to `output_len` bytes.
+    pub fn digest(
+        mode: TreeMode,
+        customization: &[u8],
+        message: impl Into<Vec<u8>>,
+        output_len: usize,
+    ) -> Self {
+        Self {
+            state: Box::new(TreeState::new(mode, customization)),
+            chunk: message.into(),
+            finalize: Some(output_len),
+            squeeze_len: output_len,
+            deadline: None,
+        }
+    }
+
+    /// Attaches a deadline (relative to admission).
+    pub fn with_deadline(mut self, deadline: Duration) -> Self {
+        self.deadline = Some(deadline);
+        self
+    }
+}
+
 /// One ML-KEM operation — key generation, encapsulation or
 /// decapsulation — carried through the same admission queue and
 /// micro-batches as hashing traffic.
@@ -347,12 +415,12 @@ impl KemRequest {
 }
 
 /// A request kind the service admits: a one-shot [`HashRequest`], a
-/// [`StreamRequest`] or a [`KemRequest`]. [`Service::submit`] and its
-/// siblings are generic over it, and the [`Ticket`] they return resolves
-/// to the kind's [`Self::Output`].
+/// [`StreamRequest`], a [`TreeRequest`] or a [`KemRequest`].
+/// [`Service::submit`] and its siblings are generic over it, and the
+/// [`Ticket`] they return resolves to the kind's [`Self::Output`].
 ///
 /// The trait is sealed: the scheduler knows how to run exactly these
-/// three kinds.
+/// four kinds.
 pub trait Request: sealed::Sealed + Sized {
     /// What a served request hands back, on whichever thread completes
     /// its ticket.
@@ -375,6 +443,7 @@ mod sealed {
     pub trait Sealed {}
     impl Sealed for super::HashRequest {}
     impl Sealed for super::StreamRequest {}
+    impl Sealed for super::TreeRequest {}
     impl Sealed for super::KemRequest {}
 }
 
@@ -410,6 +479,24 @@ impl Request for StreamRequest {
 
     fn lower(self, ticket: &Ticket<StreamOutput>) -> Work {
         Work::Stream(self, Arc::clone(&ticket.cell))
+    }
+}
+
+impl Request for TreeRequest {
+    type Output = StreamOutput<TreeState>;
+
+    /// `1 + chunk.len() / FAIR_SHARE_UNIT` units, the stream rule
+    /// ([`StreamRequest::FAIR_SHARE_UNIT`]).
+    fn fair_share_cost(&self) -> usize {
+        1 + self.chunk.len() / StreamRequest::FAIR_SHARE_UNIT
+    }
+
+    fn deadline(&self) -> Option<Duration> {
+        self.deadline
+    }
+
+    fn lower(self, ticket: &Ticket<StreamOutput<TreeState>>) -> Work {
+        Work::Tree(self, Arc::clone(&ticket.cell))
     }
 }
 
@@ -519,9 +606,10 @@ impl Service {
     ///
     /// Every [`Request`] kind rides the same admission queue and
     /// micro-batches: a one-shot [`HashRequest`] resolves to its digest,
-    /// a [`StreamRequest`] hands the advanced [`SpongeState`] back in a
-    /// [`StreamOutput`] for the session's next operation, and a
-    /// [`KemRequest`] resolves to its [`KemResult`].
+    /// a [`StreamRequest`] or [`TreeRequest`] hands the advanced
+    /// [`SpongeState`] or [`TreeState`] back in a [`StreamOutput`] for
+    /// the session's next operation, and a [`KemRequest`] resolves to
+    /// its [`KemResult`].
     ///
     /// With [`ServiceConfig::fair_share`] set, all `submit` traffic
     /// shares client 0's quota; callers serving distinct clients should

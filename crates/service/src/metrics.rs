@@ -11,7 +11,7 @@
 //! Adding a counter is one line of the table; it also changes the
 //! fixed-width `STATS` layout, so it needs a protocol version bump.
 
-use crate::{RequestError, RequestTiming, TierKind};
+use crate::{RequestError, RequestTiming, StreamOutput, TierKind};
 use krv_core::PoolError;
 use krv_testkit::LatencyHistogram;
 use std::time::Duration;
@@ -220,8 +220,9 @@ macro_rules! ledger {
 ledger! {
     /// Requests admitted into the queue.
     submitted,
-    /// Requests served: one-shot hashes, stream operations and ML-KEM
-    /// operations that completed with a result.
+    /// Requests served: one-shot hashes, stream and tree operations and
+    /// ML-KEM operations that completed with a result. A tree operation
+    /// is one request however many leaves it carries.
     completed,
     /// Requests whose deadline elapsed before dispatch.
     timeouts,
@@ -243,22 +244,24 @@ ledger! {
     /// Requests served by the simulator tier.
     simulator_served,
     /// Items replayed through the non-primary tier by the mirror
-    /// sampler: every one-shot hash, stream operation and KEM hash job of
-    /// each sampled round.
+    /// sampler: every one-shot hash, stream operation, tree leaf piece
+    /// and tree root item, and KEM hash job of each sampled round.
     mirrored,
     /// Mirrored items whose native and simulator outputs or final
     /// sponge states disagreed. Latched: any nonzero value means the
     /// tiers have diverged and the primary tier's output cannot be
     /// trusted until investigated.
     mirror_mismatches,
-    /// Streaming operations completed: each OPEN session's ABSORB /
-    /// FINALIZE / SQUEEZE micro-ops, each served in one round.
-    /// Stream operations also count in `submitted` / `completed` /
+    /// Stream and tree operations completed: each OPEN session's ABSORB
+    /// / FINALIZE / SQUEEZE operation (a stream operation served in one
+    /// round, a tree operation in its job's rounds) and each one-shot
+    /// tree request. They also count in `submitted` / `completed` /
     /// `timeouts` / `worker_failures`, so those still tie out.
     stream_ops,
-    /// Message bytes absorbed by completed streaming operations.
+    /// Message bytes absorbed by completed stream operations, and the
+    /// chunks of completed tree operations.
     stream_absorbed,
-    /// Output bytes squeezed by completed streaming operations.
+    /// Output bytes squeezed by completed stream and tree operations.
     stream_squeezed,
     /// ML-KEM key generations completed. KEM
     /// operations also count in `submitted` / `completed` / `timeouts` /
@@ -308,6 +311,20 @@ impl BatchTally {
         self.samples
             .push((timing.queue, timing.service, timing.total));
         Ok(output)
+    }
+
+    /// Counts one served stream or tree operation's bytes and hands
+    /// back its output.
+    pub(crate) fn stream_op<S>(
+        &mut self,
+        absorbed: usize,
+        state: Box<S>,
+        output: Vec<u8>,
+    ) -> StreamOutput<S> {
+        self.stream_ops += 1;
+        self.stream_absorbed += absorbed as u64;
+        self.stream_squeezed += output.len() as u64;
+        StreamOutput { state, output }
     }
 }
 

@@ -8,12 +8,16 @@
 use crate::metrics::{BatchTally, ShardMetrics};
 use crate::ticket::{Completion, RequestError, RequestTiming, StreamOutput, Ticket, TicketCell};
 use crate::tier::{TierKind, TierPolicy};
-use crate::{HashRequest, KemRequest, Request, ServiceConfig, StreamRequest, SubmitError};
+use crate::{
+    HashRequest, KemRequest, Request, ServiceConfig, StreamRequest, SubmitError, TreeRequest,
+};
 use krv_core::{EnginePool, PoolError};
 use krv_keccak::KeccakState;
 use krv_kyber::{KemError, KemJob, KemResult};
 use krv_native::NativeBackend;
-use krv_sha3::{drive_stream, PermutationBackend, SpongeState, StreamItem, StreamOp};
+use krv_sha3::{
+    drive_stream, PermutationBackend, SpongeState, StreamItem, StreamOp, TreeJob, TreeState,
+};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -22,7 +26,7 @@ use std::time::{Duration, Instant};
 /// The ticket cell a request producing `T` resolves through.
 type CompletionCell<T> = Arc<TicketCell<Completion<T>>>;
 
-/// An admitted request of one of the three kinds, with the ticket cell
+/// An admitted request of one of the four kinds, with the ticket cell
 /// its completion resolves. Public only so [`Request`]'s hidden lowering
 /// can name it; the module is private.
 #[derive(Debug)]
@@ -31,6 +35,8 @@ pub enum Work {
     Hash(HashRequest, CompletionCell<Vec<u8>>),
     /// One operation of a streaming session.
     Stream(StreamRequest, CompletionCell<StreamOutput>),
+    /// One operation of a tree session.
+    Tree(TreeRequest, CompletionCell<StreamOutput<TreeState>>),
     /// One ML-KEM operation.
     Kem(KemRequest, CompletionCell<KemResult>),
 }
@@ -47,8 +53,8 @@ pub(crate) struct Pending {
     pub client: u64,
     /// Fair-share units this entry holds while queued: its
     /// [`Request::fair_share_cost`] — 1 for a one-shot hash,
-    /// byte-weighted for a stream operation, the rank `k` for an ML-KEM
-    /// operation.
+    /// byte-weighted for a stream or tree operation, the rank `k` for an
+    /// ML-KEM operation.
     pub cost: usize,
 }
 
@@ -209,6 +215,7 @@ impl Work {
         match self {
             Work::Hash(_, ticket) => deliver(ticket, Err(error), timing),
             Work::Stream(_, ticket) => deliver(ticket, Err(error), timing),
+            Work::Tree(_, ticket) => deliver(ticket, Err(error), timing),
             Work::Kem(_, ticket) => deliver(ticket, Err(error), timing),
         }
     }
@@ -230,6 +237,15 @@ impl Work {
             Work::Stream(request, ticket) => Job::Stream {
                 output: vec![0u8; request.squeeze_len],
                 request,
+                ticket,
+            },
+            Work::Tree(request, ticket) => Job::Tree {
+                job: TreeJob::new(
+                    request.state,
+                    request.chunk,
+                    request.finalize,
+                    request.squeeze_len,
+                ),
                 ticket,
             },
             Work::Kem(request, ticket) => match KemJob::new(request.params, request.op) {
@@ -273,6 +289,12 @@ enum Job {
         output: Vec<u8>,
         ticket: CompletionCell<StreamOutput>,
     },
+    /// A tree operation: its [`TreeJob`]'s rounds, each up to
+    /// [`crate::LEAVES_PER_ROUND`] leaves plus the root.
+    Tree {
+        job: TreeJob,
+        ticket: CompletionCell<StreamOutput<TreeState>>,
+    },
     /// An ML-KEM operation: one round per stage of its [`KemJob`], each
     /// running the stage's pending hash jobs on fresh states.
     Kem {
@@ -301,6 +323,7 @@ impl Job {
                     squeeze: output,
                 },
             }),
+            Job::Tree { job, .. } => job.push_items(items),
             Job::Kem {
                 job,
                 states,
@@ -331,6 +354,7 @@ impl Job {
     fn advance(&mut self) -> bool {
         match self {
             Job::Hash { .. } | Job::Stream { .. } => true,
+            Job::Tree { job, .. } => job.advance(),
             Job::Kem { job, outputs, .. } => {
                 job.advance(std::mem::take(outputs));
                 job.is_done()
@@ -356,14 +380,15 @@ impl Job {
                 output,
                 ticket,
             } => {
+                let absorbed = request.absorb.len();
+                let result = outcome.map(|()| tally.stream_op(absorbed, request.state, output));
+                deliver(ticket, tally.finish(result, &timing), timing)
+            }
+            Job::Tree { job, ticket } => {
+                let absorbed = job.chunk_len();
                 let result = outcome.map(|()| {
-                    tally.stream_ops += 1;
-                    tally.stream_absorbed += request.absorb.len() as u64;
-                    tally.stream_squeezed += output.len() as u64;
-                    StreamOutput {
-                        state: request.state,
-                        output,
-                    }
+                    let (state, output) = job.into_output();
+                    tally.stream_op(absorbed, state, output)
                 });
                 deliver(ticket, tally.finish(result, &timing), timing)
             }
@@ -702,7 +727,8 @@ mod tests {
     use super::*;
     use crate::{KemTicket, MetricsSnapshot, StreamTicket, TierPolicy};
     use krv_kyber::{KemOp, KyberParams};
-    use krv_sha3::{ReferenceBackend, Sponge, SpongeParams};
+    use krv_sha3::tree::krv_tree_hash256;
+    use krv_sha3::{ReferenceBackend, Sponge, SpongeParams, TreeMode};
 
     /// The one-shots of two sponge parameter sets and a stream operation
     /// that every batch below carries.
@@ -800,5 +826,49 @@ mod tests {
         assert_eq!(shake.wait().timing.service, first);
         assert_eq!(stream.wait().timing.service, first);
         assert!(keygen.wait().timing.service > first);
+    }
+
+    #[test]
+    fn a_130_block_tree_takes_four_rounds_and_the_batch_rides_round_one() {
+        // Mirroring every round counts each round's items.
+        let config = ServiceConfig {
+            tier: TierPolicy::native().with_mirror_every(1),
+            ..ServiceConfig::default()
+        };
+        let message = vec![0x5Au8; 130 * 4096];
+        let expected = krv_tree_hash256(&message, 32, b"");
+        let tree = || TreeRequest::digest(TreeMode::krv_tree256(), b"", message.clone(), 32);
+
+        let shared = Arc::new(Shared::new(&config));
+        let alone = shared.admit(0, tree()).unwrap();
+        let (rounds, metrics) = run_one_batch(&shared, &config);
+        assert_eq!(rounds, 4, "64, 64 and 2 leaves, then the last fold");
+        assert_eq!(
+            metrics.mirrored,
+            65 + 65 + 3 + 1,
+            "each round's leaves and root"
+        );
+        assert_eq!(metrics.mirror_mismatches, 0);
+        assert_eq!((metrics.submitted, metrics.completed), (1, 1));
+        assert_eq!(metrics.stream_ops, 1);
+        assert_eq!(metrics.stream_absorbed, message.len() as u64);
+        assert_eq!(alone.wait().result.unwrap().output, expected);
+
+        let shared = Arc::new(Shared::new(&config));
+        let (sha3, shake, stream) = admit_sponge_work(&shared);
+        let tree = shared.admit(0, tree()).unwrap();
+        let (rounds, metrics) = run_one_batch(&shared, &config);
+        assert_eq!(
+            rounds, 4,
+            "the one-shots and the stream operation ride round 1"
+        );
+        assert_eq!(metrics.mirrored, 134 + 3);
+        assert_eq!(metrics.completed, 4);
+        let first = sha3.wait().timing.service;
+        assert_eq!(shake.wait().timing.service, first);
+        assert_eq!(stream.wait().timing.service, first);
+        let tree = tree.wait();
+        assert!(tree.timing.service > first);
+        assert_eq!(tree.result.unwrap().output, expected);
     }
 }

@@ -49,8 +49,8 @@ pub struct RequestTiming {
     pub queue: Duration,
     /// From the start of the batch's first round to the end of the
     /// round the request finished in: one round for a one-shot hash or
-    /// a stream operation, every round of an ML-KEM operation's staged
-    /// pipeline with its interleaved CPU work. Includes any retry and
+    /// a stream operation, every round of a tree operation or of an
+    /// ML-KEM operation's staged pipeline with its interleaved CPU work. Includes any retry and
     /// mirror replay of those rounds; zero for a request that timed out
     /// or failed validation before dispatch.
     pub service: Duration,
@@ -84,18 +84,22 @@ pub struct Completion<T = Vec<u8>> {
     pub timing: RequestTiming,
 }
 
-/// What a successful streaming operation hands back: the advanced sponge
-/// state (to carry into the session's next operation) and whatever bytes
-/// the operation squeezed.
+/// What a successful stream or tree operation hands back: the advanced
+/// session state (to carry into the session's next operation) and
+/// whatever bytes the operation squeezed.
+///
+/// `S` is the session state: a [`krv_sha3::SpongeState`] for a
+/// [`StreamRequest`] (the default), a [`krv_sha3::TreeState`] for a
+/// [`TreeRequest`](crate::TreeRequest).
+///
+/// [`StreamRequest`]: crate::StreamRequest
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamOutput {
-    /// The session's sponge state after this operation, ready to be
+pub struct StreamOutput<S = krv_sha3::SpongeState> {
+    /// The session's state after this operation, ready to be
     /// resubmitted with the next chunk.
-    pub state: Box<krv_sha3::SpongeState>,
-    /// The squeezed bytes ([`StreamRequest::squeeze_len`] of them; empty
+    pub state: Box<S>,
+    /// The squeezed bytes (the request's `squeeze_len` of them; empty
     /// for a pure absorb).
-    ///
-    /// [`StreamRequest::squeeze_len`]: crate::StreamRequest::squeeze_len
     pub output: Vec<u8>,
 }
 

@@ -3,10 +3,12 @@
 //! These tests pin the serving contract of the tier layer: the native
 //! tier serves bit-identical digests, the mirror sampler re-hashes
 //! sampled groups through the other tier, and a corrupted native kernel
-//! is caught — whether it is serving traffic or only mirroring it.
+//! is caught — whether it is serving traffic or only mirroring it. A
+//! tree request's leaves and root are mirrored item by item.
 
-use krv_service::{HashRequest, Service, ServiceConfig, Ticket, TierKind, TierPolicy};
-use krv_sha3::{Sha3_256, Shake128};
+use krv_service::{HashRequest, Service, ServiceConfig, Ticket, TierKind, TierPolicy, TreeRequest};
+use krv_sha3::tree::krv_tree_hash256;
+use krv_sha3::{Sha3_256, Shake128, TreeMode};
 use std::time::Duration;
 
 fn tiered_config(tier: TierPolicy) -> ServiceConfig {
@@ -171,4 +173,39 @@ fn sampled_mirroring_checks_a_strict_subset() {
     assert!(report.mirrored > 0, "sampling rate 2 mirrors some groups");
     assert!(report.mirrored < 16, "and skips others");
     assert_eq!(report.mirror_mismatches, 0);
+}
+
+#[test]
+fn tree_leaves_and_root_are_mirrored_as_items() {
+    // Three blocks and a tail: round 1 carries four leaves beside the
+    // root absorbing its prefix, round 2 the last fold.
+    let message: Vec<u8> = (0..3 * 4096 + 100).map(|i| (i * 7 % 251) as u8).collect();
+    let expected = krv_tree_hash256(&message, 32, b"mirror");
+    let request = || TreeRequest::digest(TreeMode::krv_tree256(), b"mirror", message.clone(), 32);
+
+    let service = Service::start(tiered_config(TierPolicy::native().with_mirror_every(1)));
+    let served = service.submit(request()).expect("admitted").wait();
+    assert_eq!(served.result.expect("native tier serves").output, expected);
+    let report = service.shutdown();
+    assert_eq!(report.native_served, 1);
+    assert_eq!(
+        report.mirrored,
+        5 + 1,
+        "every leaf and root item of both rounds"
+    );
+    assert_eq!(report.mirror_mismatches, 0);
+
+    let service = Service::start(tiered_config(TierPolicy::native().with_mirror_every(1)));
+    service.inject_native_corruption();
+    let served = service.submit(request()).expect("admitted").wait();
+    assert_ne!(
+        served.result.expect("corrupted but served").output,
+        expected
+    );
+    let report = service.shutdown();
+    assert_eq!(report.mirrored, 6);
+    assert_eq!(
+        report.mirror_mismatches, 5,
+        "each leaf digest and the root output disagree; the prefix-only root item squeezes nothing"
+    );
 }

@@ -52,7 +52,7 @@ pub use batch::{hash_batch, BatchRequest};
 pub use functions::{Sha3_224, Sha3_256, Sha3_384, Sha3_512, Shake128, Shake256, Xof};
 pub use sponge::{DomainSeparator, Sponge, SpongeParams, SpongeState};
 pub use stream::{drive_stream, StreamItem, StreamOp};
-pub use tree::TreeMode;
+pub use tree::{TreeJob, TreeMode, TreeState};
 
 /// Formats bytes as a lowercase hexadecimal string.
 ///

@@ -28,13 +28,21 @@
 //! `left_encode(B) ‖ leaf₀ ‖ … ‖ leafₙ₋₁ ‖ right_encode(n) ‖
 //! right_encode(L·8)`, absorbed by `cSHAKE(N, S)`. The
 //! [`TreeMode::root_prefix`]/[`TreeMode::root_suffix`] split exposes
-//! that layout for streamed sessions, which absorb the prefix at
-//! `OPEN`, leaf digests as they complete, and the suffix at `FINALIZE`.
+//! that layout for streamed trees. A [`TreeState`] is a tree mid-message
+//! — the root sponge and the one open leaf, two sponge states whatever
+//! `B` is — and a [`TreeJob`] runs one operation on it (absorb a chunk,
+//! optionally finalize and squeeze) as [`crate::drive_stream`] rounds:
+//! each round carries up to [`LEAVES_PER_ROUND`] leaf pieces plus one
+//! root item folding the previous round's leaf digests, so a serving
+//! scheduler packs a tree's leaves beside everyone else's work.
+//! [`TreeMode::digest`] stays the independent one-shot reference.
 
 use crate::backend::PermutationBackend;
 use crate::batch::{hash_batch, BatchRequest};
 use crate::sp800_185::{cshake_params, cshake_stream_prefix, left_encode, right_encode};
-use crate::sponge::{Sponge, SpongeParams};
+use crate::sponge::{Sponge, SpongeParams, SpongeState};
+use crate::stream::{StreamItem, StreamOp};
+use std::ops::Range;
 
 /// One chunked-tree instance: the knobs that separate ParallelHash from
 /// the KRV tree-hash.
@@ -157,6 +165,255 @@ impl TreeMode {
     }
 }
 
+/// Leaf pieces one [`TreeJob`] round carries at most. Bounds a job's
+/// per-round memory — this many leaf sponge states and digests —
+/// whatever the block size and the chunk are.
+pub const LEAVES_PER_ROUND: usize = 64;
+
+/// A chunked tree mid-message: what a streamed tree carries between
+/// operations.
+///
+/// It holds two sponge states however long the message grows and
+/// whatever `B` is: the root cSHAKE sponge, which has absorbed every
+/// completed leaf's digest in order, and the *open leaf*, which has
+/// absorbed the bytes of the leaf the message currently ends in. There
+/// is no byte buffer; a partial block goes into the open leaf as it
+/// arrives. [`TreeJob`] advances it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TreeState {
+    mode: TreeMode,
+    root: SpongeState,
+    /// [`TreeMode::root_prefix`] until the root has absorbed it, then
+    /// empty.
+    prefix: Vec<u8>,
+    /// The open leaf: fresh while `leaf_bytes` is zero.
+    leaf: SpongeState,
+    /// Message bytes in the open leaf, always below the block size.
+    leaf_bytes: usize,
+    /// Leaves completed and folded into the root.
+    leaves: u64,
+}
+
+impl TreeState {
+    /// An empty tree under `mode` whose root binds `customization`.
+    pub fn new(mode: TreeMode, customization: &[u8]) -> Self {
+        Self {
+            mode,
+            root: SpongeState::new(mode.root_params()),
+            prefix: mode.root_prefix(customization),
+            leaf: SpongeState::new(mode.leaf_params()),
+            leaf_bytes: 0,
+            leaves: 0,
+        }
+    }
+
+    /// The tree's mode.
+    pub fn mode(&self) -> TreeMode {
+        self.mode
+    }
+
+    /// Message bytes absorbed by the operations run so far.
+    pub fn absorbed(&self) -> usize {
+        self.leaves as usize * self.mode.block_size() + self.leaf_bytes
+    }
+
+    /// The root sponge. Once a [`TreeJob`] has finalized the tree, it is
+    /// an ordinary finalized [`SpongeState`] that squeezes the digest.
+    pub fn into_root(self) -> SpongeState {
+        self.root
+    }
+}
+
+/// One leaf piece of a [`TreeJob`] round: a run of chunk bytes absorbed
+/// into one leaf.
+#[derive(Debug)]
+struct Piece {
+    /// The leaf: the carried open leaf or a fresh state.
+    leaf: SpongeState,
+    /// The chunk bytes the piece absorbs.
+    range: Range<usize>,
+    /// Bytes the leaf held before this piece.
+    held: usize,
+    /// Whether the piece ends its leaf: pad and squeeze the digest.
+    sealed: bool,
+}
+
+/// One operation on a [`TreeState`] — absorb a chunk, then optionally
+/// finalize under output length `L` and squeeze — planned as
+/// [`crate::drive_stream`] rounds.
+///
+/// The chunk splits into leaf pieces in message order: the open leaf's
+/// continuation runs on its carried state, whole blocks run on fresh
+/// states, and a trailing partial piece runs on a fresh state and is
+/// carried out as the new open leaf (a finalizing operation seals it
+/// instead). Each round takes up to [`LEAVES_PER_ROUND`] pieces plus
+/// one root item, which absorbs the previous round's digests in order
+/// (and the root prefix on the tree's first operation). The round after
+/// the last piece folds the last digests; when finalizing, that root
+/// item also absorbs [`TreeMode::root_suffix`], pads and squeezes. A
+/// 130-block finalizing chunk thus takes four rounds: 64, 64 and 2
+/// leaves, then the last fold.
+///
+/// Drive it round by round: [`Self::push_items`], one `drive_stream`
+/// over the items, then [`Self::advance`], until `advance` reports the
+/// operation done.
+///
+/// # Panics
+///
+/// The round items panic in `drive_stream` on a lifecycle violation,
+/// as a [`StreamOp`] does: an operation on a finalized tree other than
+/// a squeeze, or a squeeze (`squeeze_len > 0`) on a tree no operation
+/// has finalized.
+#[derive(Debug)]
+pub struct TreeJob {
+    state: Box<TreeState>,
+    chunk: Vec<u8>,
+    /// The declared output length `L`, when the operation finalizes.
+    finalize: Option<usize>,
+    output: Vec<u8>,
+    /// Chunk bytes handed to pieces so far.
+    consumed: usize,
+    /// This round's leaf pieces, in message order.
+    pieces: Vec<Piece>,
+    /// This round's digests, `leaf_len` bytes per piece.
+    digests: Vec<u8>,
+    /// What the root absorbs this round.
+    root_input: Vec<u8>,
+    /// Whether this round is the operation's last.
+    last: bool,
+}
+
+impl TreeJob {
+    /// Plans an operation on `state`: absorb `chunk`; with
+    /// `finalize: Some(L)`, seal the last leaf, bind `n` and `L` into the
+    /// root, pad it, and squeeze `squeeze_len` bytes.
+    pub fn new(
+        mut state: Box<TreeState>,
+        chunk: Vec<u8>,
+        finalize: Option<usize>,
+        squeeze_len: usize,
+    ) -> Self {
+        let root_input = std::mem::take(&mut state.prefix);
+        Self {
+            state,
+            chunk,
+            finalize,
+            output: vec![0u8; squeeze_len],
+            consumed: 0,
+            pieces: Vec::new(),
+            digests: Vec::new(),
+            root_input,
+            last: false,
+        }
+    }
+
+    /// The chunk's length in bytes.
+    pub fn chunk_len(&self) -> usize {
+        self.chunk.len()
+    }
+
+    /// Plans the next round and appends its items: the leaf pieces, then
+    /// the root item.
+    pub fn push_items<'a>(&'a mut self, items: &mut Vec<StreamItem<'a>>) {
+        self.plan();
+        let Self {
+            state,
+            chunk,
+            finalize,
+            output,
+            pieces,
+            digests,
+            root_input,
+            last,
+            ..
+        } = self;
+        let leaf_len = state.mode.leaf_len();
+        digests.resize(pieces.len() * leaf_len, 0);
+        for (piece, digest) in pieces.iter_mut().zip(digests.chunks_mut(leaf_len)) {
+            let squeeze = if piece.sealed { digest } else { &mut [] };
+            items.push(StreamItem {
+                state: &mut piece.leaf,
+                op: StreamOp {
+                    absorb: &chunk[piece.range.clone()],
+                    finalize: piece.sealed,
+                    squeeze,
+                },
+            });
+        }
+        let seal_root = if *last { *finalize } else { None };
+        if let Some(output_len) = seal_root {
+            root_input.extend(state.mode.root_suffix(state.leaves, output_len));
+        }
+        items.push(StreamItem {
+            state: &mut state.root,
+            op: StreamOp {
+                absorb: root_input,
+                finalize: seal_root.is_some(),
+                squeeze: if *last { output } else { &mut [] },
+            },
+        });
+    }
+
+    /// Splits the next run of the chunk into this round's pieces. A
+    /// round without pieces is the last.
+    fn plan(&mut self) {
+        let block = self.state.mode.block_size();
+        let finalize = self.finalize.is_some();
+        while self.pieces.len() < LEAVES_PER_ROUND {
+            let held = self.state.leaf_bytes;
+            let rest = self.chunk.len() - self.consumed;
+            if rest == 0 && !(finalize && held > 0) {
+                break;
+            }
+            let start = self.consumed;
+            self.consumed += rest.min(block - held);
+            let sealed = held + (self.consumed - start) == block
+                || (finalize && self.consumed == self.chunk.len());
+            let fresh = SpongeState::new(self.state.mode.leaf_params());
+            self.pieces.push(Piece {
+                leaf: std::mem::replace(&mut self.state.leaf, fresh),
+                range: start..self.consumed,
+                held,
+                sealed,
+            });
+            self.state.leaf_bytes = 0;
+            if !sealed {
+                break;
+            }
+        }
+        self.last = self.pieces.is_empty();
+    }
+
+    /// Takes in a round `drive_stream` has run: counts the sealed leaves,
+    /// queues their digests for the next root item, and carries an
+    /// unsealed piece out as the open leaf. Returns whether the
+    /// operation is done.
+    pub fn advance(&mut self) -> bool {
+        self.root_input.clear();
+        if self.last {
+            return true;
+        }
+        let leaf_len = self.state.mode.leaf_len();
+        for (piece, digest) in self.pieces.drain(..).zip(self.digests.chunks(leaf_len)) {
+            if piece.sealed {
+                self.state.leaves += 1;
+                self.root_input.extend_from_slice(digest);
+            } else {
+                self.state.leaf_bytes = piece.held + piece.range.len();
+                self.state.leaf = piece.leaf;
+            }
+        }
+        // Digests to fold, chunk bytes to place or a finalize to apply
+        // take another round.
+        self.root_input.is_empty() && self.consumed == self.chunk.len() && self.finalize.is_none()
+    }
+
+    /// The advanced tree and the squeezed bytes.
+    pub fn into_output(self) -> (Box<TreeState>, Vec<u8>) {
+        (self.state, self.output)
+    }
+}
+
 /// ParallelHash128 (SP 800-185 §6) on the reference backend.
 pub fn parallel_hash128(
     message: &[u8],
@@ -204,6 +461,7 @@ mod tests {
     use crate::backend::ReferenceBackend;
     use crate::functions::Xof;
     use crate::hex;
+    use crate::stream::drive_stream;
     use crate::Shake256;
 
     #[test]
@@ -287,6 +545,94 @@ mod tests {
         let tree = krv_tree_hash256(&msg, 32, b"");
         assert_ne!(tree, Shake256::digest(&msg, 32));
         assert_ne!(tree, parallel_hash256(&msg, 4096, 32, b""));
+    }
+
+    /// Runs one operation on `state` through `drive_stream`, round by
+    /// round, returning the advanced tree, the squeezed bytes and each
+    /// round's item count.
+    fn run_job(
+        state: Box<TreeState>,
+        chunk: &[u8],
+        finalize: Option<usize>,
+        squeeze_len: usize,
+    ) -> (Box<TreeState>, Vec<u8>, Vec<usize>) {
+        let mut job = TreeJob::new(state, chunk.to_vec(), finalize, squeeze_len);
+        let mut backend = ReferenceBackend::new();
+        let mut rounds = Vec::new();
+        loop {
+            let mut items = Vec::new();
+            job.push_items(&mut items);
+            rounds.push(items.len());
+            drive_stream(&mut backend, &mut items);
+            drop(items);
+            if job.advance() {
+                break;
+            }
+        }
+        let (state, output) = job.into_output();
+        (state, output, rounds)
+    }
+
+    /// Streams `pieces` as absorbing operations, finalizes, then
+    /// squeezes the finalized root as a plain sponge state.
+    fn streamed(mode: TreeMode, pieces: &[&[u8]], output_len: usize) -> Vec<u8> {
+        let mut state = Box::new(TreeState::new(mode, b"ctx"));
+        for piece in pieces {
+            state = run_job(state, piece, None, 0).0;
+        }
+        let (state, _, _) = run_job(state, b"", Some(output_len), 0);
+        let mut root = state.into_root();
+        let mut out = vec![0u8; output_len];
+        let mut items = [StreamItem {
+            state: &mut root,
+            op: StreamOp::squeeze(&mut out),
+        }];
+        drive_stream(&mut ReferenceBackend::new(), &mut items);
+        out
+    }
+
+    #[test]
+    fn tree_jobs_match_the_one_shot_digest_at_every_split() {
+        // Three 16-byte blocks and a tail; at B = 4096 the whole message
+        // stays in the open leaf.
+        let msg: Vec<u8> = (0..3 * 16 + 5).map(|i| (i * 7 + 3) as u8).collect();
+        for mode in [
+            TreeMode::parallel_hash(256, 16),
+            TreeMode::parallel_hash(128, 4096),
+        ] {
+            let expected = mode.digest(ReferenceBackend::new(), &msg, b"ctx", 40);
+            for at in 0..=msg.len() {
+                let (head, tail) = msg.split_at(at);
+                assert_eq!(
+                    streamed(mode, &[head, tail], 40),
+                    expected,
+                    "B = {}, split at {at}",
+                    mode.block_size()
+                );
+            }
+            let empty = mode.digest(ReferenceBackend::new(), b"", b"ctx", 40);
+            assert_eq!(streamed(mode, &[], 40), empty, "the empty message");
+        }
+    }
+
+    #[test]
+    fn a_round_carries_at_most_64_leaves_beside_the_root() {
+        let mode = TreeMode::parallel_hash(128, 16);
+        let msg: Vec<u8> = (0..130 * 16).map(|i| (i * 13) as u8).collect();
+        let fresh = || Box::new(TreeState::new(mode, b""));
+        let (_, digest, rounds) = run_job(fresh(), &msg, Some(32), 32);
+        assert_eq!(
+            rounds,
+            [65, 65, 3, 1],
+            "64, 64 and 2 leaves beside the root, then the last fold"
+        );
+        assert_eq!(digest, mode.digest(ReferenceBackend::new(), &msg, b"", 32));
+
+        // One sealed leaf and a partial one carried out as the open leaf.
+        let (state, _, rounds) = run_job(fresh(), &msg[..21], None, 0);
+        assert_eq!(rounds, [3, 1]);
+        assert_eq!(state.absorbed(), 21);
+        assert_eq!((state.leaves, state.leaf_bytes), (1, 5));
     }
 
     #[test]
