@@ -7,15 +7,19 @@
 //!
 //! The compiled tier lowers straight-line regions to specialized native
 //! transfer functions and overlays fused idioms on the Keccak θ and χ
-//! sequences (DESIGN.md §16); its timing-exactness argument leans on
-//! trap-time prefix retirement, `vsetvli` guard exits and budget-limited
-//! early exits. Eight program families probe those edges: scalar
-//! straight lines and loops, vector kernels, `vsetvli` reconfiguration,
-//! mid-block traps and tight cycle budgets, plus two families the
-//! random generators cannot produce — the verbatim θ/χ idiom sequences
-//! of the real kernels, sometimes perturbed so near-miss sequences keep
-//! taking the unfused path, and the same sequences under budgets that
-//! expire inside an idiom span.
+//! sequences and on the whole LMUL=8 round, whose loop it runs as one
+//! resident call (DESIGN.md §16); its timing-exactness argument leans
+//! on trap-time prefix retirement, `vsetvli` guard exits, budget-limited
+//! early exits and the resident loop's replayed admission. Ten program
+//! families probe those edges: scalar straight lines and loops, vector
+//! kernels, `vsetvli` reconfiguration, mid-block traps and tight cycle
+//! budgets, plus four families the random generators cannot produce —
+//! the verbatim θ/χ idiom sequences of the real kernels, sometimes
+//! perturbed so near-miss sequences keep taking the unfused path, the
+//! verbatim round loop over random registers with counter starts that
+//! make ι trap, perturbed AVL registers and near-miss rounds, and both
+//! verbatim families again under budgets that expire inside a span or
+//! between the trips of a resident loop.
 //!
 //! [`Processor::set_compiled`]: krv_vproc::Processor::set_compiled
 
@@ -42,6 +46,9 @@ struct ProgramCase {
     image: Vec<u8>,
     /// Cycle budget; small values deliberately expire mid-run.
     max_cycles: u64,
+    /// Initial vector register file, as bytes (`v0` first); empty
+    /// leaves every register zero.
+    vregs: Vec<u8>,
 }
 
 /// The outcome of one compiled-tier scenario.
@@ -66,8 +73,8 @@ impl CompiledTierOutcome {
 type ProgramGen = fn(&mut Rng) -> ProgramCase;
 
 /// The program shapes the differential covers, as data: six random
-/// families, then two built from the verbatim Keccak idioms.
-const PROGRAM_FAMILIES: [(&str, ProgramGen); 8] = [
+/// families, then four built from the verbatim Keccak kernels.
+const PROGRAM_FAMILIES: [(&str, ProgramGen); 10] = [
     ("scalar straight-line", gen_scalar_straight_line),
     ("scalar loop + memory", gen_scalar_loop),
     ("vector kernel (e64/m1)", gen_vector_m1),
@@ -76,6 +83,8 @@ const PROGRAM_FAMILIES: [(&str, ProgramGen); 8] = [
     ("tight cycle budget", gen_cycle_budget),
     ("keccak theta/chi idiom blocks (m1+m8)", gen_keccak_idioms),
     ("budget expiring inside idiom blocks", gen_idiom_budget),
+    ("keccak whole-round loop (e64/m8)", gen_round_loop),
+    ("budget expiring inside the round loop", gen_round_budget),
 ];
 
 /// Runs every scenario for `cases_per_scenario` random programs each.
@@ -213,6 +222,12 @@ fn run_case(
         .dmem_mut()
         .write_bytes(0, &case.image)
         .expect("staging inside dmem");
+    let reg_bytes = processor.vector_unit().reg_bytes();
+    for (index, bytes) in case.vregs.chunks_exact(reg_bytes).enumerate() {
+        processor
+            .vector_unit_mut()
+            .set_register_bytes(VReg::from_index(index), bytes);
+    }
     processor.load_program(program.instructions());
     let outcome = processor.run(case.max_cycles);
     Ok((processor, outcome))
@@ -291,6 +306,7 @@ fn gen_scalar_straight_line(rng: &mut Rng) -> ProgramCase {
         source,
         image,
         max_cycles: MAX_CYCLES,
+        vregs: Vec::new(),
     }
 }
 
@@ -314,6 +330,7 @@ fn gen_scalar_loop(rng: &mut Rng) -> ProgramCase {
         source,
         image,
         max_cycles: MAX_CYCLES,
+        vregs: Vec::new(),
     }
 }
 
@@ -363,6 +380,7 @@ fn gen_vector_m1(rng: &mut Rng) -> ProgramCase {
         source,
         image,
         max_cycles: MAX_CYCLES,
+        vregs: Vec::new(),
     }
 }
 
@@ -399,6 +417,7 @@ fn gen_reconfiguration(rng: &mut Rng) -> ProgramCase {
         source,
         image,
         max_cycles: MAX_CYCLES,
+        vregs: Vec::new(),
     }
 }
 
@@ -442,6 +461,7 @@ fn gen_mid_block_trap(rng: &mut Rng) -> ProgramCase {
         source,
         image,
         max_cycles: MAX_CYCLES,
+        vregs: Vec::new(),
     }
 }
 
@@ -463,6 +483,7 @@ fn gen_cycle_budget(rng: &mut Rng) -> ProgramCase {
         source,
         image,
         max_cycles: budget,
+        vregs: Vec::new(),
     }
 }
 
@@ -546,6 +567,7 @@ fn gen_keccak_idioms(rng: &mut Rng) -> ProgramCase {
         source: idiom_source(rng),
         image,
         max_cycles: MAX_CYCLES,
+        vregs: Vec::new(),
     }
 }
 
@@ -561,7 +583,130 @@ fn gen_idiom_budget(rng: &mut Rng) -> ProgramCase {
         source,
         image,
         max_cycles: budget,
+        vregs: Vec::new(),
     }
+}
+
+/// Emits the E64 LMUL=8 round loop exactly as the kernel generator
+/// does (θ, `vsetvli` m8, `v64rho`, `vpi`, χ, `vsetvli` m1, `viota`,
+/// `addi`, `blt`) at EleNum `elenum`, with no loads: the planes are
+/// whatever the random register file holds. The counter starts at a
+/// random index, and its bound sometimes passes 24, so ι can trap on
+/// the first trip or mid-loop. About one case in four perturbs:
+///
+/// * an AVL register changes after the loop, which then runs again
+///   through the already compiled region, so a `vsetvli` guard exits
+///   (or the m8 `v64rho` traps past five registers, as it does on the
+///   stepper);
+/// * a stray op lands between the round's steps, or `vpi` works on one
+///   row instead of all five, so the round matcher rejects while θ and
+///   χ still fuse.
+fn round_loop_source(rng: &mut Rng, elenum: usize) -> String {
+    let start = match rng.below(6) {
+        0 => 0,
+        1 => 20 + rng.below(4) as u32,
+        2 => 24 + rng.below(8) as u32,
+        3 => u32::MAX - 2,
+        _ => rng.below(24) as u32,
+    };
+    let bound = if rng.below(4) == 0 {
+        25 + rng.below(6)
+    } else {
+        24
+    };
+    let perturb = rng.below(4) == 0;
+    let rerun = perturb && rng.below(2) == 0;
+    let near_miss = perturb && !rerun;
+    let stray_at = if near_miss { rng.below(4) } else { 4 };
+    let stray = |at: usize| -> &'static str {
+        match (stray_at == at, at) {
+            (true, 0) => "vor.vv v30, v30, v29\n",
+            (true, 1) => "vxor.vv v24, v24, v24\n",
+            (true, 2) => "vadd.vi v30, v31, 3\n",
+            _ => "",
+        }
+    };
+    let pi_row = if stray_at == 3 {
+        rng.below(5).to_string()
+    } else {
+        "-1".to_string()
+    };
+    let mut source = format!(
+        "li s1, {elenum}\nli s5, {}\nli s2, -1\nli s3, {}\nli s4, {bound}\nli t3, 0\n\
+         vsetvli x0, s1, e64, m1, tu, mu\n\
+         permutation:\n\
+         vxor.vv v5, v3, v4\n\
+         vxor.vv v6, v1, v2\n\
+         vxor.vv v7, v0, v6\n\
+         vxor.vv v5, v5, v7\n\
+         vslideupm.vi v6, v5, 1\n\
+         vslidedownm.vi v7, v5, 1\n\
+         vrotup.vi v7, v7, 1\n\
+         vxor.vv v5, v6, v7\n\
+         vxor.vv v0, v0, v5\n\
+         vxor.vv v1, v1, v5\n\
+         vxor.vv v2, v2, v5\n\
+         vxor.vv v3, v3, v5\n\
+         vxor.vv v4, v4, v5\n",
+        5 * elenum,
+        start as i32,
+    );
+    source.push_str(stray(0));
+    source.push_str("vsetvli x0, s5, e64, m8, tu, mu\nv64rho.vi v0, v0, -1\n");
+    source.push_str(stray(1));
+    source.push_str(&format!("vpi.vi v8, v0, {pi_row}\n"));
+    source.push_str(
+        "vslidedownm.vi v16, v8, 1\n\
+         vxor.vx v16, v16, s2\n\
+         vslidedownm.vi v24, v8, 2\n\
+         vand.vv v16, v16, v24\n\
+         vxor.vv v0, v8, v16\n",
+    );
+    source.push_str("vsetvli x0, s1, e64, m1, tu, mu\n");
+    source.push_str(stray(2));
+    source.push_str(
+        "viota.vx v0, v0, s3\n\
+         addi s3, s3, 1\n\
+         blt s3, s4, permutation\n",
+    );
+    if rerun {
+        let (avl, value) = if rng.below(2) == 0 {
+            ("s1", 1 + rng.below(elenum - 1))
+        } else {
+            ("s5", 1 + rng.below(8 * elenum))
+        };
+        source.push_str(&format!(
+            "bnez t3, done\nli t3, 1\nli s3, {}\nli {avl}, {value}\nj permutation\ndone:\n",
+            rng.below(24)
+        ));
+    }
+    source.push_str("ecall\n");
+    source
+}
+
+/// A round-loop case: EleNum 5, 10 or 20 (SN = 1, 2, 4) over random
+/// registers and memory.
+fn round_loop_case(rng: &mut Rng, max_cycles: Option<u64>) -> ProgramCase {
+    let elenum = [5, 10, 20][rng.below(3)];
+    let source = round_loop_source(rng, elenum);
+    ProgramCase {
+        elenum,
+        source,
+        image: rng.bytes(STAGE_BYTES),
+        // A full 24-round pass costs about 1850 cycles, so these budgets
+        // mostly expire between two trips of the resident loop or
+        // inside a round span.
+        max_cycles: max_cycles.unwrap_or(1 + rng.below(2000) as u64),
+        vregs: rng.bytes(32 * 8 * elenum),
+    }
+}
+
+fn gen_round_loop(rng: &mut Rng) -> ProgramCase {
+    round_loop_case(rng, Some(MAX_CYCLES))
+}
+
+fn gen_round_budget(rng: &mut Rng) -> ProgramCase {
+    round_loop_case(rng, None)
 }
 
 #[cfg(test)]
@@ -616,12 +761,25 @@ mod tests {
     }
 
     #[test]
+    fn round_loop_programs_assemble_for_many_seeds() {
+        for seed in 0..48 {
+            let case = gen_round_loop(&mut Rng::new(seed * 0x51F1 + 3));
+            krv_asm::assemble(&case.source).unwrap_or_else(|e| {
+                panic!(
+                    "seed {seed}: assembler rejected:\n{e}\n---\n{}",
+                    case.source
+                )
+            });
+        }
+    }
+
+    #[test]
     fn every_family_runs_once_under_a_unique_name() {
         let outcomes = run_compiledtier(1, 1);
         assert_eq!(
             outcomes.len(),
-            8,
-            "six random families plus two idiom families"
+            10,
+            "six random families plus four verbatim-kernel families"
         );
         let mut names: Vec<&str> = outcomes.iter().map(|o| o.scenario).collect();
         names.sort_unstable();

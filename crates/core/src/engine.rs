@@ -619,6 +619,23 @@ mod tests {
     }
 
     #[test]
+    fn e64_lmul8_rounds_run_as_one_span_and_one_resident_call() {
+        // A warm pass makes five region calls: the prologue, round 1 as
+        // one round span (stopped at `loopctl` for the phase metrics),
+        // `loopctl`, rounds 2–24 as one resident call, and the stores.
+        for sn in [1, 4] {
+            let mut engine = VectorKeccakEngine::with_compiled(KernelKind::E64Lmul8, sn, true);
+            let mut states = distinct_states(sn);
+            engine.permute_slice(&mut states).expect("kernel runs");
+            let before = engine.processor().compiled_dispatches();
+            engine.permute_slice(&mut states).expect("kernel runs");
+            let per_pass = engine.processor().compiled_dispatches() - before;
+            assert_eq!(per_pass, 5, "SN = {sn}");
+            assert_eq!(engine.last_metrics().unwrap().cycles_per_round, 75);
+        }
+    }
+
+    #[test]
     fn repeated_permutation_composes() {
         let mut engine = VectorKeccakEngine::new(KernelKind::E64Lmul1, 1);
         let mut state = vec![KeccakState::new()];

@@ -32,19 +32,36 @@ pub fn write_states_64(
     states: &[KeccakState],
 ) -> Result<(), Trap> {
     assert!(states.len() * 5 <= elenum, "too many states for EleNum");
-    // Assemble the whole plane-major image and move it in one block —
-    // staging runs once per hardware pass, so one bounds check per lane
-    // is measurable against the compiled kernel's pass time.
-    let mut image = vec![0u64; 5 * elenum];
+    check_region_64(mem, base, elenum)?;
+    // One block move per plane of each slot: staging runs once per
+    // hardware pass, so neither a per-lane bounds check nor a heap image
+    // is affordable against the compiled kernel's pass time.
     for y in 0..5 {
         for slot in 0..elenum / 5 {
-            for x in 0..5 {
-                let lane = states.get(slot).map_or(0, |s| s.lane(x, y));
-                image[y * elenum + 5 * slot + x] = lane;
-            }
+            let plane = states.get(slot).map_or([0; 5], |s| s.plane(y));
+            mem.write_block64(plane_addr(base, elenum, y, slot), &plane)?;
         }
     }
-    mem.write_block64(base, &image)
+    Ok(())
+}
+
+/// Traps, before any access, if the 64-bit layout's region `[base,
+/// base + 5·8·elenum)` is misaligned or exceeds the memory — the error
+/// a single block access over the whole region would raise.
+fn check_region_64(mem: &DataMemory, base: u32, elenum: usize) -> Result<(), Trap> {
+    let size = 5 * 8 * elenum;
+    if size > 0 && (!base.is_multiple_of(8) || base as usize + size > mem.len()) {
+        return Err(Trap::MemoryAccess {
+            addr: base,
+            size: size as u32,
+        });
+    }
+    Ok(())
+}
+
+/// Address of plane `y` of state slot `slot` in the 64-bit layout.
+fn plane_addr(base: u32, elenum: usize, y: usize, slot: usize) -> u32 {
+    base + 8 * (y * elenum + 5 * slot) as u32
 }
 
 /// Reads `count` states back from the 64-bit layout.
@@ -77,13 +94,12 @@ pub fn read_states_64_into(
     out: &mut [KeccakState],
 ) -> Result<(), Trap> {
     assert!(out.len() * 5 <= elenum, "too many states for EleNum");
-    let mut image = vec![0u64; 5 * elenum];
-    mem.read_block64(base, &mut image)?;
+    check_region_64(mem, base, elenum)?;
     for y in 0..5 {
         for (slot, state) in out.iter_mut().enumerate() {
-            for x in 0..5 {
-                state.set_lane(x, y, image[y * elenum + 5 * slot + x]);
-            }
+            let mut plane = [0; 5];
+            mem.read_block64(plane_addr(base, elenum, y, slot), &mut plane)?;
+            state.set_plane(y, plane);
         }
     }
     Ok(())

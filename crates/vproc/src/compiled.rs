@@ -24,8 +24,12 @@
 //!   stale prediction costs speed, never correctness.
 //! * **Conditional branches** terminate a region as a compiled op that
 //!   resolves the direction, commits the matching (taken/not-taken)
-//!   cycle cost and sets the PC — so a whole loop body, `vsetvli`s,
-//!   custom Keccak steps and the back-edge included, is one dispatch.
+//!   cycle cost and sets the PC — so one trip through a loop body,
+//!   `vsetvli`s, custom Keccak steps and the back-edge included, is one
+//!   dispatch. A region that is exactly the LMUL=8 Keccak round, its
+//!   counter `addi` and a back-edge to its own entry
+//!   (`ResidentLoop`) goes further: one dispatch runs every trip the
+//!   stepping loop would retire.
 //! * **Unlowerable instructions** (masked ops, partial group overlap,
 //!   configurations the executors trap on, jumps, halts) *truncate* the
 //!   region rather than refusing it: the prefix still runs compiled and
@@ -33,7 +37,7 @@
 //!   instruction is unlowerable is refused outright; that instruction
 //!   then steps, and compiled dispatch resumes at the next one.
 //!
-//! Three invariants make the tier an execution fast path only, never a
+//! Four invariants make the tier an execution fast path only, never a
 //! semantic change:
 //!
 //! * **Refusal, not approximation** — any instruction whose compiled
@@ -50,6 +54,15 @@
 //!   constant of the op's configuration, and `cycle`/`instret` reads
 //!   add the ledger prefix to the counters at region entry, so
 //!   mid-region CSR reads observe the same partial sums as stepping.
+//! * **Replayed admission** — a resident loop first replays, in scalar
+//!   code, what the stepping loop decides before each re-entry: the
+//!   counter, the branch direction, ι's index range, the cycle budget
+//!   and the `run_until_pc` stop. It runs exactly that many trips and
+//!   commits trips × the region's ledger, so the state after the call
+//!   is the state after that many separate dispatches. Only the last
+//!   trip's temporaries are stored: every temporary of the round is
+//!   written before it is read within the round, so no earlier trip's
+//!   value is observable.
 
 use crate::decoded::{DecodedInstr, DecodedProgram};
 use crate::timing::TimingContext;
@@ -58,7 +71,7 @@ use krv_isa::{
     BranchKind, Csr, CustomOp, Instruction, MemMode, OpImmKind, RhoRow, VArithOp, VReg, VSource,
     Vtype, XReg,
 };
-use krv_keccak::constants::RHO_OFFSETS;
+use krv_keccak::constants::{RC, RHO_OFFSETS};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -473,6 +486,86 @@ pub(crate) enum FusedOp {
         /// Live word count (equal for all member ops).
         n: usize,
     },
+    /// The whole LMUL=8 round: θ, `vsetvli` (m8), `v64rho` and `vpi`
+    /// over all rows, χ, `vsetvli` (m1) and `viota` (23 instructions).
+    /// Unlike θ and χ it can refuse at run time (see [`RoundSpan`]).
+    Round(RoundSpan),
+}
+
+/// The operands of a fused whole round (paper Algorithm 3), captured
+/// when the span is built. The round is the Keccak round: the slide
+/// offsets, the θ rotate amount, the ρ table and the π gather are
+/// proven canonical, so only the register placement, the χ scalar and
+/// the two `vsetvli`s are captured.
+///
+/// Two things are only known at run time and are checked before any
+/// write: both `vsetvli` grants must equal their predictions, and ι's
+/// index must lie inside `RC`. If either fails, the member ops run and
+/// exit or trap exactly where stepping would.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RoundSpan {
+    /// Base word of plane 0; plane `y` starts `y · n` words later.
+    pub planes: usize,
+    /// Live words per plane (`5 × states`), which is also the register
+    /// size and so the plane stride.
+    pub n: usize,
+    /// θ's `D` temporary.
+    pub c: usize,
+    /// θ's slide-up temporary (`C[x-1]`).
+    pub up: usize,
+    /// θ's rotated slide-down temporary (`rotl(C[x+1], 1)`).
+    pub rot: usize,
+    /// π's destination group (five planes).
+    pub pi: usize,
+    /// χ's first temporary group (`(B[x+1] ^ y) & B[x+2]`).
+    pub t1: usize,
+    /// χ's second temporary group (`B[x+2]`).
+    pub t2: usize,
+    /// χ's scalar register (the complement mask, normally `-1`).
+    pub chi_rs1: usize,
+    /// ι's round-index register.
+    pub iota_rs1: usize,
+    /// The `vsetvli` to the m8 group configuration.
+    pub wide: VsetGuard,
+    /// The `vsetvli` back to the m1 plane configuration; the span leaves
+    /// the vector unit in the configuration it grants.
+    pub narrow: VsetGuard,
+}
+
+/// A `vsetvli x0, avl, vtype` inside a fused span, with the grant its
+/// downstream ops were lowered for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct VsetGuard {
+    /// AVL register (never `x0`).
+    pub avl: XReg,
+    /// The requested configuration.
+    pub vtype: Vtype,
+    /// The predicted granted VL.
+    pub vl: u32,
+}
+
+/// A region that is exactly a [`RoundSpan`], `addi counter, counter,
+/// step` and a conditional branch back to the region's entry — the
+/// kernels' `loopctl`. The processor runs it in one call for as many
+/// trips as the stepping loop would retire (see the module docs).
+///
+/// Proven when the region is built: the counter is ι's index register
+/// (so it is the only scalar the loop writes), it is neither an AVL
+/// register nor χ's scalar (so both `vsetvli` guards and the χ operand
+/// hold for every trip once they hold for the first), and the
+/// configuration at the branch equals the region's entry `BlockCtx`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ResidentLoop {
+    /// The round the loop body runs.
+    pub round: RoundSpan,
+    /// The `addi` immediate, as the wrapping increment of the counter.
+    pub step: u32,
+    /// The back-edge's comparison.
+    pub kind: BranchKind,
+    /// The back-edge's first comparison register index.
+    pub rs1: usize,
+    /// The back-edge's second comparison register index.
+    pub rs2: usize,
 }
 
 /// A fused idiom overlaying `ops[start .. start + len]`.
@@ -526,10 +619,15 @@ pub(crate) struct CompiledBlock {
     pub branch_costs: Option<(u64, u64)>,
     /// Member instruction count.
     pub len: usize,
-    /// Fused idiom overlay, ordered by `start`, spans disjoint.
+    /// Fused idiom overlay, ordered by `start` and, at one start,
+    /// longest first: a whole round is followed by the θ span it
+    /// begins with, which runs when the round cannot.
     pub fused: Box<[FusedSpan]>,
-    /// Per-op index into `fused` (`u32::MAX` where no span starts).
+    /// Per-op index of the first span in `fused` starting there
+    /// (`u32::MAX` where none does).
     pub fused_idx: Box<[u32]>,
+    /// Set when the whole region is a resident round loop.
+    pub resident: Option<ResidentLoop>,
 }
 
 impl CompiledBlock {
@@ -549,11 +647,14 @@ impl CompiledBlock {
         }
     }
 
-    /// The fused span starting at op `k`, if one does.
+    /// The fused spans starting at op `k`, longest first.
     #[inline]
-    pub fn fused_span(&self, k: usize) -> Option<&FusedSpan> {
-        let fi = self.fused_idx[k];
-        (fi != u32::MAX).then(|| &self.fused[fi as usize])
+    pub fn fused_at(&self, k: usize) -> &[FusedSpan] {
+        let Some(rest) = self.fused.get(self.fused_idx[k] as usize..) else {
+            return &[];
+        };
+        let count = rest.iter().take_while(|span| span.start == k).count();
+        &rest[..count]
     }
 }
 
@@ -757,6 +858,11 @@ pub(crate) fn compile_region(
     }
     let len = ops.len();
     let (fused, fused_idx) = fuse_idioms(&ops);
+    let resident = if cur == ctx {
+        match_resident(&ops, &fused, start)
+    } else {
+        None
+    };
     Some(CompiledBlock {
         ctx,
         ops: ops.into(),
@@ -767,6 +873,7 @@ pub(crate) fn compile_region(
         len,
         fused,
         fused_idx,
+        resident,
     })
 }
 
@@ -774,26 +881,48 @@ pub(crate) fn compile_region(
 const THETA_LEN: usize = 13;
 /// Instructions covered by the fused χ idiom.
 const CHI_LEN: usize = 5;
+/// Instructions covered by the fused whole round.
+const ROUND_LEN: usize = 23;
+/// Where χ starts inside a round: θ, `vsetvli`, `v64rho`, `vpi`.
+const ROUND_CHI: usize = THETA_LEN + 3;
 
 /// Scans a lowered region for the Keccak θ and χ instruction idioms the
-/// kernel generators emit and records them as [`FusedSpan`]s. Purely an
-/// overlay: the member ops stay in place for stop/split dispatches.
+/// kernel generators emit, then for whole rounds built on them, and
+/// records them as [`FusedSpan`]s. Purely an overlay: the member ops
+/// stay in place for stop/split dispatches.
 fn fuse_idioms(ops: &[Op]) -> (Box<[FusedSpan]>, Box<[u32]>) {
-    let mut spans = Vec::new();
+    let mut parts = Vec::new();
     let mut i = 0;
     while i < ops.len() {
         let matched = match_theta(&ops[i..])
             .map(|op| (THETA_LEN, op))
             .or_else(|| match_chi(&ops[i..]).map(|op| (CHI_LEN, op)));
         if let Some((len, op)) = matched {
-            spans.push(FusedSpan { start: i, len, op });
+            parts.push(FusedSpan { start: i, len, op });
             i += len;
         } else {
             i += 1;
         }
     }
+    // A round goes in front of the θ span it begins with, so dispatch
+    // tries the longer span first.
+    let mut spans = Vec::with_capacity(parts.len());
+    for (k, part) in parts.iter().enumerate() {
+        let round = parts
+            .get(k + 1)
+            .filter(|chi| chi.start == part.start + ROUND_CHI)
+            .and_then(|chi| match_round(&ops[part.start..], &part.op, &chi.op));
+        if let Some(op) = round {
+            spans.push(FusedSpan {
+                start: part.start,
+                len: ROUND_LEN,
+                op,
+            });
+        }
+        spans.push(part.clone());
+    }
     let mut idx = vec![u32::MAX; ops.len()];
-    for (si, span) in spans.iter().enumerate() {
+    for (si, span) in spans.iter().enumerate().rev() {
         idx[span.start] = si as u32;
     }
     (spans.into_boxed_slice(), idx.into_boxed_slice())
@@ -802,9 +931,221 @@ fn fuse_idioms(ops: &[Op]) -> (Box<[FusedSpan]>, Box<[u32]>) {
 /// Whether `N` equal-length word ranges are pairwise disjoint — the
 /// condition under which a fused idiom may run as one pass over
 /// simultaneously borrowed slices.
-fn pairwise_disjoint<const N: usize>(mut offsets: [usize; N], len: usize) -> bool {
-    offsets.sort_unstable();
-    offsets.windows(2).all(|w| w[0] + len <= w[1])
+fn pairwise_disjoint<const N: usize>(offsets: [usize; N], len: usize) -> bool {
+    ranges_disjoint(offsets.map(|offset| (offset, len)))
+}
+
+/// Whether `N` word ranges, given as `(offset, len)`, are pairwise
+/// disjoint.
+fn ranges_disjoint<const N: usize>(mut ranges: [(usize, usize); N]) -> bool {
+    ranges.sort_unstable();
+    ranges.windows(2).all(|w| w[0].0 + w[0].1 <= w[1].0)
+}
+
+/// The canonical lane tables and rotate amount of θ and χ, as the
+/// kernel generators emit them: slide up/down by one lane, rotate by
+/// one, and χ's slides down by one and two lanes.
+const THETA_UP: [usize; 5] = [4, 0, 1, 2, 3];
+const THETA_DOWN: [usize; 5] = [1, 2, 3, 4, 0];
+const CHI_NEXT: [usize; 5] = [1, 2, 3, 4, 0];
+const CHI_NEXT2: [usize; 5] = [2, 3, 4, 0, 1];
+
+/// Matches the 23-instruction LMUL=8 round on top of an already
+/// matched θ span (at `ops[0]`) and χ span (at `ops[ROUND_CHI]`):
+///
+/// ```text
+/// θ (13, on planes p + y·n)     χ (5, reading π's group, writing p)
+/// vsetvli x0, a8, e64, m8       vsetvli x0, a1, e64, m1
+/// v64rho.vi p, p, -1            viota.vx p, p, rc
+/// vpi.vi    b, p, -1
+/// ```
+///
+/// The span is the Keccak round, so everything but register placement
+/// and the χ scalar must be canonical: the lane tables, θ's rotate by
+/// one, the ρ table over the whole live span and the transposed π
+/// gather. The five planes must fill the m8 group exactly (`n` live
+/// words per plane, the register size), ι must work on plane 0, and all
+/// seven operand ranges must be pairwise disjoint.
+fn match_round(ops: &[Op], theta: &FusedOp, chi: &FusedOp) -> Option<FusedOp> {
+    let seq: &[Op; ROUND_LEN] = ops.get(..ROUND_LEN)?.try_into().ok()?;
+    let &FusedOp::Theta {
+        planes,
+        c,
+        up,
+        rot,
+        j_up,
+        j_rot,
+        amount,
+        n,
+    } = theta
+    else {
+        return None;
+    };
+    let &FusedOp::Chi {
+        s: chi_s,
+        t1,
+        t2,
+        d: chi_d,
+        rs1: chi_rs1,
+        j1,
+        j2,
+        n: chi_n,
+    } = chi
+    else {
+        return None;
+    };
+    let (
+        Op::Vsetvli {
+            rd: wide_rd,
+            rs1: wide_avl,
+            vtype: wide_vtype,
+            expected_vl: wide_vl,
+            ..
+        },
+        Op::RhoTable {
+            d: rho_d,
+            s: rho_s,
+            rots,
+        },
+        Op::PiPlanes {
+            d: pi,
+            elenum,
+            s: pi_s,
+            s_len,
+            spec,
+            states,
+        },
+        Op::Vsetvli {
+            rd: narrow_rd,
+            rs1: narrow_avl,
+            vtype: narrow_vtype,
+            expected_vl: narrow_vl,
+            ..
+        },
+        Op::Iota {
+            d: iota_d,
+            s: iota_s,
+            len: iota_len,
+            rs1: iota_rs1,
+        },
+    ) = (&seq[13], &seq[14], &seq[15], &seq[21], &seq[22])
+    else {
+        return None;
+    };
+    let p = planes[0];
+    let canonical =
+        j_up == THETA_UP && j_rot == THETA_DOWN && amount == 1 && j1 == CHI_NEXT && j2 == CHI_NEXT2;
+    let placed = (0..5).all(|y| planes[y] == p + y * n)
+        && chi_n == 5 * n
+        && chi_s == *pi
+        && chi_d == p
+        && (*rho_d, *rho_s) == (p, p)
+        && (*pi_s, *s_len, *elenum, 5 * *states) == (p, 5 * n, n, n)
+        && (*iota_d, *iota_s, *iota_len) == (p, p, n);
+    let guarded =
+        [*wide_rd, *narrow_rd] == [XReg::X0; 2] && *wide_avl != XReg::X0 && *narrow_avl != XReg::X0;
+    let rho_canonical = rots.len() == 5 * n
+        && rots
+            .iter()
+            .enumerate()
+            .all(|(g, &r)| r == RHO_OFFSETS[g / n][g % 5]);
+    let pi_canonical = spec.iter().enumerate().all(|(y, row)| {
+        row.iter().enumerate().all(|(r, e)| {
+            let x = (r + 3 * y) % 5;
+            e.off == r * n + x && e.rot == 0
+        })
+    });
+    let disjoint = ranges_disjoint([
+        (p, 5 * n),
+        (c, n),
+        (up, n),
+        (rot, n),
+        (*pi, 5 * n),
+        (t1, 5 * n),
+        (t2, 5 * n),
+    ]);
+    if !(canonical && placed && guarded && rho_canonical && pi_canonical && disjoint) {
+        return None;
+    }
+    Some(FusedOp::Round(RoundSpan {
+        planes: p,
+        n,
+        c,
+        up,
+        rot,
+        pi: *pi,
+        t1,
+        t2,
+        chi_rs1,
+        iota_rs1: *iota_rs1,
+        wide: VsetGuard {
+            avl: *wide_avl,
+            vtype: *wide_vtype,
+            vl: *wide_vl,
+        },
+        narrow: VsetGuard {
+            avl: *narrow_avl,
+            vtype: *narrow_vtype,
+            vl: *narrow_vl,
+        },
+    }))
+}
+
+/// Recognises a region that is exactly a round span, `addi rc, rc,
+/// imm` with `rc` ι's index register, and a conditional branch back to
+/// the region's entry slot `start`. The caller has already checked that
+/// the configuration at the branch equals the entry configuration.
+fn match_resident(ops: &[Op], fused: &[FusedSpan], start: usize) -> Option<ResidentLoop> {
+    let [Op::ScalarImm {
+        kind: OpImmKind::Addi,
+        rd,
+        rs1,
+        imm,
+    }, Op::Branch {
+        kind,
+        rs1: b1,
+        rs2: b2,
+        target,
+        ..
+    }] = ops.get(ROUND_LEN..)?
+    else {
+        return None;
+    };
+    let FusedSpan {
+        start: 0,
+        len: ROUND_LEN,
+        op: FusedOp::Round(round),
+    } = fused.first()?
+    else {
+        return None;
+    };
+    let counter = rd.index();
+    let wired = rd == rs1
+        && counter != 0
+        && counter == round.iota_rs1
+        && counter != round.chi_rs1
+        && counter != round.wide.avl.index()
+        && counter != round.narrow.avl.index()
+        && *target as usize == start * 4;
+    wired.then_some(ResidentLoop {
+        round: *round,
+        step: *imm as u32,
+        kind: *kind,
+        rs1: *b1,
+        rs2: *b2,
+    })
+}
+
+/// Whether a conditional branch of `kind` is taken on operands `a`, `b`.
+pub(crate) fn branch_taken(kind: BranchKind, a: u32, b: u32) -> bool {
+    match kind {
+        BranchKind::Beq => a == b,
+        BranchKind::Bne => a != b,
+        BranchKind::Blt => (a as i32) < (b as i32),
+        BranchKind::Bge => (a as i32) >= (b as i32),
+        BranchKind::Bltu => a < b,
+        BranchKind::Bgeu => a >= b,
+    }
 }
 
 /// Matches the 13-instruction θ sequence:
@@ -1518,11 +1859,6 @@ pub(crate) fn exec_bin_vs(w: &mut [u64], kind: BinKind, d: usize, a: usize, y: u
     }
 }
 
-/// Executes a compiled modulo-5 slide. In-place execution is safe: each
-/// 5-block's sources are read into a local array before its writes, and
-/// the permutation never crosses blocks. The disjoint case pre-splits
-/// the ranges once and walks fixed-size 5-chunks, which keeps the inner
-/// permutation free of per-element bounds checks.
 /// Executes the fused θ idiom in one pass: per 5-block, the five-plane
 /// parity, the two slide temporaries, the rotate and the plane updates.
 /// Writes every register the 13-instruction sequence writes — `up`,
@@ -1662,6 +1998,103 @@ pub(crate) fn exec_chi(
     }
 }
 
+/// The registers one round leaves behind besides the state, for one
+/// Keccak state: θ's three 5-lane temporaries and the 25-lane π output
+/// and χ temporaries, plane-major like the state.
+struct RoundTemps {
+    c: [u64; 5],
+    up: [u64; 5],
+    rot: [u64; 5],
+    b: [u64; 25],
+    t1: [u64; 25],
+    t2: [u64; 25],
+}
+
+/// One Keccak round on one state held plane-major (`a[5y + x]`), with
+/// χ's scalar `y` (the stepper's `vxor.vx` operand) and the round
+/// constant `rc`. Returns the temporaries the 23-instruction sequence
+/// leaves in its registers; a caller that discards them pays nothing
+/// for them once this is inlined.
+#[inline(always)]
+fn keccak_round(a: &mut [u64; 25], y: u64, rc: u64) -> RoundTemps {
+    let par: [u64; 5] =
+        std::array::from_fn(|x| a[x] ^ a[x + 5] ^ a[x + 10] ^ a[x + 15] ^ a[x + 20]);
+    let up = [par[4], par[0], par[1], par[2], par[3]];
+    let rot = [
+        par[1].rotate_left(1),
+        par[2].rotate_left(1),
+        par[3].rotate_left(1),
+        par[4].rotate_left(1),
+        par[0].rotate_left(1),
+    ];
+    let c: [u64; 5] = std::array::from_fn(|x| up[x] ^ rot[x]);
+    // ρ, then π gathering plane `p`'s lane `r` from plane `r`, lane
+    // `(r + 3p) mod 5` (the `PiPlanes` spec).
+    let b: [u64; 25] = std::array::from_fn(|i| {
+        let (p, r) = (i / 5, i % 5);
+        let x = (r + 3 * p) % 5;
+        (a[5 * r + x] ^ c[x]).rotate_left(RHO_OFFSETS[r][x])
+    });
+    let t2: [u64; 25] = std::array::from_fn(|i| b[i - i % 5 + CHI_NEXT2[i % 5]]);
+    let t1: [u64; 25] = std::array::from_fn(|i| (b[i - i % 5 + CHI_NEXT[i % 5]] ^ y) & t2[i]);
+    *a = std::array::from_fn(|i| b[i] ^ t1[i]);
+    a[0] ^= rc;
+    RoundTemps {
+        c,
+        up,
+        rot,
+        b,
+        t1,
+        t2,
+    }
+}
+
+/// Executes `trips` whole rounds of `r` (see [`RoundSpan`]): one pass
+/// per state over its 25 words, carrying the state through every trip
+/// in host registers. Trip `i` XORs in `RC[first + i·step]` (wrapping;
+/// the caller has checked every index). Writes the final state and the
+/// last trip's temporaries — the register file after `trips` runs of
+/// the member ops, because every temporary is written before it is
+/// read within a round.
+pub(crate) fn exec_rounds(
+    w: &mut [u64],
+    r: &RoundSpan,
+    y: u64,
+    first: u32,
+    step: u32,
+    trips: usize,
+) {
+    debug_assert!(trips > 0, "a round span runs at least once");
+    let n = r.n;
+    for o in (0..n).step_by(5) {
+        let mut a = [0u64; 25];
+        for (p, plane) in a.chunks_exact_mut(5).enumerate() {
+            plane.copy_from_slice(&w[r.planes + p * n + o..][..5]);
+        }
+        let mut index = first;
+        for _ in 1..trips {
+            keccak_round(&mut a, y, RC[index as usize]);
+            index = index.wrapping_add(step);
+        }
+        let t = keccak_round(&mut a, y, RC[index as usize]);
+        for p in 0..5 {
+            let lanes = 5 * p..5 * p + 5;
+            w[r.planes + p * n + o..][..5].copy_from_slice(&a[lanes.clone()]);
+            w[r.pi + p * n + o..][..5].copy_from_slice(&t.b[lanes.clone()]);
+            w[r.t1 + p * n + o..][..5].copy_from_slice(&t.t1[lanes.clone()]);
+            w[r.t2 + p * n + o..][..5].copy_from_slice(&t.t2[lanes]);
+        }
+        w[r.c + o..][..5].copy_from_slice(&t.c);
+        w[r.up + o..][..5].copy_from_slice(&t.up);
+        w[r.rot + o..][..5].copy_from_slice(&t.rot);
+    }
+}
+
+/// Executes a compiled modulo-5 slide. In-place execution is safe: each
+/// 5-block's sources are read into a local array before its writes, and
+/// the permutation never crosses blocks. The disjoint case pre-splits
+/// the ranges once and walks fixed-size 5-chunks, which keeps the inner
+/// permutation free of per-element bounds checks.
 pub(crate) fn exec_slide(w: &mut [u64], d: usize, s: usize, blocks: usize, src_j: &[usize; 5]) {
     let n = 5 * blocks;
     if d == s {
@@ -2115,8 +2548,8 @@ mod tests {
         assert_eq!(*j_up, [4, 0, 1, 2, 3], "slide-up lane table");
         assert_eq!(*j_rot, [1, 2, 3, 4, 0], "slide-down lane table");
         assert_eq!((*amount, *n), (1, 10));
-        assert!(block.fused_span(0).is_some());
-        assert!((1..THETA_LEN).all(|k| block.fused_span(k).is_none()));
+        assert_eq!(block.fused_at(0).len(), 1);
+        assert!((1..THETA_LEN).all(|k| block.fused_at(k).is_empty()));
     }
 
     #[test]
@@ -2177,6 +2610,140 @@ mod tests {
         assert_eq!(*amount, 17);
     }
 
+    /// The E64 LMUL=8 round loop exactly as the kernel emits it: the
+    /// 23-instruction round, then `loopctl`.
+    fn round_loop_source() -> String {
+        format!(
+            "permutation:\n{THETA_SOURCE}\n\
+             vsetvli x0, s5, e64, m8, tu, mu\n\
+             v64rho.vi v0, v0, -1\n\
+             vpi.vi v8, v0, -1\n\
+             {CHI_SOURCE}\n\
+             vsetvli x0, s1, e64, m1, tu, mu\n\
+             viota.vx v0, v0, s3\n\
+             addi s3, s3, 1\n\
+             blt s3, s4, permutation"
+        )
+    }
+
+    /// Scalar registers as the kernel presets them at EleNum = 10:
+    /// `s1` = 10 (m1 AVL), `s2` = -1 (χ), `s5` = 50 (m8 AVL).
+    fn kernel_xregs() -> [u32; 32] {
+        let mut xregs = XREGS;
+        xregs[9] = 10;
+        xregs[18] = u32::MAX;
+        xregs[21] = 50;
+        xregs
+    }
+
+    /// The m1 configuration the kernel's `vsetvli x0, s1, e64, m1, tu,
+    /// mu` grants at EleNum = 10: a round loop's entry configuration.
+    fn kernel_ctx() -> BlockCtx {
+        let vtype = Vtype::new(Sew::E64, Lmul::M1)
+            .tail_undisturbed()
+            .mask_undisturbed();
+        BlockCtx {
+            vtype: vtype.zimm(),
+            ..ctx(10, 10, Sew::E64, Lmul::M1)
+        }
+    }
+
+    fn spans(block: &CompiledBlock) -> Vec<(usize, usize)> {
+        block.fused.iter().map(|s| (s.start, s.len)).collect()
+    }
+
+    #[test]
+    fn round_region_fuses_with_expected_captures() {
+        let prog = program(
+            krv_asm::assemble(&round_loop_source())
+                .expect("assembles")
+                .instructions(),
+        );
+        let block = compile_region(&prog, 0, kernel_ctx(), geometry(10), &kernel_xregs())
+            .expect("compiles");
+        assert_eq!(block.len, ROUND_LEN + 2);
+        // The round goes first, then the θ it falls back to, then χ.
+        assert_eq!(
+            spans(&block),
+            [(0, ROUND_LEN), (0, THETA_LEN), (ROUND_CHI, CHI_LEN)]
+        );
+        assert_eq!(block.fused_at(0).len(), 2);
+        let FusedOp::Round(round) = block.fused[0].op else {
+            panic!("expected a round, got {:?}", block.fused[0].op);
+        };
+        let expected = RoundSpan {
+            planes: 0,
+            n: 10,
+            c: 50,
+            up: 60,
+            rot: 70,
+            pi: 80,
+            t1: 160,
+            t2: 240,
+            chi_rs1: 18,
+            iota_rs1: 19,
+            wide: VsetGuard {
+                avl: XReg::X21,
+                vtype: Vtype::new(Sew::E64, Lmul::M8)
+                    .tail_undisturbed()
+                    .mask_undisturbed(),
+                vl: 50,
+            },
+            narrow: VsetGuard {
+                avl: XReg::X9,
+                vtype: Vtype::new(Sew::E64, Lmul::M1)
+                    .tail_undisturbed()
+                    .mask_undisturbed(),
+                vl: 10,
+            },
+        };
+        assert_eq!(round, expected);
+        assert_eq!(
+            block.resident,
+            Some(ResidentLoop {
+                round: expected,
+                step: 1,
+                kind: BranchKind::Blt,
+                rs1: 19,
+                rs2: 20,
+            })
+        );
+    }
+
+    #[test]
+    fn near_miss_rounds_keep_theta_and_chi() {
+        let entry = kernel_ctx();
+        let compile = |source: &str, xregs: &[u32; 32]| {
+            let prog = program(krv_asm::assemble(source).expect("assembles").instructions());
+            compile_region(&prog, 0, entry, geometry(10), xregs).expect("compiles")
+        };
+        let verbatim = round_loop_source();
+        // A stray op between ρ and π, and a single-row π: θ and χ still
+        // fuse, the round does not, and neither loop is resident.
+        let stray = verbatim.replace(
+            "vpi.vi v8, v0, -1",
+            "vxor.vv v24, v24, v24\nvpi.vi v8, v0, -1",
+        );
+        let block = compile(&stray, &kernel_xregs());
+        assert_eq!(spans(&block), [(0, THETA_LEN), (ROUND_CHI + 1, CHI_LEN)]);
+        assert_eq!(block.resident, None);
+        let one_row = verbatim.replace("vpi.vi v8, v0, -1", "vpi.vi v8, v0, 0");
+        let block = compile(&one_row, &kernel_xregs());
+        assert_eq!(spans(&block), [(0, THETA_LEN), (ROUND_CHI, CHI_LEN)]);
+        assert_eq!(block.resident, None);
+        // A predicted m8 grant short of the five planes.
+        let mut short = kernel_xregs();
+        short[21] = 45;
+        let block = compile(&verbatim, &short);
+        assert_eq!(spans(&block), [(0, THETA_LEN), (ROUND_CHI, CHI_LEN)]);
+        // A loop counter other than ι's index: the round fuses, the loop
+        // is not resident.
+        let other_counter = verbatim.replace("addi s3, s3, 1", "addi s6, s6, 1");
+        let block = compile(&other_counter, &kernel_xregs());
+        assert_eq!(spans(&block)[0], (0, ROUND_LEN));
+        assert_eq!(block.resident, None);
+    }
+
     #[test]
     fn fused_execution_matches_member_ops() {
         // The fused single-pass executors must leave the register file
@@ -2190,74 +2757,107 @@ mod tests {
                 })
                 .collect()
         }
-        let mut xregs = XREGS;
-        xregs[18] = u32::MAX; // s2 = -1 for the χ complement
+        let mut xregs = kernel_xregs();
+        xregs[19] = 7; // s3: ι's round index
+        let round_source = round_loop_source();
         for (source, c) in [
             (THETA_SOURCE, ctx(10, 10, Sew::E64, Lmul::M1)),
             (CHI_SOURCE, ctx(25, 10, Sew::E64, Lmul::M8)),
+            (round_source.as_str(), kernel_ctx()),
         ] {
             let prog = program(krv_asm::assemble(source).expect("assembles").instructions());
             let block = compile_region(&prog, 0, c, geometry(10), &xregs).expect("compiles");
             let span = block.fused.first().expect("fuses");
-
-            let mut by_members = fill(32 * 10);
-            for op in &block.ops[span.start..span.start + span.len] {
-                match *op {
-                    Op::BinVV { kind, d, a, b, len } => {
-                        exec_bin_vv(&mut by_members, kind, d, a, b, len);
-                    }
-                    Op::BinVX {
-                        kind,
-                        d,
-                        a,
-                        rs1,
-                        len,
-                    } => {
-                        let y = xregs[rs1] as i32 as i64 as u64;
-                        exec_bin_vs(&mut by_members, kind, d, a, y, len);
-                    }
-                    Op::SlideMod5 {
-                        d,
-                        s,
-                        blocks,
-                        ref src_j,
-                    } => {
-                        exec_slide(&mut by_members, d, s, blocks, src_j);
-                    }
-                    Op::RotConst { d, s, len, amount } => {
-                        exec_rot(&mut by_members, d, s, len, amount);
-                    }
-                    ref other => panic!("unexpected member op {other:?}"),
+            // A round also runs three trips at once, against three
+            // member-op trips with the index stepping 7, 8, 9.
+            let trips = if matches!(span.op, FusedOp::Round(_)) {
+                1..=3
+            } else {
+                1..=1
+            };
+            for trips in trips {
+                let mut by_members = fill(32 * 10);
+                for trip in 0..trips {
+                    run_members(
+                        &block.ops[span.start..span.start + span.len],
+                        &mut by_members,
+                        {
+                            let mut x = xregs;
+                            x[19] += trip as u32;
+                            x
+                        },
+                    );
                 }
+                let mut by_fusion = fill(32 * 10);
+                run_fused(&span.op, &mut by_fusion, &xregs, trips);
+                assert_eq!(by_members, by_fusion, "{source}, {trips} trip(s)");
             }
+        }
+    }
 
-            let mut by_fusion = fill(32 * 10);
-            match span.op {
-                FusedOp::Theta {
-                    ref planes,
-                    c,
-                    up,
-                    rot,
-                    ref j_up,
-                    ref j_rot,
-                    amount,
-                    n,
-                } => exec_theta(&mut by_fusion, planes, c, up, rot, j_up, j_rot, amount, n),
-                FusedOp::Chi {
-                    s,
-                    t1,
-                    t2,
+    /// Runs member ops over a bare register file (a `vsetvli` only
+    /// changes the configuration, which the ops already encode).
+    fn run_members(ops: &[Op], w: &mut [u64], xregs: [u32; 32]) {
+        for op in ops {
+            match *op {
+                Op::Vsetvli { .. } => {}
+                Op::RhoTable { d, s, ref rots } => exec_rho(w, d, s, rots),
+                Op::PiPlanes {
                     d,
+                    elenum,
+                    s,
+                    s_len,
+                    ref spec,
+                    states,
+                } => exec_pi_planes(w, d, elenum, s, s_len, spec, states),
+                Op::Iota { d, s, len, rs1 } => exec_iota(w, d, s, len, RC[xregs[rs1] as usize]),
+                Op::BinVV { kind, d, a, b, len } => exec_bin_vv(w, kind, d, a, b, len),
+                Op::BinVX {
+                    kind,
+                    d,
+                    a,
                     rs1,
-                    ref j1,
-                    ref j2,
-                    n,
-                } => {
-                    let y = xregs[rs1] as i32 as i64 as u64;
-                    exec_chi(&mut by_fusion, s, t1, t2, d, y, j1, j2, n);
-                }
+                    len,
+                } => exec_bin_vs(w, kind, d, a, xregs[rs1] as i32 as i64 as u64, len),
+                Op::SlideMod5 {
+                    d,
+                    s,
+                    blocks,
+                    ref src_j,
+                } => exec_slide(w, d, s, blocks, src_j),
+                Op::RotConst { d, s, len, amount } => exec_rot(w, d, s, len, amount),
+                ref other => panic!("unexpected member op {other:?}"),
             }
-            assert_eq!(by_members, by_fusion, "{source}");
+        }
+    }
+
+    /// Runs a fused span `trips` times at once (θ and χ only once).
+    fn run_fused(op: &FusedOp, w: &mut [u64], xregs: &[u32; 32], trips: usize) {
+        match *op {
+            FusedOp::Theta {
+                ref planes,
+                c,
+                up,
+                rot,
+                ref j_up,
+                ref j_rot,
+                amount,
+                n,
+            } => exec_theta(w, planes, c, up, rot, j_up, j_rot, amount, n),
+            FusedOp::Chi {
+                s,
+                t1,
+                t2,
+                d,
+                rs1,
+                ref j1,
+                ref j2,
+                n,
+            } => exec_chi(w, s, t1, t2, d, xregs[rs1] as i32 as i64 as u64, j1, j2, n),
+            FusedOp::Round(ref round) => {
+                let y = xregs[round.chi_rs1] as i32 as i64 as u64;
+                exec_rounds(w, round, y, xregs[round.iota_rs1], 1, trips);
+            }
         }
     }
 }

@@ -2,6 +2,7 @@
 
 use crate::compiled::{
     self, BlockCtx, CompiledBlock, CompiledProgram, CompiledSlot, FusedOp, Geometry, Op, OpExit,
+    RoundSpan,
 };
 use crate::config::ProcessorConfig;
 use crate::decoded::{DecodedInstr, DecodedProgram};
@@ -11,9 +12,7 @@ use crate::timing::TimingContext;
 use crate::trace::Tracer;
 use crate::trap::Trap;
 use crate::vector::VectorUnit;
-use krv_isa::{
-    BranchKind, Instruction, LoadKind, MemMode, OpImmKind, OpKind, Sew, StoreKind, VReg, XReg,
-};
+use krv_isa::{Instruction, LoadKind, MemMode, OpImmKind, OpKind, Sew, StoreKind, VReg, XReg};
 use krv_keccak::constants::RC;
 use std::sync::Arc;
 
@@ -287,8 +286,10 @@ impl Processor {
         self.compiled_on = compiled;
     }
 
-    /// How many compiled blocks have been dispatched so far (diagnostic;
-    /// not reset by [`Processor::reset_counters`]).
+    /// How many compiled-region calls have retired instructions so far:
+    /// one per region run, whole, up to a stop or up to a guard exit,
+    /// and one per resident round loop whatever its trip count
+    /// (diagnostic; not reset by [`Processor::reset_counters`]).
     pub fn compiled_dispatches(&self) -> u64 {
         self.compiled_dispatches
     }
@@ -362,15 +363,7 @@ impl Processor {
                 next_pc = target;
             }
             Instruction::Branch { kind, rs1, rs2, .. } => {
-                let (a, b) = (self.xreg(rs1), self.xreg(rs2));
-                let taken = match kind {
-                    BranchKind::Beq => a == b,
-                    BranchKind::Bne => a != b,
-                    BranchKind::Blt => (a as i32) < (b as i32),
-                    BranchKind::Bge => (a as i32) >= (b as i32),
-                    BranchKind::Bltu => a < b,
-                    BranchKind::Bgeu => a >= b,
-                };
+                let taken = compiled::branch_taken(kind, self.xreg(rs1), self.xreg(rs2));
                 if taken {
                     next_pc = slot.target;
                 }
@@ -636,8 +629,93 @@ impl Processor {
         if self.cycles + cost > max_cycles {
             return Ok(false);
         }
+        if stop_at.is_none() && self.run_resident(start, &block, max_cycles, stop_pc) {
+            return Ok(true);
+        }
         self.run_compiled(start, &block, stop_at)?;
         Ok(true)
+    }
+
+    /// Runs a resident round loop (see [`compiled::ResidentLoop`]) for
+    /// every trip the stepping loop would retire, in one call. The
+    /// caller admitted the first trip; before each further one this
+    /// replays what `run`/`run_until_pc` and `try_compiled` check before
+    /// re-entering the region: the cycle budget (`cycles < max` and
+    /// `cycles + worst_cost <= max`) and a `run_until_pc` target at the
+    /// loop head or inside the region. A trip whose ι index is outside
+    /// `RC` is left to the member ops, which raise the trap.
+    ///
+    /// Returns `false`, with nothing changed, when not even the first
+    /// trip can take this path; the region then runs as usual.
+    fn run_resident(
+        &mut self,
+        start: usize,
+        block: &CompiledBlock,
+        max_cycles: u64,
+        stop_pc: Option<u32>,
+    ) -> bool {
+        let Some(lp) = block.resident else {
+            return false;
+        };
+        let round = &lp.round;
+        if !self.round_guards_hold(round) {
+            return false;
+        }
+        let (taken_cost, not_cost) = block
+            .branch_costs
+            .expect("a resident loop ends in its back-edge");
+        let head = (start as u32) * 4;
+        let end = head + 4 * block.len as u32;
+        let stops = stop_pc.is_some_and(|t| (head..end).contains(&t));
+        let first = self.xregs[round.iota_rs1];
+        let (mut cycles, mut index, mut trips, mut taken) = (self.cycles, first, 0usize, false);
+        while RC.get(index as usize).is_some() {
+            index = index.wrapping_add(lp.step);
+            let operand = |r: usize| {
+                if r == round.iota_rs1 {
+                    index
+                } else {
+                    self.xregs[r]
+                }
+            };
+            taken = compiled::branch_taken(lp.kind, operand(lp.rs1), operand(lp.rs2));
+            cycles += block.total_cycles + if taken { taken_cost } else { not_cost };
+            trips += 1;
+            if !taken || stops || cycles >= max_cycles || cycles + block.worst_cost() > max_cycles {
+                break;
+            }
+        }
+        if trips == 0 {
+            return false;
+        }
+        self.run_rounds(round, first, lp.step, trips);
+        self.xregs[round.iota_rs1] = index;
+        self.cycles = cycles;
+        self.retired += (trips * block.len) as u64;
+        self.retired_vector += trips as u64 * block.total_vector;
+        self.pc = if taken { head } else { end };
+        self.compiled_dispatches += 1;
+        true
+    }
+
+    /// Whether both `vsetvli`s of a round span would grant the
+    /// configuration its ops were lowered for.
+    fn round_guards_hold(&self, round: &RoundSpan) -> bool {
+        [round.wide, round.narrow]
+            .iter()
+            .all(|g| self.vu.grant(self.xreg(g.avl), g.vtype) == Ok(g.vl))
+    }
+
+    /// Runs `trips` rounds of a round span whose guards hold, from ι
+    /// index `first` stepping by `step`, and leaves the vector unit as
+    /// the member ops do: configured by the last `vsetvli`.
+    fn run_rounds(&mut self, round: &RoundSpan, first: u32, step: u32, trips: usize) {
+        let y = self.xregs[round.chi_rs1] as i32 as i64 as u64;
+        compiled::exec_rounds(self.vu.words64_mut(), round, y, first, step, trips);
+        let avl = self.xreg(round.narrow.avl);
+        self.vu
+            .set_config(avl, round.narrow.vtype)
+            .expect("the round's guards proved the grant");
     }
 
     /// Executes a compiled region's micro-ops back to back, stopping
@@ -666,15 +744,18 @@ impl Processor {
         };
         let mut k = 0;
         while k < body {
-            // A fused idiom fully inside the body runs as one pass;
-            // a stop landing inside the span falls through to the
-            // member ops, which are still in place.
-            if let Some(span) = block.fused_span(k) {
-                if k + span.len <= body {
-                    self.exec_fused_op(&span.op);
-                    k += span.len;
-                    continue;
-                }
+            // The longest fused span that lies fully inside the body and
+            // admits its run-time checks runs as one pass; a stop inside
+            // a span, or a round whose checks fail, falls through to a
+            // shorter span or to the member ops, which are still in
+            // place.
+            if let Some(span) = block
+                .fused_at(k)
+                .iter()
+                .find(|span| k + span.len <= body && self.exec_fused_op(&span.op))
+            {
+                k += span.len;
+                continue;
             }
             let op = &block.ops[k];
             match self.exec_compiled_op(op) {
@@ -712,15 +793,7 @@ impl Processor {
             else {
                 unreachable!("branch_costs is only set for a terminal branch")
             };
-            let (a, b) = (self.xregs[rs1], self.xregs[rs2]);
-            let taken = match kind {
-                BranchKind::Beq => a == b,
-                BranchKind::Bne => a != b,
-                BranchKind::Blt => (a as i32) < (b as i32),
-                BranchKind::Bge => (a as i32) >= (b as i32),
-                BranchKind::Bltu => a < b,
-                BranchKind::Bgeu => a >= b,
-            };
+            let taken = compiled::branch_taken(kind, self.xregs[rs1], self.xregs[rs2]);
             self.cycles +=
                 block.ledger[k].prefix_cycles + if taken { taken_cost } else { not_cost };
             self.retired += (k + 1) as u64;
@@ -753,10 +826,12 @@ impl Processor {
     }
 
     /// Executes one fused idiom — architecturally identical to running
-    /// its member ops back to back (see [`FusedOp`]). Infallible:
-    /// operand windows and disjointness were proven when the span was
-    /// built, and no member op can trap or exit.
-    fn exec_fused_op(&mut self, op: &FusedOp) {
+    /// its member ops back to back (see [`FusedOp`]) — and returns
+    /// `true`. Operand windows and disjointness were proven when the
+    /// span was built. θ and χ cannot trap or exit; a round returns
+    /// `false` without any write when a `vsetvli` guard would exit or ι
+    /// would trap, and the member ops then run.
+    fn exec_fused_op(&mut self, op: &FusedOp) -> bool {
         match op {
             FusedOp::Theta {
                 planes,
@@ -793,7 +868,15 @@ impl Processor {
                 let y = self.xregs[*rs1] as i32 as i64 as u64;
                 compiled::exec_chi(self.vu.words64_mut(), *s, *t1, *t2, *d, y, j1, j2, *n);
             }
+            FusedOp::Round(round) => {
+                let index = self.xregs[round.iota_rs1];
+                if !self.round_guards_hold(round) || RC.get(index as usize).is_none() {
+                    return false;
+                }
+                self.run_rounds(round, index, 0, 1);
+            }
         }
+        true
     }
 
     /// Executes one compiled micro-op. Counters are untouched here (the

@@ -98,16 +98,25 @@ impl VectorUnit {
     /// Traps if the requested SEW is wider than the hardware ELEN (the
     /// hardware would set `vill`).
     pub fn set_config(&mut self, avl: u32, vtype: Vtype) -> Result<u32, Trap> {
+        self.vl = self.grant(avl, vtype)?;
+        self.vtype = vtype;
+        self.epr = (self.reg_bytes() as u32) / vtype.sew().bytes();
+        Ok(self.vl)
+    }
+
+    /// The VL [`VectorUnit::set_config`] would grant, without changing
+    /// anything.
+    ///
+    /// # Errors
+    ///
+    /// The trap `set_config` would raise.
+    pub(crate) fn grant(&self, avl: u32, vtype: Vtype) -> Result<u32, Trap> {
         if vtype.sew().bits() > self.elen.bits() {
             return Err(Trap::VectorConfig {
                 reason: "requested SEW exceeds the processor ELEN",
             });
         }
-        let vlmax = vtype.vlmax(self.elenum as u32, self.elen.bits());
-        self.vtype = vtype;
-        self.vl = avl.min(vlmax);
-        self.epr = (self.reg_bytes() as u32) / vtype.sew().bytes();
-        Ok(self.vl)
+        Ok(avl.min(vtype.vlmax(self.elenum as u32, self.elen.bits())))
     }
 
     /// Byte offset of element `idx` (of `bytes` width) in the group at

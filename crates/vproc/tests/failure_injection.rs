@@ -264,7 +264,9 @@ fn decoded_cycle_limit_matches_undecoded() {
 // contract says a trap or an expiring cycle budget must still surface
 // with exactly the per-instruction prefix retired. These tests pin that
 // down against the stepper on programs containing the verbatim Keccak θ
-// idiom, which the tier additionally collapses into one fused span.
+// idiom, which the tier additionally collapses into one fused span, and
+// the verbatim LMUL=8 round loop, which it runs as one whole-round span
+// and, from the second round on, as one resident call for every round.
 // ---------------------------------------------------------------------
 
 /// The 13-instruction θ idiom over five derived planes, run twice via a
@@ -301,7 +303,7 @@ loop:
 /// Full architectural-state equality between the compiled tier and the
 /// per-instruction stepper (counters, PC, scalar and vector registers).
 fn assert_same_state(context: &str, compiled: &Processor, stepped: &Processor) {
-    use krv_isa::{Sew, VReg, XReg};
+    use krv_isa::{VReg, XReg};
     assert_eq!(compiled.cycles(), stepped.cycles(), "{context}: cycles");
     assert_eq!(compiled.retired(), stepped.retired(), "{context}: retired");
     assert_eq!(
@@ -316,21 +318,80 @@ fn assert_same_state(context: &str, compiled: &Processor, stepped: &Processor) {
     }
     let (cv, sv) = (compiled.vector_unit(), stepped.vector_unit());
     assert_eq!(cv.vl(), sv.vl(), "{context}: vl");
-    for reg in 0..32u8 {
-        let vreg = VReg::from_index(reg as usize);
-        for elem in 0..10 {
-            assert_eq!(
-                cv.read_elem_sew(vreg, elem, Sew::E64),
-                sv.read_elem_sew(vreg, elem, Sew::E64),
-                "{context}: v{reg}[{elem}]"
-            );
-        }
+    assert_eq!(cv.vtype(), sv.vtype(), "{context}: vtype");
+    for reg in 0..32 {
+        let vreg = VReg::from_index(reg);
+        assert_eq!(
+            cv.register_bytes(vreg),
+            sv.register_bytes(vreg),
+            "{context}: v{reg}"
+        );
     }
 }
 
-/// Runs `THETA_LOOP` on a fresh processor; `configure` picks the tier.
-fn theta_processor(configure: impl FnOnce(&mut Processor)) -> Processor {
-    let program = assemble(THETA_LOOP).expect("theta loop assembles");
+/// The verbatim E64 LMUL=8 round loop (paper Algorithm 3) at EleNum =
+/// 10, over planes derived like [`THETA_LOOP`]'s, from round index
+/// `start` while the index stays below `bound`. With `bound` past 24,
+/// ι's index runs past `RC` mid-loop and the loop traps there.
+fn round_loop(start: u32, bound: u32) -> String {
+    format!(
+        r"
+    li s1, 10
+    li s5, 50
+    li s2, -1
+    li s3, {start}
+    li s4, {bound}
+    vsetvli x0, s1, e64, m1, tu, mu
+    vid.v v0
+    vsll.vi v1, v0, 7
+    vxor.vv v2, v1, v0
+    vadd.vv v3, v2, v1
+    vsll.vi v4, v3, 3
+permutation:
+    vxor.vv v5, v3, v4
+    vxor.vv v6, v1, v2
+    vxor.vv v7, v0, v6
+    vxor.vv v5, v5, v7
+    vslideupm.vi v6, v5, 1
+    vslidedownm.vi v7, v5, 1
+    vrotup.vi v7, v7, 1
+    vxor.vv v5, v6, v7
+    vxor.vv v0, v0, v5
+    vxor.vv v1, v1, v5
+    vxor.vv v2, v2, v5
+    vxor.vv v3, v3, v5
+    vxor.vv v4, v4, v5
+    vsetvli x0, s5, e64, m8, tu, mu
+    v64rho.vi v0, v0, -1
+    vpi.vi v8, v0, -1
+    vslidedownm.vi v16, v8, 1
+    vxor.vx v16, v16, s2
+    vslidedownm.vi v24, v8, 2
+    vand.vv v16, v16, v24
+    vxor.vv v0, v8, v16
+    vsetvli x0, s1, e64, m1, tu, mu
+    viota.vx v0, v0, s3
+    addi s3, s3, 1
+    blt s3, s4, permutation
+    ecall
+"
+    )
+}
+
+/// The programs the budget and `run_until_pc` sweeps run: the θ loop,
+/// four rounds of the round loop, and a round loop whose third trip
+/// traps in ι.
+fn sweep_programs() -> [(&'static str, String); 3] {
+    [
+        ("theta loop", THETA_LOOP.to_string()),
+        ("round loop", round_loop(20, 24)),
+        ("round loop past RC", round_loop(22, 26)),
+    ]
+}
+
+/// Runs `source` on a fresh processor; `configure` picks the tier.
+fn processor_for(source: &str, configure: impl FnOnce(&mut Processor)) -> Processor {
+    let program = assemble(source).expect("sweep program assembles");
     let mut cpu = Processor::new(ProcessorConfig::elen64(10));
     cpu.load_program(program.instructions());
     configure(&mut cpu);
@@ -367,22 +428,26 @@ fn compiled_trap_retires_the_same_prefix() {
 
 #[test]
 fn compiled_budget_expiry_is_bit_identical_at_every_limit() {
-    // Total cost of the θ loop, measured once on the stepper.
-    let total = {
-        let mut cpu = theta_processor(|p| p.set_compiled(false));
-        cpu.run(100_000).expect("loop halts");
-        cpu.cycles()
-    };
-    // Every possible budget, including 0 and the exact halt cycle: the
-    // compiled tier must stop on the same instruction with the same
-    // partial state — even when the budget dies inside the fused θ span.
-    for limit in 0..=total {
-        let mut compiled = theta_processor(|p| p.set_compiled(true));
-        let compiled_result = compiled.run(limit).map(|_| ());
-        let mut stepped = theta_processor(|p| p.set_compiled(false));
-        let stepped_result = stepped.run(limit).map(|_| ());
-        assert_eq!(compiled_result, stepped_result, "limit {limit}");
-        assert_same_state(&format!("budget limit {limit}"), &compiled, &stepped);
+    for (name, source) in sweep_programs() {
+        // Total cost up to the halt (or the ι trap), measured once on
+        // the stepper.
+        let total = {
+            let mut cpu = processor_for(&source, |p| p.set_compiled(false));
+            let _ = cpu.run(100_000);
+            cpu.cycles()
+        };
+        // Every possible budget, including 0 and the exact halt cycle:
+        // the compiled tier must stop on the same instruction with the
+        // same partial state — even when the budget dies inside a fused
+        // span or between the trips of a resident round loop.
+        for limit in 0..=total {
+            let mut compiled = processor_for(&source, |p| p.set_compiled(true));
+            let compiled_result = compiled.run(limit).map(|_| ());
+            let mut stepped = processor_for(&source, |p| p.set_compiled(false));
+            let stepped_result = stepped.run(limit).map(|_| ());
+            assert_eq!(compiled_result, stepped_result, "{name}, limit {limit}");
+            assert_same_state(&format!("{name}, budget {limit}"), &compiled, &stepped);
+        }
     }
 }
 
@@ -390,19 +455,52 @@ fn compiled_budget_expiry_is_bit_identical_at_every_limit() {
 fn compiled_run_until_pc_stops_at_every_boundary() {
     // Single-stepping by PC target across the whole program: every
     // instruction boundary is a legal stop point, including ones in the
-    // middle of the fused θ span, where the compiled tier must fall
-    // back to member-op execution to honour the early exit.
-    let instructions = assemble(THETA_LOOP).unwrap().instructions().len();
-    for target_index in 1..instructions {
-        let target = (target_index * 4) as u32;
-        let mut compiled = theta_processor(|p| p.set_compiled(true));
-        let compiled_result = compiled.run_until_pc(target, 100_000);
-        let mut stepped = theta_processor(|p| p.set_compiled(false));
-        let stepped_result = stepped.run_until_pc(target, 100_000);
-        assert_eq!(compiled_result, stepped_result, "target {target:#x}");
-        assert_eq!(compiled.pc(), target, "stops exactly at {target:#x}");
-        assert_same_state(&format!("run_until_pc {target:#x}"), &compiled, &stepped);
+    // middle of a fused span, where the compiled tier must fall back to
+    // member-op execution to honour the early exit. Both processors
+    // then run on to the end from the stop, so every boundary is also
+    // a legal place to resume — into a round span or a resident loop.
+    for (name, source) in sweep_programs() {
+        let instructions = assemble(&source).unwrap().instructions().len();
+        for target_index in 1..instructions {
+            let target = (target_index * 4) as u32;
+            let context = format!("{name}, run_until_pc {target:#x}");
+            let mut compiled = processor_for(&source, |p| p.set_compiled(true));
+            let compiled_result = compiled.run_until_pc(target, 100_000);
+            let mut stepped = processor_for(&source, |p| p.set_compiled(false));
+            let stepped_result = stepped.run_until_pc(target, 100_000);
+            assert_eq!(compiled_result, stepped_result, "{context}");
+            if compiled_result.is_ok() {
+                assert_eq!(compiled.pc(), target, "{context}: stops exactly there");
+            }
+            assert_same_state(&context, &compiled, &stepped);
+            let compiled_rest = compiled.run(100_000).map(|_| ());
+            let stepped_rest = stepped.run(100_000).map(|_| ());
+            assert_eq!(compiled_rest, stepped_rest, "{context}, then run");
+            assert_same_state(&format!("{context}, then run"), &compiled, &stepped);
+        }
     }
+}
+
+#[test]
+fn round_loop_runs_resident_and_traps_where_the_stepper_does() {
+    // Four rounds: the prologue, one resident call for every round and
+    // the epilogue — far fewer dispatches than rounds.
+    let mut cpu = processor_for(&round_loop(20, 24), |p| p.set_compiled(true));
+    cpu.run(100_000).expect("four rounds halt");
+    assert!(
+        cpu.compiled_dispatches() < 4,
+        "{}",
+        cpu.compiled_dispatches()
+    );
+    // Index 24 is past the 24-entry ROM: the third trip traps in ι with
+    // two whole rounds retired, as on the stepper.
+    let source = round_loop(22, 26);
+    let mut compiled = processor_for(&source, |p| p.set_compiled(true));
+    let mut stepped = processor_for(&source, |p| p.set_compiled(false));
+    let err = compiled.run(100_000).unwrap_err();
+    assert_eq!(err, Trap::RoundConstantIndex { index: 24 });
+    assert_eq!(stepped.run(100_000).unwrap_err(), err);
+    assert_same_state("ι past RC", &compiled, &stepped);
 }
 
 #[test]
