@@ -11,8 +11,9 @@
 //! Two throughput figures are recorded per backend:
 //!
 //! * **wall** — host wall-clock permutations/sec of the simulation
-//!   itself (depends on the machine; the pool only wins here with
-//!   multiple physical cores), and
+//!   itself (depends on the machine). The pool runs its modelled
+//!   engines on the calling thread, so `pooled_wall_speedup_vs_single`
+//!   is the pool's overhead over one engine, ≈ 1 by construction; and
 //! * **simulated** — permutations/sec of the modelled hardware at the
 //!   paper's 100 MHz clock, computed from the deterministic critical
 //!   path (the busiest engine's cycles). This figure is
@@ -51,6 +52,8 @@ use std::time::Instant;
 const MESSAGES: usize = 1000;
 const OUTPUT_LEN: usize = 32;
 const SN: usize = 4;
+/// Modelled engines of the pooled row.
+const WORKERS: usize = 4;
 const CLOCK_HZ: f64 = 100e6;
 
 /// The deterministic cycles of one full E64/LMUL=8 hardware pass at
@@ -279,7 +282,6 @@ fn main() -> std::io::Result<()> {
     }
 
     let nproc = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let workers = nproc.clamp(4, 8);
 
     println!("{messages} mixed-length SHAKE128 messages, {permutations} permutations per batch\n");
 
@@ -339,7 +341,7 @@ fn main() -> std::io::Result<()> {
         simulated_perms_per_sec: Some(single_sim),
     });
 
-    let mut pool = CyclesBackend::new(EnginePool::new(KernelKind::E64Lmul8, SN, workers));
+    let mut pool = CyclesBackend::new(EnginePool::new(KernelKind::E64Lmul8, SN, WORKERS));
     let pooled = measure(10, || {
         pool.critical_path = 0;
         let out = hash_batch(params, &mut pool, &requests);
@@ -349,7 +351,7 @@ fn main() -> std::io::Result<()> {
     rows.push(Row {
         name: "pooled",
         detail: format!(
-            "{}, {workers} workers × SN = {SN}, compiled tier",
+            "{}, {WORKERS} workers × SN = {SN}, compiled tier",
             KernelKind::E64Lmul8.label()
         ),
         wall_perms_per_sec: median_rate(&pooled, permutations),
@@ -414,7 +416,7 @@ fn main() -> std::io::Result<()> {
     let _ = writeln!(json, "  \"messages\": {messages},");
     let _ = writeln!(json, "  \"output_len\": {OUTPUT_LEN},");
     let _ = writeln!(json, "  \"permutations_per_batch\": {permutations},");
-    let _ = writeln!(json, "  \"workers\": {workers},");
+    let _ = writeln!(json, "  \"workers\": {WORKERS},");
     let _ = writeln!(json, "  \"nproc\": {nproc},");
     let _ = writeln!(json, "  \"sn\": {SN},");
     let _ = writeln!(json, "  \"simulated_clock_hz\": {CLOCK_HZ:.0},");
@@ -478,11 +480,6 @@ fn main() -> std::io::Result<()> {
     );
     let pooled_speedup = pooled_sim / single_sim;
     println!("pooled simulated speedup: {pooled_speedup:.2}x (critical path, host-independent)");
-    if pooled_wall < 2.0 * single_wall {
-        println!(
-            "note: wall-clock pooled speedup {pooled_wall_speedup:.2}x (host has {nproc} core(s); ≥ 8 cores shows ≥ 2x)"
-        );
-    }
     Ok(())
 }
 

@@ -1,26 +1,25 @@
-//! A pool of vector engines sharded across worker threads.
+//! A pool of `W` modelled vector engines, run on the calling thread.
 //!
 //! One [`VectorKeccakEngine`] models one
 //! vector processor: it permutes at most `SN` states per hardware pass,
 //! and a larger slice is serialized into `⌈n / SN⌉` passes on that
-//! single simulated device. [`EnginePool`] instead instantiates `W`
-//! engines — engines of one width share one cached, pre-decoded kernel
-//! image — and shards the passes across `W` OS threads, modelling a
-//! farm of identical accelerators fed from one queue.
+//! single simulated device. [`EnginePool`] instead models `W` such
+//! engines — a farm of identical accelerators fed from one queue — and
+//! shards the passes across them. Each modelled engine is a *worker*:
+//! the unit the schedule, the cycle ledger and failure injection name.
 //!
-//! # Workers are persistent
+//! # Modelled parallelism, one host thread
 //!
-//! Each worker is a long-lived thread owning its engines, fed over a
-//! channel: the first dispatch that assigns a worker any passes spawns
-//! it, and it then survives across [`EnginePool::permute_slice`] calls
-//! until the pool is dropped. This removes the per-dispatch
-//! thread-spawn cost the previous `thread::scope` implementation paid,
-//! and a dispatch with fewer passes than workers never spins up the
-//! idle tail (see [`PoolMetrics::effective_workers`]). When worker
-//! threads cannot help — a host with one or two cores, or a dispatch
-//! that touches one worker anyway — the shards run on the calling
-//! thread instead, skipping the channel round trip entirely; the static
-//! schedule makes this invisible in both outputs and metrics.
+//! Every pass runs on the calling thread. The pool's parallel gain is a
+//! property of the modelled hardware, not of the host: the simulated
+//! cost of a pass is data-independent (paper §4.2), so
+//! [`PoolMetrics::max_cycles`], the busiest engine's cycles, is the
+//! exact critical path of `W` accelerators working at once, and
+//! [`PoolMetrics::speedup`] is ≈ `W` for full-width dispatches. An
+//! E64 LMUL=8 pass on the compiled tier costs 1–2.5 µs of host time,
+//! less than handing it to another thread costs; a caller that wants
+//! host parallelism runs one pool per thread (the service runs one per
+//! shard).
 //!
 //! # Engines as wide as their live states
 //!
@@ -30,19 +29,18 @@
 //! instruction's cost grows with `EleNum`, so the cycle ledger is the
 //! same either way. The host cost is not: a one-state pass on an `SN`-wide
 //! engine still stages, runs and reads back all `SN` vector slots.
-//! Every worker, and the inline path, therefore keeps one engine per
-//! live width, created on the first pass of that width; full passes
-//! run on the `SN`-wide engine.
+//! The pool therefore keeps one engine per live width, created on the
+//! first pass of that width; full passes run on the `SN`-wide engine.
 //!
 //! # Determinism
 //!
-//! Scheduling is static, not work-stealing: pass `i` (the `i`-th
-//! `SN`-wide chunk of the input slice) always runs on engine `i mod W`.
-//! Because each chunk is an independent Keccak state set and each engine
-//! writes only its own chunks, the output is bit-identical to the
-//! reference permutation — and to itself — for every worker count.
-//! Replies are collected in worker order, so the first trap reported is
-//! the lowest-numbered worker's regardless of thread timing.
+//! Scheduling is static: pass `i` (the `i`-th `SN`-wide chunk of the
+//! input slice) is charged to the `(i mod A)`-th of the `A` alive
+//! workers, which is worker `i mod W` while all `W` are alive. Because
+//! each chunk is an independent Keccak state set, the output is
+//! bit-identical to the reference permutation — and to itself — for
+//! every worker count. A trap stops the rest of its worker's passes,
+//! and the trap reported is the lowest-numbered worker's.
 //!
 //! Cycle accounting is deterministic too. The simulated cycle cost of a
 //! pass is data-independent, so [`PoolMetrics::total_cycles`] (the sum
@@ -54,25 +52,23 @@
 //!
 //! # Graceful degradation
 //!
-//! A worker that dies — a panic in its thread, or an injected
-//! [`EnginePool::kill_worker`] modelling a failed accelerator — is
-//! discovered by the next dispatch that schedules passes onto it. That
-//! dispatch fails with [`PoolError::WorkerLost`] (its states are left in
-//! an unspecified partially-permuted condition, so callers must retry
-//! from their own inputs), the worker is marked dead, and every
-//! subsequent dispatch reschedules round-robin across the survivors:
-//! [`EnginePool::alive_workers`] and [`EnginePool::capacity`] shrink,
-//! outputs stay bit-identical to the reference, and a pool whose last
-//! worker dies reports [`PoolError::AllWorkersLost`] instead of hanging.
-//! Discovery is path-independent: the inline dispatch path observes a
-//! kill exactly like the threaded path does.
+//! A worker killed with [`EnginePool::kill_worker`], modelling a failed
+//! accelerator, is discovered by the next dispatch that schedules
+//! passes onto it. That dispatch fails with [`PoolError::WorkerLost`]
+//! naming the lowest-numbered dead worker it met (its states are left
+//! in an unspecified partially-permuted condition, so callers must
+//! retry from their own inputs), and every dead worker it met is marked
+//! dead. Every subsequent dispatch reschedules round-robin across the
+//! survivors: [`EnginePool::alive_workers`] and [`EnginePool::capacity`]
+//! shrink, outputs stay bit-identical to the reference, and a pool
+//! whose last worker dies reports [`PoolError::AllWorkersLost`] instead
+//! of hanging. A panic inside a pass is not a worker death: it unwinds
+//! into the caller.
 
 use crate::engine::{KernelKind, VectorKeccakEngine};
 use krv_keccak::KeccakState;
 use krv_sha3::PermutationBackend;
 use krv_vproc::Trap;
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::thread::JoinHandle;
 
 /// Why a pool dispatch failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,12 +76,12 @@ pub enum PoolError {
     /// A kernel faulted (first trap in worker order) — an engine bug,
     /// as the generated kernels are validated against the reference.
     Trap(Trap),
-    /// The worker with this index died mid-dispatch (thread panic or
+    /// The worker with this index was found dead mid-dispatch (see
     /// [`EnginePool::kill_worker`]); its share of the dispatch was not
-    /// permuted. The pool has marked it dead — a retry runs on the
-    /// surviving workers.
+    /// permuted. The pool has marked it, and any other dead worker the
+    /// dispatch met, dead — a retry runs on the surviving workers.
     WorkerLost {
-        /// Index of the lost worker.
+        /// Index of the lowest-numbered lost worker.
         worker: usize,
     },
     /// Every worker has died; the pool cannot dispatch at all.
@@ -125,14 +121,16 @@ pub struct EngineLoad {
 /// Deterministic cycle accounting of one pool dispatch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoolMetrics {
-    /// Per-engine work, indexed by worker; chunk `i` ran on worker
-    /// `i mod W`. Always `W` entries — workers the dispatch never
-    /// touched report a zero load.
+    /// Per-engine work, indexed by worker; chunk `i` ran on the
+    /// `(i mod A)`-th of the `A` alive workers (worker `i mod W` while
+    /// all `W` are alive). Always `W` entries — workers the dispatch
+    /// never touched, dead ones included, report a zero load.
     pub per_engine: Vec<EngineLoad>,
     /// Hardware passes across all engines (`⌈n / SN⌉`).
     pub passes: u64,
-    /// Workers that actually received passes: `min(W, passes)`. A
-    /// dispatch smaller than the pool leaves the idle tail unspawned.
+    /// Workers that actually received passes: `min(A, passes)` for `A`
+    /// alive workers. A dispatch smaller than the pool leaves the tail
+    /// idle.
     pub effective_workers: usize,
     /// Total simulated cycles across all engines — invariant under the
     /// worker count (the amount of work does not change, only where it
@@ -153,33 +151,6 @@ impl PoolMetrics {
             self.total_cycles as f64 / self.max_cycles as f64
         }
     }
-}
-
-/// A message to a worker thread: one bucket of passes as
-/// `(state offset, chunk)` pairs in schedule order, or the poison pill
-/// [`WorkerJob::Die`] that makes the thread exit abruptly (failure
-/// injection — observably identical to a panic: the channels disconnect
-/// with the bucket unanswered).
-enum WorkerJob {
-    Batch(Vec<(usize, Vec<KeccakState>)>),
-    Die,
-}
-
-/// A worker's answer: the (permuted) chunks handed back for scatter,
-/// the load it performed, and the first trap it hit, if any. On a trap
-/// the remaining chunks of the bucket are returned untouched.
-struct WorkerReply {
-    chunks: Vec<(usize, Vec<KeccakState>)>,
-    load: EngineLoad,
-    trap: Option<Trap>,
-}
-
-/// A persistent worker thread and its channel pair.
-#[derive(Debug)]
-struct Worker {
-    tx: Sender<WorkerJob>,
-    rx: Receiver<WorkerReply>,
-    thread: JoinHandle<()>,
 }
 
 /// One engine per live width, each created on the first pass that
@@ -215,57 +186,15 @@ impl LiveWidthEngines {
     }
 }
 
-fn spawn_worker(kind: KernelKind, sn: usize, compiled: bool) -> Worker {
-    let (job_tx, job_rx) = channel::<WorkerJob>();
-    let (reply_tx, reply_rx) = channel::<WorkerReply>();
-    let thread = std::thread::spawn(move || {
-        // The engines live on the worker thread for the pool's whole
-        // lifetime; the kernel images come pre-decoded from the
-        // process-wide cache, so creating them is cheap.
-        let mut engines = LiveWidthEngines::new(kind, sn, compiled);
-        while let Ok(job) = job_rx.recv() {
-            let mut chunks = match job {
-                WorkerJob::Batch(chunks) => chunks,
-                // Injected death: exit without replying, exactly like a
-                // panic would — the reply channel disconnects.
-                WorkerJob::Die => break,
-            };
-            let mut load = EngineLoad::default();
-            let mut trap = None;
-            for (_, chunk) in &mut chunks {
-                if trap.is_some() {
-                    break;
-                }
-                match engines.pass(chunk) {
-                    Ok(cycles) => {
-                        load.passes += 1;
-                        load.cycles += cycles;
-                    }
-                    Err(fault) => trap = Some(fault),
-                }
-            }
-            let reply = WorkerReply { chunks, load, trap };
-            if reply_tx.send(reply).is_err() {
-                break;
-            }
-        }
-    });
-    Worker {
-        tx: job_tx,
-        rx: reply_rx,
-        thread,
-    }
-}
-
-/// A pool of `W` identical vector Keccak engines, each up to `SN` states
-/// wide, dispatching passes across `W` persistent worker threads.
+/// A pool of `W` identical modelled vector Keccak engines, each up to
+/// `SN` states wide, whose passes run on the calling thread.
 ///
 /// The pool implements [`PermutationBackend`] with
 /// `parallel_states = W × SN`. The sponge driver
 /// ([`drive_stream`](krv_sha3::drive_stream), and
 /// [`hash_batch`](krv_sha3::hash_batch) over it) hands the pool every
 /// live state of a round in one call, which the pool splits into
-/// `SN`-wide passes across its engines.
+/// `SN`-wide passes scheduled across its engines.
 ///
 /// # Example
 ///
@@ -285,34 +214,27 @@ fn spawn_worker(kind: KernelKind, sn: usize, compiled: bool) -> Worker {
 /// ```
 #[derive(Debug)]
 pub struct EnginePool {
-    kind: KernelKind,
     sn: usize,
-    /// Whether worker engines dispatch through the compiled tier.
-    compiled: bool,
-    workers: Vec<Option<Worker>>,
-    /// Which worker slots still have live "hardware": a slot goes (and
-    /// stays) `false` once a dispatch observes its death.
+    /// Which workers still have live "hardware": a slot goes (and stays)
+    /// `false` once a dispatch observes its death.
     alive: Vec<bool>,
-    /// Failure injection: slots killed via [`Self::kill_worker`] whose
+    /// Failure injection: workers killed via [`Self::kill_worker`] whose
     /// death the next dispatch touching them will observe.
     killed: Vec<bool>,
-    /// Engines for dispatches that run on the calling thread (hosts
-    /// with at most two cores, single-shard dispatches); created as
-    /// lazily as the workers.
-    inline_engines: LiveWidthEngines,
-    /// Host cores, probed once at construction.
-    host_parallelism: usize,
+    /// The engines every pass runs on, whichever worker it is charged to.
+    engines: LiveWidthEngines,
     last_metrics: Option<PoolMetrics>,
     permutations: u64,
 }
 
 impl EnginePool {
-    /// Creates a pool of `workers` engines, each holding `sn` states.
+    /// Creates a pool of `workers` modelled engines, each holding `sn`
+    /// states.
     ///
     /// The kernel is generated, assembled and pre-decoded once (via the
-    /// process-wide [`crate::cache`]); every worker engine shares the
-    /// same immutable program image. Worker threads are spawned lazily,
-    /// on the first dispatch that assigns them passes.
+    /// process-wide [`crate::cache`]); every engine shares the same
+    /// immutable program image. Engines are created on the first pass
+    /// of their width.
     ///
     /// # Panics
     ///
@@ -321,9 +243,9 @@ impl EnginePool {
         Self::with_compiled(kind, sn, workers, crate::engine::compiled_default())
     }
 
-    /// Creates a pool with every worker's execution tier pinned
-    /// explicitly (see [`VectorKeccakEngine::with_compiled`]);
-    /// [`EnginePool::new`] picks the process default.
+    /// Creates a pool with its engines' execution tier pinned explicitly
+    /// (see [`VectorKeccakEngine::with_compiled`]); [`EnginePool::new`]
+    /// picks the process default.
     ///
     /// # Panics
     ///
@@ -332,16 +254,10 @@ impl EnginePool {
         assert!(workers > 0, "the pool needs at least one worker");
         assert!(sn > 0, "each engine needs at least one state slot");
         Self {
-            kind,
             sn,
-            compiled,
-            workers: (0..workers).map(|_| None).collect(),
             alive: vec![true; workers],
             killed: vec![false; workers],
-            inline_engines: LiveWidthEngines::new(kind, sn, compiled),
-            host_parallelism: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
+            engines: LiveWidthEngines::new(kind, sn, compiled),
             last_metrics: None,
             permutations: 0,
         }
@@ -349,24 +265,18 @@ impl EnginePool {
 
     /// The kernel kind every engine runs.
     pub fn kind(&self) -> KernelKind {
-        self.kind
+        self.engines.kind
     }
 
-    /// Number of worker engines the pool was configured with (`W`),
+    /// Number of modelled engines the pool was configured with (`W`),
     /// including any that have since died.
     pub fn workers(&self) -> usize {
-        self.workers.len()
+        self.alive.len()
     }
 
     /// Workers still alive — `W` until a dispatch observes a death.
     pub fn alive_workers(&self) -> usize {
         self.alive.iter().filter(|&&a| a).count()
-    }
-
-    /// Worker threads actually spawned so far — at most the high-water
-    /// mark of `min(W, passes)` over all dispatches.
-    pub fn spawned_workers(&self) -> usize {
-        self.workers.iter().flatten().count()
     }
 
     /// States per engine pass (`SN`).
@@ -380,35 +290,19 @@ impl EnginePool {
         self.alive_workers() * self.sn
     }
 
-    /// Kills a worker's simulated hardware: its thread (if spawned)
-    /// exits abruptly, and the next dispatch that schedules passes onto
-    /// the slot observes the death and fails with
-    /// [`PoolError::WorkerLost`] — on the threaded *and* the inline
-    /// dispatch path alike. Failure injection for supervision drills;
-    /// killing an already-dead worker is a no-op.
+    /// Kills a worker's simulated hardware: the next dispatch that
+    /// schedules passes onto it observes the death and fails with
+    /// [`PoolError::WorkerLost`]. Failure injection for supervision
+    /// drills; killing an already-dead worker is a no-op.
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of range.
     pub fn kill_worker(&mut self, index: usize) {
-        assert!(index < self.workers.len(), "no worker {index}");
-        if !self.alive[index] {
-            return;
+        assert!(index < self.alive.len(), "no worker {index}");
+        if self.alive[index] {
+            self.killed[index] = true;
         }
-        if let Some(worker) = self.workers[index].take() {
-            // The thread exits on the poison pill without replying; the
-            // dangling channels are dropped with the Worker struct.
-            let _ = worker.tx.send(WorkerJob::Die);
-            let _ = worker.thread.join();
-        }
-        self.killed[index] = true;
-    }
-
-    /// Marks a worker slot dead after its failure was observed.
-    fn bury_worker(&mut self, index: usize) {
-        self.alive[index] = false;
-        self.killed[index] = false;
-        self.workers[index] = None;
     }
 
     /// Metrics of the most recent dispatch.
@@ -422,8 +316,8 @@ impl EnginePool {
         self.permutations
     }
 
-    /// Permutes every state in `states`, sharding `SN`-wide passes
-    /// round-robin across the alive persistent worker threads.
+    /// Permutes every state in `states` on the calling thread, charging
+    /// `SN`-wide passes round-robin to the alive workers.
     ///
     /// # Errors
     ///
@@ -435,9 +329,10 @@ impl EnginePool {
     /// in an unspecified partially-permuted condition; retry from the
     /// original inputs.
     pub fn permute_slice(&mut self, states: &mut [KeccakState]) -> Result<(), PoolError> {
+        let mut per_engine = vec![EngineLoad::default(); self.alive.len()];
         if states.is_empty() {
             self.last_metrics = Some(PoolMetrics {
-                per_engine: vec![EngineLoad::default(); self.workers.len()],
+                per_engine,
                 passes: 0,
                 effective_workers: 0,
                 total_cycles: 0,
@@ -446,147 +341,47 @@ impl EnginePool {
             return Ok(());
         }
         // Static round-robin over the alive workers: chunk `i` (the
-        // i-th SN-wide slice) runs on the i-mod-A-th survivor, which is
-        // worker `i mod W` while all W are alive. This keeps outputs
-        // and the per-engine cycle ledger independent of thread timing.
-        let alive: Vec<usize> = (0..self.workers.len()).filter(|&w| self.alive[w]).collect();
+        // i-th SN-wide slice) is charged to the i-mod-A-th survivor.
+        let alive: Vec<usize> = (0..self.alive.len()).filter(|&w| self.alive[w]).collect();
         if alive.is_empty() {
             return Err(PoolError::AllWorkersLost);
         }
-        let passes = states.len().div_ceil(self.sn);
         // A dispatch with fewer passes than workers only touches the
-        // leading `passes` workers; the tail stays unspawned and idle.
-        let active = alive.len().min(passes);
-        // Worker threads only pay off when the host can actually run
-        // them in parallel with the rest of the process: on a host with
-        // one or two cores — or for a dispatch that would touch a single
-        // worker anyway — run the shards on the calling thread instead.
-        // Measured on a 2-vCPU VM, threaded dispatches of 8 to 64 states
-        // cost 5–29 % more CPU than the same shards inline and finished
-        // no sooner (two busy threads there take twice the wall time of
-        // one). The schedule, outputs and the per-engine cycle
-        // ledger are identical either way (scheduling is static), so
-        // this only moves host time.
-        if active == 1 || self.host_parallelism <= 2 {
-            return self.permute_inline(states, &alive, active);
-        }
-        let mut buckets: Vec<Vec<(usize, Vec<KeccakState>)>> =
-            (0..active).map(|_| Vec::new()).collect();
-        for (i, chunk) in states.chunks(self.sn).enumerate() {
-            buckets[i % active].push((i * self.sn, chunk.to_vec()));
-        }
-        // Send phase: a worker whose thread died (injected kill, or a
-        // panic that disconnected the channel) is discovered here.
-        let mut lost: Option<usize> = None;
-        let mut dispatched: Vec<usize> = Vec::with_capacity(active);
-        for (slot, chunks) in buckets.into_iter().enumerate() {
-            let index = alive[slot];
-            if self.killed[index] {
-                self.bury_worker(index);
-                lost.get_or_insert(index);
-                continue;
-            }
-            if self.workers[index].is_none() {
-                self.workers[index] = Some(spawn_worker(self.kind, self.sn, self.compiled));
-            }
-            let worker = self.workers[index].as_ref().expect("just spawned");
-            if worker.tx.send(WorkerJob::Batch(chunks)).is_err() {
-                self.bury_worker(index);
-                lost.get_or_insert(index);
-            } else {
-                dispatched.push(index);
-            }
-        }
-        // Collect phase, in worker order regardless of thread timing.
-        let mut per_engine = vec![EngineLoad::default(); self.workers.len()];
-        let mut first_trap = None;
-        for index in dispatched {
-            let worker = self.workers[index].as_ref().expect("dispatched worker");
-            match worker.rx.recv() {
-                Ok(reply) => {
-                    for (offset, chunk) in reply.chunks {
-                        states[offset..offset + chunk.len()].copy_from_slice(&chunk);
-                    }
-                    per_engine[index] = reply.load;
-                    if first_trap.is_none() {
-                        first_trap = reply.trap;
-                    }
-                }
-                Err(_) => {
-                    self.bury_worker(index);
-                    lost.get_or_insert(index);
-                }
-            }
-        }
-        self.permutations += per_engine.iter().map(|load| load.passes).sum::<u64>();
-        if let Some(worker) = lost {
-            self.last_metrics = None;
-            return Err(PoolError::WorkerLost { worker });
-        }
-        if let Some(trap) = first_trap {
-            return Err(PoolError::Trap(trap));
-        }
-        self.last_metrics = Some(PoolMetrics {
-            passes: per_engine.iter().map(|load| load.passes).sum(),
-            effective_workers: active,
-            total_cycles: per_engine.iter().map(|load| load.cycles).sum(),
-            max_cycles: per_engine.iter().map(|load| load.cycles).max().unwrap_or(0),
-            per_engine,
-        });
-        Ok(())
-    }
-
-    /// Overrides the probed host parallelism, pinning the dispatch path
-    /// (threaded vs inline) independently of the machine running the
-    /// tests.
-    #[cfg(test)]
-    fn set_host_parallelism(&mut self, cores: usize) {
-        self.host_parallelism = cores;
-    }
-
-    /// Runs a dispatch on the calling thread, preserving the worker
-    /// semantics exactly: chunk `i` is charged to the worker that would
-    /// run it on the threaded path, a trap stops only the remaining
-    /// chunks of *that* worker's bucket, the reported trap is the
-    /// lowest-numbered worker's — and a killed worker's death is
-    /// observed exactly as a channel disconnect would be.
-    fn permute_inline(
-        &mut self,
-        states: &mut [KeccakState],
-        alive: &[usize],
-        active: usize,
-    ) -> Result<(), PoolError> {
-        let worker_count = self.workers.len();
-        let mut per_engine = vec![EngineLoad::default(); worker_count];
-        let mut bucket_trap: Vec<Option<Trap>> = vec![None; worker_count];
-        let mut lost: Option<usize> = None;
+        // leading `passes` workers.
+        let active = alive.len().min(states.len().div_ceil(self.sn));
+        // Every scheduled worker receives at least one chunk, so these
+        // are all the dead workers this dispatch meets; their chunks are
+        // skipped, like a failed accelerator's.
+        let lost: Vec<usize> = alive[..active]
+            .iter()
+            .copied()
+            .filter(|&w| self.killed[w])
+            .collect();
+        let mut traps: Vec<Option<Trap>> = vec![None; self.alive.len()];
         for (i, chunk) in states.chunks_mut(self.sn).enumerate() {
-            let index = alive[i % active.max(1)];
-            if self.killed[index] {
-                // The simulated hardware behind this slot is dead: its
-                // whole bucket fails, like an unanswered worker reply.
-                lost.get_or_insert(index);
+            let index = alive[i % active];
+            if self.killed[index] || traps[index].is_some() {
                 continue;
             }
-            if bucket_trap[index].is_some() {
-                continue;
-            }
-            match self.inline_engines.pass(chunk) {
+            match self.engines.pass(chunk) {
                 Ok(cycles) => {
                     let load = &mut per_engine[index];
                     load.passes += 1;
                     load.cycles += cycles;
                 }
-                Err(fault) => bucket_trap[index] = Some(fault),
+                Err(fault) => traps[index] = Some(fault),
             }
         }
         self.permutations += per_engine.iter().map(|load| load.passes).sum::<u64>();
-        if let Some(worker) = lost {
-            self.bury_worker(worker);
+        if let Some(&worker) = lost.first() {
+            for &index in &lost {
+                self.alive[index] = false;
+                self.killed[index] = false;
+            }
             self.last_metrics = None;
             return Err(PoolError::WorkerLost { worker });
         }
-        if let Some(trap) = bucket_trap.into_iter().flatten().next() {
+        if let Some(trap) = traps.into_iter().flatten().next() {
             return Err(PoolError::Trap(trap));
         }
         self.last_metrics = Some(PoolMetrics {
@@ -600,22 +395,8 @@ impl EnginePool {
     }
 }
 
-impl Drop for EnginePool {
-    /// Closes every worker's job channel and joins the threads.
-    fn drop(&mut self) {
-        for worker in self.workers.drain(..).flatten() {
-            let Worker { tx, rx, thread } = worker;
-            drop(tx);
-            drop(rx);
-            // A clean join: the worker's recv loop exits once the
-            // sender is gone. Ignore a panicked worker during teardown.
-            let _ = thread.join();
-        }
-    }
-}
-
 impl PermutationBackend for EnginePool {
-    /// Permutes all states across the worker engines.
+    /// Permutes all states across the pool's engines.
     ///
     /// # Panics
     ///
@@ -683,14 +464,23 @@ mod tests {
         assert_eq!(metrics.max_cycles, 0);
         assert_eq!(metrics.effective_workers, 0);
         assert_eq!(pool.permutations(), 0);
-        assert_eq!(pool.spawned_workers(), 0, "no pass, no thread");
     }
 
     #[test]
     fn passes_are_assigned_round_robin() {
         let mut pool = EnginePool::new(KernelKind::E64Lmul8, 2, 3);
+        // 1 state → 1 pass, 3 states → 2 passes: the ledger keeps W
+        // entries, and the idle tail books a zero load.
+        for (n, effective) in [(1, 1), (3, 2)] {
+            pool.permute_slice(&mut distinct_states(n)).unwrap();
+            let metrics = pool.last_metrics().unwrap();
+            assert_eq!(metrics.effective_workers, effective);
+            assert_eq!(metrics.per_engine.len(), 3, "ledger keeps W entries");
+            assert_eq!(metrics.per_engine[2], EngineLoad::default());
+        }
         // 7 states → 4 passes over 3 workers → loads of 2, 1, 1 passes.
         let mut states = distinct_states(7);
+        let mut expected = states.clone();
         pool.permute_slice(&mut states).unwrap();
         let metrics = pool.last_metrics().unwrap();
         let passes: Vec<u64> = metrics.per_engine.iter().map(|l| l.passes).collect();
@@ -698,96 +488,13 @@ mod tests {
         assert_eq!(metrics.passes, 4);
         assert_eq!(metrics.effective_workers, 3);
         assert_eq!(metrics.max_cycles, metrics.per_engine[0].cycles);
-    }
-
-    #[test]
-    fn small_dispatch_leaves_the_worker_tail_unspawned() {
-        let mut pool = EnginePool::new(KernelKind::E64Lmul8, 2, 6);
-        // Pin the threaded path: this test is about lazy thread spawning.
-        pool.set_host_parallelism(8);
-        // 3 states → 2 passes → only workers 0 and 1 ever exist.
-        let mut states = distinct_states(3);
-        let mut expected = states.clone();
-        pool.permute_slice(&mut states).unwrap();
-        for state in &mut expected {
-            keccak_f1600(state);
-        }
-        assert_eq!(states, expected);
-        let metrics = pool.last_metrics().unwrap();
-        assert_eq!(metrics.effective_workers, 2);
-        assert_eq!(metrics.per_engine.len(), 6, "ledger keeps W entries");
-        assert!(metrics.per_engine[2..].iter().all(|l| l.passes == 0));
-        assert_eq!(pool.spawned_workers(), 2);
-        // A larger follow-up dispatch grows the spawned set on demand.
-        let mut more = distinct_states(12);
-        pool.permute_slice(&mut more).unwrap();
-        assert_eq!(pool.last_metrics().unwrap().effective_workers, 6);
-        assert_eq!(pool.spawned_workers(), 6);
-    }
-
-    #[test]
-    fn workers_persist_across_dispatches() {
-        let mut pool = EnginePool::new(KernelKind::E64Lmul8, 2, 3);
-        // Pin the threaded path: this test is about thread reuse.
-        pool.set_host_parallelism(8);
-        let mut states = distinct_states(9);
-        let mut expected = states.clone();
-        pool.permute_slice(&mut states).unwrap();
         pool.permute_slice(&mut states).unwrap();
         for state in &mut expected {
             keccak_f1600(state);
             keccak_f1600(state);
         }
         assert_eq!(states, expected, "two dispatches compose");
-        assert_eq!(
-            pool.spawned_workers(),
-            3,
-            "threads are reused, not respawned"
-        );
-        assert_eq!(pool.permutations(), 10, "2 × ⌈9/2⌉ passes accumulated");
-    }
-
-    #[test]
-    fn inline_dispatch_matches_threaded_outputs_and_metrics() {
-        // Same dispatch through both paths: a single-core host runs the
-        // shards on the calling thread (no worker threads at all), and
-        // everything observable must be identical to the threaded run.
-        let mut inline_pool = EnginePool::new(KernelKind::E64Lmul8, 2, 3);
-        inline_pool.set_host_parallelism(1);
-        let mut threaded_pool = EnginePool::new(KernelKind::E64Lmul8, 2, 3);
-        threaded_pool.set_host_parallelism(8);
-
-        let mut a = distinct_states(9);
-        let mut b = a.clone();
-        inline_pool.permute_slice(&mut a).expect("inline runs");
-        threaded_pool.permute_slice(&mut b).expect("threaded runs");
-
-        assert_eq!(a, b, "outputs are path-independent");
-        assert_eq!(
-            inline_pool.last_metrics(),
-            threaded_pool.last_metrics(),
-            "the cycle ledger is path-independent"
-        );
-        assert_eq!(inline_pool.spawned_workers(), 0, "no threads on 1 core");
-        assert_eq!(threaded_pool.spawned_workers(), 3);
-        assert_eq!(inline_pool.permutations(), 5);
-    }
-
-    #[test]
-    fn single_shard_dispatch_runs_inline() {
-        // One pass touches one worker: even a multi-core pool skips the
-        // channel round trip for it.
-        let mut pool = EnginePool::new(KernelKind::E64Lmul8, 2, 4);
-        pool.set_host_parallelism(8);
-        let mut states = distinct_states(2);
-        let mut expected = states.clone();
-        pool.permute_slice(&mut states).expect("pool runs");
-        for state in &mut expected {
-            keccak_f1600(state);
-        }
-        assert_eq!(states, expected);
-        assert_eq!(pool.spawned_workers(), 0);
-        assert_eq!(pool.last_metrics().unwrap().effective_workers, 1);
+        assert_eq!(pool.permutations(), 1 + 2 + 4 + 4, "passes accumulate");
     }
 
     #[test]
@@ -819,11 +526,9 @@ mod tests {
     /// One killed worker: the dispatch that touches it fails once with
     /// `WorkerLost`, the pool shrinks, and a retry of the same states
     /// completes correctly on the survivors.
-    fn check_degradation(host_cores: usize) {
+    #[test]
+    fn killed_worker_fails_one_dispatch_then_pool_degrades() {
         let mut pool = EnginePool::new(KernelKind::E64Lmul8, 2, 3);
-        pool.set_host_parallelism(host_cores);
-        // Warm every worker up first so the threaded path kills a
-        // genuinely running thread.
         let mut warmup = distinct_states(6);
         pool.permute_slice(&mut warmup).expect("healthy dispatch");
         assert_eq!(pool.alive_workers(), 3);
@@ -832,11 +537,7 @@ mod tests {
         pool.kill_worker(1);
         let mut states = distinct_states(7);
         let failed = pool.permute_slice(&mut states);
-        assert_eq!(
-            failed,
-            Err(PoolError::WorkerLost { worker: 1 }),
-            "host_cores={host_cores}"
-        );
+        assert_eq!(failed, Err(PoolError::WorkerLost { worker: 1 }));
         assert_eq!(pool.alive_workers(), 2);
         assert_eq!(pool.capacity(), 4, "capacity shrinks with the pool");
 
@@ -855,17 +556,7 @@ mod tests {
     }
 
     #[test]
-    fn killed_worker_fails_one_dispatch_then_pool_degrades_inline() {
-        check_degradation(1);
-    }
-
-    #[test]
-    fn killed_worker_fails_one_dispatch_then_pool_degrades_threaded() {
-        check_degradation(8);
-    }
-
-    #[test]
-    fn killing_an_unspawned_worker_is_observed_at_dispatch() {
+    fn a_killed_worker_is_observed_at_the_next_dispatch() {
         let mut pool = EnginePool::new(KernelKind::E64Lmul8, 2, 2);
         pool.kill_worker(1);
         assert_eq!(pool.alive_workers(), 2, "death not yet observed");
@@ -891,23 +582,20 @@ mod tests {
         let mut pool = EnginePool::new(KernelKind::E64Lmul8, 2, 2);
         pool.kill_worker(0);
         pool.kill_worker(1);
+        // One dispatch meets both dead workers, buries both and names
+        // the lower one.
         let mut states = distinct_states(4);
-        // Both deaths may be observed across one or two dispatches
-        // depending on which path runs; drain until exhausted.
-        let first = pool.permute_slice(&mut states);
-        assert!(
-            matches!(first, Err(PoolError::WorkerLost { .. })),
-            "{first:?}"
+        assert_eq!(
+            pool.permute_slice(&mut states),
+            Err(PoolError::WorkerLost { worker: 0 })
         );
-        let mut states = distinct_states(4);
-        let mut last = pool.permute_slice(&mut states);
-        if matches!(last, Err(PoolError::WorkerLost { .. })) {
-            let mut states = distinct_states(4);
-            last = pool.permute_slice(&mut states);
-        }
-        assert_eq!(last, Err(PoolError::AllWorkersLost));
         assert_eq!(pool.alive_workers(), 0);
         assert_eq!(pool.capacity(), 0);
+        let mut states = distinct_states(4);
+        assert_eq!(
+            pool.permute_slice(&mut states),
+            Err(PoolError::AllWorkersLost)
+        );
         // Empty dispatches still succeed (nothing to schedule).
         pool.permute_slice(&mut []).expect("empty is a no-op");
     }
@@ -930,8 +618,7 @@ mod tests {
     fn thin_passes_run_on_live_width_engines_with_an_unchanged_ledger() {
         // SN = 4, the service's engine width. A dispatch of SN + k
         // states over two workers puts one full pass on worker 0 and a
-        // k-state pass on worker 1, so both the inline and the threaded
-        // path run the thin pass.
+        // k-state pass on worker 1.
         const SN: usize = 4;
         for kind in KernelKind::WITH_EXTENSIONS {
             let full_cycles = VectorKeccakEngine::new(kind, SN)
@@ -953,42 +640,37 @@ mod tests {
                     wide,
                     "{kind}: a {k}-wide engine books other cycles than a {SN}-wide one"
                 );
-                for cores in [1, 8] {
-                    let mut pool = EnginePool::new(kind, SN, 2);
-                    pool.set_host_parallelism(cores);
-                    let mut states = distinct_states(SN + k);
-                    let mut expected = states.clone();
-                    pool.permute_slice(&mut states).expect("pool runs");
-                    for state in &mut expected {
-                        keccak_f1600(state);
-                    }
-                    assert_eq!(states, expected, "{kind}, k = {k}, {cores} cores");
-                    let loads = EngineLoad {
-                        passes: 1,
-                        cycles: full_cycles,
-                    };
-                    let thin = EngineLoad {
-                        passes: 1,
-                        cycles: wide.total_cycles,
-                    };
-                    assert_eq!(
-                        pool.last_metrics().expect("metrics").per_engine,
-                        vec![loads, thin],
-                        "{kind}, k = {k}, {cores} cores"
-                    );
-                    if cores == 1 {
-                        let built: Vec<usize> = pool
-                            .inline_engines
-                            .by_width
-                            .iter()
-                            .flatten()
-                            .map(VectorKeccakEngine::capacity)
-                            .collect();
-                        let mut widths = vec![k, SN];
-                        widths.dedup();
-                        assert_eq!(built, widths, "{kind}: engines built on the inline path");
-                    }
+                let mut pool = EnginePool::new(kind, SN, 2);
+                let mut states = distinct_states(SN + k);
+                let mut expected = states.clone();
+                pool.permute_slice(&mut states).expect("pool runs");
+                for state in &mut expected {
+                    keccak_f1600(state);
                 }
+                assert_eq!(states, expected, "{kind}, k = {k}");
+                let loads = EngineLoad {
+                    passes: 1,
+                    cycles: full_cycles,
+                };
+                let thin = EngineLoad {
+                    passes: 1,
+                    cycles: wide.total_cycles,
+                };
+                assert_eq!(
+                    pool.last_metrics().expect("metrics").per_engine,
+                    vec![loads, thin],
+                    "{kind}, k = {k}"
+                );
+                let built: Vec<usize> = pool
+                    .engines
+                    .by_width
+                    .iter()
+                    .flatten()
+                    .map(VectorKeccakEngine::capacity)
+                    .collect();
+                let mut widths = vec![k, SN];
+                widths.dedup();
+                assert_eq!(built, widths, "{kind}: engines built");
             }
         }
     }

@@ -4,7 +4,7 @@
 //!
 //! Thread budget is **fixed at bind time**: one accept thread plus
 //! [`ServerConfig::io_threads`] I/O threads plus one scheduler thread
-//! per shard (and each shard's engine-pool workers) — independent of
+//! per shard, which also runs that shard's engine pool — independent of
 //! how many connections are open. Ten connections or ten thousand, the
 //! daemon runs the same handful of threads; connections are state, not
 //! threads.

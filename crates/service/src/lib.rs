@@ -36,11 +36,12 @@
 //! * **Deadlines** — a request may carry a deadline; one that expires
 //!   before dispatch completes with [`RequestError::TimedOut`] rather
 //!   than occupying engine slots.
-//! * **Supervision** — a dispatch group that loses a pool worker is
-//!   retried once on the survivors; if the retry also fails (only
-//!   possible once no live worker is left), every job in the round
-//!   completes with [`RequestError::WorkerFailure`], and the shrunken
-//!   pool capacity is reflected in every later batch.
+//! * **Supervision** — a dispatch group that loses pool workers is
+//!   retried once on the survivors (the failed dispatch marks every
+//!   dead worker it met); if the retry also fails (only possible once
+//!   no live worker is left), every job in the round completes with
+//!   [`RequestError::WorkerFailure`], and the shrunken pool capacity is
+//!   reflected in every later batch.
 //! * **Validation** — an ML-KEM key or ciphertext that fails FIPS 203
 //!   input checks completes with [`RequestError::InvalidInput`] at batch
 //!   formation, without riding any round.
@@ -99,7 +100,9 @@ pub struct ServiceConfig {
     pub kernel: KernelKind,
     /// States per engine pass (`SN`).
     pub sn: usize,
-    /// Worker engines in the pool.
+    /// Modelled engines in the pool (`W`); with `sn` they set the batch
+    /// slots. The pool runs them all on the scheduler thread: host
+    /// parallelism comes from shards ([`ShardConfig::shards`]).
     pub workers: usize,
     /// Admission queue bound; submissions beyond it are rejected.
     pub queue_capacity: usize,
@@ -574,7 +577,7 @@ pub struct Service {
 }
 
 impl Service {
-    /// Starts the scheduler thread and its engine pool.
+    /// Starts the scheduler thread, which runs the engine pool.
     ///
     /// # Panics
     ///
@@ -865,19 +868,22 @@ mod tests {
         assert_eq!(report.completed, 1);
     }
 
-    #[test]
-    fn injected_worker_death_is_retried_and_capacity_shrinks() {
-        // slots = 2 workers × SN 2 = 4; the batch closes only when all
-        // four requests are queued, so it spans both workers and the
-        // killed one is discovered mid-dispatch.
+    /// Kills `killed` of `workers` pool workers, then submits one full
+    /// batch. With `workers × SN 2` slots the batch closes only when
+    /// every request is queued, so its round spans every worker and
+    /// meets every dead one; it fails once, is retried on the
+    /// survivors, and later batches shrink to the surviving capacity.
+    fn check_worker_deaths_cost_one_retry(workers: usize, killed: &[usize]) {
         let service = Service::start(ServiceConfig {
             sn: 2,
-            workers: 2,
+            workers,
             max_wait: Duration::from_secs(2),
             ..ServiceConfig::default()
         });
-        service.inject_worker_failure(1);
-        let messages: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 64]).collect();
+        for &worker in killed {
+            service.inject_worker_failure(worker);
+        }
+        let messages: Vec<Vec<u8>> = (0..2 * workers as u8).map(|i| vec![i; 64]).collect();
         let tickets: Vec<Ticket> = messages
             .iter()
             .map(|m| service.submit(HashRequest::sha3_256(m.clone())).unwrap())
@@ -891,12 +897,23 @@ mod tests {
             );
             assert!(completion.timing.retried, "the killed batch retried");
         }
+        let survivors = workers - killed.len();
         let report = service.shutdown();
-        assert_eq!(report.completed, 4);
+        assert_eq!(report.completed, messages.len() as u64);
         assert_eq!(report.worker_failures, 0);
         assert_eq!(report.retries, 1, "one batch group retried once");
-        assert_eq!(report.alive_workers, 1);
-        assert_eq!(report.batch_slots, 2, "capacity shrank to the survivor");
+        assert_eq!(report.alive_workers, survivors);
+        assert_eq!(report.batch_slots, 2 * survivors, "capacity shrank");
+    }
+
+    #[test]
+    fn injected_worker_death_is_retried_and_capacity_shrinks() {
+        check_worker_deaths_cost_one_retry(2, &[1]);
+    }
+
+    #[test]
+    fn two_dead_workers_of_three_cost_one_retry() {
+        check_worker_deaths_cost_one_retry(3, &[0, 1]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The contract: an [`EnginePool`] is *behaviorally invisible* — any
 //! batch scheduled through it produces bit-identical output to the
 //! scalar [`ReferenceBackend`], and its cycle accounting is
-//! deterministic regardless of how many worker threads carry the load.
+//! deterministic whatever the number of modelled engines.
 
 use keccak_rvv::core::{EnginePool, KernelKind};
 use keccak_rvv::keccak::KeccakState;
