@@ -900,6 +900,8 @@ fn render_json(
     let _ = writeln!(json, "  \"benchmark\": \"service\",");
     let _ = writeln!(json, "  \"seed\": {},", options.seed);
     let _ = writeln!(json, "  \"smoke\": {},", options.smoke);
+    let nproc = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let _ = writeln!(json, "  \"nproc\": {nproc},");
     let _ = writeln!(
         json,
         "  \"config\": {{ \"kernel\": \"{}\", \"sn\": {}, \"workers\": {}, \
@@ -1160,6 +1162,7 @@ fn render_json(
 /// emitter and the check cannot drift apart.
 const SCHEMA_KEYS: &[&str] = &[
     "\"benchmark\": \"service\"",
+    "\"nproc\":",
     "\"config\":",
     "\"batch_slots\":",
     "\"closed_loop\":",

@@ -1347,6 +1347,8 @@ fn render_json(
     let _ = writeln!(json, "  \"benchmark\": \"net\",");
     let _ = writeln!(json, "  \"seed\": {},", options.seed);
     let _ = writeln!(json, "  \"smoke\": {},", options.smoke);
+    let nproc = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let _ = writeln!(json, "  \"nproc\": {nproc},");
     let _ = writeln!(
         json,
         "  \"config\": {{ \"connections\": {}, \"window\": {}, \"message_len\": {MSG_LEN}, \
@@ -1467,6 +1469,7 @@ fn render_json(
 /// emitter and the check cannot drift apart.
 const SCHEMA_KEYS: &[&str] = &[
     "\"benchmark\": \"net\"",
+    "\"nproc\":",
     "\"config\":",
     "\"connections\":",
     "\"window\":",

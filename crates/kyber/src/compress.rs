@@ -1,62 +1,68 @@
-//! Coefficient compression (FIPS 203 §4.2.1).
+//! Coefficient compression (FIPS 203 §4.2.1), without division.
+//!
+//! [`encode`](crate::encode) folds these into ByteEncode/ByteDecode, so a
+//! ciphertext is compressed and packed, or unpacked and decompressed, in
+//! one pass.
 
-use crate::poly::{Poly, KYBER_N, KYBER_Q};
+use crate::encode::{pack, unpack};
+use crate::poly::{Poly, KYBER_Q};
 
-/// `Compress_d(x) = ⌈(2^d / q) · x⌋ mod 2^d`.
+/// `⌈2³⁵/q⌉`. For every `n < 2²³`, `(n·DIV_Q) >> 35 = ⌊n/q⌋`:
+/// `n·DIV_Q/2³⁵` exceeds `n/q` by `n·(DIV_Q·q − 2³⁵)/(q·2³⁵) < n/2³⁵ <
+/// 2⁻¹²`, less than the gap of at least `1/q` between `n/q` and the next
+/// integer above it. Compress's numerators are below `q·2¹¹ + q < 2²³`.
+const DIV_Q: u64 = (1 << 35) / KYBER_Q as u64 + 1;
+
+/// `Compress_d(x) = ⌈(2^d / q) · x⌋ mod 2^d` for `x ∈ Z_q` and
+/// `1 ≤ d ≤ 11`, as a multiply and a shift.
 pub fn compress_coeff(x: u16, d: u32) -> u16 {
-    debug_assert!(d < 12);
-    let numerator = ((x as u64) << d) + (KYBER_Q as u64) / 2;
-    ((numerator / KYBER_Q as u64) & ((1 << d) - 1)) as u16
+    debug_assert!(x < KYBER_Q && (1..12).contains(&d));
+    let numerator = (u64::from(x) << d) + u64::from(KYBER_Q / 2);
+    (((numerator * DIV_Q) >> 35) & ((1 << d) - 1)) as u16
 }
 
-/// `Decompress_d(y) = ⌈(q / 2^d) · y⌋`.
+/// `Decompress_d(y) = ⌈(q / 2^d) · y⌋` for a `d`-bit `y`, `1 ≤ d ≤ 11`.
 pub fn decompress_coeff(y: u16, d: u32) -> u16 {
-    debug_assert!(d < 12);
-    (((y as u64 * KYBER_Q as u64) + (1 << (d - 1))) >> d) as u16
+    debug_assert!((1..12).contains(&d) && y >> d == 0);
+    ((u32::from(y) * u32::from(KYBER_Q) + (1 << (d - 1))) >> d) as u16
 }
 
 /// Compresses every coefficient to `d` bits.
 pub fn compress_poly(poly: &Poly, d: u32) -> Poly {
-    let mut out = Poly::zero();
-    for i in 0..KYBER_N {
-        out.set_coeff(i, compress_coeff(poly.coeff(i), d));
-    }
-    out
+    Poly::from_canonical(poly.coeffs().map(|x| compress_coeff(x, d)))
 }
 
 /// Decompresses every `d`-bit coefficient back into `[0, q)`.
 pub fn decompress_poly(poly: &Poly, d: u32) -> Poly {
-    let mut out = Poly::zero();
-    for i in 0..KYBER_N {
-        out.set_coeff(i, decompress_coeff(poly.coeff(i), d));
-    }
-    out
+    Poly::from_canonical(poly.coeffs().map(|y| decompress_coeff(y, d)))
 }
 
 /// Encodes a 32-byte message as a polynomial: bit i becomes
 /// `Decompress_1(bit)` = 0 or ⌈q/2⌋ (FIPS 203 Algorithm 14 step 20).
 pub fn message_to_poly(message: &[u8; 32]) -> Poly {
-    let mut out = Poly::zero();
-    for i in 0..KYBER_N {
-        let bit = (message[i / 8] >> (i % 8)) & 1;
-        out.set_coeff(i, decompress_coeff(bit as u16, 1));
-    }
-    out
+    Poly::from_canonical(unpack(message, 1, |bit| decompress_coeff(bit, 1)))
 }
 
 /// Decodes a polynomial back into a 32-byte message via `Compress_1`.
 pub fn poly_to_message(poly: &Poly) -> [u8; 32] {
     let mut message = [0u8; 32];
-    for i in 0..KYBER_N {
-        let bit = compress_coeff(poly.coeff(i), 1);
-        message[i / 8] |= (bit as u8) << (i % 8);
-    }
+    pack(&mut message, 1, poly.coeffs(), |x| compress_coeff(x, 1));
     message
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::poly::KYBER_N;
+
+    #[test]
+    fn division_constant_is_exact_over_the_whole_range() {
+        let top = (u64::from(KYBER_Q - 1) << 11) + u64::from(KYBER_Q / 2);
+        assert!(top < 1 << 23, "Compress's largest numerator");
+        for n in 0..1u64 << 23 {
+            assert_eq!((n * DIV_Q) >> 35, n / u64::from(KYBER_Q), "n={n}");
+        }
+    }
 
     #[test]
     fn compress_bounds() {

@@ -4,10 +4,61 @@
 //!
 //! Coefficient `i` occupies bits `d·i .. d·(i+1)` of the byte stream,
 //! least-significant bit first — so 256 coefficients always pack into
-//! exactly `32·d` bytes.
+//! exactly `32·d` bytes, a whole number of 32-bit words. The packers move
+//! whole words rather than bits, as the pq-crystals reference
+//! implementation does (<https://github.com/pq-crystals/kyber>,
+//! `ref/poly.c`), and [`encode_vector`]/[`decode_vector`] fold
+//! Compress/Decompress into the same pass.
 
-use crate::compress::{compress_poly, decompress_poly};
-use crate::poly::{Poly, KYBER_N, KYBER_Q};
+use crate::compress::{compress_coeff, decompress_coeff};
+use crate::poly::{reduce_once, Poly, KYBER_N, KYBER_Q};
+
+/// Packs `field(c)` for each of the 256 coefficients `c`, `d` bits
+/// each, into `out` (`32·d` bytes): fields collect in a 64-bit buffer
+/// that is written out 32 bits at a time, little-endian.
+pub(crate) fn pack(out: &mut [u8], d: u32, coeffs: &[u16; KYBER_N], field: impl Fn(u16) -> u16) {
+    debug_assert_eq!(out.len(), 32 * d as usize);
+    let mut words = out.chunks_exact_mut(4);
+    let (mut buffer, mut bits) = (0u64, 0);
+    for &c in coeffs {
+        buffer |= u64::from(field(c)) << bits;
+        bits += d;
+        if bits >= 32 {
+            let word = words.next().expect("32·d bytes hold 256 d-bit fields");
+            word.copy_from_slice(&(buffer as u32).to_le_bytes());
+            buffer >>= 32;
+            bits -= 32;
+        }
+    }
+}
+
+/// Unpacks `32·d` bytes into 256 `d`-bit fields, `coeff(field)` each,
+/// refilling a 64-bit buffer 32 bits at a time.
+pub(crate) fn unpack(bytes: &[u8], d: u32, coeff: impl Fn(u16) -> u16) -> [u16; KYBER_N] {
+    debug_assert_eq!(bytes.len(), 32 * d as usize);
+    let mask = (1 << d) - 1;
+    let mut words = bytes.chunks_exact(4);
+    let (mut buffer, mut bits) = (0u64, 0);
+    let mut coeffs = [0u16; KYBER_N];
+    for c in coeffs.iter_mut() {
+        if bits < d {
+            let word = words.next().expect("32·d bytes hold 256 d-bit fields");
+            buffer |= u64::from(u32::from_le_bytes([word[0], word[1], word[2], word[3]])) << bits;
+            bits += 32;
+        }
+        *c = coeff((buffer & mask) as u16);
+        buffer >>= d;
+        bits -= d;
+    }
+    coeffs
+}
+
+fn check_width(d: u32) {
+    assert!(
+        (1..=12).contains(&d),
+        "ByteEncode/ByteDecode are defined for 1 ≤ d ≤ 12"
+    );
+}
 
 /// Packs a polynomial's 256 coefficients into `32·d` little-endian
 /// `d`-bit fields (FIPS 203 Algorithm 5).
@@ -17,21 +68,12 @@ use crate::poly::{Poly, KYBER_N, KYBER_Q};
 /// Panics if `d` is 0 or greater than 12, or (debug builds) if a
 /// coefficient does not fit in `d` bits.
 pub fn byte_encode(poly: &Poly, d: u32) -> Vec<u8> {
-    assert!(
-        (1..=12).contains(&d),
-        "ByteEncode is defined for 1 ≤ d ≤ 12"
-    );
+    check_width(d);
     let mut out = vec![0u8; 32 * d as usize];
-    for i in 0..KYBER_N {
-        let value = poly.coeff(i);
-        debug_assert!(d == 12 || value < (1 << d), "coefficient over {d} bits");
-        for bit in 0..d as usize {
-            if (value >> bit) & 1 == 1 {
-                let position = d as usize * i + bit;
-                out[position / 8] |= 1 << (position % 8);
-            }
-        }
-    }
+    pack(&mut out, d, poly.coeffs(), |c| {
+        debug_assert!(d == 12 || c >> d == 0, "coefficient over {d} bits");
+        c
+    });
     out
 }
 
@@ -45,21 +87,10 @@ pub fn byte_encode(poly: &Poly, d: u32) -> Vec<u8> {
 ///
 /// Panics if `d` is out of range or `bytes.len() != 32·d`.
 pub fn byte_decode(bytes: &[u8], d: u32) -> Poly {
-    assert!(
-        (1..=12).contains(&d),
-        "ByteDecode is defined for 1 ≤ d ≤ 12"
-    );
+    check_width(d);
     assert_eq!(bytes.len(), 32 * d as usize, "ByteDecode needs 32·d bytes");
-    let mut coeffs = [0u16; KYBER_N];
-    for (i, c) in coeffs.iter_mut().enumerate() {
-        let mut value = 0u16;
-        for bit in 0..d as usize {
-            let position = d as usize * i + bit;
-            value |= u16::from((bytes[position / 8] >> (position % 8)) & 1) << bit;
-        }
-        *c = value;
-    }
-    Poly::from_coeffs(coeffs)
+    // Fields below 2¹² < 2q: one conditional subtraction reduces them.
+    Poly::from_canonical(unpack(bytes, d, reduce_once))
 }
 
 /// `ByteDecode₁₂` with FIPS 203 §7.2's modulus check: every 12-bit field
@@ -72,53 +103,52 @@ pub fn byte_decode(bytes: &[u8], d: u32) -> Poly {
 /// Panics if `bytes.len() != 384`.
 pub fn byte_decode_canonical(bytes: &[u8]) -> Result<Poly, usize> {
     assert_eq!(bytes.len(), 384, "ByteDecode₁₂ needs 384 bytes");
-    let mut coeffs = [0u16; KYBER_N];
-    for (i, c) in coeffs.iter_mut().enumerate() {
-        let mut value = 0u16;
-        for bit in 0..12usize {
-            let position = 12 * i + bit;
-            value |= u16::from((bytes[position / 8] >> (position % 8)) & 1) << bit;
-        }
-        if value >= KYBER_Q {
-            return Err(i);
-        }
-        *c = value;
+    let coeffs = unpack(bytes, 12, |c| c);
+    match coeffs.iter().position(|&c| c >= KYBER_Q) {
+        Some(index) => Err(index),
+        None => Ok(Poly::from_canonical(coeffs)),
     }
-    Ok(Poly::from_coeffs(coeffs))
 }
 
 /// Serializes a vector of polynomials as consecutive `ByteEncode_d`
-/// blocks, compressing each coefficient to `d` bits first when `d < 12`.
+/// blocks, compressing each coefficient to `d` bits as it is packed
+/// when `d < 12`.
+///
+/// # Panics
+///
+/// Panics if `d` is 0 or greater than 12.
 pub fn encode_vector(polys: &[Poly], d: u32) -> Vec<u8> {
-    let mut out = Vec::with_capacity(polys.len() * 32 * d as usize);
-    for poly in polys {
-        let encoded = if d < 12 {
-            byte_encode(&compress_poly(poly, d), d)
+    check_width(d);
+    let width = 32 * d as usize;
+    let mut out = vec![0u8; polys.len() * width];
+    for (bytes, poly) in out.chunks_exact_mut(width).zip(polys) {
+        if d < 12 {
+            pack(bytes, d, poly.coeffs(), |x| compress_coeff(x, d));
         } else {
-            byte_encode(poly, d)
-        };
-        out.extend_from_slice(&encoded);
+            pack(bytes, d, poly.coeffs(), |x| x);
+        }
     }
     out
 }
 
 /// Deserializes consecutive `ByteDecode_d` blocks, decompressing each
-/// coefficient back into `[0, q)` when `d < 12`.
+/// coefficient back into `[0, q)` as it is unpacked when `d < 12`.
 ///
 /// # Panics
 ///
-/// Panics if `bytes.len()` is not a multiple of `32·d`.
+/// Panics if `d` is out of range or `bytes.len()` is not a multiple of
+/// `32·d`.
 pub fn decode_vector(bytes: &[u8], d: u32) -> Vec<Poly> {
+    check_width(d);
     assert_eq!(bytes.len() % (32 * d as usize), 0, "ragged vector encoding");
     bytes
         .chunks_exact(32 * d as usize)
         .map(|chunk| {
-            let poly = byte_decode(chunk, d);
-            if d < 12 {
-                decompress_poly(&poly, d)
+            Poly::from_canonical(if d < 12 {
+                unpack(chunk, d, |y| decompress_coeff(y, d))
             } else {
-                poly
-            }
+                unpack(chunk, d, reduce_once)
+            })
         })
         .collect()
 }
@@ -126,7 +156,7 @@ pub fn decode_vector(bytes: &[u8], d: u32) -> Vec<Poly> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compress::compress_poly;
+    use crate::compress::{compress_poly, decompress_poly};
 
     fn sample(seed: u16, bound: u16) -> Poly {
         let mut coeffs = [0u16; KYBER_N];

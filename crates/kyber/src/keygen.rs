@@ -1,6 +1,6 @@
 //! K-PKE key generation (FIPS 203 Algorithm 13, Keccak-relevant core).
 
-use crate::ntt::{basemul, ntt};
+use crate::pke::keygen_polys;
 use crate::poly::Poly;
 use crate::sampling::{expand_matrix, expand_secrets};
 use crate::KyberParams;
@@ -46,20 +46,7 @@ pub fn keygen<B: PermutationBackend>(
 
     let a_hat = expand_matrix(&rho, params.k, &mut backend);
     let (s, e) = expand_secrets(&sigma, params.k, params.eta1, &mut backend);
-
-    let s_hat: Vec<Poly> = s.iter().map(ntt).collect();
-    let e_hat: Vec<Poly> = e.iter().map(ntt).collect();
-
-    // t̂ = Â ∘ ŝ + ê.
-    let t_hat: Vec<Poly> = (0..params.k)
-        .map(|i| {
-            let mut acc = Poly::zero();
-            for j in 0..params.k {
-                acc = acc.add(&basemul(&a_hat[i][j], &s_hat[j]));
-            }
-            acc.add(&e_hat[i])
-        })
-        .collect();
+    let (t_hat, s_hat) = keygen_polys(&a_hat, &s, &e);
 
     KeyPair {
         rho,
@@ -72,7 +59,7 @@ pub fn keygen<B: PermutationBackend>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ntt::inv_ntt;
+    use crate::ntt::{basemul, inv_ntt};
     use crate::sampling::expand_matrix;
     use krv_sha3::ReferenceBackend;
 

@@ -50,6 +50,8 @@ pub mod mlkem;
 pub mod ntt;
 pub mod pke;
 pub mod poly;
+#[cfg(test)]
+mod reference;
 pub mod sampling;
 
 pub use keygen::{keygen, KeyPair};

@@ -18,9 +18,8 @@
 //! `J = SHAKE256` (32 bytes), `PRF_η = SHAKE256` (64·η bytes),
 //! `XOF = SHAKE128`.
 
-use crate::compress::{message_to_poly, poly_to_message};
 use crate::encode::{byte_decode_canonical, decode_vector, encode_vector};
-use crate::ntt::{basemul, inv_ntt, ntt};
+use crate::pke::{decrypt_polys, encrypt_polys, keygen_polys, Noise};
 use crate::poly::Poly;
 use crate::sampling::{sample_cbd, sample_ntt, SHAKE128_BLOCK};
 use crate::KyberParams;
@@ -262,7 +261,7 @@ pub enum KemResult {
 #[derive(Debug, Clone)]
 struct MatrixSampler {
     k: usize,
-    inputs: Vec<Vec<u8>>,
+    rho: [u8; 32],
     polys: Vec<Option<Poly>>,
     awaiting: Vec<usize>,
     blocks: usize,
@@ -270,18 +269,9 @@ struct MatrixSampler {
 
 impl MatrixSampler {
     fn new(rho: &[u8; 32], k: usize) -> Self {
-        let inputs: Vec<Vec<u8>> = (0..k * k)
-            .map(|entry| {
-                let (i, j) = (entry / k, entry % k);
-                let mut input = rho.to_vec();
-                input.push(j as u8);
-                input.push(i as u8);
-                input
-            })
-            .collect();
         Self {
             k,
-            inputs,
+            rho: *rho,
             polys: vec![None; k * k],
             awaiting: (0..k * k).collect(),
             // Three SHAKE blocks ≈ 99.9 % success per entry.
@@ -289,14 +279,21 @@ impl MatrixSampler {
         }
     }
 
-    /// Hash jobs for the entries still awaiting a stream.
+    /// Hash jobs for the entries still awaiting a stream: entry (i, j)
+    /// hashes `ρ ‖ j ‖ i`, written straight into the job's input.
     fn jobs(&self) -> Vec<HashJob> {
         self.awaiting
             .iter()
-            .map(|&entry| HashJob {
-                params: SpongeParams::shake(128),
-                input: self.inputs[entry].clone(),
-                output_len: self.blocks * SHAKE128_BLOCK,
+            .map(|&entry| {
+                let (i, j) = (entry / self.k, entry % self.k);
+                let mut input = Vec::with_capacity(34);
+                input.extend_from_slice(&self.rho);
+                input.extend_from_slice(&[j as u8, i as u8]);
+                HashJob {
+                    params: SpongeParams::shake(128),
+                    input,
+                    output_len: self.blocks * SHAKE128_BLOCK,
+                }
             })
             .collect()
     }
@@ -325,7 +322,7 @@ impl MatrixSampler {
     }
 
     /// The completed matrix, row-major.
-    fn take(&self) -> Vec<Vec<Poly>> {
+    fn take(self) -> Vec<Vec<Poly>> {
         debug_assert!(self.done());
         self.polys
             .chunks(self.k)
@@ -352,8 +349,8 @@ enum Stage {
         z: [u8; 32],
         rho: [u8; 32],
         matrix: MatrixSampler,
-        s_hat: Vec<Poly>,
-        e_hat: Vec<Poly>,
+        s: Vec<Poly>,
+        e: Vec<Poly>,
     },
     /// Keygen: waiting on `H(ek)` for the dk tail.
     KeygenHashEk {
@@ -385,7 +382,7 @@ enum Stage {
         key: EncapsKey,
         m: [u8; 32],
         shared: [u8; 32],
-        noise: NoiseVectors,
+        noise: Noise,
         matrix: MatrixSampler,
     },
     /// Decaps: waiting on `G(m' ‖ h)` and `J(z ‖ c)` alongside the first
@@ -413,19 +410,11 @@ enum Stage {
         m_prime: [u8; 32],
         k_prime: [u8; 32],
         k_bar: [u8; 32],
-        noise: NoiseVectors,
+        noise: Noise,
         matrix: MatrixSampler,
     },
     /// Finished.
     Done(KemResult),
-}
-
-/// The sampled encryption noise: `r` (η₁), `e₁` (η₂) and `e₂` (η₂).
-#[derive(Debug, Clone)]
-struct NoiseVectors {
-    r: Vec<Poly>,
-    e1: Vec<Poly>,
-    e2: Poly,
 }
 
 /// One ML-KEM operation as an explicit multi-stage state machine.
@@ -621,23 +610,22 @@ fn step(params: KyberParams, stage: Stage, outputs: Vec<Vec<u8>>) -> (Stage, Vec
         Stage::KeygenExpand { z, rho, mut matrix } => {
             let split = matrix.awaiting();
             matrix.absorb(&outputs[..split]);
-            let secrets: Vec<Poly> = outputs[split..]
+            let mut s: Vec<Poly> = outputs[split..]
                 .iter()
                 .map(|stream| sample_cbd(&stream[..64 * params.eta1], params.eta1))
                 .collect();
-            let s_hat: Vec<Poly> = secrets[..k].iter().map(ntt).collect();
-            let e_hat: Vec<Poly> = secrets[k..].iter().map(ntt).collect();
-            keygen_after_expand(params, z, rho, matrix, s_hat, e_hat)
+            let e = s.split_off(k);
+            keygen_after_expand(z, rho, matrix, s, e)
         }
         Stage::KeygenRetry {
             z,
             rho,
             mut matrix,
-            s_hat,
-            e_hat,
+            s,
+            e,
         } => {
             matrix.absorb(&outputs);
-            keygen_after_expand(params, z, rho, matrix, s_hat, e_hat)
+            keygen_after_expand(z, rho, matrix, s, e)
         }
         Stage::KeygenHashEk { z, ek, dk_pke } => {
             // dk = dk_pke ‖ ek ‖ H(ek) ‖ z.
@@ -687,7 +675,7 @@ fn step(params: KyberParams, stage: Stage, outputs: Vec<Vec<u8>>) -> (Stage, Vec
             mut matrix,
         } => {
             let split = 2 * k + 1;
-            let noise = parse_noise(params, &outputs[..split]);
+            let noise = Noise::from_streams(params, &outputs[..split]);
             matrix.absorb(&outputs[split..]);
             encaps_after_prf(params, key, m, shared, noise, matrix)
         }
@@ -738,7 +726,7 @@ fn step(params: KyberParams, stage: Stage, outputs: Vec<Vec<u8>>) -> (Stage, Vec
             mut matrix,
         } => {
             let split = 2 * k + 1;
-            let noise = parse_noise(params, &outputs[..split]);
+            let noise = Noise::from_streams(params, &outputs[..split]);
             matrix.absorb(&outputs[split..]);
             decaps_after_prf(params, key, ct, m_prime, k_prime, k_bar, noise, matrix)
         }
@@ -761,12 +749,11 @@ fn step(params: KyberParams, stage: Stage, outputs: Vec<Vec<u8>>) -> (Stage, Vec
 /// Keygen once the CBD secrets are in hand: either keep retrying the
 /// matrix, or compute `t̂ = Â∘ŝ + ê`, serialize, and stage `H(ek)`.
 fn keygen_after_expand(
-    params: KyberParams,
     z: [u8; 32],
     rho: [u8; 32],
     matrix: MatrixSampler,
-    s_hat: Vec<Poly>,
-    e_hat: Vec<Poly>,
+    s: Vec<Poly>,
+    e: Vec<Poly>,
 ) -> (Stage, Vec<HashJob>) {
     if !matrix.done() {
         let pending = matrix.jobs();
@@ -775,23 +762,13 @@ fn keygen_after_expand(
                 z,
                 rho,
                 matrix,
-                s_hat,
-                e_hat,
+                s,
+                e,
             },
             pending,
         );
     }
-    let a_hat = matrix.take();
-    let k = params.k;
-    let t_hat: Vec<Poly> = (0..k)
-        .map(|i| {
-            let mut acc = Poly::zero();
-            for j in 0..k {
-                acc = acc.add(&basemul(&a_hat[i][j], &s_hat[j]));
-            }
-            acc.add(&e_hat[i])
-        })
-        .collect();
+    let (t_hat, s_hat) = keygen_polys(&matrix.take(), &s, &e);
     let mut ek = encode_vector(&t_hat, 12);
     ek.extend_from_slice(&rho);
     let dk_pke = encode_vector(&s_hat, 12);
@@ -810,7 +787,7 @@ fn encaps_after_prf(
     key: EncapsKey,
     m: [u8; 32],
     shared: [u8; 32],
-    noise: NoiseVectors,
+    noise: Noise,
     matrix: MatrixSampler,
 ) -> (Stage, Vec<HashJob>) {
     if !matrix.done() {
@@ -847,7 +824,7 @@ fn decaps_after_prf(
     m_prime: [u8; 32],
     k_prime: [u8; 32],
     k_bar: [u8; 32],
-    noise: NoiseVectors,
+    noise: Noise,
     matrix: MatrixSampler,
 ) -> (Stage, Vec<HashJob>) {
     if !matrix.done() {
@@ -894,49 +871,18 @@ fn prf_jobs(params: KyberParams, coins: &[u8; 32]) -> Vec<HashJob> {
         .collect()
 }
 
-/// Samples the 2k+1 PRF streams into the encryption noise vectors.
-fn parse_noise(params: KyberParams, streams: &[Vec<u8>]) -> NoiseVectors {
-    let k = params.k;
-    let r = streams[..k]
-        .iter()
-        .map(|s| sample_cbd(&s[..64 * params.eta1], params.eta1))
-        .collect();
-    let e1 = streams[k..2 * k]
-        .iter()
-        .map(|s| sample_cbd(&s[..64 * params.eta2], params.eta2))
-        .collect();
-    let e2 = sample_cbd(&streams[2 * k][..64 * params.eta2], params.eta2);
-    NoiseVectors { r, e1, e2 }
-}
-
 /// K-PKE.Encrypt from pre-expanded parts: the matrix, the public vector,
 /// the message and the sampled noise (FIPS 203 Algorithm 14, hash-free
-/// tail). Returns the byte-encoded ciphertext.
+/// tail). Returns the byte-encoded ciphertext, compressed as it is
+/// packed.
 fn encrypt_bytes(
     params: KyberParams,
     a_hat: &[Vec<Poly>],
     t_hat: &[Poly],
     m: &[u8; 32],
-    noise: &NoiseVectors,
+    noise: &Noise,
 ) -> Vec<u8> {
-    let k = params.k;
-    let r_hat: Vec<Poly> = noise.r.iter().map(ntt).collect();
-    // u = invNTT(Âᵀ ∘ r̂) + e₁.
-    let u: Vec<Poly> = (0..k)
-        .map(|i| {
-            let mut acc = Poly::zero();
-            for j in 0..k {
-                acc = acc.add(&basemul(&a_hat[j][i], &r_hat[j])); // transpose
-            }
-            inv_ntt(&acc).add(&noise.e1[i])
-        })
-        .collect();
-    // v = invNTT(t̂ᵀ ∘ r̂) + e₂ + Decompress₁(m).
-    let mut tr = Poly::zero();
-    for j in 0..k {
-        tr = tr.add(&basemul(&t_hat[j], &r_hat[j]));
-    }
-    let v = inv_ntt(&tr).add(&noise.e2).add(&message_to_poly(m));
+    let (u, v) = encrypt_polys(a_hat, t_hat, m, noise);
     let mut ct = encode_vector(&u, params.du);
     ct.extend_from_slice(&encode_vector(&[v], params.dv));
     ct
@@ -947,11 +893,7 @@ fn decrypt_bytes(params: KyberParams, s_hat: &[Poly], ct: &[u8]) -> [u8; 32] {
     let split = 32 * params.du as usize * params.k;
     let u = decode_vector(&ct[..split], params.du);
     let v = decode_vector(&ct[split..], params.dv)[0];
-    let mut su = Poly::zero();
-    for j in 0..params.k {
-        su = su.add(&basemul(&s_hat[j], &ntt(&u[j])));
-    }
-    poly_to_message(&v.sub(&inv_ntt(&su)))
+    decrypt_polys(s_hat, &u, &v)
 }
 
 /// Drives one [`KemJob`] to completion on a local backend: each round,
@@ -1059,6 +1001,7 @@ pub fn ml_kem_decaps<B: PermutationBackend>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::KYBER_Q;
     use krv_sha3::{
         hash_batch, BatchRequest, ReferenceBackend, Sha3_256, Sha3_512, Shake256, Sponge, Xof,
     };
@@ -1154,6 +1097,21 @@ mod tests {
         }
     }
 
+    /// `ek` with its `coefficient`-th 12-bit field set to `value`.
+    fn plant(ek: &[u8], coefficient: usize, value: u16) -> Vec<u8> {
+        let mut ek = ek.to_vec();
+        for bit in 0..12 {
+            let position = 12 * coefficient + bit;
+            let mask = 1 << (position % 8);
+            if value >> bit & 1 == 1 {
+                ek[position / 8] |= mask;
+            } else {
+                ek[position / 8] &= !mask;
+            }
+        }
+        ek
+    }
+
     #[test]
     fn malformed_inputs_are_typed_errors() {
         let params = KyberParams::KYBER512;
@@ -1168,14 +1126,37 @@ mod tests {
                 got: params.ek_len() - 1,
             }
         );
-        // Force the first 12-bit field to 4095 ≥ q: non-canonical.
-        let mut bad = ek.clone();
-        bad[0] = 0xFF;
-        bad[1] |= 0x0F;
-        assert_eq!(
-            ml_kem_encaps(params, &bad, &m, ReferenceBackend::new()).unwrap_err(),
-            KemError::NonCanonicalKey { coefficient: 0 }
-        );
+        // FIPS 203 §7.2 modulus check, for every set: q or 4095 planted
+        // in a 12-bit field of t̂ — coefficients 0 and 255 (the first
+        // block's ends), 256 (the second block's start) and 256k − 1 (the
+        // key's last) — names exactly that coefficient, and q − 1 in the
+        // same field parses.
+        for params in KyberParams::ALL {
+            let (ek, _) = ml_kem_keygen(params, &d, &z, ReferenceBackend::new());
+            let last = 256 * params.k - 1;
+            for coefficient in [0, 255, 256, last] {
+                for value in [KYBER_Q, 4095] {
+                    assert_eq!(
+                        ml_kem_encaps(
+                            params,
+                            &plant(&ek, coefficient, value),
+                            &m,
+                            ReferenceBackend::new()
+                        )
+                        .unwrap_err(),
+                        KemError::NonCanonicalKey { coefficient },
+                        "{} coefficient {coefficient} = {value}",
+                        params.label()
+                    );
+                }
+                let edge = plant(&ek, coefficient, KYBER_Q - 1);
+                assert!(
+                    ml_kem_encaps(params, &edge, &m, ReferenceBackend::new()).is_ok(),
+                    "{} coefficient {coefficient} = q − 1",
+                    params.label()
+                );
+            }
+        }
         assert_eq!(
             ml_kem_decaps(params, &dk[..10], &ct, ReferenceBackend::new()).unwrap_err(),
             KemError::DecapsKeyLength {

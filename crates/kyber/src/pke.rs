@@ -4,10 +4,16 @@
 //! future-work workload: `decrypt(encrypt(m)) == m` exercises every
 //! SHAKE path (matrix re-expansion, the r/e₁/e₂ PRF samples) plus the
 //! NTT algebra and the compression pipeline end to end.
+//!
+//! The hash-free arithmetic of all three K-PKE algorithms lives here
+//! once: `t̂ = Â∘ŝ + ê`, the `u`/`v` of encryption and the message of
+//! decryption. Both the library path ([`keygen`](crate::keygen::keygen),
+//! [`encrypt`], [`decrypt`]) and the staged [`KemJob`](crate::KemJob)
+//! call it.
 
 use crate::compress::{compress_poly, decompress_poly, message_to_poly, poly_to_message};
 use crate::keygen::KeyPair;
-use crate::ntt::{basemul, inv_ntt, ntt};
+use crate::ntt::{inner_product, inv_ntt, ntt};
 use crate::poly::Poly;
 use crate::sampling::{expand_matrix, sample_cbd};
 use crate::KyberParams;
@@ -24,6 +30,77 @@ pub struct Ciphertext {
     pub du_dv: (u32, u32),
 }
 
+/// The encryption noise of one K-PKE.Encrypt: `r` (η₁), `e₁` (η₂) and
+/// `e₂` (η₂), in the coefficient domain.
+#[derive(Debug, Clone)]
+pub(crate) struct Noise {
+    r: Vec<Poly>,
+    e1: Vec<Poly>,
+    e2: Poly,
+}
+
+impl Noise {
+    /// Samples the noise from its 2k+1 `PRF` streams, nonces `0..=2k` in
+    /// order: `r` from nonces `0..k`, `e₁` from `k..2k`, `e₂` from `2k`.
+    pub(crate) fn from_streams(params: KyberParams, streams: &[Vec<u8>]) -> Self {
+        let k = params.k;
+        let cbd = |stream: &Vec<u8>, eta: usize| sample_cbd(&stream[..64 * eta], eta);
+        Self {
+            r: streams[..k].iter().map(|s| cbd(s, params.eta1)).collect(),
+            e1: streams[k..2 * k]
+                .iter()
+                .map(|s| cbd(s, params.eta2))
+                .collect(),
+            e2: cbd(&streams[2 * k], params.eta2),
+        }
+    }
+}
+
+/// K-PKE.KeyGen's arithmetic (FIPS 203 Algorithm 13, steps 16–18): from
+/// the matrix Â and the noise vectors `s` and `e`, returns `(t̂, ŝ)` with
+/// `ŝ = NTT(s)` and `t̂ = Â∘ŝ + NTT(e)`.
+pub(crate) fn keygen_polys(a_hat: &[Vec<Poly>], s: &[Poly], e: &[Poly]) -> (Vec<Poly>, Vec<Poly>) {
+    let s_hat: Vec<Poly> = s.iter().map(ntt).collect();
+    let t_hat = a_hat
+        .iter()
+        .zip(e)
+        .map(|(row, e)| inner_product(row.iter().zip(&s_hat)).add(&ntt(e)))
+        .collect();
+    (t_hat, s_hat)
+}
+
+/// K-PKE.Encrypt's arithmetic (FIPS 203 Algorithm 14, steps 18–21),
+/// before compression: `u = NTT⁻¹(Âᵀ∘r̂) + e₁` and
+/// `v = NTT⁻¹(t̂ᵀ∘r̂) + e₂ + Decompress₁(m)`.
+pub(crate) fn encrypt_polys(
+    a_hat: &[Vec<Poly>],
+    t_hat: &[Poly],
+    message: &[u8; 32],
+    noise: &Noise,
+) -> (Vec<Poly>, Poly) {
+    let r_hat: Vec<Poly> = noise.r.iter().map(ntt).collect();
+    let u = noise
+        .e1
+        .iter()
+        .enumerate()
+        .map(|(i, e1)| {
+            let column = a_hat.iter().map(|row| &row[i]); // Âᵀ
+            inv_ntt(&inner_product(column.zip(&r_hat))).add(e1)
+        })
+        .collect();
+    let v = inv_ntt(&inner_product(t_hat.iter().zip(&r_hat)))
+        .add(&noise.e2)
+        .add(&message_to_poly(message));
+    (u, v)
+}
+
+/// K-PKE.Decrypt's arithmetic (FIPS 203 Algorithm 15, steps 6–7), after
+/// decompression: the message `Compress₁(v − NTT⁻¹(ŝᵀ∘NTT(u)))`.
+pub(crate) fn decrypt_polys(s_hat: &[Poly], u: &[Poly], v: &Poly) -> [u8; 32] {
+    let u_hat: Vec<Poly> = u.iter().map(ntt).collect();
+    poly_to_message(&v.sub(&inv_ntt(&inner_product(s_hat.iter().zip(&u_hat)))))
+}
+
 /// Encrypts a 32-byte message under `(rho, t̂)` with encryption
 /// randomness derived from `coins` (FIPS 203 Algorithm 14).
 pub fn encrypt<B: PermutationBackend>(
@@ -33,30 +110,10 @@ pub fn encrypt<B: PermutationBackend>(
     coins: &[u8; 32],
     mut backend: B,
 ) -> Ciphertext {
-    let k = params.k;
-    let a_hat = expand_matrix(&keypair.rho, k, &mut backend);
-
+    let a_hat = expand_matrix(&keypair.rho, params.k, &mut backend);
     // r (η₁), e₁ (η₂) and e₂ (η₂) from one work-scheduled PRF batch.
-    let (r, e1, e2) = expand_vectors(params, coins, &mut backend);
-
-    let r_hat: Vec<Poly> = r.iter().map(ntt).collect();
-    // u = invNTT(Âᵀ ∘ r̂) + e₁.
-    let u: Vec<Poly> = (0..k)
-        .map(|i| {
-            let mut acc = Poly::zero();
-            for j in 0..k {
-                acc = acc.add(&basemul(&a_hat[j][i], &r_hat[j])); // transpose
-            }
-            inv_ntt(&acc).add(&e1[i])
-        })
-        .collect();
-    // v = invNTT(t̂ᵀ ∘ r̂) + e₂ + Decompress₁(m).
-    let mut tr = Poly::zero();
-    for j in 0..k {
-        tr = tr.add(&basemul(&keypair.t_hat[j], &r_hat[j]));
-    }
-    let v = inv_ntt(&tr).add(&e2).add(&message_to_poly(message));
-
+    let noise = expand_noise(params, coins, &mut backend);
+    let (u, v) = encrypt_polys(&a_hat, &keypair.t_hat, message, &noise);
     let (du, dv) = (params.du, params.dv);
     Ciphertext {
         u: u.iter().map(|p| compress_poly(p, du)).collect(),
@@ -75,30 +132,17 @@ pub fn decrypt(params: KyberParams, keypair: &KeyPair, ciphertext: &Ciphertext) 
         .map(|p| decompress_poly(p, du))
         .collect();
     let v = decompress_poly(&ciphertext.v, dv);
-    // w = v − invNTT(ŝᵀ ∘ NTT(u)).
-    let mut su = Poly::zero();
-    for j in 0..params.k {
-        su = su.add(&basemul(&keypair.s_hat[j], &ntt(&u[j])));
-    }
-    let w = v.sub(&inv_ntt(&su));
-    poly_to_message(&w)
+    decrypt_polys(&keypair.s_hat[..params.k], &u, &v)
 }
 
-/// Derives `r` (η₁, nonces `0..k`), `e₁` (η₂, nonces `k..2k`) and `e₂`
-/// (η₂, nonce `2k`) from `coins` with one work-scheduled SHAKE256
-/// batch.
+/// Derives the encryption noise from `coins` with one work-scheduled
+/// SHAKE256 batch of the 2k+1 `PRF(coins, nonce)` streams.
 ///
 /// The drain-and-refill scheduler accepts per-request output lengths,
-/// so the η₁ ≠ η₂ case (Kyber512) no longer needs the old
-/// squeeze-the-longer-stream-and-truncate workaround, and `e₂` rides in
-/// the same batch instead of a separate hardware dispatch. The streams
-/// are the standalone `PRF(coins, nonce)` outputs either way (SHAKE is
-/// prefix-stable), so the derived polynomials are unchanged.
-fn expand_vectors<B: PermutationBackend>(
-    params: KyberParams,
-    coins: &[u8; 32],
-    backend: B,
-) -> (Vec<Poly>, Vec<Poly>, Poly) {
+/// so the η₁ ≠ η₂ case (Kyber512) needs no squeeze-the-longer-stream-
+/// and-truncate workaround, and `e₂` rides in the same batch instead of
+/// a separate hardware dispatch.
+fn expand_noise<B: PermutationBackend>(params: KyberParams, coins: &[u8; 32], backend: B) -> Noise {
     let k = params.k;
     let inputs: Vec<Vec<u8>> = (0..=2 * k)
         .map(|nonce| {
@@ -116,16 +160,7 @@ fn expand_vectors<B: PermutationBackend>(
         })
         .collect();
     let streams = hash_batch(SpongeParams::shake(256), backend, &requests);
-    let r = streams[..k]
-        .iter()
-        .map(|s| sample_cbd(s, params.eta1))
-        .collect();
-    let e1 = streams[k..2 * k]
-        .iter()
-        .map(|s| sample_cbd(s, params.eta2))
-        .collect();
-    let e2 = sample_cbd(&streams[2 * k], params.eta2);
-    (r, e1, e2)
+    Noise::from_streams(params, &streams)
 }
 
 #[cfg(test)]

@@ -30,6 +30,12 @@ impl Poly {
         Self { coeffs }
     }
 
+    /// Wraps coefficients the caller has already reduced into `[0, q)`.
+    pub(crate) fn from_canonical(coeffs: [u16; KYBER_N]) -> Self {
+        debug_assert!(coeffs.iter().all(|&c| c < KYBER_Q), "coefficient ≥ q");
+        Self { coeffs }
+    }
+
     /// The coefficient array.
     pub fn coeffs(&self) -> &[u16; KYBER_N] {
         &self.coeffs
@@ -55,18 +61,18 @@ impl Poly {
 
     /// Pointwise (coefficient-wise) addition mod q.
     pub fn add(&self, other: &Poly) -> Poly {
-        let mut out = Poly::zero();
-        for i in 0..KYBER_N {
-            out.coeffs[i] = (self.coeffs[i] + other.coeffs[i]) % KYBER_Q;
+        let mut out = *self;
+        for (c, &o) in out.coeffs.iter_mut().zip(&other.coeffs) {
+            *c = reduce_once(*c + o);
         }
         out
     }
 
     /// Pointwise subtraction mod q.
     pub fn sub(&self, other: &Poly) -> Poly {
-        let mut out = Poly::zero();
-        for i in 0..KYBER_N {
-            out.coeffs[i] = (self.coeffs[i] + KYBER_Q - other.coeffs[i]) % KYBER_Q;
+        let mut out = *self;
+        for (c, &o) in out.coeffs.iter_mut().zip(&other.coeffs) {
+            *c = reduce_once(*c + KYBER_Q - o);
         }
         out
     }
@@ -92,6 +98,12 @@ impl Poly {
         }
         out
     }
+}
+
+/// `x mod q` for `x < 2q`: one conditional subtraction, branch-free (if
+/// `x < q`, `x − q` wraps above `x` and the minimum keeps `x`).
+pub(crate) fn reduce_once(x: u16) -> u16 {
+    x.min(x.wrapping_sub(KYBER_Q))
 }
 
 impl Default for Poly {
@@ -136,6 +148,24 @@ mod tests {
         let p = Poly::from_coeffs(raw);
         assert_eq!(p.coeff(0), 0);
         assert_eq!(p.coeff(1), 5);
+    }
+
+    #[test]
+    fn reduce_once_maps_below_two_q_into_range() {
+        for x in 0..2 * KYBER_Q {
+            assert_eq!(reduce_once(x), x % KYBER_Q, "x={x}");
+        }
+    }
+
+    #[test]
+    fn add_sub_wrap_at_the_modulus() {
+        let mut a = Poly::zero();
+        let mut b = Poly::zero();
+        a.set_coeff(0, KYBER_Q - 1);
+        b.set_coeff(0, 1);
+        assert_eq!(a.add(&b).coeff(0), 0);
+        assert_eq!(b.sub(&a).coeff(0), 2);
+        assert_eq!(Poly::zero().sub(&b).coeff(0), KYBER_Q - 1);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Seed expansion: the Keccak-heavy half of Kyber (FIPS 203 §4.2).
 
-use crate::poly::{Poly, KYBER_N, KYBER_Q};
+use crate::poly::{reduce_once, Poly, KYBER_N, KYBER_Q};
 use krv_sha3::{hash_batch, BatchRequest, PermutationBackend, SpongeParams};
 
 /// Rejection-samples one NTT-domain polynomial from an XOF stream
@@ -12,14 +12,17 @@ pub fn sample_ntt(stream: &[u8]) -> Option<Poly> {
     for chunk in stream.chunks_exact(3) {
         let d1 = u16::from(chunk[0]) | (u16::from(chunk[1] & 0x0F) << 8);
         let d2 = u16::from(chunk[1] >> 4) | (u16::from(chunk[2]) << 4);
-        for d in [d1, d2] {
-            if d < KYBER_Q && count < KYBER_N {
-                coeffs[count] = d;
-                count += 1;
-            }
+        // `count < 256` here: the loop returns as soon as it reaches 256.
+        if d1 < KYBER_Q {
+            coeffs[count] = d1;
+            count += 1;
+        }
+        if d2 < KYBER_Q && count < KYBER_N {
+            coeffs[count] = d2;
+            count += 1;
         }
         if count == KYBER_N {
-            return Some(Poly::from_coeffs(coeffs));
+            return Some(Poly::from_canonical(coeffs));
         }
     }
     None
@@ -35,18 +38,41 @@ pub fn sample_ntt(stream: &[u8]) -> Option<Poly> {
 pub fn sample_cbd(stream: &[u8], eta: usize) -> Poly {
     assert!(eta == 2 || eta == 3, "Kyber uses η ∈ {{2, 3}}");
     assert_eq!(stream.len(), 64 * eta, "CBD needs 64·η bytes");
-    let bit = |index: usize| -> u16 { (stream[index / 8] >> (index % 8)) as u16 & 1 };
-    let mut coeffs = [0u16; KYBER_N];
-    for (i, c) in coeffs.iter_mut().enumerate() {
-        let mut x = 0u16;
-        let mut y = 0u16;
-        for j in 0..eta {
-            x += bit(2 * i * eta + j);
-            y += bit(2 * i * eta + eta + j);
-        }
-        *c = (x + KYBER_Q - y) % KYBER_Q;
+    if eta == 2 {
+        cbd::<2>(stream)
+    } else {
+        cbd::<3>(stream)
     }
-    Poly::from_coeffs(coeffs)
+}
+
+/// `SamplePolyCBD_η` with bit-sliced popcounts, as the pq-crystals
+/// reference implementation computes it
+/// (<https://github.com/pq-crystals/kyber>, `ref/cbd.c`): eight
+/// coefficients take `16η` bits, one word, and summing the word's η
+/// shifted copies under a mask with one bit per η-bit field leaves every
+/// field holding its own popcount.
+fn cbd<const ETA: usize>(stream: &[u8]) -> Poly {
+    let mut mask = 0u64;
+    for field in 0..16 {
+        mask |= 1 << (ETA * field);
+    }
+    let field_mask = (1 << ETA) - 1;
+    let mut coeffs = [0u16; KYBER_N];
+    for (group, bytes) in coeffs.chunks_exact_mut(8).zip(stream.chunks_exact(2 * ETA)) {
+        let mut word = [0u8; 8];
+        word[..2 * ETA].copy_from_slice(bytes);
+        let word = u64::from_le_bytes(word);
+        let mut popcounts = 0;
+        for shift in 0..ETA {
+            popcounts += (word >> shift) & mask;
+        }
+        for (i, c) in group.iter_mut().enumerate() {
+            let x = (popcounts >> (2 * ETA * i)) & field_mask;
+            let y = (popcounts >> (2 * ETA * i + ETA)) & field_mask;
+            *c = reduce_once(x as u16 + KYBER_Q - y as u16);
+        }
+    }
+    Poly::from_canonical(coeffs)
 }
 
 /// A SHAKE128 output block (168 bytes, the rate).
