@@ -324,6 +324,18 @@ mod tests {
     }
 
     #[test]
+    fn metrics_are_the_same_on_the_stepper() {
+        let compiled = ScalarKeccak::new().measure().unwrap();
+        let mut baseline = ScalarKeccak::new();
+        baseline.cpu.set_compiled(false);
+        let mut state = KeccakState::new();
+        let stepped = baseline.permute_state(&mut state).unwrap();
+        assert_eq!(stepped, compiled);
+        assert_eq!(state.lane(0, 0), 0xF1258F7940E1DDE7);
+        assert_eq!(baseline.cpu.compiled_dispatches(), 0);
+    }
+
+    #[test]
     fn backend_impl_composes_with_sha3() {
         use krv_sha3::Sha3_256;
         let digest = {

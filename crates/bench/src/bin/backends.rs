@@ -318,7 +318,7 @@ fn main() -> std::io::Result<()> {
     rows.push(Row {
         name: "interpreted",
         detail: format!(
-            "{}, SN = {SN}, stepper (KRV_COMPILED=0)",
+            "{}, SN = {SN}, stepper (reference)",
             KernelKind::E64Lmul8.label()
         ),
         wall_perms_per_sec: interp_wall,

@@ -75,12 +75,14 @@ pub enum BackendKind {
     /// The sequential software reference ([`ReferenceBackend`]).
     Reference,
     /// A single [`VectorKeccakEngine`] driven through `permute_slice`
-    /// with the compiled execution tier enabled (the default).
+    /// on the compiled execution tier ([`VectorKeccakEngine::new`]).
     Engine(KernelKind),
-    /// A single engine pinned to the per-instruction stepper
-    /// (`KRV_COMPILED=0` semantics). Paired with [`BackendKind::Engine`]
-    /// this puts both execution paths of the same kernel in the matrix,
-    /// so a compiled-tier bug shows up as a row disagreement.
+    /// A single engine pinned to the per-instruction stepper, the
+    /// element-serial reference
+    /// ([`VectorKeccakEngine::with_compiled`]`(.., false)`). Paired with
+    /// [`BackendKind::Engine`] this puts both execution paths of the
+    /// same kernel in the matrix, so a compiled-tier bug shows up as a
+    /// row disagreement.
     Interpreted(KernelKind),
     /// A single engine driven through the device-resident session path.
     Session(KernelKind),

@@ -11,19 +11,7 @@ use krv_keccak::KeccakState;
 use krv_sha3::PermutationBackend;
 use krv_vproc::{Processor, ProcessorConfig, Trap};
 use std::fmt;
-use std::sync::{Arc, OnceLock};
-
-/// Whether engines default to the compiled execution tier.
-///
-/// The compiled tier (see [`krv_vproc::CompiledProgram`]) is on by
-/// default; setting `KRV_COMPILED=0` in the environment pins every
-/// engine and pool to the per-instruction stepper, as an escape hatch
-/// for debugging or A/B measurement. Simulated cycles are the same
-/// either way. The variable is read once per process.
-pub fn compiled_default() -> bool {
-    static DEFAULT: OnceLock<bool> = OnceLock::new();
-    *DEFAULT.get_or_init(|| std::env::var("KRV_COMPILED").map_or(true, |v| v != "0"))
-}
+use std::sync::Arc;
 
 /// Which architecture/kernel combination the engine runs
 /// (the three rows families of paper Tables 7 and 8).
@@ -140,25 +128,27 @@ pub struct VectorKeccakEngine {
 }
 
 impl VectorKeccakEngine {
-    /// Creates an engine holding `sn` parallel states (`EleNum = 5·sn`).
+    /// Creates an engine holding `sn` parallel states (`EleNum = 5·sn`)
+    /// that runs on the compiled tier.
     ///
     /// The kernel is pulled from the process-wide [`crate::cache`]: the
     /// first engine for a given `(kind, sn)` generates, assembles and
-    /// pre-decodes it; every further engine — including every worker of
+    /// pre-decodes it; every further engine — including every engine of
     /// an [`crate::pool::EnginePool`] — shares that preparation.
     ///
     /// # Panics
     ///
     /// Panics if `sn` is zero.
     pub fn new(kind: KernelKind, sn: usize) -> Self {
-        Self::with_compiled(kind, sn, compiled_default())
+        Self::with_compiled(kind, sn, true)
     }
 
     /// Creates an engine with the execution tier pinned explicitly:
     /// `compiled = true` dispatches through the shared
-    /// [`krv_vproc::CompiledProgram`] of the cached kernel, `false`
-    /// pins the per-instruction stepper. [`VectorKeccakEngine::new`]
-    /// picks the process default (see [`compiled_default`]).
+    /// [`krv_vproc::CompiledProgram`] of the cached kernel, as
+    /// [`VectorKeccakEngine::new`] does; `false` pins the
+    /// per-instruction stepper, the reference the compiled tier is
+    /// held to.
     ///
     /// # Panics
     ///
@@ -594,27 +584,34 @@ mod tests {
 
     #[test]
     fn the_compiled_switch_picks_the_execution_path_only() {
+        // Tables 7/8 measure SN = 1, 3 and 6; 2 is a width none of them
+        // uses.
         for kind in KernelKind::WITH_EXTENSIONS {
-            let mut metrics = Vec::new();
-            for compiled in [false, true] {
-                let mut engine = VectorKeccakEngine::with_compiled(kind, 2, compiled);
-                assert_eq!(engine.compiled(), compiled, "{kind}");
-                let mut states = distinct_states(2);
-                let mut expected = states.clone();
-                engine.permute_slice(&mut states).expect("kernel runs");
-                for state in &mut expected {
-                    keccak_f1600(state);
+            for sn in [1, 2, 3, 6] {
+                let mut metrics = Vec::new();
+                for compiled in [false, true] {
+                    let mut engine = VectorKeccakEngine::with_compiled(kind, sn, compiled);
+                    assert_eq!(engine.compiled(), compiled, "{kind}");
+                    let mut states = distinct_states(sn);
+                    let mut expected = states.clone();
+                    engine.permute_slice(&mut states).expect("kernel runs");
+                    for state in &mut expected {
+                        keccak_f1600(state);
+                    }
+                    assert_eq!(states, expected, "{kind}, SN = {sn}, compiled = {compiled}");
+                    let dispatches = engine.processor().compiled_dispatches();
+                    if compiled {
+                        assert!(dispatches > 0, "{kind}: compiled engine never dispatched");
+                    } else {
+                        assert_eq!(dispatches, 0, "{kind}: stepper engine dispatched compiled");
+                    }
+                    metrics.push(engine.last_metrics().expect("a pass ran"));
                 }
-                assert_eq!(states, expected, "{kind}, compiled = {compiled}");
-                let dispatches = engine.processor().compiled_dispatches();
-                if compiled {
-                    assert!(dispatches > 0, "{kind}: compiled engine never dispatched");
-                } else {
-                    assert_eq!(dispatches, 0, "{kind}: stepper engine dispatched compiled");
-                }
-                metrics.push(engine.last_metrics().expect("a pass ran"));
+                assert_eq!(
+                    metrics[0], metrics[1],
+                    "{kind}, SN = {sn}: metrics depend on the path"
+                );
             }
-            assert_eq!(metrics[0], metrics[1], "{kind}: metrics depend on the path");
         }
     }
 

@@ -54,7 +54,7 @@ pub mod stats;
 pub use backends::{BackendKind, SessionBackend};
 pub use cache::{prepared_kernel, PreparedKernel};
 pub use device::DeviceSponge;
-pub use engine::{compiled_default, EngineSession, KernelKind, VectorKeccakEngine};
+pub use engine::{EngineSession, KernelKind, VectorKeccakEngine};
 pub use metrics::KernelMetrics;
 pub use pool::{EngineLoad, EnginePool, PoolError, PoolMetrics};
 pub use programs::{KernelProgram, ProgramMarkers};

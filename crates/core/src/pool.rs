@@ -158,16 +158,14 @@ impl PoolMetrics {
 #[derive(Debug)]
 struct LiveWidthEngines {
     kind: KernelKind,
-    compiled: bool,
     /// The `k`-wide engine at index `k − 1`.
     by_width: Vec<Option<VectorKeccakEngine>>,
 }
 
 impl LiveWidthEngines {
-    fn new(kind: KernelKind, sn: usize, compiled: bool) -> Self {
+    fn new(kind: KernelKind, sn: usize) -> Self {
         Self {
             kind,
-            compiled,
             by_width: (0..sn).map(|_| None).collect(),
         }
     }
@@ -175,9 +173,9 @@ impl LiveWidthEngines {
     /// Runs one pass over `chunk` (1 to `SN` states) on the engine as
     /// wide as it and returns the pass's simulated cycles.
     fn pass(&mut self, chunk: &mut [KeccakState]) -> Result<u64, Trap> {
-        let (kind, compiled) = (self.kind, self.compiled);
+        let kind = self.kind;
         let engine = self.by_width[chunk.len() - 1]
-            .get_or_insert_with(|| VectorKeccakEngine::with_compiled(kind, chunk.len(), compiled));
+            .get_or_insert_with(|| VectorKeccakEngine::new(kind, chunk.len()));
         engine.permute_slice(chunk)?;
         Ok(engine
             .last_metrics()
@@ -240,24 +238,13 @@ impl EnginePool {
     ///
     /// Panics if `sn` or `workers` is zero.
     pub fn new(kind: KernelKind, sn: usize, workers: usize) -> Self {
-        Self::with_compiled(kind, sn, workers, crate::engine::compiled_default())
-    }
-
-    /// Creates a pool with its engines' execution tier pinned explicitly
-    /// (see [`VectorKeccakEngine::with_compiled`]); [`EnginePool::new`]
-    /// picks the process default.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sn` or `workers` is zero.
-    pub fn with_compiled(kind: KernelKind, sn: usize, workers: usize, compiled: bool) -> Self {
         assert!(workers > 0, "the pool needs at least one worker");
         assert!(sn > 0, "each engine needs at least one state slot");
         Self {
             sn,
             alive: vec![true; workers],
             killed: vec![false; workers],
-            engines: LiveWidthEngines::new(kind, sn, compiled),
+            engines: LiveWidthEngines::new(kind, sn),
             last_metrics: None,
             permutations: 0,
         }

@@ -131,6 +131,8 @@ mod tests {
     use crate::engine::VectorKeccakEngine;
     use krv_vproc::{Processor, ProcessorConfig};
 
+    /// Measures `kind`'s breakdown on the compiled tier and on the
+    /// stepper, and checks that both paths agree.
     fn breakdown_for(kind: KernelKind) -> RoundBreakdown {
         let engine = VectorKeccakEngine::new(kind, 1);
         let kernel = engine.kernel().clone();
@@ -138,12 +140,17 @@ mod tests {
             KernelKind::E32Lmul8 => ProcessorConfig::elen32(5),
             _ => ProcessorConfig::elen64(5),
         };
-        let mut cpu = Processor::new(config);
-        cpu.load_program(kernel.program.instructions());
-        for &(reg, addr) in &kernel.presets {
-            cpu.set_xreg(reg, addr);
-        }
-        measure_breakdown(&mut cpu, &kernel).expect("kernel runs")
+        let [compiled, stepped] = [true, false].map(|compiled| {
+            let mut cpu = Processor::new(config.clone());
+            cpu.set_compiled(compiled);
+            cpu.load_program(kernel.program.instructions());
+            for &(reg, addr) in &kernel.presets {
+                cpu.set_xreg(reg, addr);
+            }
+            measure_breakdown(&mut cpu, &kernel).expect("kernel runs")
+        });
+        assert_eq!(compiled, stepped, "{kind}: breakdown depends on the path");
+        compiled
     }
 
     #[test]

@@ -42,8 +42,8 @@
 //!
 //! * **Refusal, not approximation** — any instruction whose compiled
 //!   form cannot be proven bit-identical to the stepper ends the
-//!   region, and the stepper reproduces the exact trap, panic or
-//!   masked behaviour from the truncation point.
+//!   region, and the stepper reproduces the exact trap or masked
+//!   behaviour from the truncation point.
 //! * **Cycle ledger** — each region carries per-op prefix sums of the
 //!   member costs under its configuration; a mid-region trap or guard
 //!   exit retires the exact prefix (cycles, retired, vector-retired,
@@ -138,7 +138,7 @@ impl BlockCtx {
 }
 
 /// Elementwise 64-bit binary operation kinds the compiler lowers
-/// directly (the unmasked SEW=64 word path of `varith`).
+/// directly (unmasked SEW=64 `varith`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum BinKind {
     /// `vadd`.
@@ -1370,7 +1370,7 @@ fn match_chi(ops: &[Op]) -> Option<FusedOp> {
 /// Whether two equal-length word ranges are safe for the compiled
 /// two/three-slice execution paths: identical or fully disjoint.
 /// Partial overlap (an LMUL group starting inside another) is refused —
-/// the interpreter's snapshot fallback handles it.
+/// the stepper's read-then-write executors handle it.
 fn same_or_disjoint(a: usize, b: usize, len: usize) -> bool {
     a == b || a + len <= b || b + len <= a
 }
@@ -1389,8 +1389,8 @@ fn lower(
         words_len,
         elen64,
     } = geometry;
-    // Vector word ops require the 64-bit architecture at SEW = 64 — the
-    // same predicate the interpreter's word paths use.
+    // Vector word ops require the 64-bit architecture at SEW = 64, where
+    // one element is one storage word.
     let vec64 = elen64 && ctx.sew_bits == 64;
     match slot.instr {
         Instruction::OpImm { kind, rd, rs1, imm } => Some(Op::ScalarImm { kind, rd, rs1, imm }),
@@ -1701,7 +1701,7 @@ fn lower_pi(
             return None;
         }
         // A source register inside the destination column span would
-        // take the interpreter's snapshot path; refuse.
+        // be overwritten by the split word loops; refuse.
         if src >= vd.index() && src <= vd.index() + 4 {
             return None;
         }
@@ -2351,7 +2351,8 @@ mod tests {
     fn partial_group_overlap_is_refused() {
         let v = VReg::from_index;
         // Spanning 12 lanes from V0 and V1 on an elenum=10 file overlaps
-        // partially — the interpreter snapshots; the compiler refuses.
+        // partially — the stepper reads before writing; the compiler
+        // refuses.
         let prog = program(&[Instruction::varith(
             VArithOp::Add,
             v(0),

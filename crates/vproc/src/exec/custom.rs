@@ -12,7 +12,7 @@
 //! index within the LMUL group: global element `g` belongs to row
 //! `g / EleNum`.
 
-use crate::exec::{check_block_alignment, keccak_blocks};
+use crate::exec::{check_block_alignment, check_groups, keccak_blocks, read_group};
 use crate::trap::Trap;
 use crate::vector::VectorUnit;
 use krv_isa::{CustomOp, RhoRow, VReg};
@@ -24,7 +24,8 @@ use krv_keccak::constants::{RC, RC_SPLIT, RHO_OFFSETS};
 ///
 /// Traps on configuration violations: an instruction not defined for the
 /// current ELEN, a VL/EleNum combination the hardware cannot split into
-/// planes, or an out-of-range round-constant index.
+/// planes, an operand group that runs past `v31`, or an out-of-range
+/// round-constant index.
 pub fn execute(vu: &mut VectorUnit, op: &CustomOp, xregs: &[u32; 32]) -> Result<(), Trap> {
     let elen64 = vu.elen().bits() == 64;
     if elen64 && !op.supports_elen64() {
@@ -57,93 +58,54 @@ pub fn execute(vu: &mut VectorUnit, op: &CustomOp, xregs: &[u32; 32]) -> Result<
     }
 }
 
-/// Snapshots the `live` leading elements of the group at `src` into a
-/// recycled scratch buffer (a word-level memcpy on the 64-bit
-/// architecture).
-///
-/// Buffering the source before writing is semantically equivalent to
-/// the element-serial read-then-write order for every operand aliasing:
-/// an ascending elementwise loop can only clobber source positions it
-/// has already consumed.
-fn snapshot_group(vu: &mut VectorUnit, src: VReg, live: usize) -> Vec<u64> {
-    let mut snap = vu.take_scratch();
-    if vu.elen().bits() == 64 {
-        snap.extend_from_slice(vu.lanes64(src, live));
+/// Checks a Keccak block op's VL and its `vd`/`vs2` groups, then reads
+/// the live elements of `vs2`: elements `0 .. 5 × SN − 1`, all of them
+/// before the op writes any.
+fn live_sources(vu: &VectorUnit, vd: VReg, vs2: VReg) -> Result<Vec<u64>, Trap> {
+    check_block_alignment(vu)?;
+    let live = 5 * keccak_blocks(vu);
+    check_groups(vu, live, vu.vtype().sew(), &[vd, vs2])?;
+    Ok(read_group(vu, vs2, live))
+}
+
+/// [`live_sources`] for the 32-bit architecture's split lanes: the live
+/// 64-bit lanes `vs2 ‖ vs1`, high words from `vs2` and low from `vs1`.
+fn live_pairs(vu: &VectorUnit, vd: VReg, vs2: VReg, vs1: VReg) -> Result<Vec<u64>, Trap> {
+    let high = live_sources(vu, vd, vs2)?;
+    check_groups(vu, high.len(), vu.vtype().sew(), &[vs1])?;
+    let low = read_group(vu, vs1, high.len());
+    Ok(high.iter().zip(&low).map(|(h, l)| (h << 32) | l).collect())
+}
+
+/// The low or high 32-bit half of a rotated lane.
+fn half(lane: u64, high: bool) -> u64 {
+    if high {
+        lane >> 32
     } else {
-        snap.extend((0..live).map(|g| vu.read_elem(src, g)));
+        lane & 0xFFFF_FFFF
     }
-    snap
 }
 
 /// `vslidedownm` / `vslideupm` (paper Table 1, Figure 7):
 /// `vd[5i+j] = vs2[5i + (j + offset) mod 5]` with a signed offset
 /// (negative = slide up).
 fn slide_mod5(vu: &mut VectorUnit, vd: VReg, vs2: VReg, offset: i32, vm: bool) -> Result<(), Trap> {
-    check_block_alignment(vu)?;
-    let blocks = keccak_blocks(vu);
-    // The source lane for each of the five in-block positions, hoisted
-    // out of the element loop.
-    let mut src_j = [0usize; 5];
-    for (j, slot) in src_j.iter_mut().enumerate() {
-        *slot = (j as i32 + offset).rem_euclid(5) as usize;
-    }
-    if vm && vu.elen().bits() == 64 && vd != vs2 {
-        // Disjoint-group word path: permute straight from source words
-        // to destination words, no snapshot. Exact aliasing (vd == vs2)
-        // is handled above; partial group overlap falls through to the
-        // snapshot path via `get_disjoint_mut`'s overlap check.
-        let live = 5 * blocks;
-        let (d, s) = (vu.lane_base(vd), vu.lane_base(vs2));
-        let w = vu.words64_mut();
-        if let Ok([dst, src]) = w.get_disjoint_mut([d..d + live, s..s + live]) {
-            for i in 0..blocks {
-                let block = &src[5 * i..5 * i + 5];
-                let out = &mut dst[5 * i..5 * i + 5];
-                for j in 0..5 {
-                    out[j] = block[src_j[j]];
-                }
-            }
-            return Ok(());
+    let src = live_sources(vu, vd, vs2)?;
+    for g in 0..src.len() {
+        if vu.element_active(vm, g) {
+            let j = g % 5;
+            let from = g - j + (j as i32 + offset).rem_euclid(5) as usize;
+            vu.write_elem(vd, g, src[from]);
         }
     }
-    let snapshot = snapshot_group(vu, vs2, 5 * blocks);
-    if vm && vu.elen().bits() == 64 {
-        let dst = vu.lanes64_mut(vd, 5 * blocks);
-        for i in 0..blocks {
-            let block = &snapshot[5 * i..5 * i + 5];
-            let out = &mut dst[5 * i..5 * i + 5];
-            for j in 0..5 {
-                out[j] = block[src_j[j]];
-            }
-        }
-    } else {
-        for i in 0..blocks {
-            for j in 0..5usize {
-                let g = 5 * i + j;
-                if !vu.element_active(vm, g) {
-                    continue;
-                }
-                vu.write_elem(vd, g, snapshot[5 * i + src_j[j]]);
-            }
-        }
-    }
-    vu.put_scratch(snapshot);
     Ok(())
 }
 
 /// `vrotup` (paper Table 3): 64-bit rotate-left of every live element.
 fn rotup64(vu: &mut VectorUnit, vd: VReg, vs2: VReg, amount: u32, vm: bool) -> Result<(), Trap> {
-    check_block_alignment(vu)?;
-    let live = 5 * keccak_blocks(vu);
-    if vm {
-        vu.apply1_64(vd, vs2, live, |_, value| value.rotate_left(amount));
-    } else {
-        for g in 0..live {
-            if !vu.element_active(vm, g) {
-                continue;
-            }
-            let value = vu.read_elem(vs2, g).rotate_left(amount);
-            vu.write_elem(vd, g, value);
+    for (g, value) in live_sources(vu, vd, vs2)?.into_iter().enumerate() {
+        if vu.element_active(vm, g) {
+            vu.write_elem(vd, g, value.rotate_left(amount));
         }
     }
     Ok(())
@@ -159,23 +121,11 @@ fn rot32_pair(
     vm: bool,
     high: bool,
 ) -> Result<(), Trap> {
-    check_block_alignment(vu)?;
-    let live = 5 * keccak_blocks(vu);
-    let mut pairs = vu.take_scratch();
-    pairs.extend((0..live).map(|g| (vu.read_elem(vs2, g) << 32) | vu.read_elem(vs1, g)));
-    for (g, &pair) in pairs.iter().enumerate() {
-        if !vu.element_active(vm, g) {
-            continue;
+    for (g, pair) in live_pairs(vu, vd, vs2, vs1)?.into_iter().enumerate() {
+        if vu.element_active(vm, g) {
+            vu.write_elem(vd, g, half(pair.rotate_left(1), high));
         }
-        let rotated = pair.rotate_left(1);
-        let half = if high {
-            rotated >> 32
-        } else {
-            rotated & 0xFFFF_FFFF
-        };
-        vu.write_elem(vd, g, half);
     }
-    vu.put_scratch(pairs);
     Ok(())
 }
 
@@ -196,43 +146,15 @@ fn element_row(vu: &VectorUnit, row: RhoRow, g: usize) -> Result<usize, Trap> {
     }
 }
 
-/// `v64rho` (paper Tables 2–3): per-lane ρ rotation.
+/// `v64rho` (paper Tables 2–3): per-lane ρ rotation. The all-rows form
+/// traps at the first active element past row 4, after the elements
+/// before it were written.
 fn rho64(vu: &mut VectorUnit, vd: VReg, vs2: VReg, row: RhoRow, vm: bool) -> Result<(), Trap> {
-    check_block_alignment(vu)?;
-    let live = 5 * keccak_blocks(vu);
-    if vm {
-        // Word-level path. `check_block_alignment` guarantees lane_x(g)
-        // = g mod 5 (either VL ≤ EleNum so g < EPR, or EPR is a multiple
-        // of 5), and in the all-rows form the row advances every EPR
-        // elements; the slow path traps at the first element past row 4
-        // with all earlier elements already written, which the truncated
-        // loop below reproduces exactly.
-        let epr = vu.elements_per_register() as usize;
-        let writable = match row {
-            RhoRow::Row(_) => live,
-            RhoRow::All => live.min(5 * epr),
-        };
-        vu.apply1_64(vd, vs2, writable, |g, value| {
-            let r = match row {
-                RhoRow::Row(r) => r as usize,
-                RhoRow::All => g / epr,
-            };
-            value.rotate_left(RHO_OFFSETS[r][g % 5])
-        });
-        if writable < live {
-            return Err(Trap::VectorConfig {
-                reason: "all-rows Keccak op spans more than five registers",
-            });
-        }
-    } else {
-        for g in 0..live {
-            if !vu.element_active(vm, g) {
-                continue;
-            }
+    for (g, value) in live_sources(vu, vd, vs2)?.into_iter().enumerate() {
+        if vu.element_active(vm, g) {
             let r = element_row(vu, row, g)?;
             let x = lane_x(vu, g);
-            let value = vu.read_elem(vs2, g).rotate_left(RHO_OFFSETS[r][x]);
-            vu.write_elem(vd, g, value);
+            vu.write_elem(vd, g, value.rotate_left(RHO_OFFSETS[r][x]));
         }
     }
     Ok(())
@@ -254,31 +176,13 @@ fn rho32(
     vm: bool,
     high: bool,
 ) -> Result<(), Trap> {
-    check_block_alignment(vu)?;
-    let live = 5 * keccak_blocks(vu);
-    let mut pairs = vu.take_scratch();
-    pairs.extend((0..live).map(|g| (vu.read_elem(vs2, g) << 32) | vu.read_elem(vs1, g)));
-    for (g, &pair) in pairs.iter().enumerate() {
-        if !vu.element_active(vm, g) {
-            continue;
+    for (g, pair) in live_pairs(vu, vd, vs2, vs1)?.into_iter().enumerate() {
+        if vu.element_active(vm, g) {
+            let r = element_row(vu, RhoRow::All, g)?;
+            let x = lane_x(vu, g);
+            vu.write_elem(vd, g, half(pair.rotate_left(RHO_OFFSETS[r][x]), high));
         }
-        let r = match element_row(vu, RhoRow::All, g) {
-            Ok(r) => r,
-            Err(trap) => {
-                vu.put_scratch(pairs);
-                return Err(trap);
-            }
-        };
-        let x = lane_x(vu, g);
-        let rotated = pair.rotate_left(RHO_OFFSETS[r][x]);
-        let half = if high {
-            rotated >> 32
-        } else {
-            rotated & 0xFFFF_FFFF
-        };
-        vu.write_elem(vd, g, half);
     }
-    vu.put_scratch(pairs);
     Ok(())
 }
 
@@ -289,6 +193,7 @@ fn rho32(
 /// π maps `F[x, y] = E[(x + 3y) mod 5, x]`; inverted, the element at lane
 /// `x'` of source row `r` lands in destination register `vd + 2(x' − r)
 /// mod 5` at lane `r` — one column of the register file per source row.
+/// Every source row is read before the first column is written.
 fn pi_scatter(
     vu: &mut VectorUnit,
     vd: VReg,
@@ -315,67 +220,35 @@ fn pi_scatter(
             (0, (vu.vl() as usize).div_ceil(epr))
         }
     };
-    if vd.index() + 4 > 31 {
-        return Err(Trap::VectorConfig {
-            reason: "vpi column destination exceeds the register file",
-        });
-    }
-    let mut snapshot: Option<Vec<u64>> = None;
+    // Row `r` starts at element `row_base(r)` of the group at `vs2`: it
+    // is `vs2` itself in the single-row form and the r-th register of
+    // the group in the all-rows form. Each row is read over its first
+    // `5 × states` elements.
+    let row_base = |r: usize| match row {
+        RhoRow::Row(_) => 0,
+        RhoRow::All => r * epr,
+    };
+    let sew = vu.vtype().sew();
+    let read = match row_count {
+        0 => 0,
+        _ => row_base(first_row + row_count - 1) + 5 * states,
+    };
+    // The destination is the five-register column block `vd..vd+4`.
+    check_groups(vu, 5 * epr, sew, &[vd])?;
+    check_groups(vu, read, sew, &[vs2])?;
+    let src = read_group(vu, vs2, read);
     for r in first_row..first_row + row_count {
-        // Source register: vs2 itself for single-row form, the r-th
-        // register of the group for the all-rows form.
-        let src = match row {
-            RhoRow::Row(_) => vs2,
-            RhoRow::All => VReg::from_index(vs2.index() + r),
-        };
-        // Column writes land in `vd..vd+4`, so a source register outside
-        // that span cannot alias them: the row streams straight from
-        // source words to destination words, no snapshot, no per-element
-        // register-file calls.
-        let disjoint = src.index() < vd.index() || src.index() > vd.index() + 4;
-        if vm && disjoint && vu.elen().bits() == 64 {
-            let n = vu.elenum();
-            let sbase = vu.lane_base(src);
-            let dbase0 = vu.lane_base(vd);
-            let w = vu.words64_mut();
-            for xp in 0..5usize {
-                let y = (2 * (5 + xp - r)) % 5;
-                let dbase = dbase0 + y * n + r;
-                let rot = RHO_OFFSETS[r][xp];
-                for s in 0..states {
-                    let value = w[sbase + 5 * s + xp];
-                    w[dbase + 5 * s] = if fused_rho {
-                        value.rotate_left(rot)
-                    } else {
-                        value
-                    };
-                }
-            }
-            continue;
-        }
-        // Read the full row before writing (column writes never alias the
-        // row being read in the paper's kernels, but hardware reads first).
-        let mut snap = match snapshot.take() {
-            Some(buf) => buf,
-            None => vu.take_scratch(),
-        };
-        snap.clear();
-        if vu.elen().bits() == 64 {
-            snap.extend_from_slice(vu.lanes64(src, 5 * states));
-        } else {
-            snap.extend((0..5 * states).map(|e| vu.read_elem(src, e)));
-        }
-        let snapshot = snapshot.insert(snap);
         for s in 0..states {
             for xp in 0..5usize {
                 let src_elem = 5 * s + xp;
                 if !vu.element_active(vm, src_elem) {
                     continue;
                 }
+                let value = src[row_base(r) + src_elem];
                 let value = if fused_rho {
-                    snapshot[src_elem].rotate_left(RHO_OFFSETS[r][xp])
+                    value.rotate_left(RHO_OFFSETS[r][xp])
                 } else {
-                    snapshot[src_elem]
+                    value
                 };
                 let y = (2 * (5 + xp - r)) % 5;
                 let dest = VReg::from_index(vd.index() + y);
@@ -383,16 +256,13 @@ fn pi_scatter(
             }
         }
     }
-    if let Some(buf) = snapshot {
-        vu.put_scratch(buf);
-    }
     Ok(())
 }
 
 /// `viota` (paper Tables 5–6): XOR the round constant into lane 0 of
 /// every state; other live lanes are copied from `vs2`.
 fn viota(vu: &mut VectorUnit, vd: VReg, vs2: VReg, index: u32, vm: bool) -> Result<(), Trap> {
-    check_block_alignment(vu)?;
+    let src = live_sources(vu, vd, vs2)?;
     let rc = match vu.elen().bits() {
         64 => *RC
             .get(index as usize)
@@ -401,25 +271,9 @@ fn viota(vu: &mut VectorUnit, vd: VReg, vs2: VReg, index: u32, vm: bool) -> Resu
             .get(index as usize)
             .ok_or(Trap::RoundConstantIndex { index })? as u64,
     };
-    let blocks = keccak_blocks(vu);
-    if vm && vu.elen().bits() == 64 {
-        vu.apply1_64(vd, vs2, 5 * blocks, |g, value| {
-            if g % 5 == 0 {
-                value ^ rc
-            } else {
-                value
-            }
-        });
-    } else {
-        for i in 0..blocks {
-            for j in 0..5usize {
-                let g = 5 * i + j;
-                if !vu.element_active(vm, g) {
-                    continue;
-                }
-                let value = vu.read_elem(vs2, g);
-                vu.write_elem(vd, g, if j == 0 { value ^ rc } else { value });
-            }
+    for (g, value) in src.into_iter().enumerate() {
+        if vu.element_active(vm, g) {
+            vu.write_elem(vd, g, if g % 5 == 0 { value ^ rc } else { value });
         }
     }
     Ok(())

@@ -1,22 +1,20 @@
 //! RVV 1.0 subset semantics: arithmetic, moves, memory.
 
-use crate::exec::sign_extend_sew;
+use crate::exec::{check_groups, read_group, sign_extend_sew};
 use crate::memory::DataMemory;
 use crate::trap::Trap;
 use crate::vector::VectorUnit;
 use krv_isa::{Eew, MemMode, VArithOp, VReg, VSource, XReg};
 
-/// Resolves the second operand of a `.vv`/`.vx`/`.vi` instruction for
-/// element `i`.
-fn operand1(vu: &VectorUnit, src: VSource, xregs: &[u32; 32], i: usize) -> u64 {
+/// Reads the first `vl` values of the second operand of a
+/// `.vv`/`.vx`/`.vi` instruction.
+fn operand1(vu: &VectorUnit, src: VSource, xregs: &[u32; 32], vl: usize) -> Vec<u64> {
     match src {
-        VSource::Vector(vs1) => vu.read_elem(vs1, i),
-        VSource::Scalar(rs1) => {
-            // Scalars are sign-extended from XLEN=32 to SEW, then truncated
-            // (paper §3: "adjust the length of the scalar integer register").
-            vu.truncate(xregs[rs1.index()] as i32 as i64 as u64)
-        }
-        VSource::Imm(imm) => vu.truncate(imm as i64 as u64),
+        VSource::Vector(vs1) => read_group(vu, vs1, vl),
+        // Scalars are sign-extended from XLEN=32 to SEW, then truncated
+        // (paper §3: "adjust the length of the scalar integer register").
+        VSource::Scalar(rs1) => vec![vu.truncate(xregs[rs1.index()] as i32 as i64 as u64); vl],
+        VSource::Imm(imm) => vec![vu.truncate(imm as i64 as u64); vl],
     }
 }
 
@@ -24,7 +22,7 @@ fn operand1(vu: &VectorUnit, src: VSource, xregs: &[u32; 32], i: usize) -> u64 {
 ///
 /// # Errors
 ///
-/// Never traps today; the signature keeps room for configuration checks.
+/// Traps if an operand group runs past `v31`.
 pub fn varith(
     vu: &mut VectorUnit,
     op: VArithOp,
@@ -35,125 +33,68 @@ pub fn varith(
     xregs: &[u32; 32],
 ) -> Result<(), Trap> {
     let vl = vu.vl() as usize;
-    let sew_bits = vu.vtype().sew().bits();
-    // Mask-producing comparisons write single bits.
+    let sew = vu.vtype().sew();
+    // Mask-producing comparisons write single bits, and VLMAX bits
+    // always fit in `vd` itself.
     let is_mask_op = matches!(op, VArithOp::Mseq | VArithOp::Msne | VArithOp::Msltu);
-
-    // Slides read relative source indices; buffer the source group first
-    // so vd == vs2 behaves like hardware (reads before writes).
-    match op {
-        VArithOp::Slideup | VArithOp::Slidedown => {
-            let offset = match src {
-                VSource::Scalar(rs1) => xregs[rs1.index()] as usize,
-                VSource::Imm(imm) => imm as usize,
-                VSource::Vector(_) => unreachable!("slides have no .vv form"),
-            };
-            let mut snapshot = vu.take_scratch();
-            snapshot.extend((0..vl).map(|i| vu.read_elem(vs2, i)));
-            for i in 0..vl {
-                if !vu.element_active(vm, i) {
-                    continue;
-                }
-                match op {
-                    VArithOp::Slideup => {
-                        if i >= offset {
-                            let value = snapshot[i - offset];
-                            vu.write_elem(vd, i, value);
-                        }
-                    }
-                    VArithOp::Slidedown => {
-                        let value = snapshot.get(i + offset).copied().unwrap_or(0);
-                        vu.write_elem(vd, i, value);
-                    }
-                    _ => unreachable!(),
-                }
-            }
-            vu.put_scratch(snapshot);
-            return Ok(());
-        }
-        _ => {}
+    check_groups(vu, vl, sew, &[vs2])?;
+    if let VSource::Vector(vs1) = src {
+        check_groups(vu, vl, sew, &[vs1])?;
     }
-
-    let elen64 = vu.elen().bits() == 64 && sew_bits == 64;
-    let shift_mask = (sew_bits - 1) as u64;
-    if vm && !is_mask_op && elen64 {
-        // Word-level path: whole destination group directly on the flat
-        // word storage — no source snapshots, no per-element dispatch,
-        // no truncation (SEW = 64 keeps full words). A loop-invariant
-        // scalar/immediate operand folds into the closure.
-        macro_rules! apply {
-            ($f:expr) => {{
-                let f = $f;
-                match src {
-                    VSource::Vector(vs1) => vu.apply2_64(vd, vs2, vs1, vl, f),
-                    _ => {
-                        let b = operand1(vu, src, xregs, 0);
-                        vu.apply1_64(vd, vs2, vl, |_, a| f(a, b));
-                    }
-                }
-            }};
-        }
-        match op {
-            VArithOp::Add => apply!(|a: u64, b: u64| a.wrapping_add(b)),
-            VArithOp::Sub => apply!(|a: u64, b: u64| a.wrapping_sub(b)),
-            VArithOp::Rsub => apply!(|a: u64, b: u64| b.wrapping_sub(a)),
-            VArithOp::And => apply!(|a, b| a & b),
-            VArithOp::Or => apply!(|a, b| a | b),
-            VArithOp::Xor => apply!(|a, b| a ^ b),
-            VArithOp::Sll => apply!(|a: u64, b| a.wrapping_shl((b & shift_mask) as u32)),
-            VArithOp::Srl => apply!(|a: u64, b| a.wrapping_shr((b & shift_mask) as u32)),
-            VArithOp::Sra => apply!(|a, b| ((a as i64) >> (b & shift_mask)) as u64),
-            VArithOp::Mv => apply!(|_, b| b),
-            VArithOp::Mseq
-            | VArithOp::Msne
-            | VArithOp::Msltu
-            | VArithOp::Slideup
-            | VArithOp::Slidedown => unreachable!("handled elsewhere"),
-        }
-        return Ok(());
+    if !is_mask_op {
+        check_groups(vu, vl, sew, &[vd])?;
     }
+    let a = read_group(vu, vs2, vl);
 
-    // Masked, sub-word and mask-producing ops: snapshot sources to make
-    // vd == vs2/vs1 safe. Scalar/immediate operands are loop-invariant,
-    // so they resolve once.
-    let mut src2 = vu.take_scratch();
-    let mut src1 = vu.take_scratch();
-    src2.extend((0..vl).map(|i| vu.read_elem(vs2, i)));
-    match src {
-        VSource::Vector(vs1) => src1.extend((0..vl).map(|i| vu.read_elem(vs1, i))),
-        _ => src1.extend(std::iter::repeat_n(operand1(vu, src, xregs, 0), vl)),
-    }
-    {
+    // Slides read relative source indices.
+    if let VArithOp::Slideup | VArithOp::Slidedown = op {
+        let offset = match src {
+            VSource::Scalar(rs1) => xregs[rs1.index()] as usize,
+            VSource::Imm(imm) => imm as usize,
+            VSource::Vector(_) => unreachable!("slides have no .vv form"),
+        };
         for i in 0..vl {
             if !vu.element_active(vm, i) {
                 continue;
             }
-            let (a, b) = (src2[i], src1[i]); // a = vs2[i], b = vs1/x/imm
-            let result = match op {
-                VArithOp::Add => a.wrapping_add(b),
-                VArithOp::Sub => a.wrapping_sub(b),
-                VArithOp::Rsub => b.wrapping_sub(a),
-                VArithOp::And => a & b,
-                VArithOp::Or => a | b,
-                VArithOp::Xor => a ^ b,
-                VArithOp::Sll => a.wrapping_shl((b & shift_mask) as u32),
-                VArithOp::Srl => a.wrapping_shr((b & shift_mask) as u32),
-                VArithOp::Sra => (sign_extend_sew(vu, a) >> (b & shift_mask)) as u64,
-                VArithOp::Mseq => (a == b) as u64,
-                VArithOp::Msne => (a != b) as u64,
-                VArithOp::Msltu => (a < b) as u64,
-                VArithOp::Mv => b,
-                VArithOp::Slideup | VArithOp::Slidedown => unreachable!("handled above"),
-            };
-            if is_mask_op {
-                vu.write_mask_bit(vd, i, result != 0);
-            } else {
-                vu.write_elem(vd, i, vu.truncate(result));
+            if op == VArithOp::Slidedown {
+                vu.write_elem(vd, i, a.get(i + offset).copied().unwrap_or(0));
+            } else if i >= offset {
+                vu.write_elem(vd, i, a[i - offset]);
             }
         }
+        return Ok(());
     }
-    vu.put_scratch(src1);
-    vu.put_scratch(src2);
+
+    let b = operand1(vu, src, xregs, vl);
+    let shift_mask = (sew.bits() - 1) as u64;
+    for i in 0..vl {
+        if !vu.element_active(vm, i) {
+            continue;
+        }
+        let (a, b) = (a[i], b[i]); // a = vs2[i], b = vs1/x/imm
+        let result = match op {
+            VArithOp::Add => a.wrapping_add(b),
+            VArithOp::Sub => a.wrapping_sub(b),
+            VArithOp::Rsub => b.wrapping_sub(a),
+            VArithOp::And => a & b,
+            VArithOp::Or => a | b,
+            VArithOp::Xor => a ^ b,
+            VArithOp::Sll => a.wrapping_shl((b & shift_mask) as u32),
+            VArithOp::Srl => a.wrapping_shr((b & shift_mask) as u32),
+            VArithOp::Sra => (sign_extend_sew(vu, a) >> (b & shift_mask)) as u64,
+            VArithOp::Mseq => (a == b) as u64,
+            VArithOp::Msne => (a != b) as u64,
+            VArithOp::Msltu => (a < b) as u64,
+            VArithOp::Mv => b,
+            VArithOp::Slideup | VArithOp::Slidedown => unreachable!("handled above"),
+        };
+        if is_mask_op {
+            vu.write_mask_bit(vd, i, result != 0);
+        } else {
+            vu.write_elem(vd, i, vu.truncate(result));
+        }
+    }
     Ok(())
 }
 
@@ -171,19 +112,28 @@ pub fn vmv_sx(vu: &mut VectorUnit, vd: VReg, value: u32) {
 }
 
 /// Executes `vid.v`: element indices.
-pub fn vid(vu: &mut VectorUnit, vd: VReg, vm: bool) {
-    for i in 0..vu.vl() as usize {
+///
+/// # Errors
+///
+/// Traps if the destination group runs past `v31`.
+pub fn vid(vu: &mut VectorUnit, vd: VReg, vm: bool) -> Result<(), Trap> {
+    let vl = vu.vl() as usize;
+    check_groups(vu, vl, vu.vtype().sew(), &[vd])?;
+    for i in 0..vl {
         if vu.element_active(vm, i) {
             vu.write_elem(vd, i, i as u64);
         }
     }
+    Ok(())
 }
 
 /// Executes a vector load.
 ///
 /// # Errors
 ///
-/// Traps on out-of-bounds or misaligned element accesses.
+/// Traps if the data or index group runs past `v31`, and on
+/// out-of-bounds or misaligned element accesses (the elements before the
+/// faulting one stay loaded).
 #[allow(clippy::too_many_arguments)] // mirrors the RVV operand list
 pub fn vload(
     vu: &mut VectorUnit,
@@ -199,6 +149,7 @@ pub fn vload(
     // For indexed accesses the instruction's width field is the *index*
     // EEW; data elements use the configured SEW (RVV 1.0 §7.2).
     let data_sew = data_width(vu, eew, mode);
+    check_memory_groups(vu, eew, vd, mode)?;
     let size = data_sew.bytes();
     for i in 0..vu.vl() as usize {
         if !vu.element_active(vm, i) {
@@ -215,7 +166,9 @@ pub fn vload(
 ///
 /// # Errors
 ///
-/// Traps on out-of-bounds or misaligned element accesses.
+/// Traps if the data or index group runs past `v31`, and on
+/// out-of-bounds or misaligned element accesses (the elements before the
+/// faulting one stay stored).
 #[allow(clippy::too_many_arguments)] // mirrors the RVV operand list
 pub fn vstore(
     vu: &VectorUnit,
@@ -229,6 +182,7 @@ pub fn vstore(
 ) -> Result<(), Trap> {
     let base = xregs[rs1.index()];
     let data_sew = data_width(vu, eew, mode);
+    check_memory_groups(vu, eew, vs3, mode)?;
     let size = data_sew.bytes();
     for i in 0..vu.vl() as usize {
         if !vu.element_active(vm, i) {
@@ -247,6 +201,17 @@ fn data_width(vu: &VectorUnit, eew: Eew, mode: MemMode) -> Eew {
     match mode {
         MemMode::Indexed(_) => vu.vtype().sew(),
         _ => eew,
+    }
+}
+
+/// Checks the data group of a vector load or store, and the index
+/// group of an indexed one, against the register file.
+fn check_memory_groups(vu: &VectorUnit, eew: Eew, data: VReg, mode: MemMode) -> Result<(), Trap> {
+    let vl = vu.vl() as usize;
+    check_groups(vu, vl, data_width(vu, eew, mode), &[data])?;
+    match mode {
+        MemMode::Indexed(index) => check_groups(vu, vl, eew, &[index]),
+        _ => Ok(()),
     }
 }
 
@@ -507,7 +472,7 @@ mod tests {
     #[test]
     fn vid_writes_indices() {
         let (mut vu, _) = unit();
-        vid(&mut vu, VReg::V4, true);
+        vid(&mut vu, VReg::V4, true).unwrap();
         assert_eq!(
             dump(&vu, VReg::V4, 8),
             (0..8).map(|i| i as u64).collect::<Vec<_>>()

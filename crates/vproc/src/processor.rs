@@ -547,7 +547,7 @@ impl Processor {
                 let value = self.xreg(rs1);
                 standard::vmv_sx(&mut self.vu, vd, value);
             }
-            Instruction::Vid { vd, vm } => standard::vid(&mut self.vu, vd, vm),
+            Instruction::Vid { vd, vm } => standard::vid(&mut self.vu, vd, vm)?,
             Instruction::Custom(op) => custom::execute(&mut self.vu, &op, &self.xregs)?,
         }
 

@@ -19,9 +19,9 @@ pub const NUM_VREGS: usize = 32;
 /// Every legal element access is word-aligned to its own width: register
 /// boundaries are multiples of `ELEN/8` bytes and SEW never exceeds
 /// ELEN, so no element straddles a 64-bit storage word. Element reads
-/// and writes are therefore a single shift/mask, and for the 64-bit
-/// architecture whole register groups can be borrowed as `&[u64]` lane
-/// slices ([`VectorUnit::lanes64`]) with no copying at all.
+/// and writes are therefore a single shift/mask; on the 64-bit
+/// architecture a register group is a contiguous word range, which only
+/// the compiled tier ([`crate::compiled`]) addresses directly.
 #[derive(Debug, Clone)]
 pub struct VectorUnit {
     elen: Elen,
@@ -33,9 +33,6 @@ pub struct VectorUnit {
     /// the per-instruction paths never divide (derived state, not
     /// architectural).
     epr: u32,
-    /// Recycled snapshot buffers for the executors (see
-    /// [`VectorUnit::take_scratch`]); never architectural state.
-    scratch_pool: Vec<Vec<u64>>,
 }
 
 impl VectorUnit {
@@ -54,7 +51,6 @@ impl VectorUnit {
             vl: 0,
             vtype: default_vtype,
             epr: reg_bytes / default_vtype.sew().bytes(),
-            scratch_pool: Vec::new(),
         }
     }
 
@@ -137,8 +133,9 @@ impl VectorUnit {
     ///
     /// # Panics
     ///
-    /// Panics if the element lies beyond register 31 (the assembler and
-    /// kernels never produce such accesses).
+    /// Panics if the element lies beyond register 31 (the executors trap
+    /// on such a group before their first access, so programs never
+    /// reach this).
     #[inline]
     pub fn read_elem(&self, base: VReg, idx: usize) -> u64 {
         self.read_elem_sew(base, idx, self.vtype.sew())
@@ -183,43 +180,17 @@ impl VectorUnit {
         }
     }
 
-    /// Borrows `len` consecutive 64-bit lanes of the group at `base`
-    /// (64-bit architecture only: one lane per storage word).
-    ///
-    /// # Panics
-    ///
-    /// Panics if ELEN ≠ 64 or the range exceeds the register file.
-    #[inline]
-    pub fn lanes64(&self, base: VReg, len: usize) -> &[u64] {
-        debug_assert_eq!(self.elen, Elen::Bits64, "lanes64 needs ELEN=64");
-        let start = base.index() * self.elenum;
-        &self.words[start..start + len]
-    }
-
-    /// Mutably borrows `len` consecutive 64-bit lanes of the group at
-    /// `base` (64-bit architecture only).
-    ///
-    /// # Panics
-    ///
-    /// Panics if ELEN ≠ 64 or the range exceeds the register file.
-    #[inline]
-    pub fn lanes64_mut(&mut self, base: VReg, len: usize) -> &mut [u64] {
-        debug_assert_eq!(self.elen, Elen::Bits64, "lanes64 needs ELEN=64");
-        let start = base.index() * self.elenum;
-        &mut self.words[start..start + len]
-    }
-
-    /// Raw word storage for executor fast paths in this crate; pair with
-    /// [`VectorUnit::lane_base`] (64-bit architecture only — one lane
-    /// per storage word).
+    /// Raw word storage for the compiled tier's word ops (64-bit
+    /// architecture only — one lane per storage word, so `reg`'s group
+    /// starts at word `reg × EleNum`).
     #[inline]
     pub(crate) fn words64_mut(&mut self) -> &mut [u64] {
         debug_assert_eq!(self.elen, Elen::Bits64, "words64_mut needs ELEN=64");
         &mut self.words
     }
 
-    /// Shared view of the raw word storage for executor fast paths in
-    /// this crate (64-bit architecture only — one lane per storage word).
+    /// Shared view of the raw word storage for the compiled tier's word
+    /// ops (64-bit architecture only — one lane per storage word).
     #[inline]
     pub(crate) fn words64(&self) -> &[u64] {
         debug_assert_eq!(self.elen, Elen::Bits64, "words64 needs ELEN=64");
@@ -231,159 +202,6 @@ impl VectorUnit {
     #[inline]
     pub(crate) fn words_len(&self) -> usize {
         self.words.len()
-    }
-
-    /// First storage-word index of `reg`'s group (64-bit architecture).
-    #[inline]
-    pub(crate) fn lane_base(&self, reg: VReg) -> usize {
-        reg.index() * self.elenum
-    }
-
-    /// Applies `vd[i] = f(vs2[i], vs1[i])` over `len` 64-bit lanes
-    /// directly on the flat word storage, with no source snapshots
-    /// (64-bit architecture only).
-    ///
-    /// Exactly-aliasing groups (`vd == vs2`, `vs2 == vs1`, …) compute in
-    /// place: lane `i` is written only after both operands at index `i`
-    /// were read, which matches the snapshot-then-write semantics for
-    /// elementwise ops. Groups that overlap *partially* (an LMUL group
-    /// starting inside another) fall back to snapshotting the sources.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a group's `len` lanes exceed the register file.
-    #[inline]
-    pub fn apply2_64(
-        &mut self,
-        vd: VReg,
-        vs2: VReg,
-        vs1: VReg,
-        len: usize,
-        f: impl Fn(u64, u64) -> u64,
-    ) {
-        debug_assert_eq!(self.elen, Elen::Bits64, "apply2_64 needs ELEN=64");
-        let n = self.elenum;
-        let (d, a, b) = (vd.index() * n, vs2.index() * n, vs1.index() * n);
-        if d == a && d == b {
-            for lane in &mut self.words[d..d + len] {
-                *lane = f(*lane, *lane);
-            }
-        } else if d == a {
-            match self.words.get_disjoint_mut([d..d + len, b..b + len]) {
-                Ok([dst, s1]) => {
-                    for (x, &y) in dst.iter_mut().zip(s1.iter()) {
-                        *x = f(*x, y);
-                    }
-                }
-                Err(_) => self.apply2_64_snapshot(vd, vs2, vs1, len, f),
-            }
-        } else if d == b {
-            match self.words.get_disjoint_mut([d..d + len, a..a + len]) {
-                Ok([dst, s2]) => {
-                    for (x, &y) in dst.iter_mut().zip(s2.iter()) {
-                        *x = f(y, *x);
-                    }
-                }
-                Err(_) => self.apply2_64_snapshot(vd, vs2, vs1, len, f),
-            }
-        } else if a == b {
-            match self.words.get_disjoint_mut([d..d + len, a..a + len]) {
-                Ok([dst, s]) => {
-                    for (x, &y) in dst.iter_mut().zip(s.iter()) {
-                        *x = f(y, y);
-                    }
-                }
-                Err(_) => self.apply2_64_snapshot(vd, vs2, vs1, len, f),
-            }
-        } else {
-            match self
-                .words
-                .get_disjoint_mut([d..d + len, a..a + len, b..b + len])
-            {
-                Ok([dst, s2, s1]) => {
-                    for ((x, &y2), &y1) in dst.iter_mut().zip(s2.iter()).zip(s1.iter()) {
-                        *x = f(y2, y1);
-                    }
-                }
-                Err(_) => self.apply2_64_snapshot(vd, vs2, vs1, len, f),
-            }
-        }
-    }
-
-    /// Partial-overlap fallback for [`VectorUnit::apply2_64`]: snapshot
-    /// both sources before writing (the reference read-then-write order).
-    #[cold]
-    fn apply2_64_snapshot(
-        &mut self,
-        vd: VReg,
-        vs2: VReg,
-        vs1: VReg,
-        len: usize,
-        f: impl Fn(u64, u64) -> u64,
-    ) {
-        let mut s2 = self.take_scratch();
-        s2.extend_from_slice(self.lanes64(vs2, len));
-        let mut s1 = self.take_scratch();
-        s1.extend_from_slice(self.lanes64(vs1, len));
-        for (i, lane) in self.lanes64_mut(vd, len).iter_mut().enumerate() {
-            *lane = f(s2[i], s1[i]);
-        }
-        self.put_scratch(s1);
-        self.put_scratch(s2);
-    }
-
-    /// Applies `vd[i] = f(i, vs2[i])` over `len` 64-bit lanes directly on
-    /// the flat word storage (64-bit architecture only); the index lets
-    /// per-element constants (ρ offsets, ι round constants) ride along.
-    /// Aliasing rules are those of [`VectorUnit::apply2_64`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a group's `len` lanes exceed the register file.
-    #[inline]
-    pub fn apply1_64(&mut self, vd: VReg, vs2: VReg, len: usize, f: impl Fn(usize, u64) -> u64) {
-        debug_assert_eq!(self.elen, Elen::Bits64, "apply1_64 needs ELEN=64");
-        let n = self.elenum;
-        let (d, a) = (vd.index() * n, vs2.index() * n);
-        if d == a {
-            for (i, lane) in self.words[d..d + len].iter_mut().enumerate() {
-                *lane = f(i, *lane);
-            }
-        } else {
-            match self.words.get_disjoint_mut([d..d + len, a..a + len]) {
-                Ok([dst, src]) => {
-                    for (i, (x, &y)) in dst.iter_mut().zip(src.iter()).enumerate() {
-                        *x = f(i, y);
-                    }
-                }
-                Err(_) => {
-                    let mut snap = self.take_scratch();
-                    snap.extend_from_slice(self.lanes64(vs2, len));
-                    for (i, lane) in self.lanes64_mut(vd, len).iter_mut().enumerate() {
-                        *lane = f(i, snap[i]);
-                    }
-                    self.put_scratch(snap);
-                }
-            }
-        }
-    }
-
-    /// Takes a recycled scratch buffer (cleared, capacity preserved) for
-    /// executor snapshots; return it with [`VectorUnit::put_scratch`] so
-    /// steady-state execution allocates nothing.
-    #[inline]
-    pub fn take_scratch(&mut self) -> Vec<u64> {
-        let mut buf = self.scratch_pool.pop().unwrap_or_default();
-        buf.clear();
-        buf
-    }
-
-    /// Returns a scratch buffer to the pool.
-    #[inline]
-    pub fn put_scratch(&mut self, buf: Vec<u64>) {
-        if self.scratch_pool.len() < 4 {
-            self.scratch_pool.push(buf);
-        }
     }
 
     /// Reads mask bit `idx` from `v0` (RVV mask layout: bit `idx` of the
@@ -564,83 +382,5 @@ mod tests {
             .collect();
         vu.set_register_bytes(VReg::V5, &data);
         assert_eq!(vu.register_bytes(VReg::V5), data);
-    }
-
-    #[test]
-    fn lane_slices_view_the_register_file() {
-        let mut vu = unit64();
-        vu.set_config(80, Vtype::new(Sew::E64, Lmul::M8)).unwrap();
-        vu.write_elem(VReg::V8, 12, 99);
-        assert_eq!(vu.lanes64(VReg::V8, 20)[12], 99);
-        vu.lanes64_mut(VReg::V8, 20)[13] = 77;
-        assert_eq!(vu.read_elem(VReg::V9, 3), 77);
-    }
-
-    #[test]
-    fn apply2_64_disjoint_and_aliased() {
-        let mut vu = unit64();
-        for i in 0..10 {
-            vu.write_elem(VReg::V1, i, i as u64);
-            vu.write_elem(VReg::V2, i, 100 + i as u64);
-        }
-        vu.apply2_64(VReg::V3, VReg::V1, VReg::V2, 10, |a, b| a + b);
-        assert_eq!(vu.read_elem(VReg::V3, 4), 108);
-        // vd == vs2 computes in place.
-        vu.apply2_64(VReg::V1, VReg::V1, VReg::V2, 10, |a, b| a ^ b);
-        assert_eq!(vu.read_elem(VReg::V1, 4), 4 ^ 104);
-        // vs2 == vs1 feeds both operands from one group.
-        vu.apply2_64(VReg::V4, VReg::V2, VReg::V2, 10, |a, b| a & b);
-        assert_eq!(vu.read_elem(VReg::V4, 9), 109);
-    }
-
-    #[test]
-    fn apply2_64_partial_overlap_reads_before_writing() {
-        // Groups at V0 (words 0..8) and V1 (words 10..18) of an
-        // elenum=10 file overlap when spanned for 12 lanes — the
-        // fallback must read both full sources before any write.
-        let mut vu = unit64();
-        let len = 12;
-        for i in 0..len {
-            vu.write_elem(VReg::V0, i, i as u64);
-            vu.write_elem(VReg::V1, i, 1000 + i as u64);
-        }
-        let expect_a: Vec<u64> = (0..len).map(|i| vu.read_elem(VReg::V0, i)).collect();
-        let expect_b: Vec<u64> = (0..len).map(|i| vu.read_elem(VReg::V1, i)).collect();
-        vu.apply2_64(VReg::V0, VReg::V0, VReg::V1, len, |a, b| a.wrapping_add(b));
-        for i in 0..len {
-            assert_eq!(
-                vu.read_elem(VReg::V0, i),
-                expect_a[i].wrapping_add(expect_b[i]),
-                "lane {i} must combine the pre-instruction sources"
-            );
-        }
-    }
-
-    #[test]
-    fn apply1_64_indexed_and_overlapping() {
-        let mut vu = unit64();
-        for i in 0..10 {
-            vu.write_elem(VReg::V6, i, 10 + i as u64);
-        }
-        vu.apply1_64(VReg::V7, VReg::V6, 10, |i, v| v + i as u64);
-        assert_eq!(vu.read_elem(VReg::V7, 9), 28);
-        // Partial overlap (spans starting one register apart) snapshots.
-        let before: Vec<u64> = (0..12).map(|i| vu.read_elem(VReg::V6, i)).collect();
-        vu.apply1_64(VReg::V5, VReg::V6, 12, |_, v| v * 2);
-        for (i, &b) in before.iter().enumerate() {
-            assert_eq!(vu.read_elem(VReg::V5, i), b * 2);
-        }
-    }
-
-    #[test]
-    fn scratch_buffers_recycle() {
-        let mut vu = unit64();
-        let mut buf = vu.take_scratch();
-        buf.extend_from_slice(&[1, 2, 3]);
-        let ptr = buf.as_ptr();
-        vu.put_scratch(buf);
-        let again = vu.take_scratch();
-        assert!(again.is_empty(), "recycled buffers come back cleared");
-        assert_eq!(again.as_ptr(), ptr, "no fresh allocation");
     }
 }

@@ -504,6 +504,47 @@ fn round_loop_runs_resident_and_traps_where_the_stepper_does() {
 }
 
 #[test]
+fn register_groups_past_v31_trap_on_both_paths() {
+    // At EleNum = 10 an m8 group at VL 80 spans eight registers, so one
+    // starting at v30 or v28 runs past v31; the all-rows vpi at VL 50
+    // reads rows v30..v34. Each trap must come before the first write,
+    // so v24..v31 keep their vid values and vpi's columns stay zero.
+    let prologue = "li t0, 80\nvsetvli t1, t0, e64, m8, ta, ma\nvid.v v24\n";
+    let cases = [
+        ("vxor.vv v30, v30, v30", 12),
+        ("vrotup.vi v28, v28, 1", 12),
+        (
+            "li t0, 50\nvsetvli t1, t0, e64, m8, ta, ma\nvpi.vi v8, v30, -1",
+            20,
+        ),
+    ];
+    for (body, pc) in cases {
+        let source = format!("{prologue}{body}\necall");
+        let mut compiled = processor_for(&source, |p| p.set_compiled(true));
+        let mut stepped = processor_for(&source, |p| p.set_compiled(false));
+        let err = stepped.run(100_000).unwrap_err();
+        assert_eq!(
+            err,
+            Trap::VectorConfig {
+                reason: "register group runs past v31"
+            },
+            "{body}"
+        );
+        assert_eq!(compiled.run(100_000).unwrap_err(), err, "{body}");
+        assert_eq!(stepped.pc(), pc, "{body}");
+        assert_same_state(body, &compiled, &stepped);
+        let vu = stepped.vector_unit();
+        for g in 0..80 {
+            assert_eq!(vu.read_elem(krv_isa::VReg::V24, g), g as u64, "{body}");
+        }
+        for reg in 8..13 {
+            let bytes = vu.register_bytes(krv_isa::VReg::from_index(reg));
+            assert!(bytes.iter().all(|&b| b == 0), "{body}: v{reg}");
+        }
+    }
+}
+
+#[test]
 fn masked_vector_load_skips_inactive_elements() {
     // Build a mask in v0 via vmseq, then load masked: untouched elements
     // keep their previous value.
