@@ -1,20 +1,27 @@
 //! One multiplexed connection: a non-blocking state machine pumped by
 //! an I/O thread, not a pair of dedicated threads.
 //!
-//! A [`Connection`] owns a non-blocking socket, a byte buffer of
-//! unparsed inbound data, and a queue of encoded outbound frames. The
-//! owning I/O thread pumps it: writes whatever the socket accepts,
-//! reads whatever has arrived, parses every *complete* frame out of the
-//! buffer and handles it. Partial frames simply stay buffered until
-//! more bytes arrive — framing cannot desynchronize, because nothing is
-//! consumed until the full frame is present and decoded.
+//! A [`Connection`] holds a byte buffer of unparsed inbound data and
+//! its session table; its socket and outbound side live in an
+//! [`Outbox`] that the connection shares with its ticket callbacks. The
+//! owning I/O thread pumps it when `poll` reports the socket ready, a
+//! completion touches it, or a deadline passes: it reads what has
+//! arrived, parses every *complete* frame out of the buffer and handles
+//! it, then writes whatever the socket accepts. Partial frames simply
+//! stay buffered until more bytes arrive — framing cannot
+//! desynchronize, because nothing is consumed until the full frame is
+//! present and decoded.
 //!
-//! Responses flow back asynchronously: a hash, tree or ML-KEM submission
-//! registers a ticket callback that encodes the response on the
-//! scheduler thread and posts it to the I/O thread's inbox
-//! ([`crate::poll::IoShared`]), which routes it to this connection's
-//! outbound queue. The request id is the client's correlation key;
-//! responses overtake each other freely.
+//! Responses flow back asynchronously. A hash, tree or ML-KEM
+//! submission registers a ticket callback that encodes the response on
+//! the scheduler thread, queues it in the outbox, writes what the
+//! non-blocking socket accepts and releases the window slot, all under
+//! the outbox's one lock; it wakes the I/O thread only when bytes
+//! remain, the socket failed, or a draining connection just reached
+//! zero in flight. Session completions go through the I/O thread's
+//! inbox instead, because the session table lives there. The request
+//! id is the client's correlation key; responses overtake each other
+//! freely.
 //!
 //! A protocol violation (bad magic, unknown kind, oversized frame, …)
 //! is fatal **to the connection only**: reading stops, already admitted
@@ -24,9 +31,9 @@
 //! graceful way.
 
 use crate::plan::{self, ServePlan};
-use crate::poll::IoCtx;
+use crate::poll::{IoCtx, IoShared};
 use crate::protocol::{ErrorCode, Request, Response};
-use crate::session::{over_leaf_cap, ConnIo, SessionEvent, SessionTable, Violation};
+use crate::session::{over_leaf_cap, SessionEvent, SessionTable, Violation};
 use krv_kyber::{KemOp, KemResult};
 use krv_service::{
     HashRequest, KemRequest, Request as ServiceRequest, RequestError, SubmitError, TreeRequest,
@@ -34,13 +41,13 @@ use krv_service::{
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::os::unix::io::{AsRawFd, RawFd};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Most scratch-buffer reads one pump performs before yielding to the
 /// next connection, so one firehose peer cannot starve the rest of the
-/// I/O thread's sweep.
+/// I/O thread's connections.
 const READS_PER_PUMP: usize = 4;
 
 /// Prepends the length prefix, turning a frame body into wire bytes.
@@ -51,36 +58,135 @@ pub(crate) fn wire(body: &[u8]) -> Vec<u8> {
     out
 }
 
+/// The half of a connection its completions share with the I/O thread:
+/// the socket and, behind one lock, everything that decides what is
+/// written and when the connection may close.
+#[derive(Debug)]
+pub(crate) struct Outbox {
+    stream: TcpStream,
+    /// The connection's stable id: the routing key for inbox touches and
+    /// events, and the client id fair-share admission accounts against.
+    pub token: u64,
+    /// The owning I/O thread, woken by completions that leave it work.
+    io: Arc<IoShared>,
+    out: Mutex<Outbound>,
+}
+
+/// The outbound side of a connection.
+#[derive(Debug, Default)]
+struct Outbound {
+    /// Encoded frames (wire bytes, length prefix included) not yet
+    /// written whole.
+    frames: VecDeque<Vec<u8>>,
+    /// Bytes of `frames.front()` already written.
+    front_written: usize,
+    /// Admitted requests whose responses are not yet queued.
+    in_flight: usize,
+    /// The inbound side is closed (EOF, a violation, idleness or daemon
+    /// shutdown): the connection closes once nothing is in flight and
+    /// every frame is written.
+    draining: bool,
+    /// A hard transport failure: the connection is removed without
+    /// draining, and later completions write nothing.
+    dead: bool,
+}
+
+impl Outbound {
+    /// Writes queued frames until the socket would block. A failed
+    /// write marks the connection dead and drops what is queued.
+    fn flush(&mut self, mut stream: &TcpStream) {
+        while let Some(front) = self.frames.front() {
+            match stream.write(&front[self.front_written..]) {
+                Ok(n) if n > 0 => {
+                    self.front_written += n;
+                    if self.front_written == front.len() {
+                        self.frames.pop_front();
+                        self.front_written = 0;
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                _ => {
+                    self.dead = true;
+                    self.frames.clear();
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Whether the I/O thread may drop the connection: dead, or drained
+    /// with every response written. Read under the one lock that every
+    /// completion queues and releases its slot under, so no response
+    /// can still be on its way.
+    fn finished(&self) -> bool {
+        self.dead || (self.draining && self.in_flight == 0 && self.frames.is_empty())
+    }
+}
+
+impl Outbox {
+    fn lock(&self) -> MutexGuard<'_, Outbound> {
+        self.out.lock().expect("connection outbox")
+    }
+
+    /// Queues a reply that does not settle an in-flight request.
+    pub fn reply(&self, response: &Response) {
+        self.lock().frames.push_back(wire(&response.encode()));
+    }
+
+    /// Queues a reply settling one in-flight request, on the I/O thread.
+    pub fn reply_op(&self, response: &Response) {
+        let mut out = self.lock();
+        out.frames.push_back(wire(&response.encode()));
+        out.in_flight -= 1;
+    }
+
+    /// Takes one window slot for an admitted request.
+    pub fn hold(&self) {
+        self.lock().in_flight += 1;
+    }
+
+    /// Requests in flight.
+    fn in_flight(&self) -> usize {
+        self.lock().in_flight
+    }
+
+    /// A completion's write-through, on the thread that completed the
+    /// ticket: queues `frame`, writes what the socket accepts and
+    /// releases the window slot. The I/O thread is woken only if that
+    /// left it work: bytes the socket did not take (it must wait on
+    /// `POLLOUT`), a failed socket (it must drop the connection), or a
+    /// draining connection with nothing left in flight (it must close).
+    fn complete(&self, frame: Vec<u8>) {
+        let mut out = self.lock();
+        out.in_flight -= 1;
+        if out.dead {
+            return;
+        }
+        out.frames.push_back(frame);
+        out.flush(&self.stream);
+        let wake = out.dead || !out.frames.is_empty() || (out.draining && out.in_flight == 0);
+        drop(out);
+        if wake {
+            self.io.post_touch(self.token);
+        }
+    }
+}
+
 /// The per-connection state machine. All methods are non-blocking; the
-/// owning I/O thread calls them from its sweep.
+/// owning I/O thread calls them.
 #[derive(Debug)]
 pub(crate) struct Connection {
-    stream: TcpStream,
-    /// The connection's stable id: the routing key for inbox frames and
-    /// the client id fair-share admission accounts against.
-    token: u64,
+    /// The socket and outbound side, shared with ticket callbacks.
+    outbox: Arc<Outbox>,
     /// Received, not-yet-parsed bytes (at most one partial frame plus
     /// whatever arrived behind it).
     read_buf: Vec<u8>,
-    /// Encoded outbound frames (wire bytes, length prefix included).
-    outbound: VecDeque<Vec<u8>>,
-    /// Bytes of `outbound.front()` already written.
-    front_written: usize,
-    /// Requests submitted whose responses have not yet been posted back
-    /// to the I/O thread. Shared with the ticket callbacks, which
-    /// decrement it *after* posting the response frame.
-    in_flight: Arc<AtomicUsize>,
     /// When the connection is closed for idleness: reset whenever bytes
     /// arrive.
     idle_deadline: Instant,
-    /// `false` once EOF, a violation, idleness or daemon shutdown ends
-    /// the inbound side; the connection then drains and closes.
-    reading: bool,
     /// This connection's streaming sessions; dies with the connection.
     sessions: SessionTable,
-    /// A hard transport failure: the connection is removed immediately,
-    /// without draining.
-    pub dead: bool,
 }
 
 impl Connection {
@@ -95,131 +201,98 @@ impl Connection {
         stream.set_nonblocking(true)?;
         let _ = stream.set_nodelay(true);
         Ok(Self {
-            stream,
-            token,
+            outbox: Arc::new(Outbox {
+                stream,
+                token,
+                io: Arc::clone(&ctx.shared),
+                out: Mutex::default(),
+            }),
             read_buf: Vec::new(),
-            outbound: VecDeque::new(),
-            front_written: 0,
-            in_flight: Arc::new(AtomicUsize::new(0)),
             idle_deadline: Instant::now() + ctx.config.idle_timeout,
-            reading: true,
             sessions: SessionTable::new(),
-            dead: false,
         })
     }
 
-    /// The connection's routing token / client id.
-    pub fn token(&self) -> u64 {
-        self.token
+    /// The socket's descriptor, for the I/O thread's wait set.
+    pub fn fd(&self) -> RawFd {
+        self.outbox.stream.as_raw_fd()
+    }
+
+    /// What the connection waits on: `(read, write)`. It reads until
+    /// its inbound side closes and waits to write while output is
+    /// queued, both read from the outbox the completions share.
+    pub fn waits_on(&self) -> (bool, bool) {
+        let out = self.outbox.lock();
+        (!out.draining, !out.frames.is_empty())
+    }
+
+    /// Whether the inbound side is still open.
+    fn reading(&self) -> bool {
+        !self.outbox.lock().draining
+    }
+
+    /// When the connection next needs a pump with no socket event: its
+    /// idle deadline while it reads, or its sessions' next retry or
+    /// reap deadline.
+    pub fn deadline(&self, ctx: &IoCtx) -> Option<Instant> {
+        let idle = self.reading().then_some(self.idle_deadline);
+        idle.into_iter().chain(self.sessions.deadline(ctx)).min()
     }
 
     /// Stops the inbound side: no more reads, no more submissions. The
-    /// connection closes once its in-flight responses have been posted
-    /// and written.
+    /// connection closes once its in-flight responses are written.
     pub fn start_drain(&mut self) {
-        self.reading = false;
+        self.stop_reading();
         self.read_buf.clear();
     }
 
-    /// Whether every admitted request's response has been posted to the
-    /// I/O inbox and the inbound side is closed. Because callbacks post
-    /// their frame *before* decrementing the counter, observing zero
-    /// here guarantees a subsequent inbox take sees every response —
-    /// the close sequence relies on exactly that ordering.
-    pub fn drained(&self) -> bool {
-        !self.reading && self.in_flight.load(Ordering::Acquire) == 0
+    /// Ends reading. The outbox's `draining` is the one record of it:
+    /// the I/O thread stops waiting on `POLLIN`, and the completions
+    /// decide from it whether the last of them must wake the I/O thread
+    /// to close.
+    fn stop_reading(&mut self) {
+        self.outbox.lock().draining = true;
     }
 
-    /// Whether nothing remains to write.
-    pub fn flushed(&self) -> bool {
-        self.outbound.is_empty()
-    }
-
-    /// Queues an encoded frame (wire bytes) for writing.
-    pub fn push_frame(&mut self, frame: Vec<u8>) {
-        self.outbound.push_back(frame);
-    }
-
-    /// One pump: flush what the socket accepts, check idleness, read
-    /// and handle what has arrived. Returns whether any bytes moved.
+    /// One pump: check idleness, read and handle what has arrived, retry
+    /// and reap sessions, then write what the socket accepts. Returns
+    /// whether the connection is finished and must be dropped.
     pub fn pump(&mut self, ctx: &IoCtx, scratch: &mut [u8], now: Instant) -> bool {
-        if self.dead {
-            return false;
-        }
-        let progress = self.pump_write();
-        if self.reading && now >= self.idle_deadline {
+        if now >= self.idle_deadline && self.reading() {
             // Idleness covers half-open peers too: a vanished client
             // sends no bytes (and no FIN), so its connection ends here.
             self.start_drain();
         }
-        let progress = progress | self.pump_read(ctx, scratch);
+        self.pump_read(ctx, scratch);
         // Retry session operations parked on backpressure and reap idle
         // wire sessions.
-        let mut io = ConnIo {
-            token: self.token,
-            outbound: &mut self.outbound,
-            in_flight: &self.in_flight,
-        };
-        self.sessions.tick(now, ctx, &mut io);
-        progress
+        self.sessions.tick(now, ctx, &self.outbox);
+        let mut out = self.outbox.lock();
+        out.flush(&self.outbox.stream);
+        out.finished()
     }
 
     /// Routes a session completion into this connection's table.
     pub fn on_event(&mut self, event: SessionEvent, ctx: &IoCtx) {
-        let mut io = ConnIo {
-            token: self.token,
-            outbound: &mut self.outbound,
-            in_flight: &self.in_flight,
-        };
-        self.sessions.on_event(event, ctx, &mut io);
-    }
-
-    /// Writes queued frames until the socket would block.
-    fn pump_write(&mut self) -> bool {
-        let mut progress = false;
-        while let Some(front) = self.outbound.front() {
-            match self.stream.write(&front[self.front_written..]) {
-                Ok(0) => {
-                    self.dead = true;
-                    break;
-                }
-                Ok(n) => {
-                    progress = true;
-                    self.front_written += n;
-                    if self.front_written == front.len() {
-                        self.outbound.pop_front();
-                        self.front_written = 0;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.dead = true;
-                    break;
-                }
-            }
-        }
-        progress
+        self.sessions.on_event(event, ctx, &self.outbox);
     }
 
     /// Reads what has arrived (bounded per pump), then parses and
     /// handles every complete frame in the buffer.
-    fn pump_read(&mut self, ctx: &IoCtx, scratch: &mut [u8]) -> bool {
-        if !self.reading {
-            return false;
+    fn pump_read(&mut self, ctx: &IoCtx, scratch: &mut [u8]) {
+        if !self.reading() {
+            return;
         }
-        let mut progress = false;
         for _ in 0..READS_PER_PUMP {
-            match self.stream.read(scratch) {
+            match (&self.outbox.stream).read(scratch) {
                 Ok(0) => {
                     // Clean EOF: whatever complete frames are already
                     // buffered are still parsed below — a client that
                     // writes requests and half-closes gets its answers.
-                    self.reading = false;
+                    self.stop_reading();
                     break;
                 }
                 Ok(n) => {
-                    progress = true;
                     self.read_buf.extend_from_slice(&scratch[..n]);
                     self.idle_deadline = Instant::now() + ctx.config.idle_timeout;
                     if n < scratch.len() {
@@ -229,13 +302,12 @@ impl Connection {
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => {
-                    self.dead = true;
-                    return progress;
+                    self.outbox.lock().dead = true;
+                    return;
                 }
             }
         }
         self.parse_frames(ctx);
-        progress
     }
 
     /// Consumes every complete frame in `read_buf`. A frame is only
@@ -284,7 +356,7 @@ impl Connection {
                 // The merged cluster-wide snapshot, served inline on the
                 // I/O thread (cheap: counters plus histogram walks).
                 let snapshot = Box::new(ctx.service.metrics());
-                self.push_frame(wire(&Response::Stats { id, snapshot }.encode()));
+                self.outbox.reply(&Response::Stats { id, snapshot });
             }
             Request::Hash {
                 id,
@@ -301,7 +373,7 @@ impl Connection {
                         // leaves into shared rounds beside the root.
                         if let Some(detail) = over_leaf_cap(tree.mode, payload.len(), ctx) {
                             let code = ErrorCode::SessionLimit;
-                            self.push_frame(wire(&Response::Error { id, code, detail }.encode()));
+                            self.outbox.reply(&Response::Error { id, code, detail });
                             return;
                         }
                         let mut request = TreeRequest::digest(
@@ -381,26 +453,16 @@ impl Connection {
                 algorithm,
                 params,
             } => {
-                let mut io = ConnIo {
-                    token: self.token,
-                    outbound: &mut self.outbound,
-                    in_flight: &self.in_flight,
-                };
-                let outcome = self
-                    .sessions
-                    .open(id, session, algorithm, &params, ctx, &mut io);
+                let outcome =
+                    self.sessions
+                        .open(id, session, algorithm, &params, ctx, &self.outbox);
                 self.check_violation(id, outcome);
             }
             Request::Absorb { id, session, chunk } => {
                 if self.window_full(id, ctx) {
                     return;
                 }
-                let mut io = ConnIo {
-                    token: self.token,
-                    outbound: &mut self.outbound,
-                    in_flight: &self.in_flight,
-                };
-                let outcome = self.sessions.absorb(id, session, chunk, ctx, &mut io);
+                let outcome = self.sessions.absorb(id, session, chunk, ctx, &self.outbox);
                 self.check_violation(id, outcome);
             }
             Request::Finalize {
@@ -411,38 +473,23 @@ impl Connection {
                 if self.window_full(id, ctx) {
                     return;
                 }
-                let mut io = ConnIo {
-                    token: self.token,
-                    outbound: &mut self.outbound,
-                    in_flight: &self.in_flight,
-                };
                 let outcome = self
                     .sessions
-                    .finalize(id, session, output_len, ctx, &mut io);
+                    .finalize(id, session, output_len, ctx, &self.outbox);
                 self.check_violation(id, outcome);
             }
             Request::Squeeze { id, session, len } => {
                 if self.window_full(id, ctx) {
                     return;
                 }
-                let mut io = ConnIo {
-                    token: self.token,
-                    outbound: &mut self.outbound,
-                    in_flight: &self.in_flight,
-                };
-                let outcome = self.sessions.squeeze(id, session, len, ctx, &mut io);
+                let outcome = self.sessions.squeeze(id, session, len, ctx, &self.outbox);
                 self.check_violation(id, outcome);
             }
             Request::Close { id, session } => {
                 if self.window_full(id, ctx) {
                     return;
                 }
-                let mut io = ConnIo {
-                    token: self.token,
-                    outbound: &mut self.outbound,
-                    in_flight: &self.in_flight,
-                };
-                let outcome = self.sessions.close(id, session, ctx, &mut io);
+                let outcome = self.sessions.close(id, session, ctx, &self.outbox);
                 self.check_violation(id, outcome);
             }
         }
@@ -452,11 +499,10 @@ impl Connection {
     /// window and the service's fair-share admission. A refusal is
     /// answered at once. Otherwise the ticket's callback runs on the
     /// shard's scheduler thread: it encodes `respond`'s frame (or the
-    /// service error's), posts it to the I/O inbox, then releases the
-    /// in-flight slot — in that order; `drained` depends on it. A
-    /// malformed KEM key or ciphertext comes back as a request-level
-    /// `BAD_KEY` error: the connection survives, unlike a framing
-    /// violation.
+    /// service error's) and hands it to [`Outbox::complete`], which
+    /// writes it and releases the slot. A malformed KEM key or
+    /// ciphertext comes back as a request-level `BAD_KEY` error: the
+    /// connection survives, unlike a framing violation.
     fn serve<R: ServiceRequest>(
         &mut self,
         id: u64,
@@ -467,12 +513,10 @@ impl Connection {
         if self.window_full(id, ctx) {
             return;
         }
-        self.in_flight.fetch_add(1, Ordering::AcqRel);
-        match ctx.service.submit_as(self.token, request) {
+        self.outbox.hold();
+        match ctx.service.submit_as(self.outbox.token, request) {
             Ok(ticket) => {
-                let shared = Arc::clone(&ctx.shared);
-                let in_flight = Arc::clone(&self.in_flight);
-                let token = self.token;
+                let outbox = Arc::clone(&self.outbox);
                 ticket.on_complete(move |completion| {
                     let response = match completion.result {
                         Ok(output) => respond(id, output),
@@ -481,14 +525,12 @@ impl Connection {
                             Response::Error { id, code, detail }
                         }
                     };
-                    shared.post_frame(token, wire(&response.encode()));
-                    in_flight.fetch_sub(1, Ordering::AcqRel);
+                    outbox.complete(wire(&response.encode()));
                 });
             }
             Err(refusal) => {
-                self.in_flight.fetch_sub(1, Ordering::AcqRel);
                 let (code, detail) = refusal_error(refusal);
-                self.push_frame(wire(&Response::Error { id, code, detail }.encode()));
+                self.outbox.reply_op(&Response::Error { id, code, detail });
             }
         }
     }
@@ -498,18 +540,17 @@ impl Connection {
     /// connection's total queued work stays bounded by
     /// [`crate::ServerConfig::max_in_flight`].
     fn window_full(&mut self, id: u64, ctx: &IoCtx) -> bool {
-        if self.in_flight.load(Ordering::Acquire) < ctx.config.max_in_flight {
+        if self.outbox.in_flight() < ctx.config.max_in_flight {
             return false;
         }
-        let response = Response::Error {
+        self.outbox.reply(&Response::Error {
             id,
             code: ErrorCode::Busy,
             detail: format!(
                 "connection window full at {} in-flight requests",
                 ctx.config.max_in_flight
             ),
-        };
-        self.push_frame(wire(&response.encode()));
+        });
         true
     }
 
@@ -517,12 +558,11 @@ impl Connection {
     /// error, then drain exactly like a framing violation.
     fn check_violation(&mut self, id: u64, outcome: Result<(), Violation>) {
         if let Err(violation) = outcome {
-            let response = Response::Error {
+            self.outbox.reply(&Response::Error {
                 id,
                 code: violation.code,
                 detail: violation.detail,
-            };
-            self.push_frame(wire(&response.encode()));
+            });
             self.start_drain();
         }
     }

@@ -25,8 +25,12 @@
 //!   decoding whose every failure is a typed [`ProtocolError`].
 //! * [`Server`] — the daemon: an accept loop feeding a **fixed pool of
 //!   I/O threads** that multiplex every connection over non-blocking
-//!   sockets (std-only readiness loop — see the `poll` module), in
+//!   sockets, each blocked in `poll(2)` until a socket is ready, a
+//!   completion wakes it or a deadline passes (the `poll` module; the
+//!   crate's one foreign call, which makes the daemon unix-only), in
 //!   front of N independent [`krv_service::ShardedService`] shards.
+//!   A completed request's callback writes its response to the socket
+//!   itself.
 //!   Requests route to shards by a stable hash of the connection token,
 //!   per-client fair-share admission throttles floods, and `STATS`
 //!   replies merge every shard's raw metrics. Service outcomes map onto
@@ -63,8 +67,12 @@
 //! assert_eq!(report.completed, 1);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
+
+#[cfg(not(unix))]
+compile_error!("krv-server is unix-only: its I/O threads wait in poll(2)");
 
 mod client;
 mod conn;

@@ -103,7 +103,8 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates the bind failure.
+    /// Propagates the bind failure, or the failure to create an I/O
+    /// thread's wake socket.
     ///
     /// # Panics
     ///
@@ -113,15 +114,15 @@ impl Server {
         assert!(config.io_threads > 0, "the I/O pool needs a thread");
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
+        let io_shared = (0..config.io_threads)
+            .map(|_| IoShared::new().map(Arc::new))
+            .collect::<io::Result<Vec<_>>>()?;
         let service = Arc::new(ShardedService::start(ShardConfig {
             shards: config.shards,
             service: config.service,
         }));
         let shutdown = Arc::new(AtomicBool::new(false));
 
-        let io_shared: Vec<Arc<IoShared>> = (0..config.io_threads)
-            .map(|_| Arc::new(IoShared::new()))
-            .collect();
         let io_threads = io_shared
             .iter()
             .enumerate()

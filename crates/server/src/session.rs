@@ -18,22 +18,23 @@
 //!
 //! Backpressure never loses session bytes: a refused service submission
 //! hands the request back (`try_submit_as`), the operation stays parked
-//! at the queue front, and the next I/O sweep retries it. Service
-//! failures (a lost worker, an expired deadline) and the tree leaf cap
-//! poison the session — every queued and later operation is answered
-//! with the failure's typed error, and only `CLOSE` (which always
-//! succeeds) frees the id.
+//! at the queue front, and the I/O thread retries it [`RETRY`] (1 ms)
+//! after each refusal until the service takes it. The retry time is
+//! fixed at the refusal, so traffic that wakes the thread sooner does
+//! not put it off. Service failures (a lost worker, an expired
+//! deadline) and the tree leaf cap poison the session — every queued
+//! and later operation is answered with the failure's typed error, and
+//! only `CLOSE` (which always succeeds) frees the id.
 
-use crate::conn::{service_error, wire};
+use crate::conn::{service_error, Outbox};
 use crate::plan::{self, ServePlan};
-use crate::poll::IoCtx;
+use crate::poll::{IoCtx, RETRY};
 use crate::protocol::{AlgorithmParams, ErrorCode, Response, WireAlgorithm};
 use krv_service::{Request, RequestError, StreamOutput, StreamRequest, SubmitError, TreeRequest};
 use krv_sha3::sp800_185::tuple_entry_prefix;
 use krv_sha3::tree::TreeMode;
 use krv_sha3::{SpongeState, TreeState};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -83,33 +84,6 @@ pub(crate) struct SessionEvent {
     pub session: u64,
     /// The advanced state and the squeezed bytes, or the failure.
     pub result: Result<(SessionState, Vec<u8>), RequestError>,
-}
-
-/// The slice of a connection a session needs for replying: the outbound
-/// frame queue and the in-flight accounting, borrowed for one call.
-pub(crate) struct ConnIo<'a> {
-    /// The connection token (the service client id).
-    pub token: u64,
-    /// The connection's outbound frame queue.
-    pub outbound: &'a mut VecDeque<Vec<u8>>,
-    /// The connection's in-flight counter; decremented as each session
-    /// operation's reply is queued.
-    pub in_flight: &'a AtomicUsize,
-}
-
-impl ConnIo<'_> {
-    /// Queues a reply that does not settle an in-flight operation.
-    fn reply(&mut self, response: &Response) {
-        self.outbound.push_back(wire(&response.encode()));
-    }
-
-    /// Queues a reply settling one in-flight session operation. Both
-    /// happen on the I/O thread, so the frame is visibly queued before
-    /// the connection can ever observe itself drained.
-    fn reply_op(&mut self, response: &Response) {
-        self.reply(response);
-        self.in_flight.fetch_sub(1, Ordering::AcqRel);
-    }
 }
 
 /// One queued session operation. The request id rides along so the
@@ -177,7 +151,8 @@ enum Step {
     /// The front operation finished synchronously; drive the next.
     Done,
     /// Waiting on the service (an in-flight operation or backpressure);
-    /// retried on the next event or sweep.
+    /// driven on by its completion event, or retried at the session's
+    /// `retry_at`.
     Parked,
     /// The session is finished; remove it from the table.
     Remove,
@@ -197,6 +172,9 @@ struct Session {
     /// A service failure poisoned the session; every operation until
     /// CLOSE answers with this error.
     failed: Option<(ErrorCode, String)>,
+    /// Set while the front operation waits for queue room: when to
+    /// submit it again, [`RETRY`] after the refusal.
+    retry_at: Option<Instant>,
     phase: Phase,
     /// Framing a flat session absorbs ahead of the first message byte;
     /// taken by the first ABSORB/FINALIZE to enqueue. (A tree's root
@@ -215,7 +193,7 @@ impl Session {
 
     /// Drives the queue until it parks or the session ends. Returns
     /// whether to remove the session from the table.
-    fn drive(&mut self, session: u64, ctx: &IoCtx, io: &mut ConnIo<'_>) -> bool {
+    fn drive(&mut self, session: u64, ctx: &IoCtx, io: &Outbox) -> bool {
         loop {
             if let Some((code, detail)) = &self.failed {
                 // Failure flush: every queued operation answers with
@@ -247,7 +225,8 @@ impl Session {
 
     /// One drive step of the front operation: answer it inline, or
     /// submit it with the session's state.
-    fn step(&mut self, session: u64, ctx: &IoCtx, io: &mut ConnIo<'_>) -> Step {
+    fn step(&mut self, session: u64, ctx: &IoCtx, io: &Outbox) -> Step {
+        self.retry_at = None;
         let (bytes, finalize, squeeze_len) = match self.queue.front_mut() {
             Some(SessionOp::Close { id }) => {
                 io.reply_op(&Response::Closed { id: *id, session });
@@ -321,6 +300,7 @@ impl Session {
             self.failed = Some((ErrorCode::ShuttingDown, "daemon is draining".into()));
             return Step::Done;
         }
+        self.retry_at = Some(Instant::now() + RETRY);
         Step::Parked
     }
 
@@ -379,7 +359,7 @@ impl SessionTable {
     }
 
     /// Drives one session, removing it if it finished.
-    fn drive(&mut self, session: u64, ctx: &IoCtx, io: &mut ConnIo<'_>) {
+    fn drive(&mut self, session: u64, ctx: &IoCtx, io: &Outbox) {
         let Some(entry) = self.sessions.get_mut(&session) else {
             return;
         };
@@ -400,7 +380,7 @@ impl SessionTable {
         algorithm: WireAlgorithm,
         params: &AlgorithmParams,
         ctx: &IoCtx,
-        io: &mut ConnIo<'_>,
+        io: &Outbox,
     ) -> Result<(), Violation> {
         if self.sessions.contains_key(&session) {
             return Err(Violation::bad_session(format!(
@@ -438,6 +418,7 @@ impl SessionTable {
                 queue: VecDeque::new(),
                 state: Some(state),
                 failed: None,
+                retry_at: None,
                 phase: Phase::Absorbing,
                 prefix,
                 tuple,
@@ -460,7 +441,7 @@ impl SessionTable {
         session: u64,
         chunk: Vec<u8>,
         ctx: &IoCtx,
-        io: &mut ConnIo<'_>,
+        io: &Outbox,
     ) -> Result<(), Violation> {
         let Some(entry) = self.sessions.get_mut(&session) else {
             return Err(unknown_session("ABSORB", session));
@@ -486,7 +467,7 @@ impl SessionTable {
             bytes
         };
         entry.queue.push_back(SessionOp::Absorb { id, bytes });
-        io.in_flight.fetch_add(1, Ordering::AcqRel);
+        io.hold();
         self.drive(session, ctx, io);
         Ok(())
     }
@@ -504,7 +485,7 @@ impl SessionTable {
         session: u64,
         output_len: usize,
         ctx: &IoCtx,
-        io: &mut ConnIo<'_>,
+        io: &Outbox,
     ) -> Result<(), Violation> {
         let Some(entry) = self.sessions.get_mut(&session) else {
             return Err(unknown_session("FINALIZE", session));
@@ -535,7 +516,7 @@ impl SessionTable {
             bytes,
             output_len,
         });
-        io.in_flight.fetch_add(1, Ordering::AcqRel);
+        io.hold();
         self.drive(session, ctx, io);
         Ok(())
     }
@@ -552,7 +533,7 @@ impl SessionTable {
         session: u64,
         len: usize,
         ctx: &IoCtx,
-        io: &mut ConnIo<'_>,
+        io: &Outbox,
     ) -> Result<(), Violation> {
         let Some(entry) = self.sessions.get_mut(&session) else {
             return Err(unknown_session("SQUEEZE", session));
@@ -577,7 +558,7 @@ impl SessionTable {
             *budget -= len;
         }
         entry.queue.push_back(SessionOp::Squeeze { id, len });
-        io.in_flight.fetch_add(1, Ordering::AcqRel);
+        io.hold();
         self.drive(session, ctx, io);
         Ok(())
     }
@@ -593,21 +574,21 @@ impl SessionTable {
         id: u64,
         session: u64,
         ctx: &IoCtx,
-        io: &mut ConnIo<'_>,
+        io: &Outbox,
     ) -> Result<(), Violation> {
         let Some(entry) = self.sessions.get_mut(&session) else {
             return Err(unknown_session("CLOSE", session));
         };
         entry.last_touch = Instant::now();
         entry.queue.push_back(SessionOp::Close { id });
-        io.in_flight.fetch_add(1, Ordering::AcqRel);
+        io.hold();
         self.drive(session, ctx, io);
         Ok(())
     }
 
     /// Routes a service completion to its session's front operation and
     /// drives the session on.
-    pub fn on_event(&mut self, event: SessionEvent, ctx: &IoCtx, io: &mut ConnIo<'_>) {
+    pub fn on_event(&mut self, event: SessionEvent, ctx: &IoCtx, io: &Outbox) {
         let session = event.session;
         let Some(entry) = self.sessions.get_mut(&session) else {
             // The connection's table no longer holds the session; the
@@ -638,9 +619,9 @@ impl SessionTable {
         self.drive(session, ctx, io);
     }
 
-    /// One sweep tick: retries parked operations and reaps idle sessions
+    /// One tick: retries parked operations and reaps idle sessions
     /// (silently — later frames for a reaped id answer `BAD_SESSION`).
-    pub fn tick(&mut self, now: Instant, ctx: &IoCtx, io: &mut ConnIo<'_>) {
+    pub fn tick(&mut self, now: Instant, ctx: &IoCtx, io: &Outbox) {
         if self.sessions.is_empty() {
             return;
         }
@@ -651,6 +632,21 @@ impl SessionTable {
         let timeout = ctx.config.session_idle_timeout;
         self.sessions
             .retain(|_, session| session.active() || now < session.last_touch + timeout);
+    }
+
+    /// When the table next needs a [`Self::tick`]: the earliest retry of
+    /// an operation waiting for queue room or reap deadline of an idle
+    /// session.
+    pub fn deadline(&self, ctx: &IoCtx) -> Option<Instant> {
+        let timeout = ctx.config.session_idle_timeout;
+        self.sessions
+            .values()
+            .filter_map(|session| {
+                session
+                    .retry_at
+                    .or_else(|| (!session.active()).then(|| session.last_touch + timeout))
+            })
+            .min()
     }
 }
 

@@ -1564,16 +1564,15 @@ fn lower_custom(op: &CustomOp, ctx: BlockCtx, elenum: usize, words_len: usize) -
             if !vm || !aligned {
                 return None;
             }
-            // The all-rows form past five registers writes a prefix and
-            // *then* traps; refuse so the interpreter reproduces that
-            // partial-write-then-trap sequence.
+            // The all-rows form past five registers traps before any
+            // write; refuse so the interpreter raises the identical trap.
             let rots: Box<[u32]> = match row {
                 RhoRow::Row(r) if r <= 4 => {
                     (0..live).map(|g| RHO_OFFSETS[r as usize][g % 5]).collect()
                 }
                 RhoRow::Row(_) => return None,
                 RhoRow::All => {
-                    if live > 5 * epr {
+                    if vl > 5 * epr {
                         return None;
                     }
                     (0..live).map(|g| RHO_OFFSETS[g / epr][g % 5]).collect()

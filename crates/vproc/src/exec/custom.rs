@@ -24,8 +24,9 @@ use krv_keccak::constants::{RC, RC_SPLIT, RHO_OFFSETS};
 ///
 /// Traps on configuration violations: an instruction not defined for the
 /// current ELEN, a VL/EleNum combination the hardware cannot split into
-/// planes, an operand group that runs past `v31`, or an out-of-range
-/// round-constant index.
+/// planes, an all-rows op whose VL spans more than five registers, an
+/// operand group that runs past `v31`, or an out-of-range round-constant
+/// index. Every one of them traps before the op writes anything.
 pub fn execute(vu: &mut VectorUnit, op: &CustomOp, xregs: &[u32; 32]) -> Result<(), Trap> {
     let elen64 = vu.elen().bits() == 64;
     if elen64 && !op.supports_elen64() {
@@ -129,30 +130,38 @@ fn rot32_pair(
     Ok(())
 }
 
+/// The all-rows forms (`v64rho`, `vpi` and `vrhopi` with `simm = −1`,
+/// and `v32lrho`/`v32hrho`) take their row from `lmul_cnt`, so VL may
+/// span at most the five registers of one plane set. Checked once, before
+/// the op writes anything, by all of them alike.
+fn check_five_rows(vu: &VectorUnit) -> Result<(), Trap> {
+    if vu.vl() as usize > 5 * vu.elements_per_register() as usize {
+        return Err(Trap::VectorConfig {
+            reason: "all-rows Keccak op spans more than five registers",
+        });
+    }
+    Ok(())
+}
+
 /// The ρ-table row of global element `g`: explicit for the single-row
-/// variants, `lmul_cnt` (= register within the group) for `RhoRow::All`.
-fn element_row(vu: &VectorUnit, row: RhoRow, g: usize) -> Result<usize, Trap> {
+/// variants, `lmul_cnt` (= register within the group) for `RhoRow::All`,
+/// which [`check_five_rows`] bounds to rows 0–4.
+fn element_row(vu: &VectorUnit, row: RhoRow, g: usize) -> usize {
     match row {
-        RhoRow::Row(r) => Ok(r as usize),
-        RhoRow::All => {
-            let r = g / vu.elements_per_register() as usize;
-            if r > 4 {
-                return Err(Trap::VectorConfig {
-                    reason: "all-rows Keccak op spans more than five registers",
-                });
-            }
-            Ok(r)
-        }
+        RhoRow::Row(r) => r as usize,
+        RhoRow::All => g / vu.elements_per_register() as usize,
     }
 }
 
-/// `v64rho` (paper Tables 2–3): per-lane ρ rotation. The all-rows form
-/// traps at the first active element past row 4, after the elements
-/// before it were written.
+/// `v64rho` (paper Tables 2–3): per-lane ρ rotation.
 fn rho64(vu: &mut VectorUnit, vd: VReg, vs2: VReg, row: RhoRow, vm: bool) -> Result<(), Trap> {
-    for (g, value) in live_sources(vu, vd, vs2)?.into_iter().enumerate() {
+    let src = live_sources(vu, vd, vs2)?;
+    if matches!(row, RhoRow::All) {
+        check_five_rows(vu)?;
+    }
+    for (g, value) in src.into_iter().enumerate() {
         if vu.element_active(vm, g) {
-            let r = element_row(vu, row, g)?;
+            let r = element_row(vu, row, g);
             let x = lane_x(vu, g);
             vu.write_elem(vd, g, value.rotate_left(RHO_OFFSETS[r][x]));
         }
@@ -176,9 +185,11 @@ fn rho32(
     vm: bool,
     high: bool,
 ) -> Result<(), Trap> {
-    for (g, pair) in live_pairs(vu, vd, vs2, vs1)?.into_iter().enumerate() {
+    let pairs = live_pairs(vu, vd, vs2, vs1)?;
+    check_five_rows(vu)?;
+    for (g, pair) in pairs.into_iter().enumerate() {
         if vu.element_active(vm, g) {
-            let r = element_row(vu, RhoRow::All, g)?;
+            let r = element_row(vu, RhoRow::All, g);
             let x = lane_x(vu, g);
             vu.write_elem(vd, g, half(pair.rotate_left(RHO_OFFSETS[r][x]), high));
         }
@@ -207,11 +218,7 @@ fn pi_scatter(
     let (first_row, row_count) = match row {
         RhoRow::Row(r) => (r as usize, 1),
         RhoRow::All => {
-            if vu.vl() as usize > 5 * epr {
-                return Err(Trap::VectorConfig {
-                    reason: "all-rows vpi spans more than five registers",
-                });
-            }
+            check_five_rows(vu)?;
             if !epr.is_multiple_of(5) {
                 return Err(Trap::VectorConfig {
                     reason: "multi-register Keccak ops require EleNum to be a multiple of 5",

@@ -545,6 +545,63 @@ fn register_groups_past_v31_trap_on_both_paths() {
 }
 
 #[test]
+fn all_rows_rho_past_five_registers_traps_with_nothing_written() {
+    // At EleNum = 10, VL 60 spans six registers. The all-rows ρ ops take
+    // their ρ row from the register within the group, and there is no
+    // sixth row: like the all-rows vpi, each must trap before its first
+    // write, on both paths.
+    let cases = [
+        (ProcessorConfig::elen64(10), "e64", "v64rho.vi v16, v8, -1"),
+        (ProcessorConfig::elen32(10), "e32", "v32lrho.vv v16, v8, v0"),
+        (ProcessorConfig::elen32(10), "e32", "v32hrho.vv v16, v8, v0"),
+    ];
+    for (config, sew, op) in cases {
+        let source = format!(
+            "li t0, 80\n\
+             vsetvli t1, t0, {sew}, m8, ta, ma\n\
+             vid.v v0\n\
+             vid.v v8\n\
+             vsll.vi v8, v8, 3\n\
+             vid.v v16\n\
+             li t0, 60\n\
+             vsetvli t1, t0, {sew}, m8, ta, ma\n\
+             {op}\n\
+             ecall"
+        );
+        let program = assemble(&source).expect("assembles");
+        let pc = 4 * (program.instructions().len() as u32 - 2);
+        for compiled in [false, true] {
+            let context = format!("{op}, compiled {compiled}");
+            let mut cpu = Processor::new(config.clone());
+            cpu.load_program(program.instructions());
+            cpu.set_compiled(compiled);
+            cpu.run_until_pc(pc, 100_000).expect("reaches the op");
+            let registers = |cpu: &Processor| -> Vec<Vec<u8>> {
+                (0..32)
+                    .map(|reg| {
+                        let vreg = krv_isa::VReg::from_index(reg);
+                        cpu.vector_unit().register_bytes(vreg).to_vec()
+                    })
+                    .collect()
+            };
+            let before = registers(&cpu);
+            let err = cpu.run(100_000).unwrap_err();
+            assert_eq!(
+                err,
+                Trap::VectorConfig {
+                    reason: "all-rows Keccak op spans more than five registers"
+                },
+                "{context}"
+            );
+            assert_eq!(cpu.pc(), pc, "{context}");
+            for (reg, (now, then)) in registers(&cpu).iter().zip(&before).enumerate() {
+                assert!(now == then, "{context}: v{reg} was written before the trap");
+            }
+        }
+    }
+}
+
+#[test]
 fn masked_vector_load_skips_inactive_elements() {
     // Build a mask in v0 via vmseq, then load masked: untouched elements
     // keep their previous value.
