@@ -56,6 +56,7 @@
 //!
 //! Run with: `cargo run --release -p krv-bench --bin loadgen`
 
+use krv_bench::Health;
 use krv_core::EnginePool;
 use krv_kyber::{ml_kem_decaps, ml_kem_encaps, ml_kem_keygen, KemOp, KemResult, KyberParams};
 use krv_service::{
@@ -275,12 +276,13 @@ fn main() -> std::io::Result<()> {
 
     check_schema(&json);
     if options.smoke {
-        assert_healthy(&closed, &native, &tree, &kem, &open);
+        health(&closed, &native, &tree, &kem, &open).exit_on_failure("smoke");
         println!("smoke: healthy (no timeouts, rejections, worker failures or mirror mismatches)");
     }
     Ok(())
 }
 
+#[derive(Default)]
 struct ClosedLoopResult {
     requests: u64,
     service_rps: f64,
@@ -378,6 +380,7 @@ fn run_closed_loop(options: &Options, config: ServiceConfig) -> ClosedLoopResult
     }
 }
 
+#[derive(Default)]
 struct NativeLoopResult {
     requests: u64,
     perms_per_request: u64,
@@ -488,6 +491,7 @@ fn run_native_loop(options: &Options, config: ServiceConfig) -> NativeLoopResult
     }
 }
 
+#[derive(Default)]
 struct TreeLoopResult {
     messages: u64,
     leaves_per_message: u64,
@@ -615,6 +619,7 @@ fn run_tree_loop(options: &Options, config: ServiceConfig) -> TreeLoopResult {
     }
 }
 
+#[derive(Default)]
 struct KemLoopResult {
     operations: u64,
     service_ops: f64,
@@ -828,6 +833,7 @@ fn run_kem_loop(options: &Options, config: ServiceConfig) -> KemLoopResult {
     }
 }
 
+#[derive(Default)]
 struct OpenLoopResult {
     offered_rps: f64,
     submitted: u64,
@@ -1214,99 +1220,151 @@ fn check_schema(json: &str) {
     println!("schema: all {} required keys present", SCHEMA_KEYS.len());
 }
 
-fn assert_healthy(
+fn health(
     closed: &ClosedLoopResult,
     native: &NativeLoopResult,
     tree: &TreeLoopResult,
     kem: &KemLoopResult,
     open: &OpenLoopResult,
-) {
-    assert_eq!(closed.metrics.timeouts, 0, "closed-loop deadline misses");
-    assert_eq!(closed.metrics.rejected, 0, "closed-loop rejections");
-    assert_eq!(closed.metrics.worker_failures, 0, "closed-loop failures");
-    assert_eq!(
-        closed.simulator_served, closed.requests,
-        "default tier policy must serve everything from the simulator"
+) -> Health {
+    let mut health = Health::new();
+    health.check_eq(closed.metrics.timeouts, 0, "closed-loop deadline misses");
+    health.check_eq(closed.metrics.rejected, 0, "closed-loop rejections");
+    health.check_eq(closed.metrics.worker_failures, 0, "closed-loop failures");
+    health.check_eq(
+        closed.simulator_served,
+        closed.requests,
+        "closed-loop requests the default tier policy served from the simulator",
     );
-    assert_eq!(open.metrics.timeouts, 0, "open-loop deadline misses");
-    assert_eq!(open.metrics.rejected, 0, "open-loop rejections");
-    assert_eq!(open.metrics.worker_failures, 0, "open-loop failures");
-    assert!(
-        closed.ratio >= 0.85,
-        "service sustained only {:.1} % of the direct pooled throughput",
-        100.0 * closed.ratio
+    health.check_eq(open.metrics.timeouts, 0, "open-loop deadline misses");
+    health.check_eq(open.metrics.rejected, 0, "open-loop rejections");
+    health.check_eq(open.metrics.worker_failures, 0, "open-loop failures");
+    health.check(closed.ratio >= 0.85, || {
+        format!(
+            "service sustained only {:.1} % of the direct pooled throughput",
+            100.0 * closed.ratio
+        )
+    });
+    health.check_eq(native.metrics.timeouts, 0, "native-loop deadline misses");
+    health.check_eq(native.metrics.rejected, 0, "native-loop rejections");
+    health.check_eq(
+        native.native_served,
+        native.requests,
+        "native-loop requests the native tier policy served from the native backend",
     );
-    assert_eq!(native.metrics.timeouts, 0, "native-loop deadline misses");
-    assert_eq!(native.metrics.rejected, 0, "native-loop rejections");
-    assert_eq!(
-        native.native_served, native.requests,
-        "native tier policy must serve everything from the native backend"
+    health.check_eq(native.simulator_served, 0, "native-loop simulator leakage");
+    health.check(native.metrics.mirrored > 0, || {
+        "the differential oracle never sampled a dispatch group".to_string()
+    });
+    health.check_eq(
+        native.metrics.mirror_mismatches,
+        0,
+        "simulator oracle disagreements with the native tier",
     );
-    assert_eq!(native.simulator_served, 0, "native-loop simulator leakage");
-    assert!(
-        native.metrics.mirrored > 0,
-        "the differential oracle never sampled a dispatch group"
-    );
-    assert_eq!(
-        native.metrics.mirror_mismatches, 0,
-        "the simulator oracle disagreed with the native tier"
-    );
-    assert!(
-        native.mirroring_overhead <= MIRROR_OVERHEAD_BOUND,
-        "mirroring 1/{MIRROR_EVERY} of dispatch groups cost {:.1} % of native wall time \
-         (bound {:.0} %) — the simulator tier has gotten too expensive to sample at this rate",
-        100.0 * native.mirroring_overhead,
-        100.0 * MIRROR_OVERHEAD_BOUND
-    );
-    assert_eq!(tree.metrics.timeouts, 0, "tree-loop deadline misses");
-    assert_eq!(tree.metrics.rejected, 0, "tree-loop rejections");
-    assert_eq!(tree.metrics.worker_failures, 0, "tree-loop failures");
-    assert_eq!(tree.digest_checks, tree.messages, "tree digests unchecked");
-    assert_eq!(
-        tree.simulator_served, tree.messages,
-        "every tree request must ride the default simulator tier"
+    health.check(native.mirroring_overhead <= MIRROR_OVERHEAD_BOUND, || {
+        format!(
+            "mirroring 1/{MIRROR_EVERY} of dispatch groups cost {:.1} % of native wall time \
+             (bound {:.0} %) — the simulator tier has gotten too expensive to sample at this rate",
+            100.0 * native.mirroring_overhead,
+            100.0 * MIRROR_OVERHEAD_BOUND
+        )
+    });
+    health.check_eq(tree.metrics.timeouts, 0, "tree-loop deadline misses");
+    health.check_eq(tree.metrics.rejected, 0, "tree-loop rejections");
+    health.check_eq(tree.metrics.worker_failures, 0, "tree-loop failures");
+    health.check_eq(tree.digest_checks, tree.messages, "tree digests checked");
+    health.check_eq(
+        tree.simulator_served,
+        tree.messages,
+        "tree requests served on the default simulator tier",
     );
     // The queue and the leaf→root round barrier cost something over the
     // fused direct call; the scheduler must still keep most of it.
-    assert!(
-        tree.ratio >= 0.40,
-        "tree loop sustained only {:.1} % of the direct pooled throughput",
-        100.0 * tree.ratio
-    );
-    assert!(
-        native.service_pps >= NATIVE_PERM_FLOOR,
-        "native tier sustained only {:.0} perm/s through the service \
-         (floor {NATIVE_PERM_FLOOR:.0})",
-        native.service_pps
-    );
-    assert_eq!(kem.metrics.timeouts, 0, "kem-loop deadline misses");
-    assert_eq!(kem.metrics.rejected, 0, "kem-loop rejections");
-    assert_eq!(kem.metrics.worker_failures, 0, "kem-loop failures");
-    assert_eq!(kem.metrics.kem_invalid, 0, "kem-loop invalid inputs");
-    assert_eq!(kem.result_checks, kem.operations, "KEM results unchecked");
+    health.check(tree.ratio >= 0.40, || {
+        format!(
+            "tree loop sustained only {:.1} % of the direct pooled throughput",
+            100.0 * tree.ratio
+        )
+    });
+    health.check(native.service_pps >= NATIVE_PERM_FLOOR, || {
+        format!(
+            "native tier sustained only {:.0} perm/s through the service \
+             (floor {NATIVE_PERM_FLOOR:.0})",
+            native.service_pps
+        )
+    });
+    health.check_eq(kem.metrics.timeouts, 0, "kem-loop deadline misses");
+    health.check_eq(kem.metrics.rejected, 0, "kem-loop rejections");
+    health.check_eq(kem.metrics.worker_failures, 0, "kem-loop failures");
+    health.check_eq(kem.metrics.kem_invalid, 0, "kem-loop invalid inputs");
+    health.check_eq(kem.result_checks, kem.operations, "KEM results checked");
     // The KEM lane's whole point: concurrent operations' SHAKE stages
     // must merge into shared dispatches, so each dispatch group carries
     // more than one staged hash job on average.
-    assert!(
-        kem.occupancy > 1.0,
-        "cross-request KEM batch occupancy was only {:.2} hash jobs per dispatch — \
-         concurrent operations are not sharing dispatch groups",
-        kem.occupancy
-    );
+    health.check(kem.occupancy > 1.0, || {
+        format!(
+            "cross-request KEM batch occupancy was only {:.2} hash jobs per dispatch — \
+             concurrent operations are not sharing dispatch groups",
+            kem.occupancy
+        )
+    });
     // Admission, staging and ticketing ride on top of the same hash
     // work the direct path does; cross-request packing must pay for
     // them.
-    assert!(
-        kem.ratio >= 0.85,
-        "KEM lane sustained only {:.1} % of the direct library throughput",
-        100.0 * kem.ratio
+    health.check(kem.ratio >= 0.85, || {
+        format!(
+            "KEM lane sustained only {:.1} % of the direct library throughput",
+            100.0 * kem.ratio
+        )
+    });
+    health.check_eq(
+        kem.open_metrics.worker_failures,
+        0,
+        "kem-open worker failures",
     );
-    assert_eq!(
-        kem.open_metrics.worker_failures, 0,
-        "kem-open worker failures"
+    health.check_eq(
+        kem.open_metrics.kem_invalid,
+        0,
+        "kem-open invalid inputs (fixtures must be valid)",
     );
-    assert_eq!(
-        kem.open_metrics.kem_invalid, 0,
-        "kem-open invalid inputs (fixtures must be valid)"
-    );
+    health
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_failing_closed_loop_gate_does_not_hide_the_checks_after_it() {
+        // Everything healthy but the ≥ 0.85 closed-loop gate, a mirror
+        // mismatch and the KEM ratio.
+        let closed = ClosedLoopResult {
+            ratio: 0.5,
+            ..ClosedLoopResult::default()
+        };
+        let mut native = NativeLoopResult {
+            service_pps: NATIVE_PERM_FLOOR,
+            ..NativeLoopResult::default()
+        };
+        native.metrics.mirrored = 10;
+        native.metrics.mirror_mismatches = 1;
+        let tree = TreeLoopResult {
+            ratio: 1.0,
+            ..TreeLoopResult::default()
+        };
+        let kem = KemLoopResult {
+            ratio: 0.7,
+            occupancy: 2.0,
+            ..KemLoopResult::default()
+        };
+        let health = health(&closed, &native, &tree, &kem, &OpenLoopResult::default());
+        assert_eq!(
+            health.failures(),
+            [
+                "service sustained only 50.0 % of the direct pooled throughput",
+                "simulator oracle disagreements with the native tier: 1 != 0",
+                "KEM lane sustained only 70.0 % of the direct library throughput",
+            ]
+        );
+    }
 }

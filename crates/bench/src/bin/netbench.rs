@@ -61,6 +61,7 @@
 //!
 //! Run with: `cargo run --release -p krv-bench --bin netbench`
 
+use krv_bench::Health;
 use krv_kyber::{ml_kem_encaps, ml_kem_keygen};
 use krv_native::NativeBackend;
 use krv_server::protocol::{write_frame, DEFAULT_MAX_FRAME};
@@ -249,12 +250,13 @@ fn main() -> std::io::Result<()> {
 
     check_schema(&json);
     if options.smoke {
-        assert_healthy(&closed, &open, &kem, &streaming);
+        health(&closed, &open, &kem, &streaming).exit_on_failure("smoke");
         println!("smoke: healthy (wire overhead within bounds, no failures)");
     }
     Ok(())
 }
 
+#[derive(Default)]
 struct ClosedLoopResult {
     requests: u64,
     net_rps: f64,
@@ -437,6 +439,7 @@ fn run_closed_loop(options: &Options, service_config: ServiceConfig) -> ClosedLo
     }
 }
 
+#[derive(Default)]
 struct OpenLoopResult {
     offered_rps: f64,
     submitted: u64,
@@ -528,6 +531,7 @@ fn run_open_loop(options: &Options, service_config: ServiceConfig, rate: f64) ->
     }
 }
 
+#[derive(Default)]
 struct KemPhaseResult {
     operations: u64,
     net_ops: f64,
@@ -752,6 +756,7 @@ fn run_kem_phase(options: &Options, service_config: ServiceConfig) -> KemPhaseRe
 }
 
 /// One message size of the streaming phase.
+#[derive(Default)]
 struct StreamPoint {
     mib: usize,
     /// Streamed session over TCP (SHAKE256), MiB absorbed per second.
@@ -1515,48 +1520,84 @@ fn check_schema(json: &str) {
     println!("schema: all {} required keys present", SCHEMA_KEYS.len());
 }
 
-fn assert_healthy(
+fn health(
     closed: &ClosedLoopResult,
     open: &OpenLoopResult,
     kem: &KemPhaseResult,
     streaming: &[StreamPoint],
-) {
-    assert_eq!(
+) -> Health {
+    let mut health = Health::new();
+    health.check_eq(
         closed.latency.count(),
         closed.requests,
-        "every closed-loop request must answer with a digest"
+        "closed-loop requests answered with a digest",
     );
-    assert_eq!(open.transport_failures, 0, "open-loop transport failures");
-    assert!(
-        closed.ratio >= 0.70,
-        "loopback daemon sustained only {:.1} % of the in-process service throughput",
-        100.0 * closed.ratio
-    );
-    assert_eq!(
+    health.check_eq(open.transport_failures, 0, "open-loop transport failures");
+    health.check(closed.ratio >= 0.70, || {
+        format!(
+            "loopback daemon sustained only {:.1} % of the in-process service throughput",
+            100.0 * closed.ratio
+        )
+    });
+    health.check_eq(
         kem.latency.count(),
         kem.operations,
-        "every KEM operation must answer with a typed response"
+        "KEM operations answered with a typed response",
     );
-    assert!(
-        kem.decaps_checks > 0,
-        "the KEM phase never checked a decapsulated secret"
-    );
+    health.check(kem.decaps_checks > 0, || {
+        "the KEM phase never checked a decapsulated secret".to_string()
+    });
     // An ML-KEM operation is dozens of staged hashes; the per-operation
     // wire cost must stay a small fraction of that compute.
-    assert!(
-        kem.ratio >= 0.70,
-        "KEM over loopback sustained only {:.1} % of the in-process KEM lane",
-        100.0 * kem.ratio
-    );
+    health.check(kem.ratio >= 0.70, || {
+        format!(
+            "KEM over loopback sustained only {:.1} % of the in-process KEM lane",
+            100.0 * kem.ratio
+        )
+    });
     // Streaming digests are hard-asserted inside the phase; here only
     // the overhead bound: a 1 MiB-chunked wire session must hold a
     // decent fraction of the in-process streaming lane on loopback.
     for point in streaming {
-        assert!(
-            point.ratio >= 0.40,
-            "streamed session at {} MiB sustained only {:.1} % of the in-process lane",
-            point.mib,
-            100.0 * point.ratio
+        health.check(point.ratio >= 0.40, || {
+            format!(
+                "streamed session at {} MiB sustained only {:.1} % of the in-process lane",
+                point.mib,
+                100.0 * point.ratio
+            )
+        });
+    }
+    health
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_failing_loopback_gate_does_not_hide_the_checks_after_it() {
+        let closed = ClosedLoopResult {
+            ratio: 0.5,
+            ..ClosedLoopResult::default()
+        };
+        let kem = KemPhaseResult {
+            ratio: 0.6,
+            decaps_checks: 1,
+            ..KemPhaseResult::default()
+        };
+        let streaming = [StreamPoint {
+            mib: 4,
+            ratio: 0.3,
+            ..StreamPoint::default()
+        }];
+        let health = health(&closed, &OpenLoopResult::default(), &kem, &streaming);
+        assert_eq!(
+            health.failures(),
+            [
+                "loopback daemon sustained only 50.0 % of the in-process service throughput",
+                "KEM over loopback sustained only 60.0 % of the in-process KEM lane",
+                "streamed session at 4 MiB sustained only 30.0 % of the in-process lane",
+            ]
         );
     }
 }

@@ -288,6 +288,50 @@ pub fn render_comparisons() -> String {
     text
 }
 
+/// The failed checks of a smoke run's health gate, collected so that
+/// one failing check does not hide the ones after it.
+#[derive(Debug, Default)]
+pub struct Health {
+    failures: Vec<String>,
+}
+
+impl Health {
+    /// An empty report.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Records `failure()` unless `ok`.
+    pub fn check(&mut self, ok: bool, failure: impl FnOnce() -> String) {
+        if !ok {
+            self.failures.push(failure());
+        }
+    }
+
+    /// Records a failure naming `what` and both values unless they are
+    /// equal.
+    pub fn check_eq<T: PartialEq + std::fmt::Debug>(&mut self, left: T, right: T, what: &str) {
+        self.check(left == right, || format!("{what}: {left:?} != {right:?}"));
+    }
+
+    /// The failures recorded so far, in check order.
+    pub fn failures(&self) -> &[String] {
+        &self.failures
+    }
+
+    /// Prints every failure and exits with status 1 if there is any.
+    pub fn exit_on_failure(&self, run: &str) {
+        if self.failures.is_empty() {
+            return;
+        }
+        eprintln!("{run}: {} health check(s) failed:", self.failures.len());
+        for failure in &self.failures {
+            eprintln!("  - {failure}");
+        }
+        std::process::exit(1);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,5 +395,15 @@ mod tests {
                 cmp.measured_factor
             );
         }
+    }
+
+    #[test]
+    fn health_keeps_every_failure_in_check_order() {
+        let mut health = Health::new();
+        health.check(true, || unreachable!("a passing check builds no message"));
+        health.check(false, || "first".to_string());
+        health.check_eq(1, 1, "equal");
+        health.check_eq(2, 3, "counts");
+        assert_eq!(health.failures(), ["first", "counts: 2 != 3"]);
     }
 }

@@ -592,7 +592,10 @@ fn gen_idiom_budget(rng: &mut Rng) -> ProgramCase {
 /// `addi`, `blt`) at EleNum `elenum`, with no loads: the planes are
 /// whatever the random register file holds. The counter starts at a
 /// random index, and its bound sometimes passes 24, so ι can trap on
-/// the first trip or mid-loop. About one case in four perturbs:
+/// the first trip or mid-loop. χ's scalar is the kernels' −1 in three
+/// cases of four and a random word otherwise, so the complement word
+/// every execution path reads at run time is checked too. About one
+/// case in four perturbs:
 ///
 /// * an AVL register changes after the loop, which then runs again
 ///   through the already compiled region, so a `vsetvli` guard exits
@@ -631,8 +634,13 @@ fn round_loop_source(rng: &mut Rng, elenum: usize) -> String {
     } else {
         "-1".to_string()
     };
+    let chi = if rng.below(4) == 0 {
+        rng.next_u32() as i32
+    } else {
+        -1
+    };
     let mut source = format!(
-        "li s1, {elenum}\nli s5, {}\nli s2, -1\nli s3, {}\nli s4, {bound}\nli t3, 0\n\
+        "li s1, {elenum}\nli s5, {}\nli s2, {chi}\nli s3, {}\nli s4, {bound}\nli t3, 0\n\
          vsetvli x0, s1, e64, m1, tu, mu\n\
          permutation:\n\
          vxor.vv v5, v3, v4\n\
@@ -684,10 +692,13 @@ fn round_loop_source(rng: &mut Rng, elenum: usize) -> String {
     source
 }
 
-/// A round-loop case: EleNum 5, 10 or 20 (SN = 1, 2, 4) over random
-/// registers and memory.
+/// A round-loop case over random registers and memory, at an EleNum
+/// of 5 to 40 (SN = 1, 2, 3, 4, 5 or 8): the resident loop runs its
+/// trips in four-state lane groups plus a per-state remainder, so these
+/// cover no group (SN 1–3), one group alone (4), a group and a
+/// remainder (5) and two groups (8).
 fn round_loop_case(rng: &mut Rng, max_cycles: Option<u64>) -> ProgramCase {
-    let elenum = [5, 10, 20][rng.below(3)];
+    let elenum = *rng.pick(&[5, 10, 15, 20, 25, 40]);
     let source = round_loop_source(rng, elenum);
     ProgramCase {
         elenum,

@@ -15,11 +15,12 @@
 //! cost of a pass is data-independent (paper §4.2), so
 //! [`PoolMetrics::max_cycles`], the busiest engine's cycles, is the
 //! exact critical path of `W` accelerators working at once, and
-//! [`PoolMetrics::speedup`] is ≈ `W` for full-width dispatches. An
-//! E64 LMUL=8 pass on the compiled tier costs 1–2.5 µs of host time,
-//! less than handing it to another thread costs; a caller that wants
-//! host parallelism runs one pool per thread (the service runs one per
-//! shard).
+//! [`PoolMetrics::speedup`] is ≈ `W` for full-width dispatches. A
+//! warm E64 LMUL=8 pass on the compiled tier costs about 0.7–1.4 µs of
+//! host time on a 2-vCPU Xeon VM (SN = 1 to 4), less than handing it to
+//! another thread costs; at that scale a dispatch keeps its own
+//! bookkeeping off the heap too. A caller that wants host parallelism
+//! runs one pool per thread (the service runs one per shard).
 //!
 //! # Engines as wide as their live states
 //!
@@ -213,14 +214,19 @@ impl LiveWidthEngines {
 #[derive(Debug)]
 pub struct EnginePool {
     sn: usize,
-    /// Which workers still have live "hardware": a slot goes (and stays)
-    /// `false` once a dispatch observes its death.
-    alive: Vec<bool>,
-    /// Failure injection: workers killed via [`Self::kill_worker`] whose
-    /// death the next dispatch touching them will observe.
+    /// The workers that still have live "hardware", in index order: a
+    /// worker leaves (for good) once a dispatch observes its death.
+    survivors: Vec<usize>,
+    /// Failure injection, one slot per worker (`W`): workers killed via
+    /// [`Self::kill_worker`] whose death the next dispatch touching them
+    /// will observe.
     killed: Vec<bool>,
     /// The engines every pass runs on, whichever worker it is charged to.
     engines: LiveWidthEngines,
+    /// The ledger a dispatch fills. A successful dispatch swaps it with
+    /// the previous [`PoolMetrics::per_engine`], so a warm pool
+    /// dispatches without a heap allocation.
+    ledger: Vec<EngineLoad>,
     last_metrics: Option<PoolMetrics>,
     permutations: u64,
 }
@@ -242,9 +248,10 @@ impl EnginePool {
         assert!(sn > 0, "each engine needs at least one state slot");
         Self {
             sn,
-            alive: vec![true; workers],
+            survivors: (0..workers).collect(),
             killed: vec![false; workers],
             engines: LiveWidthEngines::new(kind, sn),
+            ledger: Vec::with_capacity(workers),
             last_metrics: None,
             permutations: 0,
         }
@@ -258,12 +265,12 @@ impl EnginePool {
     /// Number of modelled engines the pool was configured with (`W`),
     /// including any that have since died.
     pub fn workers(&self) -> usize {
-        self.alive.len()
+        self.killed.len()
     }
 
     /// Workers still alive — `W` until a dispatch observes a death.
     pub fn alive_workers(&self) -> usize {
-        self.alive.iter().filter(|&&a| a).count()
+        self.survivors.len()
     }
 
     /// States per engine pass (`SN`).
@@ -286,8 +293,8 @@ impl EnginePool {
     ///
     /// Panics if `index` is out of range.
     pub fn kill_worker(&mut self, index: usize) {
-        assert!(index < self.alive.len(), "no worker {index}");
-        if self.alive[index] {
+        assert!(index < self.killed.len(), "no worker {index}");
+        if self.survivors.contains(&index) {
             self.killed[index] = true;
         }
     }
@@ -316,69 +323,89 @@ impl EnginePool {
     /// in an unspecified partially-permuted condition; retry from the
     /// original inputs.
     pub fn permute_slice(&mut self, states: &mut [KeccakState]) -> Result<(), PoolError> {
-        let mut per_engine = vec![EngineLoad::default(); self.alive.len()];
+        self.ledger.clear();
+        self.ledger.resize(self.killed.len(), EngineLoad::default());
         if states.is_empty() {
-            self.last_metrics = Some(PoolMetrics {
-                per_engine,
+            self.publish(0);
+            return Ok(());
+        }
+        if self.survivors.is_empty() {
+            return Err(PoolError::AllWorkersLost);
+        }
+        // A dispatch with fewer passes than workers only touches the
+        // leading `passes` survivors.
+        let active = self.survivors.len().min(states.len().div_ceil(self.sn));
+        // Every scheduled worker receives at least one chunk, so the
+        // dead workers among them are all the dead workers this dispatch
+        // meets; their chunks are skipped, like a failed accelerator's.
+        let lost = self.survivors[..active]
+            .iter()
+            .copied()
+            .find(|&worker| self.killed[worker]);
+        // Static round-robin over the alive workers: chunk `i` (the
+        // i-th SN-wide slice) is charged to the i-mod-A-th survivor. A
+        // worker's chunks run in order, so a trap stops the rest of
+        // them, and the first trap met is the lowest-numbered worker's.
+        let mut trap = None;
+        for (slot, &worker) in self.survivors[..active].iter().enumerate() {
+            if self.killed[worker] {
+                continue;
+            }
+            for chunk in states.chunks_mut(self.sn).skip(slot).step_by(active) {
+                match self.engines.pass(chunk) {
+                    Ok(cycles) => {
+                        let load = &mut self.ledger[worker];
+                        load.passes += 1;
+                        load.cycles += cycles;
+                    }
+                    Err(fault) => {
+                        trap.get_or_insert(fault);
+                        break;
+                    }
+                }
+            }
+        }
+        self.permutations += self.ledger.iter().map(|load| load.passes).sum::<u64>();
+        if let Some(worker) = lost {
+            let killed = &mut self.killed;
+            let mut slot = 0;
+            self.survivors.retain(|&worker| {
+                let met = slot < active && killed[worker];
+                slot += 1;
+                killed[worker] &= !met;
+                !met
+            });
+            self.last_metrics = None;
+            return Err(PoolError::WorkerLost { worker });
+        }
+        if let Some(trap) = trap {
+            return Err(PoolError::Trap(trap));
+        }
+        self.publish(active);
+        Ok(())
+    }
+
+    /// Publishes the filled ledger as [`Self::last_metrics`], keeping
+    /// the previous metrics' ledger to fill next.
+    fn publish(&mut self, effective_workers: usize) {
+        let metrics = match &mut self.last_metrics {
+            Some(metrics) => {
+                std::mem::swap(&mut metrics.per_engine, &mut self.ledger);
+                metrics
+            }
+            None => self.last_metrics.insert(PoolMetrics {
+                per_engine: std::mem::take(&mut self.ledger),
                 passes: 0,
                 effective_workers: 0,
                 total_cycles: 0,
                 max_cycles: 0,
-            });
-            return Ok(());
-        }
-        // Static round-robin over the alive workers: chunk `i` (the
-        // i-th SN-wide slice) is charged to the i-mod-A-th survivor.
-        let alive: Vec<usize> = (0..self.alive.len()).filter(|&w| self.alive[w]).collect();
-        if alive.is_empty() {
-            return Err(PoolError::AllWorkersLost);
-        }
-        // A dispatch with fewer passes than workers only touches the
-        // leading `passes` workers.
-        let active = alive.len().min(states.len().div_ceil(self.sn));
-        // Every scheduled worker receives at least one chunk, so these
-        // are all the dead workers this dispatch meets; their chunks are
-        // skipped, like a failed accelerator's.
-        let lost: Vec<usize> = alive[..active]
-            .iter()
-            .copied()
-            .filter(|&w| self.killed[w])
-            .collect();
-        let mut traps: Vec<Option<Trap>> = vec![None; self.alive.len()];
-        for (i, chunk) in states.chunks_mut(self.sn).enumerate() {
-            let index = alive[i % active];
-            if self.killed[index] || traps[index].is_some() {
-                continue;
-            }
-            match self.engines.pass(chunk) {
-                Ok(cycles) => {
-                    let load = &mut per_engine[index];
-                    load.passes += 1;
-                    load.cycles += cycles;
-                }
-                Err(fault) => traps[index] = Some(fault),
-            }
-        }
-        self.permutations += per_engine.iter().map(|load| load.passes).sum::<u64>();
-        if let Some(&worker) = lost.first() {
-            for &index in &lost {
-                self.alive[index] = false;
-                self.killed[index] = false;
-            }
-            self.last_metrics = None;
-            return Err(PoolError::WorkerLost { worker });
-        }
-        if let Some(trap) = traps.into_iter().flatten().next() {
-            return Err(PoolError::Trap(trap));
-        }
-        self.last_metrics = Some(PoolMetrics {
-            passes: per_engine.iter().map(|load| load.passes).sum(),
-            effective_workers: active,
-            total_cycles: per_engine.iter().map(|load| load.cycles).sum(),
-            max_cycles: per_engine.iter().map(|load| load.cycles).max().unwrap_or(0),
-            per_engine,
-        });
-        Ok(())
+            }),
+        };
+        let loads = &metrics.per_engine;
+        metrics.passes = loads.iter().map(|load| load.passes).sum();
+        metrics.effective_workers = effective_workers;
+        metrics.total_cycles = loads.iter().map(|load| load.cycles).sum();
+        metrics.max_cycles = loads.iter().map(|load| load.cycles).max().unwrap_or(0);
     }
 }
 

@@ -20,6 +20,9 @@
 //!   (paper Table 2).
 //! * [`interleave`] — 64-bit ↔ 2 × 32-bit lane splitting utilities used by
 //!   the 32-bit architecture (high/low split) plus classic bit interleaving.
+//! * [`lanes`] — the round and permutation over `N` states side by side
+//!   (structure-of-arrays lane groups), shared by the host-native backend
+//!   and the simulator's compiled tier.
 //!
 //! # Example
 //!
@@ -36,6 +39,7 @@
 
 pub mod constants;
 pub mod interleave;
+pub mod lanes;
 pub mod permutation;
 pub mod state;
 pub mod steps;

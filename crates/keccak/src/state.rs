@@ -169,9 +169,66 @@ impl KeccakState {
     ///
     /// Panics if `bytes.len() > 200`.
     pub fn xor_bytes(&mut self, bytes: &[u8]) {
-        assert!(bytes.len() <= STATE_BYTES, "block larger than the state");
-        for (i, &byte) in bytes.iter().enumerate() {
-            self.lanes[i / 8] ^= (byte as u64) << (8 * (i % 8));
+        self.xor_bytes_at(0, bytes);
+    }
+
+    /// XORs `bytes` into the state's serialization (FIPS-202 order)
+    /// starting at byte `offset`, as the sponge does with a partial
+    /// block. Whole lanes are XORed a word at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `offset + bytes.len() > 200`.
+    pub fn xor_bytes_at(&mut self, offset: usize, bytes: &[u8]) {
+        assert!(
+            offset <= STATE_BYTES && bytes.len() <= STATE_BYTES - offset,
+            "bytes run past the state"
+        );
+        let (mut lane, skip) = (offset / 8, offset % 8);
+        let mut rest = bytes;
+        if skip != 0 && !rest.is_empty() {
+            let take = (8 - skip).min(rest.len());
+            let mut word = [0u8; 8];
+            word[skip..skip + take].copy_from_slice(&rest[..take]);
+            self.lanes[lane] ^= u64::from_le_bytes(word);
+            lane += 1;
+            rest = &rest[take..];
+        }
+        let words = rest.chunks_exact(8);
+        let tail = words.remainder();
+        for (value, word) in self.lanes[lane..].iter_mut().zip(words) {
+            *value ^= u64::from_le_bytes(word.try_into().expect("chunks_exact yields 8"));
+            lane += 1;
+        }
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            self.lanes[lane] ^= u64::from_le_bytes(word);
+        }
+    }
+
+    /// Copies `out.len()` bytes of the state's serialization (FIPS-202
+    /// order) starting at byte `offset` into `out`, as the sponge
+    /// squeezing phase does, without serializing the rest.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `offset + out.len() > 200`.
+    pub fn read_bytes_at(&self, offset: usize, out: &mut [u8]) {
+        assert!(
+            offset <= STATE_BYTES && out.len() <= STATE_BYTES - offset,
+            "bytes run past the state"
+        );
+        let mut at = offset;
+        for chunk in out.chunks_mut(8) {
+            let len = chunk.len();
+            let (lane, skip) = (at / 8, at % 8);
+            let take = len.min(8 - skip);
+            chunk[..take].copy_from_slice(&self.lanes[lane].to_le_bytes()[skip..skip + take]);
+            if take < len {
+                chunk[take..].copy_from_slice(&self.lanes[lane + 1].to_le_bytes()[..len - take]);
+            }
+            at += len;
         }
     }
 
@@ -183,7 +240,9 @@ impl KeccakState {
     /// Panics if `len > 200`.
     pub fn extract_bytes(&self, len: usize) -> Vec<u8> {
         assert!(len <= STATE_BYTES, "cannot extract more than the state");
-        self.to_bytes()[..len].to_vec()
+        let mut out = vec![0u8; len];
+        self.read_bytes_at(0, &mut out);
+        out
     }
 }
 

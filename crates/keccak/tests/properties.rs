@@ -217,3 +217,61 @@ fn round_equals_composition_of_steps() {
     let composed = steps::iota(&steps::chi(&steps::pi(&steps::rho(&steps::theta(&s)))), 5);
     assert_eq!(steps::round(&s, 5), composed);
 }
+
+/// The byte-wise definition of XORing `bytes` into the state's
+/// serialization at byte `offset`.
+fn xor_bytewise(state: &KeccakState, offset: usize, bytes: &[u8]) -> KeccakState {
+    let mut lanes = state.into_lanes();
+    for (i, &byte) in bytes.iter().enumerate() {
+        let at = offset + i;
+        lanes[at / 8] ^= (byte as u64) << (8 * (at % 8));
+    }
+    KeccakState::from_lanes(lanes)
+}
+
+#[test]
+fn word_wise_xor_bytes_matches_the_byte_wise_definition() {
+    // Every offset and every length that fits, so every alignment of
+    // the head, the whole words and the tail is covered.
+    let mut rng = krv_testkit::Rng::new(0x5eed_0b17e5);
+    let start = state(&mut rng);
+    let bytes = rng.bytes(200);
+    for offset in 0..=200 {
+        for len in 0..=200 - offset {
+            let block = &bytes[..len];
+            let expected = xor_bytewise(&start, offset, block);
+            let mut at = start;
+            at.xor_bytes_at(offset, block);
+            assert_eq!(at, expected, "offset {offset}, length {len}");
+            if offset == 0 {
+                let mut front = start;
+                front.xor_bytes(block);
+                assert_eq!(front, expected, "length {len}");
+            }
+        }
+    }
+}
+
+#[test]
+fn read_bytes_at_matches_the_serialization() {
+    let mut rng = krv_testkit::Rng::new(0x5eed_4ead);
+    let start = state(&mut rng);
+    let serialized = start.to_bytes();
+    for offset in 0..=200 {
+        for len in 0..=200 - offset {
+            let mut out = vec![0u8; len];
+            start.read_bytes_at(offset, &mut out);
+            assert_eq!(
+                out,
+                &serialized[offset..offset + len],
+                "offset {offset}, length {len}"
+            );
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "bytes run past the state")]
+fn xor_bytes_at_refuses_to_run_past_the_state() {
+    KeccakState::new().xor_bytes_at(199, &[1, 2]);
+}

@@ -57,7 +57,7 @@ pub mod sampling;
 pub use keygen::{keygen, KeyPair};
 pub use mlkem::{
     ml_kem_decaps, ml_kem_encaps, ml_kem_keygen, run_kem_job, DecapsKey, EncapsKey, HashJob,
-    KemError, KemJob, KemOp, KemResult,
+    KemError, KemJob, KemOp, KemResult, KemStaging,
 };
 pub use pke::{decrypt, encrypt, Ciphertext};
 pub use poly::{Poly, KYBER_N, KYBER_Q};

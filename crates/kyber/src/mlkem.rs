@@ -548,21 +548,23 @@ impl KemJob {
         }
     }
 
-    /// Consumes one output per pending hash job (in pending order),
-    /// performs the stage's CPU work and stages the next round.
+    /// Reads one output per pending hash job (in pending order),
+    /// performs the stage's CPU work and stages the next round. The
+    /// outputs stay the caller's, so their buffers can serve the next
+    /// round (see [`KemStaging`]).
     ///
     /// # Panics
     ///
     /// Panics if `outputs.len()` differs from `pending().len()`, an
     /// output is shorter than its job requested, or the job is already
     /// done.
-    pub fn advance(&mut self, outputs: Vec<Vec<u8>>) {
+    pub fn advance(&mut self, outputs: &[Vec<u8>]) {
         assert_eq!(
             outputs.len(),
             self.pending.len(),
             "one output per pending hash job"
         );
-        for (job, output) in self.pending.iter().zip(&outputs) {
+        for (job, output) in self.pending.iter().zip(outputs) {
             assert!(
                 output.len() >= job.output_len,
                 "output shorter than requested"
@@ -585,7 +587,7 @@ fn placeholder() -> KemResult {
 
 /// One stage transition: consume the outputs, do the CPU work, publish
 /// the next stage and its pending jobs.
-fn step(params: KyberParams, stage: Stage, outputs: Vec<Vec<u8>>) -> (Stage, Vec<HashJob>) {
+fn step(params: KyberParams, stage: Stage, outputs: &[Vec<u8>]) -> (Stage, Vec<HashJob>) {
     let k = params.k;
     match stage {
         Stage::KeygenG { z } => {
@@ -624,7 +626,7 @@ fn step(params: KyberParams, stage: Stage, outputs: Vec<Vec<u8>>) -> (Stage, Vec
             s,
             e,
         } => {
-            matrix.absorb(&outputs);
+            matrix.absorb(outputs);
             keygen_after_expand(z, rho, matrix, s, e)
         }
         Stage::KeygenHashEk { z, ek, dk_pke } => {
@@ -686,7 +688,7 @@ fn step(params: KyberParams, stage: Stage, outputs: Vec<Vec<u8>>) -> (Stage, Vec
             noise,
             mut matrix,
         } => {
-            matrix.absorb(&outputs);
+            matrix.absorb(outputs);
             encaps_after_prf(params, key, m, shared, noise, matrix)
         }
         Stage::DecapsG {
@@ -739,7 +741,7 @@ fn step(params: KyberParams, stage: Stage, outputs: Vec<Vec<u8>>) -> (Stage, Vec
             noise,
             mut matrix,
         } => {
-            matrix.absorb(&outputs);
+            matrix.absorb(outputs);
             decaps_after_prf(params, key, ct, m_prime, k_prime, k_bar, noise, matrix)
         }
         Stage::Done(_) => panic!("KemJob::advance after the job finished"),
@@ -896,33 +898,77 @@ fn decrypt_bytes(params: KyberParams, s_hat: &[Poly], ct: &[u8]) -> [u8; 32] {
     decrypt_polys(s_hat, &u, &v)
 }
 
+/// The buffers one [`KemJob`] round is hashed in: a fresh sponge state
+/// and an output buffer per pending hash job.
+///
+/// Both are kept across rounds, so a job's later rounds reuse the
+/// states' and the outputs' capacity instead of allocating them again.
+/// [`run_kem_job`] and the service's scheduler stage every round
+/// through one.
+#[derive(Debug, Clone, Default)]
+pub struct KemStaging {
+    states: Vec<SpongeState>,
+    /// Every buffer staged so far; the first `staged` hold this round's
+    /// outputs.
+    outputs: Vec<Vec<u8>>,
+    staged: usize,
+}
+
+impl KemStaging {
+    /// Empty staging; the first round sizes it.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Stages `pending` (a job's [`KemJob::pending`]) and appends one
+    /// one-shot operation per hash job to `items`, each on a fresh state
+    /// writing its output buffer.
+    pub fn push_items<'a>(&'a mut self, pending: &'a [HashJob], items: &mut Vec<StreamItem<'a>>) {
+        self.states.clear();
+        self.states.extend(
+            pending
+                .iter()
+                .map(|hash_job| SpongeState::new(hash_job.params)),
+        );
+        if self.outputs.len() < pending.len() {
+            self.outputs.resize_with(pending.len(), Vec::new);
+        }
+        self.staged = pending.len();
+        for (output, hash_job) in self.outputs.iter_mut().zip(pending) {
+            output.clear();
+            output.resize(hash_job.output_len, 0);
+        }
+        items.extend(
+            self.states
+                .iter_mut()
+                .zip(&mut self.outputs)
+                .zip(pending)
+                .map(|((state, out), hash_job)| StreamItem {
+                    state,
+                    op: StreamOp::one_shot(&hash_job.input, out),
+                }),
+        );
+    }
+
+    /// The staged round's outputs, in pending order: what
+    /// [`KemJob::advance`] reads once the round has been driven.
+    pub fn outputs(&self) -> &[Vec<u8>] {
+        &self.outputs[..self.staged]
+    }
+}
+
 /// Drives one [`KemJob`] to completion on a local backend: each round,
 /// every pending hash job — whatever its sponge parameters — rides one
 /// [`drive_stream`] call as a one-shot operation on a fresh state, the
 /// single-caller analogue of the service scheduler's cross-request
 /// batching.
 pub fn run_kem_job<B: PermutationBackend>(job: &mut KemJob, backend: &mut B) {
+    let mut staging = KemStaging::new();
     while !job.is_done() {
-        let pending = job.pending();
-        let mut states: Vec<SpongeState> = pending
-            .iter()
-            .map(|hash_job| SpongeState::new(hash_job.params))
-            .collect();
-        let mut outputs: Vec<Vec<u8>> = pending
-            .iter()
-            .map(|hash_job| vec![0u8; hash_job.output_len])
-            .collect();
-        let mut items: Vec<StreamItem<'_>> = states
-            .iter_mut()
-            .zip(pending)
-            .zip(&mut outputs)
-            .map(|((state, hash_job), out)| StreamItem {
-                state,
-                op: StreamOp::one_shot(&hash_job.input, out),
-            })
-            .collect();
+        let mut items = Vec::new();
+        staging.push_items(job.pending(), &mut items);
         drive_stream(backend, &mut items);
-        job.advance(outputs);
+        job.advance(staging.outputs());
     }
 }
 
@@ -1214,7 +1260,7 @@ mod tests {
                         .unwrap()
                 })
                 .collect();
-            job.advance(outputs);
+            job.advance(&outputs);
         }
         match job.into_result() {
             KemResult::Encaps { ct, shared_secret } => {
@@ -1283,7 +1329,7 @@ mod tests {
                             output
                         })
                         .collect();
-                    stepped.advance(outputs);
+                    stepped.advance(&outputs);
                 }
                 assert_eq!(driven.0, standalone, "{label}");
                 assert_eq!(library.into_result(), stepped.into_result(), "{label}");

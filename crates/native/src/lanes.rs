@@ -3,87 +3,17 @@
 //! The state of `N` sponges is held structure-of-arrays: `lanes[i]` is a
 //! `[u64; N]` *lane group* — lane `i` (FIPS 202 order, `x + 5y`) of every
 //! member state side by side. One call to [`permute`] advances all `N`
-//! states through the full 24 rounds; every θ parity, ρ rotation, π move
-//! and χ gate is an elementwise operation over the group, which the
-//! compiler lowers to SIMD where the target has it and to independent
-//! scalar chains (instruction-level parallelism) where it does not.
-//!
-//! The round structure follows `krv_keccak::steps` exactly — same
-//! tables, same (x, y) mappings — so equality with the scalar reference
-//! is a matter of arithmetic, not reimplementation drift; the property
-//! tests and the conformance KAT matrix pin it anyway.
+//! states through the full 24 rounds. The round itself lives in
+//! [`krv_keccak::lanes`], which the simulator's compiled tier runs too;
+//! this module adds the transposes between `&[KeccakState]` and the
+//! group form and the per-width entry point.
 
-use krv_keccak::constants::{PLANE_LANES as P, RC, RHO_OFFSETS, ROUNDS, STATE_LANES};
+use krv_keccak::constants::STATE_LANES;
 use krv_keccak::KeccakState;
 
 use crate::dispatch::LaneWidth;
 
-/// `N` Keccak states in structure-of-arrays form.
-pub type LaneGroup<const N: usize> = [[u64; N]; STATE_LANES];
-
-#[inline(always)]
-fn xor_into<const N: usize>(dst: &mut [u64; N], src: &[u64; N]) {
-    for i in 0..N {
-        dst[i] ^= src[i];
-    }
-}
-
-#[inline(always)]
-fn rotl<const N: usize>(v: &[u64; N], r: u32) -> [u64; N] {
-    let mut out = [0u64; N];
-    for i in 0..N {
-        out[i] = v[i].rotate_left(r);
-    }
-    out
-}
-
-/// Applies the full 24-round Keccak-f\[1600\] permutation to all `N`
-/// states of the group, in place.
-pub fn permute<const N: usize>(a: &mut LaneGroup<N>) {
-    for &rc in RC.iter().take(ROUNDS) {
-        // θ: column parities, neighbour combination, diffusion.
-        let mut c = [[0u64; N]; P];
-        for x in 0..P {
-            c[x] = a[x];
-            for y in 1..P {
-                xor_into(&mut c[x], &a[x + P * y]);
-            }
-        }
-        let mut d = [[0u64; N]; P];
-        for x in 0..P {
-            d[x] = rotl(&c[(x + 1) % P], 1);
-            xor_into(&mut d[x], &c[(x + 4) % P]);
-        }
-        for y in 0..P {
-            for x in 0..P {
-                xor_into(&mut a[x + P * y], &d[x]);
-            }
-        }
-        // ρ + π fused: F[x, y] = ROTL(E[(x+3y)%5, x]), offsets from the
-        // paper's Table 2 indexed by the *source* lane.
-        let mut b = [[0u64; N]; STATE_LANES];
-        for y in 0..P {
-            for x in 0..P {
-                let (sx, sy) = ((x + 3 * y) % P, x);
-                b[x + P * y] = rotl(&a[sx + P * sy], RHO_OFFSETS[sy][sx]);
-            }
-        }
-        // χ + ι.
-        for y in 0..P {
-            for x in 0..P {
-                let f1 = b[(x + 1) % P + P * y];
-                let f2 = b[(x + 2) % P + P * y];
-                let out = &mut a[x + P * y];
-                for i in 0..N {
-                    out[i] = b[x + P * y][i] ^ (!f1[i] & f2[i]);
-                }
-            }
-        }
-        for i in 0..N {
-            a[0][i] ^= rc;
-        }
-    }
-}
+pub use krv_keccak::lanes::{permute, LaneGroup};
 
 /// Transposes up to `N` states into structure-of-arrays form; unused
 /// group slots are zero.

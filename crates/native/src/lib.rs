@@ -12,9 +12,10 @@
 //!
 //! Three layers:
 //!
-//! * [`lanes`] — the word-parallel permutation itself, generic over the
-//!   lane count `N` (1, 2, 4 and 8 are instantiated), plus the
-//!   gather/scatter transposes between `&[KeccakState]` and the
+//! * [`lanes`] — the word-parallel permutation, generic over the lane
+//!   count `N` (1, 2, 4 and 8 are instantiated; the round is
+//!   [`krv_keccak::lanes`]'s, which the simulator's compiled tier shares),
+//!   plus the gather/scatter transposes between `&[KeccakState]` and the
 //!   structure-of-arrays `[[u64; N]; 25]` form.
 //! * [`dispatch`] — run-time lane-width selection, BLAKE3-style: the
 //!   widest profitable variant is picked once per process (by a short

@@ -13,7 +13,7 @@ use crate::{
 };
 use krv_core::{EnginePool, PoolError};
 use krv_keccak::KeccakState;
-use krv_kyber::{KemError, KemJob, KemResult};
+use krv_kyber::{KemError, KemJob, KemResult, KemStaging};
 use krv_native::NativeBackend;
 use krv_sha3::{
     drive_stream, PermutationBackend, SpongeState, StreamItem, StreamOp, TreeJob, TreeState,
@@ -251,8 +251,7 @@ impl Work {
             Work::Kem(request, ticket) => match KemJob::new(request.params, request.op) {
                 Ok(job) => Job::Kem {
                     job: Box::new(job),
-                    states: Vec::new(),
-                    outputs: Vec::new(),
+                    staging: KemStaging::new(),
                     ticket,
                 },
                 Err(error) => return Err((error, ticket)),
@@ -296,11 +295,11 @@ enum Job {
         ticket: CompletionCell<StreamOutput<TreeState>>,
     },
     /// An ML-KEM operation: one round per stage of its [`KemJob`], each
-    /// running the stage's pending hash jobs on fresh states.
+    /// running the stage's pending hash jobs on fresh states, staged in
+    /// buffers the job keeps across its rounds.
     Kem {
         job: Box<KemJob>,
-        states: Vec<SpongeState>,
-        outputs: Vec<Vec<u8>>,
+        staging: KemStaging,
         ticket: CompletionCell<KemResult>,
     },
 }
@@ -324,28 +323,10 @@ impl Job {
                 },
             }),
             Job::Tree { job, .. } => job.push_items(items),
-            Job::Kem {
-                job,
-                states,
-                outputs,
-                ..
-            } => {
+            Job::Kem { job, staging, .. } => {
                 let pending = job.pending();
                 tally.kem_hash_jobs += pending.len() as u64;
-                *states = pending
-                    .iter()
-                    .map(|hash_job| SpongeState::new(hash_job.params))
-                    .collect();
-                *outputs = pending
-                    .iter()
-                    .map(|hash_job| vec![0u8; hash_job.output_len])
-                    .collect();
-                items.extend(states.iter_mut().zip(outputs.iter_mut()).zip(pending).map(
-                    |((state, out), hash_job)| StreamItem {
-                        state,
-                        op: StreamOp::one_shot(&hash_job.input, out),
-                    },
-                ));
+                staging.push_items(pending, items);
             }
         }
     }
@@ -355,8 +336,8 @@ impl Job {
         match self {
             Job::Hash { .. } | Job::Stream { .. } => true,
             Job::Tree { job, .. } => job.advance(),
-            Job::Kem { job, outputs, .. } => {
-                job.advance(std::mem::take(outputs));
+            Job::Kem { job, staging, .. } => {
+                job.advance(staging.outputs());
                 job.is_done()
             }
         }
@@ -761,7 +742,7 @@ mod tests {
         let mut job = KemJob::new(params, op).unwrap();
         let mut rounds = 0;
         while !job.is_done() {
-            let outputs = job
+            let outputs: Vec<Vec<u8>> = job
                 .pending()
                 .iter()
                 .map(|hash_job| {
@@ -770,7 +751,7 @@ mod tests {
                     sponge.squeeze(hash_job.output_len)
                 })
                 .collect();
-            job.advance(outputs);
+            job.advance(&outputs);
             rounds += 1;
         }
         rounds

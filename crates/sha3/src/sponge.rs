@@ -203,13 +203,7 @@ impl SpongeState {
         assert!(!self.needs_permute(), "permute before absorbing more");
         let rate = self.params.rate_bytes;
         let take = (rate - self.absorbed).min(data.len());
-        if self.absorbed == 0 {
-            self.state.xor_bytes(&data[..take]);
-        } else {
-            let mut block = [0u8; STATE_BYTES];
-            block[self.absorbed..self.absorbed + take].copy_from_slice(&data[..take]);
-            self.state.xor_bytes(&block[..self.absorbed + take]);
-        }
+        self.state.xor_bytes_at(self.absorbed, &data[..take]);
         self.absorbed += take;
         take
     }
@@ -225,10 +219,12 @@ impl SpongeState {
         assert!(self.squeeze_offset.is_none(), "already finalized");
         assert!(!self.needs_permute(), "permute before padding");
         let rate = self.params.rate_bytes;
-        let mut block = vec![0u8; rate];
-        block[self.absorbed] = self.params.domain.first_pad_byte();
-        block[rate - 1] |= 0x80;
-        self.state.xor_bytes(&block);
+        // The domain bits and pad10*1's first `1`, then its last `1`;
+        // they share a byte when one byte of the block is left, and no
+        // first pad byte has the top bit set, so XOR composes them.
+        self.state
+            .xor_bytes_at(self.absorbed, &[self.params.domain.first_pad_byte()]);
+        self.state.xor_bytes_at(rate - 1, &[0x80]);
         self.absorbed = 0;
         self.squeeze_offset = Some(rate);
     }
@@ -247,8 +243,7 @@ impl SpongeState {
         assert!(!self.needs_permute(), "permute before squeezing more");
         let rate = self.params.rate_bytes;
         let take = (rate - offset).min(out.len());
-        let bytes = self.state.to_bytes();
-        out[..take].copy_from_slice(&bytes[offset..offset + take]);
+        self.state.read_bytes_at(offset, &mut out[..take]);
         self.squeeze_offset = Some(offset + take);
         take
     }

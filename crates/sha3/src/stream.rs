@@ -143,9 +143,11 @@ fn advance(item: &mut StreamItem<'_>, p: &mut Progress) -> bool {
 /// split); only the scheduling differs.
 ///
 /// States are borrowed from their owners, so each round gathers the
-/// stalled states into a scratch pack and scatters them back — 200
-/// bytes each way per state per round, noise next to the permutation
-/// itself.
+/// stalled states into a scratch pack and scatters them back: 200
+/// bytes each way per state per round. On stream-tree's simulator
+/// passes that is under a tenth of the kernel runs it feeds, and about
+/// as much as the sponge's own byte work (EXPERIMENTS.md, "Per-pass
+/// host cost").
 ///
 /// # Panics
 ///

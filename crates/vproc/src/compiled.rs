@@ -72,6 +72,7 @@ use krv_isa::{
     Vtype, XReg,
 };
 use krv_keccak::constants::{RC, RHO_OFFSETS};
+use krv_keccak::lanes::{self, LaneGroup};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -2048,13 +2049,22 @@ fn keccak_round(a: &mut [u64; 25], y: u64, rc: u64) -> RoundTemps {
     }
 }
 
-/// Executes `trips` whole rounds of `r` (see [`RoundSpan`]): one pass
-/// per state over its 25 words, carrying the state through every trip
-/// in host registers. Trip `i` XORs in `RC[first + i·step]` (wrapping;
-/// the caller has checked every index). Writes the final state and the
-/// last trip's temporaries — the register file after `trips` runs of
-/// the member ops, because every temporary is written before it is
-/// read within a round.
+/// States one lane group of the resident round loop carries: the
+/// service's `SN`, and the width `krv-native`'s calibration picks on an
+/// AVX-512 host.
+const GROUP: usize = 4;
+
+/// Executes `trips` whole rounds of `r` (see [`RoundSpan`]), carrying
+/// each state through every trip in host registers. Trip `i` XORs in
+/// `RC[first + i·step]` (wrapping; the caller has checked every index).
+///
+/// Every trip but the last runs over groups of [`GROUP`] states side by
+/// side ([`group_rounds`]); a remainder of fewer states runs them one
+/// state at a time. The last trip runs per state through
+/// [`keccak_round`], which also yields its temporaries. Writes the
+/// final state and the last trip's temporaries — the register file
+/// after `trips` runs of the member ops, because every temporary is
+/// written before it is read within a round.
 pub(crate) fn exec_rounds(
     w: &mut [u64],
     r: &RoundSpan,
@@ -2065,12 +2075,22 @@ pub(crate) fn exec_rounds(
 ) {
     debug_assert!(trips > 0, "a round span runs at least once");
     let n = r.n;
+    let grouped = if trips > 1 { n - n % (5 * GROUP) } else { 0 };
+    for o in (0..grouped).step_by(5 * GROUP) {
+        group_rounds(w, r, o, y, first, step, trips - 1);
+    }
+    let last = first.wrapping_add(step.wrapping_mul(trips as u32 - 1));
     for o in (0..n).step_by(5) {
+        // A grouped state has run every trip but the last.
+        let (mut index, trips) = if o < grouped {
+            (last, 1)
+        } else {
+            (first, trips)
+        };
         let mut a = [0u64; 25];
         for (p, plane) in a.chunks_exact_mut(5).enumerate() {
             plane.copy_from_slice(&w[r.planes + p * n + o..][..5]);
         }
-        let mut index = first;
         for _ in 1..trips {
             keccak_round(&mut a, y, RC[index as usize]);
             index = index.wrapping_add(step);
@@ -2086,6 +2106,44 @@ pub(crate) fn exec_rounds(
         w[r.c + o..][..5].copy_from_slice(&t.c);
         w[r.up + o..][..5].copy_from_slice(&t.up);
         w[r.rot + o..][..5].copy_from_slice(&t.rot);
+    }
+}
+
+/// Runs `rounds` trips of `r` over the [`GROUP`] states whose 5-blocks
+/// start `o` words into each plane, side by side in structure-of-arrays
+/// form ([`krv_keccak::lanes::round`]), and writes the states back. Kept
+/// out of line: inlined into [`exec_rounds`] it un-inlines
+/// [`keccak_round`] and slows the one-state pass.
+#[inline(never)]
+fn group_rounds(
+    w: &mut [u64],
+    r: &RoundSpan,
+    o: usize,
+    y: u64,
+    first: u32,
+    step: u32,
+    rounds: usize,
+) {
+    let n = r.n;
+    let mut group: LaneGroup<GROUP> = [[0; GROUP]; 25];
+    for p in 0..5 {
+        let plane = &w[r.planes + p * n + o..][..5 * GROUP];
+        for x in 0..5 {
+            group[5 * p + x] = std::array::from_fn(|s| plane[5 * s + x]);
+        }
+    }
+    let mut index = first;
+    for _ in 0..rounds {
+        lanes::round(&mut group, y, RC[index as usize]);
+        index = index.wrapping_add(step);
+    }
+    for p in 0..5 {
+        let plane = &mut w[r.planes + p * n + o..][..5 * GROUP];
+        for x in 0..5 {
+            for (s, &lane) in group[5 * p + x].iter().enumerate() {
+                plane[5 * s + x] = lane;
+            }
+        }
     }
 }
 

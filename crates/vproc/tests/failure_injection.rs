@@ -329,15 +329,15 @@ fn assert_same_state(context: &str, compiled: &Processor, stepped: &Processor) {
     }
 }
 
-/// The verbatim E64 LMUL=8 round loop (paper Algorithm 3) at EleNum =
-/// 10, over planes derived like [`THETA_LOOP`]'s, from round index
-/// `start` while the index stays below `bound`. With `bound` past 24,
-/// ι's index runs past `RC` mid-loop and the loop traps there.
-fn round_loop(start: u32, bound: u32) -> String {
+/// The verbatim E64 LMUL=8 round loop (paper Algorithm 3) at EleNum
+/// `elenum`, over planes derived like [`THETA_LOOP`]'s, from round
+/// index `start` while the index stays below `bound`. With `bound` past
+/// 24, ι's index runs past `RC` mid-loop and the loop traps there.
+fn round_loop(elenum: usize, start: u32, bound: u32) -> String {
     format!(
         r"
-    li s1, 10
-    li s5, 50
+    li s1, {elenum}
+    li s5, {}
     li s2, -1
     li s3, {start}
     li s4, {bound}
@@ -374,25 +374,31 @@ permutation:
     addi s3, s3, 1
     blt s3, s4, permutation
     ecall
-"
+",
+        5 * elenum
     )
 }
 
-/// The programs the budget and `run_until_pc` sweeps run: the θ loop,
-/// four rounds of the round loop, and a round loop whose third trip
-/// traps in ι.
-fn sweep_programs() -> [(&'static str, String); 3] {
+/// The programs the budget and `run_until_pc` sweeps run, with their
+/// EleNum: the θ loop, four rounds of the round loop, and a round loop
+/// whose third trip traps in ι. The round loops run at SN = 2, which
+/// the resident loop runs one state at a time, and at SN = 4, which it
+/// runs as one four-state lane group.
+fn sweep_programs() -> [(&'static str, usize, String); 5] {
     [
-        ("theta loop", THETA_LOOP.to_string()),
-        ("round loop", round_loop(20, 24)),
-        ("round loop past RC", round_loop(22, 26)),
+        ("theta loop", 10, THETA_LOOP.to_string()),
+        ("round loop", 10, round_loop(10, 20, 24)),
+        ("round loop past RC", 10, round_loop(10, 22, 26)),
+        ("round loop at SN = 4", 20, round_loop(20, 20, 24)),
+        ("round loop past RC at SN = 4", 20, round_loop(20, 22, 26)),
     ]
 }
 
-/// Runs `source` on a fresh processor; `configure` picks the tier.
-fn processor_for(source: &str, configure: impl FnOnce(&mut Processor)) -> Processor {
+/// Runs `source` on a fresh processor at EleNum `elenum`; `configure`
+/// picks the tier.
+fn processor_for(source: &str, elenum: usize, configure: impl FnOnce(&mut Processor)) -> Processor {
     let program = assemble(source).expect("sweep program assembles");
-    let mut cpu = Processor::new(ProcessorConfig::elen64(10));
+    let mut cpu = Processor::new(ProcessorConfig::elen64(elenum));
     cpu.load_program(program.instructions());
     configure(&mut cpu);
     cpu
@@ -428,11 +434,11 @@ fn compiled_trap_retires_the_same_prefix() {
 
 #[test]
 fn compiled_budget_expiry_is_bit_identical_at_every_limit() {
-    for (name, source) in sweep_programs() {
+    for (name, elenum, source) in sweep_programs() {
         // Total cost up to the halt (or the ι trap), measured once on
         // the stepper.
         let total = {
-            let mut cpu = processor_for(&source, |p| p.set_compiled(false));
+            let mut cpu = processor_for(&source, elenum, |p| p.set_compiled(false));
             let _ = cpu.run(100_000);
             cpu.cycles()
         };
@@ -441,9 +447,9 @@ fn compiled_budget_expiry_is_bit_identical_at_every_limit() {
         // same partial state — even when the budget dies inside a fused
         // span or between the trips of a resident round loop.
         for limit in 0..=total {
-            let mut compiled = processor_for(&source, |p| p.set_compiled(true));
+            let mut compiled = processor_for(&source, elenum, |p| p.set_compiled(true));
             let compiled_result = compiled.run(limit).map(|_| ());
-            let mut stepped = processor_for(&source, |p| p.set_compiled(false));
+            let mut stepped = processor_for(&source, elenum, |p| p.set_compiled(false));
             let stepped_result = stepped.run(limit).map(|_| ());
             assert_eq!(compiled_result, stepped_result, "{name}, limit {limit}");
             assert_same_state(&format!("{name}, budget {limit}"), &compiled, &stepped);
@@ -459,14 +465,14 @@ fn compiled_run_until_pc_stops_at_every_boundary() {
     // member-op execution to honour the early exit. Both processors
     // then run on to the end from the stop, so every boundary is also
     // a legal place to resume — into a round span or a resident loop.
-    for (name, source) in sweep_programs() {
+    for (name, elenum, source) in sweep_programs() {
         let instructions = assemble(&source).unwrap().instructions().len();
         for target_index in 1..instructions {
             let target = (target_index * 4) as u32;
             let context = format!("{name}, run_until_pc {target:#x}");
-            let mut compiled = processor_for(&source, |p| p.set_compiled(true));
+            let mut compiled = processor_for(&source, elenum, |p| p.set_compiled(true));
             let compiled_result = compiled.run_until_pc(target, 100_000);
-            let mut stepped = processor_for(&source, |p| p.set_compiled(false));
+            let mut stepped = processor_for(&source, elenum, |p| p.set_compiled(false));
             let stepped_result = stepped.run_until_pc(target, 100_000);
             assert_eq!(compiled_result, stepped_result, "{context}");
             if compiled_result.is_ok() {
@@ -485,7 +491,7 @@ fn compiled_run_until_pc_stops_at_every_boundary() {
 fn round_loop_runs_resident_and_traps_where_the_stepper_does() {
     // Four rounds: the prologue, one resident call for every round and
     // the epilogue — far fewer dispatches than rounds.
-    let mut cpu = processor_for(&round_loop(20, 24), |p| p.set_compiled(true));
+    let mut cpu = processor_for(&round_loop(10, 20, 24), 10, |p| p.set_compiled(true));
     cpu.run(100_000).expect("four rounds halt");
     assert!(
         cpu.compiled_dispatches() < 4,
@@ -494,9 +500,9 @@ fn round_loop_runs_resident_and_traps_where_the_stepper_does() {
     );
     // Index 24 is past the 24-entry ROM: the third trip traps in ι with
     // two whole rounds retired, as on the stepper.
-    let source = round_loop(22, 26);
-    let mut compiled = processor_for(&source, |p| p.set_compiled(true));
-    let mut stepped = processor_for(&source, |p| p.set_compiled(false));
+    let source = round_loop(10, 22, 26);
+    let mut compiled = processor_for(&source, 10, |p| p.set_compiled(true));
+    let mut stepped = processor_for(&source, 10, |p| p.set_compiled(false));
     let err = compiled.run(100_000).unwrap_err();
     assert_eq!(err, Trap::RoundConstantIndex { index: 24 });
     assert_eq!(stepped.run(100_000).unwrap_err(), err);
@@ -520,8 +526,8 @@ fn register_groups_past_v31_trap_on_both_paths() {
     ];
     for (body, pc) in cases {
         let source = format!("{prologue}{body}\necall");
-        let mut compiled = processor_for(&source, |p| p.set_compiled(true));
-        let mut stepped = processor_for(&source, |p| p.set_compiled(false));
+        let mut compiled = processor_for(&source, 10, |p| p.set_compiled(true));
+        let mut stepped = processor_for(&source, 10, |p| p.set_compiled(false));
         let err = stepped.run(100_000).unwrap_err();
         assert_eq!(
             err,
