@@ -27,16 +27,6 @@ pub fn decompress_coeff(y: u16, d: u32) -> u16 {
     ((u32::from(y) * u32::from(KYBER_Q) + (1 << (d - 1))) >> d) as u16
 }
 
-/// Compresses every coefficient to `d` bits.
-pub fn compress_poly(poly: &Poly, d: u32) -> Poly {
-    Poly::from_canonical(poly.coeffs().map(|x| compress_coeff(x, d)))
-}
-
-/// Decompresses every `d`-bit coefficient back into `[0, q)`.
-pub fn decompress_poly(poly: &Poly, d: u32) -> Poly {
-    Poly::from_canonical(poly.coeffs().map(|y| decompress_coeff(y, d)))
-}
-
 /// Encodes a 32-byte message as a polynomial: bit i becomes
 /// `Decompress_1(bit)` = 0 or ⌈q/2⌋ (FIPS 203 Algorithm 14 step 20).
 pub fn message_to_poly(message: &[u8; 32]) -> Poly {

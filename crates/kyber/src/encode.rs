@@ -156,7 +156,7 @@ pub fn decode_vector(bytes: &[u8], d: u32) -> Vec<Poly> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compress::{compress_poly, decompress_poly};
+    use crate::compress::{compress_coeff, decompress_coeff};
 
     fn sample(seed: u16, bound: u16) -> Poly {
         let mut coeffs = [0u16; KYBER_N];
@@ -203,9 +203,10 @@ mod tests {
             let bytes = encode_vector(&polys, d);
             assert_eq!(bytes.len(), 2 * 32 * d as usize);
             let back = decode_vector(&bytes, d);
+            let round_trip = |x| decompress_coeff(compress_coeff(x, d), d);
             let expected: Vec<Poly> = polys
                 .iter()
-                .map(|p| decompress_poly(&compress_poly(p, d), d))
+                .map(|p| Poly::from_coeffs(p.coeffs().map(round_trip)))
                 .collect();
             assert_eq!(back, expected, "d={d}");
         }

@@ -12,19 +12,18 @@
 //! lockstep batches on the simulated SIMD processor or the host-native
 //! lane-parallel kernel.
 //!
-//! Two layers:
-//!
-//! * The K-PKE pipeline ([`mod@keygen`], [`pke`], [`sampling`], [`ntt`],
-//!   [`compress`], [`encode`]): matrix expansion, CBD sampling, the
-//!   number-theoretic transform, the module arithmetic
-//!   `t̂ = Â∘ŝ + ê`, and the FIPS 203 ByteEncode/ByteDecode +
-//!   Compress/Decompress serialization.
-//! * The ML-KEM layer ([`mlkem`]): [`ml_kem_keygen`], [`ml_kem_encaps`]
-//!   and [`ml_kem_decaps`] over byte-encoded keys and ciphertexts, plus
-//!   the staged [`KemJob`] state machine that exposes each operation's
-//!   pending Keccak work as explicit [`HashJob`]s — the interface the
-//!   `krv-service` scheduler uses to pack SHAKE expansions from *many*
-//!   concurrent KEM requests into shared SN-wide hardware passes.
+//! One pipeline: [`KemJob`] is the only code that decides which Keccak
+//! calls an ML-KEM operation makes, and in which round. It exposes each
+//! operation's pending Keccak work as explicit [`HashJob`]s — the
+//! interface the `krv-service` scheduler uses to pack SHAKE expansions
+//! from *many* concurrent KEM requests into shared SN-wide hardware
+//! passes — and [`ml_kem_keygen`], [`ml_kem_encaps`] and
+//! [`ml_kem_decaps`] drive one job on a local backend ([`run_kem_job`]).
+//! Between rounds it calls the hash-free layers: the samplers
+//! ([`sampling`]), the number-theoretic transform ([`ntt`]), K-PKE's
+//! module arithmetic `t̂ = Â∘ŝ + ê`, and the FIPS 203
+//! ByteEncode/ByteDecode and Compress/Decompress serialization
+//! ([`encode`], [`compress`]).
 //!
 //! # Example
 //!
@@ -45,21 +44,18 @@
 
 pub mod compress;
 pub mod encode;
-pub mod keygen;
 pub mod mlkem;
 pub mod ntt;
-pub mod pke;
+mod pke;
 pub mod poly;
 #[cfg(test)]
 mod reference;
 pub mod sampling;
 
-pub use keygen::{keygen, KeyPair};
 pub use mlkem::{
     ml_kem_decaps, ml_kem_encaps, ml_kem_keygen, run_kem_job, DecapsKey, EncapsKey, HashJob,
     KemError, KemJob, KemOp, KemResult, KemStaging,
 };
-pub use pke::{decrypt, encrypt, Ciphertext};
 pub use poly::{Poly, KYBER_N, KYBER_Q};
 
 /// An ML-KEM parameter set (FIPS 203 Table 2): the module rank `k`, the

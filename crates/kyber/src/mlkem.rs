@@ -187,6 +187,42 @@ pub struct HashJob {
     pub output_len: usize,
 }
 
+impl HashJob {
+    /// Hashes `parts`, concatenated, through `params` for `output_len`
+    /// bytes.
+    fn new(params: SpongeParams, parts: &[&[u8]], output_len: usize) -> Self {
+        Self {
+            params,
+            input: parts.concat(),
+            output_len,
+        }
+    }
+
+    /// `G`: SHA3-512 of `parts`.
+    fn g(parts: &[&[u8]]) -> Self {
+        Self::new(SpongeParams::sha3(512), parts, 64)
+    }
+
+    /// `H`: SHA3-256 of `input`.
+    fn h(input: Vec<u8>) -> Self {
+        Self {
+            params: SpongeParams::sha3(256),
+            input,
+            output_len: 32,
+        }
+    }
+
+    /// `J`: 32 bytes of SHAKE256 of `parts`.
+    fn j(parts: &[&[u8]]) -> Self {
+        Self::new(SpongeParams::shake(256), parts, 32)
+    }
+
+    /// `PRF_η(seed, nonce)`: 64·η bytes of SHAKE256 of `seed ‖ nonce`.
+    fn prf(seed: &[u8; 32], nonce: usize, eta: usize) -> Self {
+        Self::new(SpongeParams::shake(256), &[seed, &[nonce as u8]], 64 * eta)
+    }
+}
+
 /// One ML-KEM operation, as submitted to a [`KemJob`] or to
 /// `krv-service`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -280,27 +316,14 @@ impl MatrixSampler {
     }
 
     /// Hash jobs for the entries still awaiting a stream: entry (i, j)
-    /// hashes `ρ ‖ j ‖ i`, written straight into the job's input.
-    fn jobs(&self) -> Vec<HashJob> {
-        self.awaiting
-            .iter()
-            .map(|&entry| {
-                let (i, j) = (entry / self.k, entry % self.k);
-                let mut input = Vec::with_capacity(34);
-                input.extend_from_slice(&self.rho);
-                input.extend_from_slice(&[j as u8, i as u8]);
-                HashJob {
-                    params: SpongeParams::shake(128),
-                    input,
-                    output_len: self.blocks * SHAKE128_BLOCK,
-                }
-            })
-            .collect()
-    }
-
-    /// Entries currently awaiting a stream (= `self.jobs().len()`).
-    fn awaiting(&self) -> usize {
-        self.awaiting.len()
+    /// hashes `ρ ‖ j ‖ i`.
+    fn jobs(&self) -> impl Iterator<Item = HashJob> + '_ {
+        self.awaiting.iter().map(|&entry| {
+            let (i, j) = (entry / self.k, entry % self.k);
+            let index = [j as u8, i as u8];
+            let output_len = self.blocks * SHAKE128_BLOCK;
+            HashJob::new(SpongeParams::shake(128), &[&self.rho, &index], output_len)
+        })
     }
 
     /// Consumes one stream per awaiting entry; entries that still reject
@@ -322,7 +345,7 @@ impl MatrixSampler {
     }
 
     /// The completed matrix, row-major.
-    fn take(self) -> Vec<Vec<Poly>> {
+    fn into_matrix(self) -> Vec<Vec<Poly>> {
         debug_assert!(self.done());
         self.polys
             .chunks(self.k)
@@ -331,24 +354,18 @@ impl MatrixSampler {
     }
 }
 
-/// The stage a [`KemJob`] is in. Each stage's pending hash jobs are laid
-/// out as `special jobs ++ matrix-retry jobs`; `advance` consumes the
-/// outputs in that order.
+/// The stage a [`KemJob`] is in: the hash outputs it waits on, or, for
+/// the three `*Matrix` stages, the matrix Â.
 #[derive(Debug, Clone)]
 enum Stage {
-    /// Keygen: waiting on `G(d ‖ k)` (whose input already carries `d`).
+    /// Keygen: waiting on `G(d ‖ k)`.
     KeygenG { z: [u8; 32] },
-    /// Keygen: waiting on the matrix streams and the 2k CBD streams.
-    KeygenExpand {
+    /// Keygen: waiting on the 2k CBD streams.
+    KeygenPrf { z: [u8; 32], rho: [u8; 32] },
+    /// Keygen: waiting on Â for `t̂ = Â∘ŝ + ê`.
+    KeygenMatrix {
         z: [u8; 32],
         rho: [u8; 32],
-        matrix: MatrixSampler,
-    },
-    /// Keygen: secrets done, matrix entries still rejecting.
-    KeygenRetry {
-        z: [u8; 32],
-        rho: [u8; 32],
-        matrix: MatrixSampler,
         s: Vec<Poly>,
         e: Vec<Poly>,
     },
@@ -358,63 +375,59 @@ enum Stage {
         ek: Vec<u8>,
         dk_pke: Vec<u8>,
     },
-    /// Encaps: waiting on `H(ek)` alongside the first matrix round.
-    EncapsH {
-        key: EncapsKey,
-        m: [u8; 32],
-        matrix: MatrixSampler,
-    },
-    /// Encaps: waiting on `G(m ‖ h)` alongside matrix retries.
-    EncapsG {
-        key: EncapsKey,
-        m: [u8; 32],
-        matrix: MatrixSampler,
-    },
-    /// Encaps: waiting on the 2k+1 PRF streams alongside matrix retries.
+    /// Encaps: waiting on `H(ek)`.
+    EncapsH { key: EncapsKey, m: [u8; 32] },
+    /// Encaps: waiting on `G(m ‖ h)`.
+    EncapsG { key: EncapsKey, m: [u8; 32] },
+    /// Encaps: waiting on the 2k+1 PRF streams.
     EncapsPrf {
         key: EncapsKey,
         m: [u8; 32],
-        shared: [u8; 32],
-        matrix: MatrixSampler,
+        shared_secret: [u8; 32],
     },
-    /// Encaps: noise sampled, matrix entries still rejecting.
-    EncapsRetry {
+    /// Encaps: waiting on Â for the encryption.
+    EncapsMatrix {
         key: EncapsKey,
         m: [u8; 32],
-        shared: [u8; 32],
+        shared_secret: [u8; 32],
         noise: Noise,
-        matrix: MatrixSampler,
     },
-    /// Decaps: waiting on `G(m' ‖ h)` and `J(z ‖ c)` alongside the first
-    /// matrix round.
+    /// Decaps: waiting on `G(m' ‖ h)` and `J(z ‖ c)`.
     DecapsG {
         key: DecapsKey,
         ct: Vec<u8>,
         m_prime: [u8; 32],
-        matrix: MatrixSampler,
     },
-    /// Decaps: waiting on the re-encryption PRF streams alongside matrix
-    /// retries.
+    /// Decaps: waiting on the re-encryption PRF streams.
     DecapsPrf {
         key: DecapsKey,
         ct: Vec<u8>,
         m_prime: [u8; 32],
         k_prime: [u8; 32],
         k_bar: [u8; 32],
-        matrix: MatrixSampler,
     },
-    /// Decaps: noise sampled, matrix entries still rejecting.
-    DecapsRetry {
+    /// Decaps: waiting on Â for the re-encryption and compare.
+    DecapsMatrix {
         key: DecapsKey,
         ct: Vec<u8>,
         m_prime: [u8; 32],
         k_prime: [u8; 32],
         k_bar: [u8; 32],
         noise: Noise,
-        matrix: MatrixSampler,
     },
     /// Finished.
     Done(KemResult),
+}
+
+impl Stage {
+    /// Whether the stage waits on Â rather than on hash outputs of its
+    /// own.
+    fn needs_matrix(&self) -> bool {
+        matches!(
+            self,
+            Stage::KeygenMatrix { .. } | Stage::EncapsMatrix { .. } | Stage::DecapsMatrix { .. }
+        )
+    }
 }
 
 /// One ML-KEM operation as an explicit multi-stage state machine.
@@ -427,6 +440,11 @@ enum Stage {
 /// next stage's pending jobs. When `is_done` turns true,
 /// [`Self::into_result`] yields the [`KemResult`].
 ///
+/// The matrix Â is rejection-sampled beside the stages: from the round
+/// that first knows ρ, every round carries the stage's own jobs followed
+/// by the entries of Â that still await a long-enough stream, and the
+/// stage that needs Â runs in the round that completes it.
+///
 /// This shape is what lets a batching scheduler overlap *many* KEM
 /// operations: all concurrent jobs' pending lists are merged into one
 /// shared [`drive_stream`] call per round, and one job's CPU work
@@ -436,6 +454,11 @@ enum Stage {
 pub struct KemJob {
     params: KyberParams,
     pending: Vec<HashJob>,
+    /// How many of `pending` are the stage's own jobs; the rest are the
+    /// sampler's.
+    own: usize,
+    /// Â's sampler, until the stage that needs Â takes it.
+    matrix: Option<MatrixSampler>,
     stage: Stage,
 }
 
@@ -448,34 +471,17 @@ impl KemJob {
     /// Any [`KemError`]: wrong-length or non-canonical encapsulation
     /// keys, wrong-length decapsulation keys or ciphertexts.
     pub fn new(params: KyberParams, op: KemOp) -> Result<Self, KemError> {
-        match op {
+        let k = params.k;
+        let (stage, own, matrix) = match op {
             KemOp::Keygen { d, z } => {
-                let mut input = d.to_vec();
-                input.push(params.k as u8); // FIPS 203 domain-separates G by k.
-                Ok(Self {
-                    params,
-                    pending: vec![HashJob {
-                        params: SpongeParams::sha3(512),
-                        input,
-                        output_len: 64,
-                    }],
-                    stage: Stage::KeygenG { z },
-                })
+                // FIPS 203 domain-separates G by k.
+                let g = HashJob::g(&[&d, &[k as u8]]);
+                (Stage::KeygenG { z }, vec![g], None)
             }
             KemOp::Encaps { ek, m } => {
                 let key = EncapsKey::parse(params, &ek)?;
-                let matrix = MatrixSampler::new(&key.rho, params.k);
-                let mut pending = vec![HashJob {
-                    params: SpongeParams::sha3(256),
-                    input: ek,
-                    output_len: 32,
-                }];
-                pending.extend(matrix.jobs());
-                Ok(Self {
-                    params,
-                    pending,
-                    stage: Stage::EncapsH { key, m, matrix },
-                })
+                let (own, matrix) = (vec![HashJob::h(ek)], MatrixSampler::new(&key.rho, k));
+                (Stage::EncapsH { key, m }, own, Some(matrix))
             }
             KemOp::Decaps { dk, ct } => {
                 let key = DecapsKey::parse(params, &dk)?;
@@ -489,36 +495,20 @@ impl KemJob {
                 // so the first stage already overlaps G, J and the
                 // matrix expansion.
                 let m_prime = decrypt_bytes(params, &key.s_hat, &ct);
-                let matrix = MatrixSampler::new(&key.rho, params.k);
-                let mut g_input = m_prime.to_vec();
-                g_input.extend_from_slice(&key.h);
-                let mut j_input = key.z.to_vec();
-                j_input.extend_from_slice(&ct);
-                let mut pending = vec![
-                    HashJob {
-                        params: SpongeParams::sha3(512),
-                        input: g_input,
-                        output_len: 64,
-                    },
-                    HashJob {
-                        params: SpongeParams::shake(256),
-                        input: j_input,
-                        output_len: 32,
-                    },
-                ];
-                pending.extend(matrix.jobs());
-                Ok(Self {
-                    params,
-                    pending,
-                    stage: Stage::DecapsG {
-                        key,
-                        ct,
-                        m_prime,
-                        matrix,
-                    },
-                })
+                let own = vec![HashJob::g(&[&m_prime, &key.h]), HashJob::j(&[&key.z, &ct])];
+                let matrix = MatrixSampler::new(&key.rho, k);
+                (Stage::DecapsG { key, ct, m_prime }, own, Some(matrix))
             }
-        }
+        };
+        let mut job = Self {
+            params,
+            pending: Vec::new(),
+            own: 0,
+            matrix,
+            stage,
+        };
+        job.publish(own);
+        Ok(job)
     }
 
     /// The parameter set this job runs under.
@@ -570,11 +560,162 @@ impl KemJob {
                 "output shorter than requested"
             );
         }
-        let params = self.params;
-        let stage = std::mem::replace(&mut self.stage, Stage::Done(placeholder()));
-        let (stage, pending) = step(params, stage, outputs);
+        let (own, entries) = outputs.split_at(self.own);
+        if let Some(matrix) = &mut self.matrix {
+            matrix.absorb(entries);
+        }
+        let mut stage = std::mem::replace(&mut self.stage, Stage::Done(placeholder()));
+        let mut jobs = Vec::new();
+        if !stage.needs_matrix() {
+            (stage, jobs) = self.step(stage, own);
+        }
+        if stage.needs_matrix() && self.matrix.as_ref().is_some_and(MatrixSampler::done) {
+            (stage, jobs) = self.step(stage, &[]);
+        }
         self.stage = stage;
-        self.pending = pending;
+        self.publish(jobs);
+    }
+
+    /// Stages the next round: the stage's `own` jobs, then the sampler's
+    /// outstanding entries.
+    fn publish(&mut self, own: Vec<HashJob>) {
+        self.own = own.len();
+        self.pending = own;
+        if let Some(matrix) = &self.matrix {
+            self.pending.extend(matrix.jobs());
+        }
+    }
+
+    /// Â, taken from a sampler that holds every entry.
+    fn take_matrix(&mut self) -> Vec<Vec<Poly>> {
+        let matrix = self.matrix.take().expect("the sampler holds Â");
+        matrix.into_matrix()
+    }
+
+    /// One stage transition: consume the stage's own outputs (or Â), do
+    /// the CPU work, and return the next stage and its own jobs.
+    fn step(&mut self, stage: Stage, outputs: &[Vec<u8>]) -> (Stage, Vec<HashJob>) {
+        let params = self.params;
+        let k = params.k;
+        match stage {
+            Stage::KeygenG { z } => {
+                let (rho, sigma) = split_g(&outputs[0]);
+                self.matrix = Some(MatrixSampler::new(&rho, k));
+                let cbd = (0..2 * k).map(|nonce| HashJob::prf(&sigma, nonce, params.eta1));
+                (Stage::KeygenPrf { z, rho }, cbd.collect())
+            }
+            Stage::KeygenPrf { z, rho } => {
+                let mut s: Vec<Poly> = outputs
+                    .iter()
+                    .map(|stream| sample_cbd(&stream[..64 * params.eta1], params.eta1))
+                    .collect();
+                let e = s.split_off(k);
+                (Stage::KeygenMatrix { z, rho, s, e }, Vec::new())
+            }
+            Stage::KeygenMatrix { z, rho, s, e } => {
+                let (t_hat, s_hat) = keygen_polys(&self.take_matrix(), &s, &e);
+                let mut ek = encode_vector(&t_hat, 12);
+                ek.extend_from_slice(&rho);
+                let dk_pke = encode_vector(&s_hat, 12);
+                let h = HashJob::h(ek.clone());
+                (Stage::KeygenHashEk { z, ek, dk_pke }, vec![h])
+            }
+            Stage::KeygenHashEk { z, ek, dk_pke } => {
+                // dk = dk_pke ‖ ek ‖ H(ek) ‖ z.
+                let mut dk = dk_pke;
+                dk.extend_from_slice(&ek);
+                dk.extend_from_slice(&outputs[0][..32]);
+                dk.extend_from_slice(&z);
+                (Stage::Done(KemResult::Keygen { ek, dk }), Vec::new())
+            }
+            Stage::EncapsH { key, m } => {
+                // G(m ‖ H(ek)) → (K, r).
+                let g = HashJob::g(&[&m, &outputs[0][..32]]);
+                (Stage::EncapsG { key, m }, vec![g])
+            }
+            Stage::EncapsG { key, m } => {
+                let (shared_secret, coins) = split_g(&outputs[0]);
+                let stage = Stage::EncapsPrf {
+                    key,
+                    m,
+                    shared_secret,
+                };
+                (stage, prf_jobs(params, &coins))
+            }
+            Stage::EncapsPrf {
+                key,
+                m,
+                shared_secret,
+            } => {
+                let noise = Noise::from_streams(params, outputs);
+                let stage = Stage::EncapsMatrix {
+                    key,
+                    m,
+                    shared_secret,
+                    noise,
+                };
+                (stage, Vec::new())
+            }
+            Stage::EncapsMatrix {
+                key,
+                m,
+                shared_secret,
+                noise,
+            } => {
+                let ct = encrypt_bytes(params, &self.take_matrix(), &key.t_hat, &m, &noise);
+                (
+                    Stage::Done(KemResult::Encaps { ct, shared_secret }),
+                    Vec::new(),
+                )
+            }
+            Stage::DecapsG { key, ct, m_prime } => {
+                let (k_prime, coins) = split_g(&outputs[0]);
+                let k_bar = outputs[1][..32].try_into().expect("J yields 32 bytes");
+                let stage = Stage::DecapsPrf {
+                    key,
+                    ct,
+                    m_prime,
+                    k_prime,
+                    k_bar,
+                };
+                (stage, prf_jobs(params, &coins))
+            }
+            Stage::DecapsPrf {
+                key,
+                ct,
+                m_prime,
+                k_prime,
+                k_bar,
+            } => {
+                let noise = Noise::from_streams(params, outputs);
+                let stage = Stage::DecapsMatrix {
+                    key,
+                    ct,
+                    m_prime,
+                    k_prime,
+                    k_bar,
+                    noise,
+                };
+                (stage, Vec::new())
+            }
+            Stage::DecapsMatrix {
+                key,
+                ct,
+                m_prime,
+                k_prime,
+                k_bar,
+                noise,
+            } => {
+                let a_hat = self.take_matrix();
+                let ct_prime = encrypt_bytes(params, &a_hat, &key.t_hat, &m_prime, &noise);
+                // Implicit rejection: a mismatched re-encryption yields
+                // K̄ = J(z ‖ c) — indistinguishable from a real secret,
+                // never an error.
+                let shared_secret = if ct_prime == ct { k_prime } else { k_bar };
+                (Stage::Done(KemResult::Decaps { shared_secret }), Vec::new())
+            }
+            Stage::Done(_) => panic!("KemJob::advance after the job finished"),
+        }
     }
 }
 
@@ -585,271 +726,11 @@ fn placeholder() -> KemResult {
     }
 }
 
-/// One stage transition: consume the outputs, do the CPU work, publish
-/// the next stage and its pending jobs.
-fn step(params: KyberParams, stage: Stage, outputs: &[Vec<u8>]) -> (Stage, Vec<HashJob>) {
-    let k = params.k;
-    match stage {
-        Stage::KeygenG { z } => {
-            let digest = &outputs[0];
-            let mut rho = [0u8; 32];
-            let mut sigma = [0u8; 32];
-            rho.copy_from_slice(&digest[..32]);
-            sigma.copy_from_slice(&digest[32..64]);
-            let matrix = MatrixSampler::new(&rho, k);
-            let mut pending = matrix.jobs();
-            for nonce in 0..2 * k {
-                let mut input = sigma.to_vec();
-                input.push(nonce as u8);
-                pending.push(HashJob {
-                    params: SpongeParams::shake(256),
-                    input,
-                    output_len: 64 * params.eta1,
-                });
-            }
-            (Stage::KeygenExpand { z, rho, matrix }, pending)
-        }
-        Stage::KeygenExpand { z, rho, mut matrix } => {
-            let split = matrix.awaiting();
-            matrix.absorb(&outputs[..split]);
-            let mut s: Vec<Poly> = outputs[split..]
-                .iter()
-                .map(|stream| sample_cbd(&stream[..64 * params.eta1], params.eta1))
-                .collect();
-            let e = s.split_off(k);
-            keygen_after_expand(z, rho, matrix, s, e)
-        }
-        Stage::KeygenRetry {
-            z,
-            rho,
-            mut matrix,
-            s,
-            e,
-        } => {
-            matrix.absorb(outputs);
-            keygen_after_expand(z, rho, matrix, s, e)
-        }
-        Stage::KeygenHashEk { z, ek, dk_pke } => {
-            // dk = dk_pke ‖ ek ‖ H(ek) ‖ z.
-            let mut dk = dk_pke;
-            dk.extend_from_slice(&ek);
-            dk.extend_from_slice(&outputs[0][..32]);
-            dk.extend_from_slice(&z);
-            (Stage::Done(KemResult::Keygen { ek, dk }), Vec::new())
-        }
-        Stage::EncapsH { key, m, mut matrix } => {
-            let h = &outputs[0];
-            matrix.absorb(&outputs[1..]);
-            // G(m ‖ H(ek)) → (K, r).
-            let mut input = m.to_vec();
-            input.extend_from_slice(&h[..32]);
-            let mut pending = vec![HashJob {
-                params: SpongeParams::sha3(512),
-                input,
-                output_len: 64,
-            }];
-            pending.extend(matrix.jobs());
-            (Stage::EncapsG { key, m, matrix }, pending)
-        }
-        Stage::EncapsG { key, m, mut matrix } => {
-            let digest = &outputs[0];
-            let mut shared = [0u8; 32];
-            let mut coins = [0u8; 32];
-            shared.copy_from_slice(&digest[..32]);
-            coins.copy_from_slice(&digest[32..64]);
-            matrix.absorb(&outputs[1..]);
-            let mut pending = prf_jobs(params, &coins);
-            pending.extend(matrix.jobs());
-            (
-                Stage::EncapsPrf {
-                    key,
-                    m,
-                    shared,
-                    matrix,
-                },
-                pending,
-            )
-        }
-        Stage::EncapsPrf {
-            key,
-            m,
-            shared,
-            mut matrix,
-        } => {
-            let split = 2 * k + 1;
-            let noise = Noise::from_streams(params, &outputs[..split]);
-            matrix.absorb(&outputs[split..]);
-            encaps_after_prf(params, key, m, shared, noise, matrix)
-        }
-        Stage::EncapsRetry {
-            key,
-            m,
-            shared,
-            noise,
-            mut matrix,
-        } => {
-            matrix.absorb(outputs);
-            encaps_after_prf(params, key, m, shared, noise, matrix)
-        }
-        Stage::DecapsG {
-            key,
-            ct,
-            m_prime,
-            mut matrix,
-        } => {
-            let digest = &outputs[0];
-            let mut k_prime = [0u8; 32];
-            let mut coins = [0u8; 32];
-            k_prime.copy_from_slice(&digest[..32]);
-            coins.copy_from_slice(&digest[32..64]);
-            let mut k_bar = [0u8; 32];
-            k_bar.copy_from_slice(&outputs[1][..32]);
-            matrix.absorb(&outputs[2..]);
-            let mut pending = prf_jobs(params, &coins);
-            pending.extend(matrix.jobs());
-            (
-                Stage::DecapsPrf {
-                    key,
-                    ct,
-                    m_prime,
-                    k_prime,
-                    k_bar,
-                    matrix,
-                },
-                pending,
-            )
-        }
-        Stage::DecapsPrf {
-            key,
-            ct,
-            m_prime,
-            k_prime,
-            k_bar,
-            mut matrix,
-        } => {
-            let split = 2 * k + 1;
-            let noise = Noise::from_streams(params, &outputs[..split]);
-            matrix.absorb(&outputs[split..]);
-            decaps_after_prf(params, key, ct, m_prime, k_prime, k_bar, noise, matrix)
-        }
-        Stage::DecapsRetry {
-            key,
-            ct,
-            m_prime,
-            k_prime,
-            k_bar,
-            noise,
-            mut matrix,
-        } => {
-            matrix.absorb(outputs);
-            decaps_after_prf(params, key, ct, m_prime, k_prime, k_bar, noise, matrix)
-        }
-        Stage::Done(_) => panic!("KemJob::advance after the job finished"),
-    }
-}
-
-/// Keygen once the CBD secrets are in hand: either keep retrying the
-/// matrix, or compute `t̂ = Â∘ŝ + ê`, serialize, and stage `H(ek)`.
-fn keygen_after_expand(
-    z: [u8; 32],
-    rho: [u8; 32],
-    matrix: MatrixSampler,
-    s: Vec<Poly>,
-    e: Vec<Poly>,
-) -> (Stage, Vec<HashJob>) {
-    if !matrix.done() {
-        let pending = matrix.jobs();
-        return (
-            Stage::KeygenRetry {
-                z,
-                rho,
-                matrix,
-                s,
-                e,
-            },
-            pending,
-        );
-    }
-    let (t_hat, s_hat) = keygen_polys(&matrix.take(), &s, &e);
-    let mut ek = encode_vector(&t_hat, 12);
-    ek.extend_from_slice(&rho);
-    let dk_pke = encode_vector(&s_hat, 12);
-    let pending = vec![HashJob {
-        params: SpongeParams::sha3(256),
-        input: ek.clone(),
-        output_len: 32,
-    }];
-    (Stage::KeygenHashEk { z, ek, dk_pke }, pending)
-}
-
-/// Encaps once the noise is sampled: keep retrying the matrix, or
-/// encrypt and finish.
-fn encaps_after_prf(
-    params: KyberParams,
-    key: EncapsKey,
-    m: [u8; 32],
-    shared: [u8; 32],
-    noise: Noise,
-    matrix: MatrixSampler,
-) -> (Stage, Vec<HashJob>) {
-    if !matrix.done() {
-        let pending = matrix.jobs();
-        return (
-            Stage::EncapsRetry {
-                key,
-                m,
-                shared,
-                noise,
-                matrix,
-            },
-            pending,
-        );
-    }
-    let a_hat = matrix.take();
-    let ct = encrypt_bytes(params, &a_hat, &key.t_hat, &m, &noise);
-    (
-        Stage::Done(KemResult::Encaps {
-            ct,
-            shared_secret: shared,
-        }),
-        Vec::new(),
-    )
-}
-
-/// Decaps once the noise is sampled: keep retrying the matrix, or
-/// re-encrypt, compare, and select K′ or the implicit-rejection K̄.
-#[allow(clippy::too_many_arguments)]
-fn decaps_after_prf(
-    params: KyberParams,
-    key: DecapsKey,
-    ct: Vec<u8>,
-    m_prime: [u8; 32],
-    k_prime: [u8; 32],
-    k_bar: [u8; 32],
-    noise: Noise,
-    matrix: MatrixSampler,
-) -> (Stage, Vec<HashJob>) {
-    if !matrix.done() {
-        let pending = matrix.jobs();
-        return (
-            Stage::DecapsRetry {
-                key,
-                ct,
-                m_prime,
-                k_prime,
-                k_bar,
-                noise,
-                matrix,
-            },
-            pending,
-        );
-    }
-    let a_hat = matrix.take();
-    let ct_prime = encrypt_bytes(params, &a_hat, &key.t_hat, &m_prime, &noise);
-    // Implicit rejection: a mismatched re-encryption yields K̄ = J(z ‖ c)
-    // — indistinguishable from a real secret, never an error.
-    let shared_secret = if ct_prime == ct { k_prime } else { k_bar };
-    (Stage::Done(KemResult::Decaps { shared_secret }), Vec::new())
+/// The two 32-byte halves of a `G` digest.
+fn split_g(digest: &[u8]) -> ([u8; 32], [u8; 32]) {
+    let (first, second) = digest[..64].split_at(32);
+    let half = |bytes: &[u8]| bytes.try_into().expect("32 bytes");
+    (half(first), half(second))
 }
 
 /// The 2k+1 `PRF` jobs of one encryption: `r` (η₁, nonces `0..k`), `e₁`
@@ -862,13 +743,7 @@ fn prf_jobs(params: KyberParams, coins: &[u8; 32]) -> Vec<HashJob> {
             } else {
                 params.eta2
             };
-            let mut input = coins.to_vec();
-            input.push(nonce as u8);
-            HashJob {
-                params: SpongeParams::shake(256),
-                input,
-                output_len: 64 * eta,
-            }
+            HashJob::prf(coins, nonce, eta)
         })
         .collect()
 }
@@ -1049,7 +924,8 @@ mod tests {
     use super::*;
     use crate::KYBER_Q;
     use krv_sha3::{
-        hash_batch, BatchRequest, ReferenceBackend, Sha3_256, Sha3_512, Shake256, Sponge, Xof,
+        hash_batch, BatchRequest, ReferenceBackend, Sha3_256, Sha3_512, Shake128, Shake256, Sponge,
+        Xof,
     };
 
     fn seeds(tag: u8) -> ([u8; 32], [u8; 32], [u8; 32]) {
@@ -1081,6 +957,61 @@ mod tests {
             let recovered =
                 ml_kem_decaps(params, &dk, &ct, ReferenceBackend::new()).expect("valid inputs");
             assert_eq!(shared, recovered, "{}", params.label());
+        }
+    }
+
+    #[test]
+    fn two_messages_give_two_ciphertexts_that_both_decapsulate() {
+        for params in KyberParams::ALL {
+            let (d, z, m) = seeds(0xD1);
+            let (_, _, other) = seeds(0xD2);
+            let (ek, dk) = ml_kem_keygen(params, &d, &z, ReferenceBackend::new());
+            let encaps = |m| ml_kem_encaps(params, &ek, &m, ReferenceBackend::new()).unwrap();
+            let (ct, shared) = encaps(m);
+            let (other_ct, other_shared) = encaps(other);
+            assert_ne!(ct, other_ct, "{}", params.label());
+            assert_ne!(shared, other_shared, "{}", params.label());
+            for (ct, shared) in [(ct, shared), (other_ct, other_shared)] {
+                let recovered = ml_kem_decaps(params, &dk, &ct, ReferenceBackend::new());
+                assert_eq!(recovered, Ok(shared), "{}", params.label());
+            }
+        }
+    }
+
+    #[test]
+    fn matrix_matches_standalone_per_entry_sampling() {
+        // Oracle: each entry sampled from its own incremental SHAKE128
+        // XOF must equal the sampler's, retries included. For ρ =
+        // [0x42; 32] and k = 2 one entry needs a fourth block.
+        for (seed, k, rounds) in [(0x42u8, 2usize, 2), (0xA7, 3, 1), (0x00, 4, 1)] {
+            let rho = [seed; 32];
+            let mut sampler = MatrixSampler::new(&rho, k);
+            let mut sampled = 0;
+            while !sampler.done() {
+                let streams: Vec<Vec<u8>> = sampler
+                    .jobs()
+                    .map(|job| Shake128::digest(&job.input, job.output_len))
+                    .collect();
+                sampler.absorb(&streams);
+                sampled += 1;
+            }
+            assert_eq!(sampled, rounds, "rounds to sample Â, seed {seed}");
+            let matrix = sampler.into_matrix();
+            for i in 0..k {
+                for j in 0..k {
+                    let mut xof = Shake128::new();
+                    xof.update(&rho);
+                    xof.update(&[j as u8, i as u8]);
+                    let mut stream = xof.squeeze(3 * SHAKE128_BLOCK);
+                    let expected = loop {
+                        if let Some(poly) = sample_ntt(&stream) {
+                            break poly;
+                        }
+                        stream.extend(xof.squeeze(SHAKE128_BLOCK));
+                    };
+                    assert_eq!(matrix[i][j], expected, "entry ({i}, {j}), seed {seed}");
+                }
+            }
         }
     }
 
@@ -1333,6 +1264,131 @@ mod tests {
                 }
                 assert_eq!(driven.0, standalone, "{label}");
                 assert_eq!(library.into_result(), stepped.into_result(), "{label}");
+            }
+        }
+    }
+
+    /// A hash job's FIPS 203 role, told apart by sponge and output
+    /// length; `Prf` carries η and `Xof` its SHAKE128 block count.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    enum Kind {
+        G,
+        H,
+        J,
+        Prf(usize),
+        Xof(usize),
+    }
+
+    fn kind(job: &HashJob) -> Kind {
+        let len = job.output_len;
+        match job.params {
+            p if p == SpongeParams::sha3(512) && len == 64 => Kind::G,
+            p if p == SpongeParams::sha3(256) && len == 32 => Kind::H,
+            p if p == SpongeParams::shake(256) && len == 32 => Kind::J,
+            p if p == SpongeParams::shake(256) && len.is_multiple_of(64) => Kind::Prf(len / 64),
+            p if p == SpongeParams::shake(128) && len.is_multiple_of(SHAKE128_BLOCK) => {
+                Kind::Xof(len / SHAKE128_BLOCK)
+            }
+            _ => panic!("unexpected hash job {job:?}"),
+        }
+    }
+
+    /// Every round of `op`, as its jobs' kinds in sorted order.
+    fn schedule(params: KyberParams, op: KemOp) -> Vec<Vec<Kind>> {
+        let mut job = KemJob::new(params, op).unwrap();
+        let mut rounds = Vec::new();
+        while !job.is_done() {
+            let mut kinds: Vec<Kind> = job.pending().iter().map(kind).collect();
+            kinds.sort();
+            rounds.push(kinds);
+            let outputs: Vec<Vec<u8>> = job
+                .pending()
+                .iter()
+                .map(|hash_job| {
+                    let mut sponge = Sponge::new(hash_job.params, ReferenceBackend::new());
+                    sponge.absorb(&hash_job.input);
+                    sponge.squeeze(hash_job.output_len)
+                })
+                .collect();
+            job.advance(&outputs);
+        }
+        rounds
+    }
+
+    /// `round` less its matrix entries, which must all squeeze `blocks`
+    /// blocks, and how many entries it carried.
+    fn own_jobs(round: &[Kind], blocks: usize) -> (Vec<Kind>, usize) {
+        let (entries, own): (Vec<Kind>, Vec<Kind>) =
+            round.iter().partition(|kind| matches!(kind, Kind::Xof(_)));
+        assert!(entries.iter().all(|&entry| entry == Kind::Xof(blocks)));
+        (own, entries.len())
+    }
+
+    /// Checks that `rounds` past the first `after` carry only matrix
+    /// entries, one more block each round, and returns how many there
+    /// are.
+    fn retry_rounds(rounds: &[Vec<Kind>], after: usize, blocks: usize) -> usize {
+        for (index, round) in rounds[after..].iter().enumerate() {
+            let (own, entries) = own_jobs(round, blocks + index);
+            assert!(own.is_empty() && entries > 0, "retry round {round:?}");
+        }
+        rounds.len() - after
+    }
+
+    #[test]
+    fn rounds_carry_the_pinned_hash_jobs() {
+        // Each seed tag's keygen takes `keygen_retries` retry rounds; the
+        // non-zero ones were found by search. Encaps and decaps of these
+        // keys complete their matrix in time and take no retry round.
+        for (params, tag, keygen_retries) in [
+            (KyberParams::KYBER512, 0x10u8, 0),
+            (KyberParams::KYBER512, 34, 1),
+            (KyberParams::KYBER768, 0x10, 0),
+            (KyberParams::KYBER768, 1, 1),
+            (KyberParams::KYBER1024, 0x10, 0),
+            (KyberParams::KYBER1024, 238, 1),
+        ] {
+            let (k, label) = (params.k, format!("{} tag {tag}", params.label()));
+            let (d, z, m) = seeds(tag);
+            let prf = [
+                vec![Kind::Prf(params.eta1); k],
+                vec![Kind::Prf(params.eta2); k + 1],
+            ];
+            let mut prf = prf.concat();
+            prf.sort();
+
+            // keygen: [G], [k² XOF, 2k PRF_η₁], [retry XOF]…, [H(ek)].
+            let rounds = schedule(params, KemOp::Keygen { d, z });
+            let (last, middle) = rounds.split_last().unwrap();
+            assert_eq!(rounds[0], [Kind::G], "{label} keygen");
+            let (own, entries) = own_jobs(&rounds[1], 3);
+            assert_eq!(own, vec![Kind::Prf(params.eta1); 2 * k], "{label} keygen");
+            assert_eq!(entries, k * k, "{label} keygen");
+            assert_eq!(retry_rounds(middle, 2, 4), keygen_retries, "{label} keygen");
+            assert_eq!(last, &[Kind::H], "{label} keygen");
+
+            // encaps: [H(ek), k² XOF], [G, retries], [2k+1 PRF, retries].
+            let (ek, dk) = ml_kem_keygen(params, &d, &z, ReferenceBackend::new());
+            let rounds = schedule(params, KemOp::Encaps { ek: ek.clone(), m });
+            assert_eq!(
+                own_jobs(&rounds[0], 3),
+                (vec![Kind::H], k * k),
+                "{label} encaps"
+            );
+            assert_eq!(own_jobs(&rounds[1], 4).0, [Kind::G], "{label} encaps");
+            assert_eq!(own_jobs(&rounds[2], 5).0, prf, "{label} encaps");
+            assert_eq!(retry_rounds(&rounds, 3, 6), 0, "{label} encaps");
+
+            // decaps, honest and tampered: [G, J, k² XOF], [2k+1 PRF, retries].
+            let (ct, _) = ml_kem_encaps(params, &ek, &m, ReferenceBackend::new()).unwrap();
+            let mut tampered = ct.clone();
+            tampered[0] ^= 0x01;
+            for ct in [ct, tampered] {
+                let rounds = schedule(params, KemOp::Decaps { dk: dk.clone(), ct });
+                let first = (vec![Kind::G, Kind::J], k * k);
+                assert_eq!(own_jobs(&rounds[0], 3), first, "{label} decaps");
+                assert_eq!(own_jobs(&rounds[1], 4).0, prf, "{label} decaps");
+                assert_eq!(retry_rounds(&rounds, 2, 5), 0, "{label} decaps");
             }
         }
     }

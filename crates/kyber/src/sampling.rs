@@ -1,7 +1,8 @@
-//! Seed expansion: the Keccak-heavy half of Kyber (FIPS 203 §4.2).
+//! The samplers of FIPS 203 §4.2.2: `SampleNTT` turns a SHAKE128 stream
+//! into an entry of the matrix Â, `SamplePolyCBD` a PRF stream into a
+//! small noise polynomial. [`KemJob`](crate::KemJob) stages the streams.
 
 use crate::poly::{reduce_once, Poly, KYBER_N, KYBER_Q};
-use krv_sha3::{hash_batch, BatchRequest, PermutationBackend, SpongeParams};
 
 /// Rejection-samples one NTT-domain polynomial from an XOF stream
 /// (FIPS 203 Algorithm 7, `SampleNTT`). Returns `None` if the stream is
@@ -78,92 +79,9 @@ fn cbd<const ETA: usize>(stream: &[u8]) -> Poly {
 /// A SHAKE128 output block (168 bytes, the rate).
 pub const SHAKE128_BLOCK: usize = 168;
 
-/// Expands the k × k public matrix **Â** from `rho` with work-scheduled
-/// SHAKE128 batches — the paper's §1 motivating workload. Entry (i, j)
-/// is sampled from `SHAKE128(rho ‖ j ‖ i)` directly in the NTT domain.
-///
-/// All k² streams are hashed in one drain-and-refill batch
-/// ([`hash_batch`]). The rare entries whose three-block stream rejects
-/// too much are retried **individually** with a longer output — a SHAKE
-/// stream is prefix-stable, so re-hashing with a longer length extends
-/// the short stream bit-for-bit and the result is identical to an
-/// incremental top-up. Entries that succeeded never touch the hardware
-/// again.
-pub fn expand_matrix<B: PermutationBackend>(
-    rho: &[u8; 32],
-    k: usize,
-    mut backend: B,
-) -> Vec<Vec<Poly>> {
-    let inputs: Vec<Vec<u8>> = (0..k * k)
-        .map(|entry| {
-            let (i, j) = (entry / k, entry % k);
-            let mut input = rho.to_vec();
-            input.push(j as u8);
-            input.push(i as u8);
-            input
-        })
-        .collect();
-    // Three SHAKE blocks ≈ 99.9 % success per entry.
-    let requests: Vec<BatchRequest<'_>> = inputs
-        .iter()
-        .map(|input| BatchRequest::new(input, 3 * SHAKE128_BLOCK))
-        .collect();
-    let streams = hash_batch(SpongeParams::shake(128), &mut backend, &requests);
-    let mut polys: Vec<Option<Poly>> = streams.iter().map(|s| sample_ntt(s)).collect();
-    let mut blocks = 4;
-    while polys.iter().any(Option::is_none) {
-        // Per-entry retry: only the failed entries go back to the
-        // hardware, with one more output block each round.
-        let failed: Vec<usize> = polys
-            .iter()
-            .enumerate()
-            .filter(|(_, poly)| poly.is_none())
-            .map(|(index, _)| index)
-            .collect();
-        let retries: Vec<BatchRequest<'_>> = failed
-            .iter()
-            .map(|&index| BatchRequest::new(&inputs[index], blocks * SHAKE128_BLOCK))
-            .collect();
-        let longer = hash_batch(SpongeParams::shake(128), &mut backend, &retries);
-        for (&index, stream) in failed.iter().zip(&longer) {
-            polys[index] = sample_ntt(stream);
-        }
-        blocks += 1;
-    }
-    let polys: Vec<Poly> = polys.into_iter().map(Option::unwrap).collect();
-    polys.chunks(k).map(|row| row.to_vec()).collect()
-}
-
-/// Expands the secret and error vectors from `sigma` with one
-/// work-scheduled SHAKE256 batch (`s_i = CBD(PRF(sigma, i))`,
-/// `e_i = CBD(PRF(sigma, k + i))`).
-pub fn expand_secrets<B: PermutationBackend>(
-    sigma: &[u8; 32],
-    k: usize,
-    eta: usize,
-    backend: B,
-) -> (Vec<Poly>, Vec<Poly>) {
-    let inputs: Vec<Vec<u8>> = (0..2 * k)
-        .map(|nonce| {
-            let mut input = sigma.to_vec();
-            input.push(nonce as u8);
-            input
-        })
-        .collect();
-    let requests: Vec<BatchRequest<'_>> = inputs
-        .iter()
-        .map(|input| BatchRequest::new(input, 64 * eta))
-        .collect();
-    let streams = hash_batch(SpongeParams::shake(256), backend, &requests);
-    let mut polys: Vec<Poly> = streams.iter().map(|s| sample_cbd(s, eta)).collect();
-    let errors = polys.split_off(k);
-    (polys, errors)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use krv_sha3::ReferenceBackend;
 
     #[test]
     fn sample_ntt_rejects_large_values() {
@@ -225,67 +143,5 @@ mod tests {
             })
             .sum();
         assert!(sum.abs() < 128, "mean far from zero: {sum}");
-    }
-
-    #[test]
-    fn matrix_matches_standalone_per_entry_sampling() {
-        // Oracle: each entry sampled from its own unbatched SHAKE128
-        // stream must equal the scheduled batch's result.
-        use krv_sha3::{Shake128, Xof};
-        for (seed, k) in [(0x42u8, 2usize), (0xA7, 3), (0x00, 4)] {
-            let rho = [seed; 32];
-            let matrix = expand_matrix(&rho, k, ReferenceBackend::new());
-            for i in 0..k {
-                for j in 0..k {
-                    let mut xof = Shake128::new();
-                    xof.update(&rho);
-                    xof.update(&[j as u8, i as u8]);
-                    let mut stream = xof.squeeze(3 * SHAKE128_BLOCK);
-                    let expected = loop {
-                        if let Some(poly) = sample_ntt(&stream) {
-                            break poly;
-                        }
-                        stream.extend(xof.squeeze(SHAKE128_BLOCK));
-                    };
-                    assert_eq!(matrix[i][j], expected, "entry ({i}, {j}), seed {seed}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn secrets_match_standalone_prf() {
-        use krv_sha3::{Shake256, Xof};
-        let sigma = [0x5Cu8; 32];
-        let (k, eta) = (3usize, 2usize);
-        let (s, e) = expand_secrets(&sigma, k, eta, ReferenceBackend::new());
-        for (nonce, poly) in s.iter().chain(&e).enumerate() {
-            let mut xof = Shake256::new();
-            xof.update(&sigma);
-            xof.update(&[nonce as u8]);
-            assert_eq!(
-                *poly,
-                sample_cbd(&xof.squeeze(64 * eta), eta),
-                "nonce {nonce}"
-            );
-        }
-    }
-
-    #[test]
-    fn matrix_is_deterministic_and_asymmetric() {
-        let rho = [9u8; 32];
-        let a1 = expand_matrix(&rho, 2, ReferenceBackend::new());
-        let a2 = expand_matrix(&rho, 2, ReferenceBackend::new());
-        assert_eq!(a1, a2, "deterministic");
-        assert_ne!(a1[0][1], a1[1][0], "A is not symmetric (i, j ordering)");
-    }
-
-    #[test]
-    fn secrets_differ_between_s_and_e() {
-        let sigma = [3u8; 32];
-        let (s, e) = expand_secrets(&sigma, 3, 2, ReferenceBackend::new());
-        assert_eq!(s.len(), 3);
-        assert_eq!(e.len(), 3);
-        assert_ne!(s[0], e[0], "distinct PRF nonces");
     }
 }

@@ -19,7 +19,7 @@
 //! | [`vproc`] | `krv-vproc` | the SIMD processor simulator |
 //! | [`core`] | `krv-core` | the vector Keccak kernels and engine |
 //! | [`baselines`] | `krv-baselines` | scalar Ibex baseline, published comparators |
-//! | [`kyber`] | `krv-kyber` | K-PKE key generation (the paper's future-work workload) |
+//! | [`kyber`] | `krv-kyber` | FIPS 203 ML-KEM as staged, batchable hash rounds (the paper's future-work workload) |
 //! | [`area`] | `krv-area` | FPGA slice model |
 //! | [`service`] | `krv-service` | continuous-batching hashing service over the engine pool |
 //! | [`server`] | `krv-server` | remote hashing daemon: framed TCP wire protocol, server, client |

@@ -1,18 +1,19 @@
-//! The paper's §5 future work, end to end: CRYSTALS-Kyber K-PKE key
-//! generation with every Keccak invocation (G, the SHAKE128 matrix
-//! expansion, the SHAKE256 PRF) executed on the simulated SIMD processor
-//! with custom vector extensions.
+//! The paper's §5 future work, end to end: FIPS 203 ML-KEM with every
+//! Keccak invocation (G, H, J, the SHAKE128 matrix expansion, the
+//! SHAKE256 PRF) executed on the simulated SIMD processor with custom
+//! vector extensions.
 
 use keccak_rvv::core::{KernelKind, VectorKeccakEngine};
-use keccak_rvv::kyber::{keygen, KyberParams};
+use keccak_rvv::kyber::{ml_kem_decaps, ml_kem_encaps, ml_kem_keygen, KyberParams};
 use keccak_rvv::sha3::ReferenceBackend;
 
 #[test]
 fn kyber768_keygen_on_the_vector_processor() {
-    let seed = [0xA7u8; 32];
-    let reference = keygen(KyberParams::KYBER768, &seed, ReferenceBackend::new());
+    let (d, z) = ([0xA7u8; 32], [0xA8u8; 32]);
+    let params = KyberParams::KYBER768;
+    let reference = ml_kem_keygen(params, &d, &z, ReferenceBackend::new());
     let mut engine = VectorKeccakEngine::new(KernelKind::E64Lmul8, 6);
-    let accelerated = keygen(KyberParams::KYBER768, &seed, &mut engine);
+    let accelerated = ml_kem_keygen(params, &d, &z, &mut engine);
     assert_eq!(reference, accelerated, "keys must be backend-independent");
     assert!(
         engine.permutations() >= 4,
@@ -23,53 +24,66 @@ fn kyber768_keygen_on_the_vector_processor() {
 
 #[test]
 fn kyber1024_matrix_uses_six_state_batches() {
-    // Kyber1024 expands 16 XOF streams; a 6-state engine covers them in
+    // ML-KEM-1024 expands 16 XOF streams; a 6-state engine covers them in
     // ceil(16/6) = 3 hardware passes per permutation step.
-    let seed = [0x11u8; 32];
+    let (d, z) = ([0x11u8; 32], [0x12u8; 32]);
+    let params = KyberParams::KYBER1024;
     let mut engine = VectorKeccakEngine::new(KernelKind::E64Lmul8, 6);
-    let keypair = keygen(KyberParams::KYBER1024, &seed, &mut engine);
-    assert_eq!(keypair.t_hat.len(), 4);
-    let reference = keygen(KyberParams::KYBER1024, &seed, ReferenceBackend::new());
-    assert_eq!(keypair, reference);
+    let (ek, dk) = ml_kem_keygen(params, &d, &z, &mut engine);
+    assert_eq!(ek.len(), params.ek_len());
+    let reference = ml_kem_keygen(params, &d, &z, ReferenceBackend::new());
+    assert_eq!((ek, dk), reference);
 }
 
 #[test]
 fn thirty_two_bit_architecture_also_works() {
-    let seed = [0xC3u8; 32];
-    let reference = keygen(KyberParams::KYBER512, &seed, ReferenceBackend::new());
+    let (d, z, m) = ([0xC3u8; 32], [0xC4u8; 32], [0xC5u8; 32]);
+    let params = KyberParams::KYBER512;
+    let (ek, dk) = ml_kem_keygen(params, &d, &z, ReferenceBackend::new());
+    let (ct, shared) = ml_kem_encaps(params, &ek, &m, ReferenceBackend::new()).unwrap();
     let mut engine = VectorKeccakEngine::new(KernelKind::E32Lmul8, 3);
-    assert_eq!(keygen(KyberParams::KYBER512, &seed, &mut engine), reference);
+    assert_eq!(
+        ml_kem_keygen(params, &d, &z, &mut engine),
+        (ek.clone(), dk.clone())
+    );
+    assert_eq!(
+        ml_kem_encaps(params, &ek, &m, &mut engine).unwrap(),
+        (ct.clone(), shared)
+    );
+    assert_eq!(
+        ml_kem_decaps(params, &dk, &ct, &mut engine).unwrap(),
+        shared
+    );
 }
 
 #[test]
 fn full_pke_round_trip_on_the_vector_processor() {
-    use keccak_rvv::kyber::{decrypt, encrypt};
+    // Encaps encrypts under K-PKE and decaps decrypts and re-encrypts, so
+    // a recovered secret is a K-PKE round trip on the hardware.
     let params = KyberParams::KYBER768;
-    let seed = [0x3Cu8; 32];
+    let (d, z) = ([0x3Cu8; 32], [0x3Du8; 32]);
+    let m = *b"a secret worth 32 bytes exactly!";
     let mut engine = VectorKeccakEngine::new(KernelKind::E64Lmul8, 6);
-    let keypair = keygen(params, &seed, &mut engine);
-    let message = *b"a secret worth 32 bytes exactly!";
-    let ciphertext = encrypt(params, &keypair, &message, &[0x77u8; 32], &mut engine);
-    assert_eq!(decrypt(params, &keypair, &ciphertext), message);
-    // The same ciphertext decrypts identically when produced on the host.
-    let host_ct = encrypt(
-        params,
-        &keypair,
-        &message,
-        &[0x77u8; 32],
-        ReferenceBackend::new(),
+    let (ek, dk) = ml_kem_keygen(params, &d, &z, &mut engine);
+    let (ct, shared) = ml_kem_encaps(params, &ek, &m, &mut engine).unwrap();
+    assert_eq!(
+        ml_kem_decaps(params, &dk, &ct, &mut engine).unwrap(),
+        shared
     );
-    assert_eq!(ciphertext, host_ct, "ciphertexts are backend-independent");
+    // The same ciphertext and secret come out when produced on the host.
+    let host = ml_kem_encaps(params, &ek, &m, ReferenceBackend::new()).unwrap();
+    assert_eq!((ct, shared), host, "ciphertexts are backend-independent");
 }
 
 #[test]
 fn keccak_work_per_keygen_is_accounted() {
-    // How much device Keccak work one Kyber768 keygen needs: G (1 pass
-    // batch-of-1) + matrix (9 XOF streams → 2 six-state passes × absorb +
-    // squeeze blocks) + PRF (6 streams → 1 pass). The exact count is a
-    // stable regression value for the cost model.
+    // How much device Keccak work one ML-KEM-768 keygen needs: G, the 9
+    // XOF streams of the matrix beside the 6 PRF streams (three 6-state
+    // passes for the first block, then two per further XOF block), and
+    // H(ek) over the 1184-byte key (one pass per absorbed block). The
+    // exact count is a stable regression value for the cost model.
     let mut engine = VectorKeccakEngine::new(KernelKind::E64Lmul8, 6);
-    let _ = keygen(KyberParams::KYBER768, &[1u8; 32], &mut engine);
+    let _ = ml_kem_keygen(KyberParams::KYBER768, &[1u8; 32], &[2u8; 32], &mut engine);
     let passes = engine.permutations();
     assert!(
         (5..=40).contains(&passes),
