@@ -57,7 +57,7 @@
 //! Run with: `cargo run --release -p krv-bench --bin loadgen`
 
 use krv_bench::Health;
-use krv_core::EnginePool;
+use krv_core::{EnginePool, KernelKind};
 use krv_kyber::{ml_kem_decaps, ml_kem_encaps, ml_kem_keygen, KemOp, KemResult, KyberParams};
 use krv_service::{
     HashRequest, KemRequest, MetricsSnapshot, QuantileSummary, Service, ServiceConfig,
@@ -352,7 +352,7 @@ fn run_closed_loop(options: &Options, config: ServiceConfig) -> ClosedLoopResult
 
     // Direct path: the same bursts through pooled `hash_batch`, no
     // queue, no scheduler thread, no tickets.
-    let mut pool = EnginePool::new(config.kernel, config.sn, config.workers);
+    let mut pool = EnginePool::new(KernelKind::E64Lmul8, config.sn, config.workers);
     let warm: Vec<BatchRequest<'_>> = bursts[0]
         .iter()
         .map(|m| BatchRequest::new(m, OUTPUT_LEN))
@@ -573,7 +573,7 @@ fn run_tree_loop(options: &Options, config: ServiceConfig) -> TreeLoopResult {
     // Direct path: the same messages through pooled `TreeMode::digest`
     // — the leaves still ride `hash_batch`, but with no queue, tickets
     // or scheduler thread between them and the pool.
-    let mut pool = EnginePool::new(config.kernel, config.sn, config.workers);
+    let mut pool = EnginePool::new(KernelKind::E64Lmul8, config.sn, config.workers);
     mode.digest(&mut pool, &bursts[0][0], b"", OUTPUT_LEN); // warm-up
     let started = Instant::now();
     let direct_digests: Vec<Vec<u8>> = bursts
@@ -706,7 +706,7 @@ fn run_kem_loop(options: &Options, config: ServiceConfig) -> KemLoopResult {
     // Fixtures: one direct keygen + encaps per parameter set gives the
     // load's encaps ops a valid key and its decaps ops a valid
     // key/ciphertext pair (and warms the pool's lazy spawn).
-    let mut pool = EnginePool::new(config.kernel, config.sn, config.workers);
+    let mut pool = EnginePool::new(KernelKind::E64Lmul8, config.sn, config.workers);
     let fixtures: Vec<KemFixture> = KyberParams::ALL
         .iter()
         .map(|&params| {
@@ -912,7 +912,7 @@ fn render_json(
         json,
         "  \"config\": {{ \"kernel\": \"{}\", \"sn\": {}, \"workers\": {}, \
          \"batch_slots\": {}, \"queue_capacity\": {}, \"max_wait_us\": {} }},",
-        config.kernel.label(),
+        KernelKind::E64Lmul8.label(),
         config.sn,
         config.workers,
         config.batch_slots(),

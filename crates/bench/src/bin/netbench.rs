@@ -62,6 +62,7 @@
 //! Run with: `cargo run --release -p krv-bench --bin netbench`
 
 use krv_bench::Health;
+use krv_core::KernelKind;
 use krv_kyber::{ml_kem_encaps, ml_kem_keygen};
 use krv_native::NativeBackend;
 use krv_server::protocol::{write_frame, DEFAULT_MAX_FRAME};
@@ -1361,7 +1362,7 @@ fn render_json(
          \"shards\": {} }},",
         options.connections,
         options.window,
-        config.kernel.label(),
+        KernelKind::E64Lmul8.label(),
         config.workers,
         config.batch_slots(),
         options.io_threads,

@@ -6,23 +6,33 @@
 //! and all of data memory.
 //!
 //! The compiled tier lowers straight-line regions to specialized native
-//! transfer functions and overlays fused idioms on the Keccak θ and χ
-//! sequences and on the whole LMUL=8 round, whose loop it runs as one
-//! resident call (DESIGN.md §16); its timing-exactness argument leans
-//! on trap-time prefix retirement, `vsetvli` guard exits, budget-limited
-//! early exits and the resident loop's replayed admission. Ten program
-//! families probe those edges: scalar straight lines and loops, vector
-//! kernels, `vsetvli` reconfiguration, mid-block traps and tight cycle
-//! budgets, plus four families the random generators cannot produce —
-//! the verbatim θ/χ idiom sequences of the real kernels, sometimes
-//! perturbed so near-miss sequences keep taking the unfused path, the
-//! verbatim round loop over random registers with counter starts that
-//! make ι trap, perturbed AVL registers and near-miss rounds, and both
-//! verbatim families again under budgets that expire inside a span or
-//! between the trips of a resident loop.
+//! transfer functions, one op per instruction, and overlays one fused
+//! span, the whole E64 LMUL=8 round, whose loop it runs as one resident
+//! call (DESIGN.md §16); its timing-exactness argument leans on
+//! trap-time prefix retirement, `vsetvli` guard exits, budget-limited
+//! early exits and the resident loop's replayed admission. Twelve
+//! program families probe those edges: scalar straight lines and loops,
+//! vector kernels, `vsetvli` reconfiguration, mid-block traps and tight
+//! cycle budgets, plus six families the random generators cannot
+//! produce:
+//!
+//! * the verbatim θ/χ sequences of the real kernels, sometimes
+//!   perturbed, which run as their member ops;
+//! * the verbatim E64 round loop over random registers with counter
+//!   starts that make ι trap, perturbed AVL registers and near-miss
+//!   rounds;
+//! * the verbatim E32 LMUL=8 round loop on an ELEN = 32 processor, with
+//!   counter starts that make either `viota` trap. The tier refuses
+//!   SEW = 32 vector ops, so this covers the hand-offs between compiled
+//!   scalar stretches and stepped vector work;
+//!
+//! and each of the three again under budgets that expire inside a span,
+//! between the trips of a resident loop, or between two stepped
+//! instructions.
 //!
 //! [`Processor::set_compiled`]: krv_vproc::Processor::set_compiled
 
+use krv_core::programs::kernel_e32_lmul8;
 use krv_isa::{VReg, XReg};
 use krv_testkit::{CaseReport, Rng};
 use krv_vproc::{Processor, ProcessorConfig, RunSummary, Trap};
@@ -38,8 +48,8 @@ const STAGE_BYTES: usize = 2048;
 /// One randomly generated differential case: a program, the memory
 /// image it starts from, and the cycle budget it runs under.
 struct ProgramCase {
-    /// Per-register element count of the vector configuration.
-    elenum: usize,
+    /// The processor both paths run on: its ELEN and EleNum.
+    config: ProcessorConfig,
     /// Assembly source (must assemble; a rejection is itself a failure).
     source: String,
     /// Initial data-memory image, staged identically into every path.
@@ -73,8 +83,8 @@ impl CompiledTierOutcome {
 type ProgramGen = fn(&mut Rng) -> ProgramCase;
 
 /// The program shapes the differential covers, as data: six random
-/// families, then four built from the verbatim Keccak kernels.
-const PROGRAM_FAMILIES: [(&str, ProgramGen); 10] = [
+/// families, then six built from the verbatim Keccak kernels.
+const PROGRAM_FAMILIES: [(&str, ProgramGen); 12] = [
     ("scalar straight-line", gen_scalar_straight_line),
     ("scalar loop + memory", gen_scalar_loop),
     ("vector kernel (e64/m1)", gen_vector_m1),
@@ -85,6 +95,11 @@ const PROGRAM_FAMILIES: [(&str, ProgramGen); 10] = [
     ("budget expiring inside idiom blocks", gen_idiom_budget),
     ("keccak whole-round loop (e64/m8)", gen_round_loop),
     ("budget expiring inside the round loop", gen_round_budget),
+    ("keccak whole-round loop (e32/m8)", gen_e32_round_loop),
+    (
+        "budget expiring inside the e32 round loop",
+        gen_e32_round_budget,
+    ),
 ];
 
 /// Runs every scenario for `cases_per_scenario` random programs each.
@@ -216,7 +231,7 @@ fn run_case(
             case.source
         )
     })?;
-    let mut processor = Processor::new(ProcessorConfig::elen64(case.elenum));
+    let mut processor = Processor::new(case.config.clone());
     processor.set_compiled(compiled);
     processor
         .dmem_mut()
@@ -302,7 +317,7 @@ fn gen_scalar_straight_line(rng: &mut Rng) -> ProgramCase {
     }
     source.push_str("ecall\n");
     ProgramCase {
-        elenum: 10,
+        config: ProcessorConfig::elen64(10),
         source,
         image,
         max_cycles: MAX_CYCLES,
@@ -326,7 +341,7 @@ fn gen_scalar_loop(rng: &mut Rng) -> ProgramCase {
     source.push_str(&format!("lw {}, {offset}(x0)\n", reg(rng)));
     source.push_str("addi t0, t0, 1\nblt t0, t1, loop\necall\n");
     ProgramCase {
-        elenum: 10,
+        config: ProcessorConfig::elen64(10),
         source,
         image,
         max_cycles: MAX_CYCLES,
@@ -376,7 +391,7 @@ fn gen_vector_m1(rng: &mut Rng) -> ProgramCase {
     let stored = 1 + rng.below(6);
     source.push_str(&format!("vse64.v v{stored}, (a2)\necall\n"));
     ProgramCase {
-        elenum: 10,
+        config: ProcessorConfig::elen64(10),
         source,
         image,
         max_cycles: MAX_CYCLES,
@@ -413,7 +428,7 @@ fn gen_reconfiguration(rng: &mut Rng) -> ProgramCase {
          vse64.v v8, (a2)\necall\n",
     );
     ProgramCase {
-        elenum: 5,
+        config: ProcessorConfig::elen64(5),
         source,
         image,
         max_cycles: MAX_CYCLES,
@@ -457,7 +472,7 @@ fn gen_mid_block_trap(rng: &mut Rng) -> ProgramCase {
     }
     source.push_str("ecall\n");
     ProgramCase {
-        elenum: 10,
+        config: ProcessorConfig::elen64(10),
         source,
         image,
         max_cycles: MAX_CYCLES,
@@ -479,7 +494,7 @@ fn gen_cycle_budget(rng: &mut Rng) -> ProgramCase {
     // paths must stop at the same instruction with the same counters.
     let budget = 1 + rng.below(80) as u64;
     ProgramCase {
-        elenum: 10,
+        config: ProcessorConfig::elen64(10),
         source,
         image,
         max_cycles: budget,
@@ -495,8 +510,9 @@ fn gen_cycle_budget(rng: &mut Rng) -> ProgramCase {
 /// data: five m1 plane loads, the 13-instruction θ idiom at `vl = n1`,
 /// then an m8 reconfiguration and the 5-instruction χ idiom at
 /// `vl = n8`. With probability ~1/4 the sequence is perturbed — slide
-/// offsets, the rotate amount, or an op inserted mid-idiom — so the
-/// fuse-time matcher's rejects are exercised alongside its accepts.
+/// offsets, the rotate amount, or an op inserted mid-idiom. Outside a
+/// whole round they run as their member ops, so this diffs those ops'
+/// lowering against the stepper.
 fn idiom_source(rng: &mut Rng) -> String {
     let n1 = if rng.below(4) == 0 { 5 } else { 10 };
     let n8 = [25, 50, 75][rng.below(3)];
@@ -536,7 +552,7 @@ fn idiom_source(rng: &mut Rng) -> String {
          vrotup.vi v7, v7, {rot_amt}\n"
     ));
     if insert_break {
-        // A stray op mid-idiom: still a valid program, never a match.
+        // A stray op mid-idiom: still a valid program.
         source.push_str("vor.vv v6, v6, v6\n");
     }
     source.push_str(
@@ -563,7 +579,7 @@ fn idiom_source(rng: &mut Rng) -> String {
 fn gen_keccak_idioms(rng: &mut Rng) -> ProgramCase {
     let image = rng.bytes(STAGE_BYTES);
     ProgramCase {
-        elenum: 10,
+        config: ProcessorConfig::elen64(10),
         source: idiom_source(rng),
         image,
         max_cycles: MAX_CYCLES,
@@ -575,11 +591,10 @@ fn gen_idiom_budget(rng: &mut Rng) -> ProgramCase {
     let image = rng.bytes(STAGE_BYTES);
     let source = idiom_source(rng);
     // Budgets sized to the program's few-hundred-cycle cost, so the run
-    // regularly stops inside a compiled block — often inside a fused
-    // span, forcing the member-op prefix fallback.
+    // regularly stops inside a compiled block and retires its prefix.
     let budget = 1 + rng.below(400) as u64;
     ProgramCase {
-        elenum: 10,
+        config: ProcessorConfig::elen64(10),
         source,
         image,
         max_cycles: budget,
@@ -602,8 +617,8 @@ fn gen_idiom_budget(rng: &mut Rng) -> ProgramCase {
 ///   (or the m8 `v64rho` traps past five registers, as it does on the
 ///   stepper);
 /// * a stray op lands between the round's steps, or `vpi` works on one
-///   row instead of all five, so the round matcher rejects while θ and
-///   χ still fuse.
+///   row instead of all five, so the round matcher rejects and the
+///   member ops run.
 fn round_loop_source(rng: &mut Rng, elenum: usize) -> String {
     let start = match rng.below(6) {
         0 => 0,
@@ -701,7 +716,7 @@ fn round_loop_case(rng: &mut Rng, max_cycles: Option<u64>) -> ProgramCase {
     let elenum = *rng.pick(&[5, 10, 15, 20, 25, 40]);
     let source = round_loop_source(rng, elenum);
     ProgramCase {
-        elenum,
+        config: ProcessorConfig::elen64(elenum),
         source,
         image: rng.bytes(STAGE_BYTES),
         // A full 24-round pass costs about 1850 cycles, so these budgets
@@ -718,6 +733,55 @@ fn gen_round_loop(rng: &mut Rng) -> ProgramCase {
 
 fn gen_round_budget(rng: &mut Rng) -> ProgramCase {
     round_loop_case(rng, None)
+}
+
+/// An E32 LMUL=8 round-loop case: the kernel generator's own loop, from
+/// `permutation:` through `loopctl`, on an ELEN = 32 processor at an
+/// EleNum of 5 to 40, over random registers and memory. The low `viota`
+/// reads `RC_SPLIT[s3]` and the high one `RC_SPLIT[s3 + 24]`, so a
+/// counter start of 24–47 traps the high one on the first trip, one of
+/// 48 or more traps the low one, and a bound past 24 traps the high one
+/// mid-loop.
+fn e32_round_loop_case(rng: &mut Rng, max_cycles: Option<u64>) -> ProgramCase {
+    let elenum = *rng.pick(&[5, 10, 15, 20, 25, 40]);
+    let start = match rng.below(6) {
+        0 => 0,
+        1 => 20 + rng.below(4) as u32,
+        2 => 24 + rng.below(24) as u32,
+        3 => 48 + rng.below(8) as u32,
+        4 => u32::MAX - 2,
+        _ => rng.below(24) as u32,
+    };
+    let bound = if rng.below(4) == 0 {
+        25 + rng.below(6)
+    } else {
+        24
+    };
+    let kernel = kernel_e32_lmul8(elenum).source;
+    let body = &kernel[kernel.find("permutation:").expect("loop label")
+        ..kernel.find("done:").expect("store label")];
+    let source = format!(
+        "li s1, {elenum}\nli s5, {}\nli s2, -1\nli s3, {}\nli s4, {bound}\n\
+         vsetvli x0, s1, e32, m1, tu, mu\n{body}ecall\n",
+        5 * elenum,
+        start as i32,
+    );
+    ProgramCase {
+        config: ProcessorConfig::elen32(elenum),
+        source,
+        image: rng.bytes(STAGE_BYTES),
+        // A full 24-round pass costs about 3550 cycles.
+        max_cycles: max_cycles.unwrap_or(1 + rng.below(3600) as u64),
+        vregs: rng.bytes(32 * 4 * elenum),
+    }
+}
+
+fn gen_e32_round_loop(rng: &mut Rng) -> ProgramCase {
+    e32_round_loop_case(rng, Some(MAX_CYCLES))
+}
+
+fn gen_e32_round_budget(rng: &mut Rng) -> ProgramCase {
+    e32_round_loop_case(rng, None)
 }
 
 #[cfg(test)]
@@ -774,13 +838,15 @@ mod tests {
     #[test]
     fn round_loop_programs_assemble_for_many_seeds() {
         for seed in 0..48 {
-            let case = gen_round_loop(&mut Rng::new(seed * 0x51F1 + 3));
-            krv_asm::assemble(&case.source).unwrap_or_else(|e| {
-                panic!(
-                    "seed {seed}: assembler rejected:\n{e}\n---\n{}",
-                    case.source
-                )
-            });
+            for generate in [gen_round_loop, gen_e32_round_loop] {
+                let case = generate(&mut Rng::new(seed * 0x51F1 + 3));
+                krv_asm::assemble(&case.source).unwrap_or_else(|e| {
+                    panic!(
+                        "seed {seed}: assembler rejected:\n{e}\n---\n{}",
+                        case.source
+                    )
+                });
+            }
         }
     }
 
@@ -789,8 +855,8 @@ mod tests {
         let outcomes = run_compiledtier(1, 1);
         assert_eq!(
             outcomes.len(),
-            10,
-            "six random families plus four verbatim-kernel families"
+            12,
+            "six random families plus six verbatim-kernel families"
         );
         let mut names: Vec<&str> = outcomes.iter().map(|o| o.scenario).collect();
         names.sort_unstable();

@@ -8,7 +8,7 @@
 //! reference permutation, sponge layer, vector kernels, session path,
 //! engine pool — to an external oracle rather than to itself.
 
-use krv_core::{BackendKind, KernelKind};
+use krv_core::BackendKind;
 use krv_service::{
     HashRequest, Service, ServiceConfig, ShardConfig, ShardedService, Ticket, TierPolicy,
 };
@@ -330,7 +330,6 @@ pub fn run_sharded_service_suite(suite: &KatSuite, tier: Tier) -> KatOutcome {
     let service = ShardedService::start(ShardConfig {
         shards: 2,
         service: ServiceConfig {
-            kernel: KernelKind::E64Lmul8,
             sn: 2,
             workers: 2,
             queue_capacity: 1024,
@@ -423,7 +422,6 @@ fn tiered_service_suite(
     label: &str,
 ) -> KatOutcome {
     let service = Service::start(ServiceConfig {
-        kernel: KernelKind::E64Lmul8,
         sn: 2,
         workers: 2,
         queue_capacity: 1024,

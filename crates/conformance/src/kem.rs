@@ -15,7 +15,7 @@
 
 use crate::kat::{backend_states, KatOutcome};
 use crate::kem_vectors::{MlKemVector, ML_KEM_VECTORS};
-use krv_core::{BackendKind, KernelKind};
+use krv_core::BackendKind;
 use krv_kyber::{ml_kem_decaps, ml_kem_encaps, ml_kem_keygen, KemResult, KyberParams};
 use krv_service::{KemRequest, KemTicket, Service, ServiceConfig, TierPolicy};
 use krv_sha3::{hex, PermutationBackend, Shake256, Xof};
@@ -159,7 +159,6 @@ fn check_vector(
 /// check, exactly like the hash serving rows.
 pub fn run_service_kem_suite(tier: crate::kat::Tier) -> KatOutcome {
     let service = Service::start(ServiceConfig {
-        kernel: KernelKind::E64Lmul8,
         sn: 2,
         workers: 2,
         queue_capacity: 1024,

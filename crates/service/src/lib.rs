@@ -85,7 +85,6 @@ pub use tier::{TierKind, TierPolicy};
 
 pub use krv_sha3::tree::LEAVES_PER_ROUND;
 
-use krv_core::KernelKind;
 use krv_kyber::{KemOp, KemResult, KyberParams};
 use krv_sha3::{SpongeParams, SpongeState, TreeMode, TreeState};
 use scheduler::{Scheduler, Shared, Work};
@@ -94,10 +93,10 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// How a [`Service`] is shaped: the pool it runs and the batching knobs.
+/// Every pooled engine runs the paper's LMUL=8 kernel
+/// ([`KernelKind::E64Lmul8`](krv_core::KernelKind::E64Lmul8)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceConfig {
-    /// Kernel every pooled engine runs.
-    pub kernel: KernelKind,
     /// States per engine pass (`SN`).
     pub sn: usize,
     /// Modelled engines in the pool (`W`); with `sn` they set the batch
@@ -125,12 +124,11 @@ pub struct ServiceConfig {
 }
 
 impl Default for ServiceConfig {
-    /// The paper's fastest kernel on a small pool: 2 workers × `SN` = 4,
+    /// A small pool: 2 workers × `SN` = 4,
     /// a 1024-deep queue, a 500 µs batching window, and the simulator
     /// tier serving with mirroring off (the pre-tier behaviour).
     fn default() -> Self {
         Self {
-            kernel: KernelKind::E64Lmul8,
             sn: 4,
             workers: 2,
             queue_capacity: 1024,

@@ -11,7 +11,7 @@ use crate::tier::{TierKind, TierPolicy};
 use crate::{
     HashRequest, KemRequest, Request, ServiceConfig, StreamRequest, SubmitError, TreeRequest,
 };
-use krv_core::{EnginePool, PoolError};
+use krv_core::{EnginePool, KernelKind, PoolError};
 use krv_keccak::KeccakState;
 use krv_kyber::{KemError, KemJob, KemResult, KemStaging};
 use krv_native::NativeBackend;
@@ -464,7 +464,7 @@ impl Scheduler {
     pub fn new(shared: Arc<Shared>, config: &ServiceConfig) -> Self {
         Self {
             shared,
-            pool: EnginePool::new(config.kernel, config.sn, config.workers),
+            pool: EnginePool::new(KernelKind::E64Lmul8, config.sn, config.workers),
             native: NativeBackend::new(),
             tier: config.tier,
             groups_dispatched: 0,

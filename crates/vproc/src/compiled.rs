@@ -10,10 +10,10 @@
 //!
 //! [`CompiledProgram`] instead lowers the **maximal straight-line
 //! region** anchored at a PC, per *entry configuration* (`BlockCtx`),
-//! into a flat sequence of `Op` micro-ops whose word indices, rotation
-//! tables, π scatter segments and folded immediates are resolved at
-//! compile time. Everything the stepper does per instruction happens
-//! once per region:
+//! into a flat sequence of `Op` micro-ops, one per instruction and one
+//! lowering per instruction, whose word indices, rotation tables, π
+//! scatter segments and folded immediates are resolved at compile time.
+//! Everything the stepper does per instruction happens once per region:
 //!
 //! * **`vsetvli`** stays inside the region. The lowering predicts the
 //!   granted VL/`vtype` from the AVL register value observed at compile
@@ -26,10 +26,13 @@
 //!   resolves the direction, commits the matching (taken/not-taken)
 //!   cycle cost and sets the PC — so one trip through a loop body,
 //!   `vsetvli`s, custom Keccak steps and the back-edge included, is one
-//!   dispatch. A region that is exactly the LMUL=8 Keccak round, its
-//!   counter `addi` and a back-edge to its own entry
-//!   (`ResidentLoop`) goes further: one dispatch runs every trip the
-//!   stepping loop would retire.
+//!   dispatch.
+//! * **The whole LMUL=8 round** (paper Algorithm 3, 23 instructions) is
+//!   the tier's one multi-instruction transfer function: a `RoundSpan`
+//!   overlays its member ops and runs them as one pass. A region that
+//!   is exactly that round, its counter `addi` and a back-edge to its
+//!   own entry (`ResidentLoop`) goes further: one dispatch runs every
+//!   trip the stepping loop would retire.
 //! * **Unlowerable instructions** (masked ops, partial group overlap,
 //!   configurations the executors trap on, jumps, halts) *truncate* the
 //!   region rather than refusing it: the prefix still runs compiled and
@@ -200,17 +203,6 @@ pub(crate) struct PiSeg {
     pub rot: u32,
 }
 
-/// One transposed π gather entry: where destination word `r` of a
-/// plane's 5-block reads from (relative to the source span) and how far
-/// it rotates.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PiSpec {
-    /// Source word offset of the block's first state.
-    pub off: usize,
-    /// ρ rotation applied on the way (0 for plain `vpi`).
-    pub rot: u32,
-}
-
 /// One lowered micro-op. All word indices are absolute indices into the
 /// register file's flat `u64` storage, resolved at compile time.
 #[derive(Debug, Clone)]
@@ -332,24 +324,6 @@ pub(crate) enum Op {
         /// States per row (`min(VL, EPR) / 5`).
         states: usize,
     },
-    /// All-rows π in transposed form: every live word of each
-    /// destination plane is written **in order**, gathering from the
-    /// five source planes. Sequential stores beat the per-segment
-    /// scatter of [`Op::Pi`], so the five-row case lowers to this.
-    PiPlanes {
-        /// First word of the destination column span.
-        d: usize,
-        /// Words per register (plane stride inside the spans).
-        elenum: usize,
-        /// First word of the source register span.
-        s: usize,
-        /// Source span length (five registers).
-        s_len: usize,
-        /// Per destination plane: the five gather entries of a 5-block.
-        spec: Box<[[PiSpec; 5]; 5]>,
-        /// States per row (`min(VL, EPR) / 5`).
-        states: usize,
-    },
     /// `viota`: XOR the round constant (looked up from the scalar
     /// register at run time — the index may be out of range and trap)
     /// into lane 0 of every state, copying the rest.
@@ -435,69 +409,17 @@ pub(crate) enum Op {
     },
 }
 
-/// A multi-instruction Keccak idiom recognized in a lowered region and
-/// executed as one native transfer function.
-///
-/// The member [`Op`]s stay in the block unchanged — a dispatch that must
-/// stop or retire inside the span executes them individually — so an
-/// idiom is pure acceleration with identical architectural effect,
-/// including the final values of every temporary register the original
-/// instruction sequence leaves behind. Idioms are infallible: operand
-/// windows and pairwise disjointness are proven when the span is built.
-#[derive(Debug, Clone)]
-pub(crate) enum FusedOp {
-    /// The θ step: four parity XORs, two modular slides, a rotate, the
-    /// `D` combination and five plane updates (13 instructions).
-    Theta {
-        /// Base words of the five plane registers, row order.
-        planes: [usize; 5],
-        /// Parity/`D` temporary (holds `D` afterwards).
-        c: usize,
-        /// Slide-up temporary (holds `C[x-1]` afterwards).
-        up: usize,
-        /// Slide-down + rotate temporary (holds `rotl(C[x+1])`).
-        rot: usize,
-        /// In-block source lane of the slide-up, per position.
-        j_up: [usize; 5],
-        /// In-block source lane of the slide-down, per position.
-        j_rot: [usize; 5],
-        /// Rotate amount applied to the slide-down temporary.
-        amount: u32,
-        /// Live word count (equal for all member ops).
-        n: usize,
-    },
-    /// The χ step: two modular slides, a scalar-XOR complement, an AND
-    /// and the final XOR into the destination block (5 instructions).
-    Chi {
-        /// Source plane block (`vs2` of both slides).
-        s: usize,
-        /// First temporary (holds `(slide1 ^ x[rs1]) & slide2`).
-        t1: usize,
-        /// Second temporary (holds the second slide).
-        t2: usize,
-        /// Destination block.
-        d: usize,
-        /// Scalar register XORed into the first slide (read at run
-        /// time, sign-extended like any `.vx` operand).
-        rs1: usize,
-        /// In-block source lane of the first slide, per position.
-        j1: [usize; 5],
-        /// In-block source lane of the second slide, per position.
-        j2: [usize; 5],
-        /// Live word count (equal for all member ops).
-        n: usize,
-    },
-    /// The whole LMUL=8 round: θ, `vsetvli` (m8), `v64rho` and `vpi`
-    /// over all rows, χ, `vsetvli` (m1) and `viota` (23 instructions).
-    /// Unlike θ and χ it can refuse at run time (see [`RoundSpan`]).
-    Round(RoundSpan),
-}
-
 /// The operands of a fused whole round (paper Algorithm 3), captured
-/// when the span is built. The round is the Keccak round: the slide
-/// offsets, the θ rotate amount, the ρ table and the π gather are
+/// when the span is built: the compiled tier's one multi-instruction
+/// transfer function. The round is the Keccak round: the slide
+/// offsets, the θ rotate amount, the ρ table and the π segments are
 /// proven canonical, so only the register placement, the χ scalar and
 /// the two `vsetvli`s are captured.
+///
+/// The 23 member [`Op`]s stay in the block unchanged, and a dispatch
+/// that must stop or retire inside the span runs them one by one, so
+/// the span has the member ops' exact architectural effect, including
+/// the final value of every temporary register they leave behind.
 ///
 /// Two things are only known at run time and are checked before any
 /// write: both `vsetvli` grants must equal their predictions, and ι's
@@ -533,7 +455,7 @@ pub(crate) struct RoundSpan {
     pub narrow: VsetGuard,
 }
 
-/// A `vsetvli x0, avl, vtype` inside a fused span, with the grant its
+/// A `vsetvli x0, avl, vtype` inside a round span, with the grant its
 /// downstream ops were lowered for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct VsetGuard {
@@ -567,17 +489,6 @@ pub(crate) struct ResidentLoop {
     pub rs1: usize,
     /// The back-edge's second comparison register index.
     pub rs2: usize,
-}
-
-/// A fused idiom overlaying `ops[start .. start + len]`.
-#[derive(Debug, Clone)]
-pub(crate) struct FusedSpan {
-    /// First member-op index.
-    pub start: usize,
-    /// Member instruction count.
-    pub len: usize,
-    /// The single-pass replacement.
-    pub op: FusedOp,
 }
 
 /// How a compiled op left its region.
@@ -620,13 +531,9 @@ pub(crate) struct CompiledBlock {
     pub branch_costs: Option<(u64, u64)>,
     /// Member instruction count.
     pub len: usize,
-    /// Fused idiom overlay, ordered by `start` and, at one start,
-    /// longest first: a whole round is followed by the θ span it
-    /// begins with, which runs when the round cannot.
-    pub fused: Box<[FusedSpan]>,
-    /// Per-op index of the first span in `fused` starting there
-    /// (`u32::MAX` where none does).
-    pub fused_idx: Box<[u32]>,
+    /// Whole-round spans in op order: `(start, span)` overlays
+    /// `ops[start .. start + ROUND_LEN]`, and no two overlap.
+    pub rounds: Box<[(usize, RoundSpan)]>,
     /// Set when the whole region is a resident round loop.
     pub resident: Option<ResidentLoop>,
 }
@@ -646,16 +553,6 @@ impl CompiledBlock {
             Some(next) => (next.prefix_cycles, next.prefix_vector),
             None => (self.total_cycles, self.total_vector),
         }
-    }
-
-    /// The fused spans starting at op `k`, longest first.
-    #[inline]
-    pub fn fused_at(&self, k: usize) -> &[FusedSpan] {
-        let Some(rest) = self.fused.get(self.fused_idx[k] as usize..) else {
-            return &[];
-        };
-        let count = rest.iter().take_while(|span| span.start == k).count();
-        &rest[..count]
     }
 }
 
@@ -858,9 +755,9 @@ pub(crate) fn compile_region(
         return None;
     }
     let len = ops.len();
-    let (fused, fused_idx) = fuse_idioms(&ops);
+    let rounds = match_rounds(&ops);
     let resident = if cur == ctx {
-        match_resident(&ops, &fused, start)
+        match_resident(&ops, &rounds, start)
     } else {
         None
     };
@@ -872,68 +769,34 @@ pub(crate) fn compile_region(
         total_vector: prefix_vector,
         branch_costs,
         len,
-        fused,
-        fused_idx,
+        rounds,
         resident,
     })
 }
 
-/// Instructions covered by the fused θ idiom.
+/// θ's instruction count.
 const THETA_LEN: usize = 13;
-/// Instructions covered by the fused χ idiom.
+/// χ's instruction count.
 const CHI_LEN: usize = 5;
-/// Instructions covered by the fused whole round.
-const ROUND_LEN: usize = 23;
+/// Instructions covered by a round span.
+pub(crate) const ROUND_LEN: usize = 23;
 /// Where χ starts inside a round: θ, `vsetvli`, `v64rho`, `vpi`.
 const ROUND_CHI: usize = THETA_LEN + 3;
 
-/// Scans a lowered region for the Keccak θ and χ instruction idioms the
-/// kernel generators emit, then for whole rounds built on them, and
-/// records them as [`FusedSpan`]s. Purely an overlay: the member ops
-/// stay in place for stop/split dispatches.
-fn fuse_idioms(ops: &[Op]) -> (Box<[FusedSpan]>, Box<[u32]>) {
-    let mut parts = Vec::new();
+/// Scans a lowered region for whole LMUL=8 rounds and records each as
+/// a [`RoundSpan`] overlaying its 23 member ops, which stay in place.
+fn match_rounds(ops: &[Op]) -> Box<[(usize, RoundSpan)]> {
+    let mut rounds = Vec::new();
     let mut i = 0;
     while i < ops.len() {
-        let matched = match_theta(&ops[i..])
-            .map(|op| (THETA_LEN, op))
-            .or_else(|| match_chi(&ops[i..]).map(|op| (CHI_LEN, op)));
-        if let Some((len, op)) = matched {
-            parts.push(FusedSpan { start: i, len, op });
-            i += len;
+        if let Some(round) = match_round(&ops[i..]) {
+            rounds.push((i, round));
+            i += ROUND_LEN;
         } else {
             i += 1;
         }
     }
-    // A round goes in front of the θ span it begins with, so dispatch
-    // tries the longer span first.
-    let mut spans = Vec::with_capacity(parts.len());
-    for (k, part) in parts.iter().enumerate() {
-        let round = parts
-            .get(k + 1)
-            .filter(|chi| chi.start == part.start + ROUND_CHI)
-            .and_then(|chi| match_round(&ops[part.start..], &part.op, &chi.op));
-        if let Some(op) = round {
-            spans.push(FusedSpan {
-                start: part.start,
-                len: ROUND_LEN,
-                op,
-            });
-        }
-        spans.push(part.clone());
-    }
-    let mut idx = vec![u32::MAX; ops.len()];
-    for (si, span) in spans.iter().enumerate().rev() {
-        idx[span.start] = si as u32;
-    }
-    (spans.into_boxed_slice(), idx.into_boxed_slice())
-}
-
-/// Whether `N` equal-length word ranges are pairwise disjoint — the
-/// condition under which a fused idiom may run as one pass over
-/// simultaneously borrowed slices.
-fn pairwise_disjoint<const N: usize>(offsets: [usize; N], len: usize) -> bool {
-    ranges_disjoint(offsets.map(|offset| (offset, len)))
+    rounds.into_boxed_slice()
 }
 
 /// Whether `N` word ranges, given as `(offset, len)`, are pairwise
@@ -943,16 +806,15 @@ fn ranges_disjoint<const N: usize>(mut ranges: [(usize, usize); N]) -> bool {
     ranges.windows(2).all(|w| w[0].0 + w[0].1 <= w[1].0)
 }
 
-/// The canonical lane tables and rotate amount of θ and χ, as the
-/// kernel generators emit them: slide up/down by one lane, rotate by
-/// one, and χ's slides down by one and two lanes.
+/// The canonical lane tables of θ and χ, as the kernel generators emit
+/// them: slide up/down by one lane, and χ's slides down by one and two
+/// lanes.
 const THETA_UP: [usize; 5] = [4, 0, 1, 2, 3];
 const THETA_DOWN: [usize; 5] = [1, 2, 3, 4, 0];
 const CHI_NEXT: [usize; 5] = [1, 2, 3, 4, 0];
 const CHI_NEXT2: [usize; 5] = [2, 3, 4, 0, 1];
 
-/// Matches the 23-instruction LMUL=8 round on top of an already
-/// matched θ span (at `ops[0]`) and χ span (at `ops[ROUND_CHI]`):
+/// Matches the 23-instruction LMUL=8 round at `ops[0]`:
 ///
 /// ```text
 /// θ (13, on planes p + y·n)     χ (5, reading π's group, writing p)
@@ -963,38 +825,14 @@ const CHI_NEXT2: [usize; 5] = [2, 3, 4, 0, 1];
 ///
 /// The span is the Keccak round, so everything but register placement
 /// and the χ scalar must be canonical: the lane tables, θ's rotate by
-/// one, the ρ table over the whole live span and the transposed π
-/// gather. The five planes must fill the m8 group exactly (`n` live
+/// one, the ρ table over the whole live span and π's 25 unrotated
+/// segments. The five planes must fill the m8 group exactly (`n` live
 /// words per plane, the register size), ι must work on plane 0, and all
 /// seven operand ranges must be pairwise disjoint.
-fn match_round(ops: &[Op], theta: &FusedOp, chi: &FusedOp) -> Option<FusedOp> {
+fn match_round(ops: &[Op]) -> Option<RoundSpan> {
     let seq: &[Op; ROUND_LEN] = ops.get(..ROUND_LEN)?.try_into().ok()?;
-    let &FusedOp::Theta {
-        planes,
-        c,
-        up,
-        rot,
-        j_up,
-        j_rot,
-        amount,
-        n,
-    } = theta
-    else {
-        return None;
-    };
-    let &FusedOp::Chi {
-        s: chi_s,
-        t1,
-        t2,
-        d: chi_d,
-        rs1: chi_rs1,
-        j1,
-        j2,
-        n: chi_n,
-    } = chi
-    else {
-        return None;
-    };
+    let (planes, c, up, rot, n) = match_theta(&seq[..THETA_LEN])?;
+    let (chi_s, t1, t2, chi_d, chi_rs1, chi_n) = match_chi(&seq[ROUND_CHI..ROUND_CHI + CHI_LEN])?;
     let (
         Op::Vsetvli {
             rd: wide_rd,
@@ -1008,12 +846,12 @@ fn match_round(ops: &[Op], theta: &FusedOp, chi: &FusedOp) -> Option<FusedOp> {
             s: rho_s,
             rots,
         },
-        Op::PiPlanes {
+        Op::Pi {
             d: pi,
-            elenum,
+            d_len,
             s: pi_s,
             s_len,
-            spec,
+            segs,
             states,
         },
         Op::Vsetvli {
@@ -1034,14 +872,12 @@ fn match_round(ops: &[Op], theta: &FusedOp, chi: &FusedOp) -> Option<FusedOp> {
         return None;
     };
     let p = planes[0];
-    let canonical =
-        j_up == THETA_UP && j_rot == THETA_DOWN && amount == 1 && j1 == CHI_NEXT && j2 == CHI_NEXT2;
     let placed = (0..5).all(|y| planes[y] == p + y * n)
         && chi_n == 5 * n
         && chi_s == *pi
         && chi_d == p
         && (*rho_d, *rho_s) == (p, p)
-        && (*pi_s, *s_len, *elenum, 5 * *states) == (p, 5 * n, n, n)
+        && (*pi_s, *s_len, *d_len, 5 * *states) == (p, 5 * n, 5 * n, n)
         && (*iota_d, *iota_s, *iota_len) == (p, p, n);
     let guarded =
         [*wide_rd, *narrow_rd] == [XReg::X0; 2] && *wide_avl != XReg::X0 && *narrow_avl != XReg::X0;
@@ -1050,12 +886,13 @@ fn match_round(ops: &[Op], theta: &FusedOp, chi: &FusedOp) -> Option<FusedOp> {
             .iter()
             .enumerate()
             .all(|(g, &r)| r == RHO_OFFSETS[g / n][g % 5]);
-    let pi_canonical = spec.iter().enumerate().all(|(y, row)| {
-        row.iter().enumerate().all(|(r, e)| {
-            let x = (r + 3 * y) % 5;
-            e.off == r * n + x && e.rot == 0
-        })
-    });
+    // `lower_pi` emits row `r`'s five segments in column order `xp`.
+    let pi_canonical = segs.len() == 25
+        && segs.iter().enumerate().all(|(i, seg)| {
+            let (r, xp) = (i / 5, i % 5);
+            let y = 2 * (5 + xp - r) % 5;
+            (seg.dst, seg.src, seg.rot) == (y * n + r, r * n + xp, 0)
+        });
     let disjoint = ranges_disjoint([
         (p, 5 * n),
         (c, n),
@@ -1065,10 +902,10 @@ fn match_round(ops: &[Op], theta: &FusedOp, chi: &FusedOp) -> Option<FusedOp> {
         (t1, 5 * n),
         (t2, 5 * n),
     ]);
-    if !(canonical && placed && guarded && rho_canonical && pi_canonical && disjoint) {
+    if !(placed && guarded && rho_canonical && pi_canonical && disjoint) {
         return None;
     }
-    Some(FusedOp::Round(RoundSpan {
+    Some(RoundSpan {
         planes: p,
         n,
         c,
@@ -1089,14 +926,14 @@ fn match_round(ops: &[Op], theta: &FusedOp, chi: &FusedOp) -> Option<FusedOp> {
             vtype: *narrow_vtype,
             vl: *narrow_vl,
         },
-    }))
+    })
 }
 
 /// Recognises a region that is exactly a round span, `addi rc, rc,
 /// imm` with `rc` ι's index register, and a conditional branch back to
 /// the region's entry slot `start`. The caller has already checked that
 /// the configuration at the branch equals the entry configuration.
-fn match_resident(ops: &[Op], fused: &[FusedSpan], start: usize) -> Option<ResidentLoop> {
+fn match_resident(ops: &[Op], rounds: &[(usize, RoundSpan)], start: usize) -> Option<ResidentLoop> {
     let [Op::ScalarImm {
         kind: OpImmKind::Addi,
         rd,
@@ -1112,12 +949,7 @@ fn match_resident(ops: &[Op], fused: &[FusedSpan], start: usize) -> Option<Resid
     else {
         return None;
     };
-    let FusedSpan {
-        start: 0,
-        len: ROUND_LEN,
-        op: FusedOp::Round(round),
-    } = fused.first()?
-    else {
+    let &[(0, round)] = rounds else {
         return None;
     };
     let counter = rd.index();
@@ -1129,7 +961,7 @@ fn match_resident(ops: &[Op], fused: &[FusedSpan], start: usize) -> Option<Resid
         && counter != round.narrow.avl.index()
         && *target as usize == start * 4;
     wired.then_some(ResidentLoop {
-        round: *round,
+        round,
         step: *imm as u32,
         kind: *kind,
         rs1: *b1,
@@ -1149,22 +981,21 @@ pub(crate) fn branch_taken(kind: BranchKind, a: u32, b: u32) -> bool {
     }
 }
 
-/// Matches the 13-instruction θ sequence:
+/// Matches a round's 13-instruction θ, returning the plane bases, the
+/// `D`, slide-up and rotated slide-down temporaries and the live word
+/// count `(planes, c, up, rot, n)`:
 ///
 /// ```text
-/// vxor.vv   c,  p3, p4        vslideupm.vi    up,  c, k
-/// vxor.vv   up, p1, p2        vslidedownm.vi  rot, c, k
-/// vxor.vv   rot, p0, up       vrotup.vi       rot, rot, r
+/// vxor.vv   c,  p3, p4        vslideupm.vi    up,  c, 1
+/// vxor.vv   up, p1, p2        vslidedownm.vi  rot, c, 1
+/// vxor.vv   rot, p0, up       vrotup.vi       rot, rot, 1
 /// vxor.vv   c,  c,  rot       vxor.vv         c,   up, rot
 /// vxor.vv   py, py, c   (for y = 0..5)
 /// ```
 ///
-/// The first four XORs accumulate the five-plane parity into `c` (the
-/// fused form computes it directly — XOR is associative and
-/// commutative, so the result is bit-identical), the middle four form
-/// `D`, and the last five fold `D` into each plane. The slide offsets
-/// and rotate amount are captured, not assumed.
-fn match_theta(ops: &[Op]) -> Option<FusedOp> {
+/// The first four XORs accumulate the five-plane parity into `c`, the
+/// middle four form `D`, and the last five fold `D` into each plane.
+fn match_theta(ops: &[Op]) -> Option<([usize; 5], usize, usize, usize, usize)> {
     let seq: &[Op; THETA_LEN] = ops.get(..THETA_LEN)?.try_into().ok()?;
     let [Op::BinVV {
         kind: BinKind::Xor,
@@ -1251,7 +1082,8 @@ fn match_theta(ops: &[Op]) -> Option<FusedOp> {
     let same_len = [*n1, *n2, *n3, *n6, *n7, *n8, *n9, *n10, *n11, *n12]
         .iter()
         .all(|&l| l == n);
-    if !same_len || n == 0 || *bu * 5 != n || *br * 5 != n {
+    let canonical = *j_up == THETA_UP && *j_rot == THETA_DOWN && *amount == 1;
+    if !same_len || !canonical || n == 0 || *bu * 5 != n || *br * 5 != n {
         return None;
     }
     let wired = *x34a == planes[3]
@@ -1274,29 +1106,12 @@ fn match_theta(ops: &[Op]) -> Option<FusedOp> {
         && *db == rot
         && [*pa0, *pa1, *pa2, *pa3, *pa4] == planes
         && [*pb0, *pb1, *pb2, *pb3, *pb4] == [c; 5];
-    if !wired
-        || !pairwise_disjoint(
-            [
-                planes[0], planes[1], planes[2], planes[3], planes[4], c, up, rot,
-            ],
-            n,
-        )
-    {
-        return None;
-    }
-    Some(FusedOp::Theta {
-        planes,
-        c,
-        up,
-        rot,
-        j_up: *j_up,
-        j_rot: *j_rot,
-        amount: *amount,
-        n,
-    })
+    wired.then_some((planes, c, up, rot, n))
 }
 
-/// Matches the 5-instruction χ sequence:
+/// Matches a round's 5-instruction χ, returning its source group, its
+/// two temporaries, its destination, its scalar register and the live
+/// word count `(s, t1, t2, d, rs1, n)`:
 ///
 /// ```text
 /// vslidedownm.vi t1, s, 1     vand.vv t1, t1, t2
@@ -1304,9 +1119,9 @@ fn match_theta(ops: &[Op]) -> Option<FusedOp> {
 /// vslidedownm.vi t2, s, 2
 /// ```
 ///
-/// The slide offsets are captured, not assumed; the scalar (normally
-/// `-1`, the complement) is read at run time like any `.vx` operand.
-fn match_chi(ops: &[Op]) -> Option<FusedOp> {
+/// The scalar (normally `-1`, the complement) is read at run time like
+/// any `.vx` operand.
+fn match_chi(ops: &[Op]) -> Option<(usize, usize, usize, usize, usize, usize)> {
     let seq: &[Op; CHI_LEN] = ops.get(..CHI_LEN)?.try_into().ok()?;
     let [Op::SlideMod5 {
         d: t1a,
@@ -1342,7 +1157,8 @@ fn match_chi(ops: &[Op]) -> Option<FusedOp> {
     };
     let n = *n1;
     let (s, t1, t2, d) = (*s0, *t1a, *t2a, *dd);
-    if n == 0 || *k1 * 5 != n || *k2 * 5 != n || *n3 != n || *n4 != n {
+    let canonical = *j1 == CHI_NEXT && *j2 == CHI_NEXT2;
+    if !canonical || n == 0 || *k1 * 5 != n || *k2 * 5 != n || *n3 != n || *n4 != n {
         return None;
     }
     let wired = *t1b == t1
@@ -1353,19 +1169,7 @@ fn match_chi(ops: &[Op]) -> Option<FusedOp> {
         && *t2b == t2
         && *sa == s
         && *t1f == t1;
-    if !wired || !pairwise_disjoint([s, t1, t2, d], n) {
-        return None;
-    }
-    Some(FusedOp::Chi {
-        s,
-        t1,
-        t2,
-        d,
-        rs1: *rs1,
-        j1: *j1,
-        j2: *j2,
-        n,
-    })
+    wired.then_some((s, t1, t2, d, *rs1, n))
 }
 
 /// Whether two equal-length word ranges are safe for the compiled
@@ -1725,29 +1529,6 @@ fn lower_pi(
             }
         }
     }
-    // Five-row π writes every live destination word, so it transposes
-    // into plane-sequential stores: destination word `r + 5·st` of
-    // plane `y` reads source column `xp = (r + 3y) mod 5` of row `r`
-    // (3 is the mod-5 inverse of the 2 in `y = 2(xp − r)`).
-    if matches!(row, RhoRow::All) && first_row == 0 && row_count == 5 && 5 * states <= elenum {
-        let spec: Box<[[PiSpec; 5]; 5]> = Box::new(std::array::from_fn(|y| {
-            std::array::from_fn(|r| {
-                let xp = (r + 3 * y) % 5;
-                PiSpec {
-                    off: r * elenum + xp,
-                    rot: if fused_rho { RHO_OFFSETS[r][xp] } else { 0 },
-                }
-            })
-        }));
-        return Some(Op::PiPlanes {
-            d,
-            elenum,
-            s,
-            s_len,
-            spec,
-            states,
-        });
-    }
     Some(Op::Pi {
         d,
         d_len,
@@ -1859,145 +1640,6 @@ pub(crate) fn exec_bin_vs(w: &mut [u64], kind: BinKind, d: usize, a: usize, y: u
     }
 }
 
-/// Executes the fused θ idiom in one pass: per 5-block, the five-plane
-/// parity, the two slide temporaries, the rotate and the plane updates.
-/// Writes every register the 13-instruction sequence writes — `up`,
-/// `rot` and `c` end up holding the slide-up lanes, the rotated
-/// slide-down lanes and `D` respectively, exactly as the sequence
-/// leaves them.
-#[allow(clippy::too_many_arguments)] // mirrors the captured idiom operands
-pub(crate) fn exec_theta(
-    w: &mut [u64],
-    planes: &[usize; 5],
-    c: usize,
-    up: usize,
-    rot: usize,
-    j_up: &[usize; 5],
-    j_rot: &[usize; 5],
-    amount: u32,
-    n: usize,
-) {
-    let [p0, p1, p2, p3, p4, tc, tu, tr] = w
-        .get_disjoint_mut([
-            planes[0]..planes[0] + n,
-            planes[1]..planes[1] + n,
-            planes[2]..planes[2] + n,
-            planes[3]..planes[3] + n,
-            planes[4]..planes[4] + n,
-            c..c + n,
-            up..up + n,
-            rot..rot + n,
-        ])
-        .expect(ALIAS_PROOF);
-    // The kernel generators always slide up/down by one lane; the
-    // canonical form is straight-line per block so the host vectorizer
-    // sees fixed shuffles instead of indirect lane loads.
-    let canonical = *j_up == [4, 0, 1, 2, 3] && *j_rot == [1, 2, 3, 4, 0];
-    fn five(s: &mut [u64], b: usize) -> &mut [u64; 5] {
-        (&mut s[b..b + 5]).try_into().expect("5-block within live")
-    }
-    for g in 0..n / 5 {
-        let b = 5 * g;
-        let (a0, a1, a2, a3, a4) = (
-            five(p0, b),
-            five(p1, b),
-            five(p2, b),
-            five(p3, b),
-            five(p4, b),
-        );
-        let (bc, bu, br) = (five(tc, b), five(tu, b), five(tr, b));
-        let par: [u64; 5] = std::array::from_fn(|x| a0[x] ^ a1[x] ^ a2[x] ^ a3[x] ^ a4[x]);
-        let (u5, r5): ([u64; 5], [u64; 5]) = if canonical {
-            (
-                [par[4], par[0], par[1], par[2], par[3]],
-                [
-                    par[1].rotate_left(amount),
-                    par[2].rotate_left(amount),
-                    par[3].rotate_left(amount),
-                    par[4].rotate_left(amount),
-                    par[0].rotate_left(amount),
-                ],
-            )
-        } else {
-            (
-                std::array::from_fn(|x| par[j_up[x]]),
-                std::array::from_fn(|x| par[j_rot[x]].rotate_left(amount)),
-            )
-        };
-        let d5: [u64; 5] = std::array::from_fn(|x| u5[x] ^ r5[x]);
-        *bu = u5;
-        *br = r5;
-        *bc = d5;
-        for x in 0..5 {
-            a0[x] ^= d5[x];
-            a1[x] ^= d5[x];
-            a2[x] ^= d5[x];
-            a3[x] ^= d5[x];
-            a4[x] ^= d5[x];
-        }
-    }
-}
-
-/// Executes the fused χ idiom in one pass: per 5-block position,
-/// `t2 = s[j2]`, `t1 = (s[j1] ^ y) & t2`, `d = s ^ t1` — the exact
-/// final state of the five-instruction sequence.
-#[allow(clippy::too_many_arguments)] // mirrors the captured idiom operands
-pub(crate) fn exec_chi(
-    w: &mut [u64],
-    s: usize,
-    t1: usize,
-    t2: usize,
-    d: usize,
-    y: u64,
-    j1: &[usize; 5],
-    j2: &[usize; 5],
-    n: usize,
-) {
-    let [sv, m1, m2, dd] = w
-        .get_disjoint_mut([s..s + n, t1..t1 + n, t2..t2 + n, d..d + n])
-        .expect(ALIAS_PROOF);
-    // The kernel generators always slide down by one and two lanes;
-    // straight-line per block for the canonical form.
-    let canonical = *j1 == [1, 2, 3, 4, 0] && *j2 == [2, 3, 4, 0, 1];
-    for (((sb, b1), b2), db) in sv
-        .chunks_exact(5)
-        .zip(m1.chunks_exact_mut(5))
-        .zip(m2.chunks_exact_mut(5))
-        .zip(dd.chunks_exact_mut(5))
-    {
-        let sb: &[u64; 5] = sb.try_into().expect("chunks_exact yields 5");
-        let b1: &mut [u64; 5] = b1.try_into().expect("chunks_exact yields 5");
-        let b2: &mut [u64; 5] = b2.try_into().expect("chunks_exact yields 5");
-        let db: &mut [u64; 5] = db.try_into().expect("chunks_exact yields 5");
-        if canonical {
-            let t1v = [
-                (sb[1] ^ y) & sb[2],
-                (sb[2] ^ y) & sb[3],
-                (sb[3] ^ y) & sb[4],
-                (sb[4] ^ y) & sb[0],
-                (sb[0] ^ y) & sb[1],
-            ];
-            *b2 = [sb[2], sb[3], sb[4], sb[0], sb[1]];
-            *b1 = t1v;
-            *db = [
-                sb[0] ^ t1v[0],
-                sb[1] ^ t1v[1],
-                sb[2] ^ t1v[2],
-                sb[3] ^ t1v[3],
-                sb[4] ^ t1v[4],
-            ];
-        } else {
-            for x in 0..5 {
-                let s2 = sb[j2[x]];
-                let m = (sb[j1[x]] ^ y) & s2;
-                b2[x] = s2;
-                b1[x] = m;
-                db[x] = sb[x] ^ m;
-            }
-        }
-    }
-}
-
 /// The registers one round leaves behind besides the state, for one
 /// Keccak state: θ's three 5-lane temporaries and the 25-lane π output
 /// and χ temporaries, plane-major like the state.
@@ -2028,8 +1670,9 @@ fn keccak_round(a: &mut [u64; 25], y: u64, rc: u64) -> RoundTemps {
         par[0].rotate_left(1),
     ];
     let c: [u64; 5] = std::array::from_fn(|x| up[x] ^ rot[x]);
-    // ρ, then π gathering plane `p`'s lane `r` from plane `r`, lane
-    // `(r + 3p) mod 5` (the `PiPlanes` spec).
+    // ρ, then π: lane `x` of plane `r` moves to lane `r` of plane
+    // `2(x − r) mod 5`, so plane `p`'s lane `r` comes from plane `r`,
+    // lane `(r + 3p) mod 5` (3 is 2's inverse mod 5).
     let b: [u64; 25] = std::array::from_fn(|i| {
         let (p, r) = (i / 5, i % 5);
         let x = (r + 3 * p) % 5;
@@ -2216,8 +1859,7 @@ pub(crate) fn exec_rho(w: &mut [u64], d: usize, s: usize, rots: &[u32]) {
 
 /// Executes a compiled π scatter. Sources are compile-proven disjoint
 /// from the destination column span, so the two spans split once and
-/// write order is free. The per-state inner loop is monomorphized for
-/// the common state counts so it fully unrolls.
+/// write order is free.
 #[allow(clippy::too_many_arguments)] // mirrors the op's span fields
 pub(crate) fn exec_pi(
     w: &mut [u64],
@@ -2231,69 +1873,8 @@ pub(crate) fn exec_pi(
     let [dst, src] = w
         .get_disjoint_mut([d..d + d_len, s..s + s_len])
         .expect(ALIAS_PROOF);
-    match states {
-        1 => pi_states::<1>(dst, src, segs),
-        2 => pi_states::<2>(dst, src, segs),
-        3 => pi_states::<3>(dst, src, segs),
-        4 => pi_states::<4>(dst, src, segs),
-        _ => {
-            for seg in segs {
-                for st in 0..states {
-                    dst[seg.dst + 5 * st] = src[seg.src + 5 * st].rotate_left(seg.rot);
-                }
-            }
-        }
-    }
-}
-
-/// Executes an all-rows π in transposed form: destination planes are
-/// written sequentially (5-block by 5-block), gathering from the five
-/// source planes. See [`Op::PiPlanes`].
-pub(crate) fn exec_pi_planes(
-    w: &mut [u64],
-    d: usize,
-    elenum: usize,
-    s: usize,
-    s_len: usize,
-    spec: &[[PiSpec; 5]; 5],
-    states: usize,
-) {
-    let [dst, src] = w
-        .get_disjoint_mut([d..d + 5 * elenum, s..s + s_len])
-        .expect(ALIAS_PROOF);
-    // The unfused `vpi` (the only form the kernels emit) has every
-    // rotation zero; the pure-gather loop lets the host vectorize the
-    // stores without a rotate in the dependency chain.
-    let rotated = spec.iter().flatten().any(|e| e.rot != 0);
-    for (y, sp) in spec.iter().enumerate() {
-        let plane = &mut dst[y * elenum..y * elenum + 5 * states];
-        if rotated {
-            for st in 0..states {
-                let b = 5 * st;
-                for (r, e) in sp.iter().enumerate() {
-                    plane[b + r] = src[e.off + b].rotate_left(e.rot);
-                }
-            }
-        } else {
-            for (b, blk) in plane.chunks_exact_mut(5).enumerate() {
-                let blk: &mut [u64; 5] = blk.try_into().expect("chunks_exact yields 5");
-                let b = 5 * b;
-                *blk = [
-                    src[sp[0].off + b],
-                    src[sp[1].off + b],
-                    src[sp[2].off + b],
-                    src[sp[3].off + b],
-                    src[sp[4].off + b],
-                ];
-            }
-        }
-    }
-}
-
-#[inline]
-fn pi_states<const STATES: usize>(dst: &mut [u64], src: &[u64], segs: &[PiSeg]) {
     for seg in segs {
-        for st in 0..STATES {
+        for st in 0..states {
             dst[seg.dst + 5 * st] = src[seg.src + 5 * st].rotate_left(seg.rot);
         }
     }
@@ -2550,139 +2131,38 @@ mod tests {
     }
 
     // -----------------------------------------------------------------
-    // Fused-idiom matching: the verbatim kernel sequences must fuse
-    // with the expected captures, and near misses must not.
+    // Round matching: the verbatim round must fuse with the expected
+    // captures, and near misses must not.
     // -----------------------------------------------------------------
-
-    /// The θ sequence exactly as the E64 kernels emit it.
-    const THETA_SOURCE: &str = "vxor.vv v5, v3, v4\n\
-                                vxor.vv v6, v1, v2\n\
-                                vxor.vv v7, v0, v6\n\
-                                vxor.vv v5, v5, v7\n\
-                                vslideupm.vi v6, v5, 1\n\
-                                vslidedownm.vi v7, v5, 1\n\
-                                vrotup.vi v7, v7, 1\n\
-                                vxor.vv v5, v6, v7\n\
-                                vxor.vv v0, v0, v5\n\
-                                vxor.vv v1, v1, v5\n\
-                                vxor.vv v2, v2, v5\n\
-                                vxor.vv v3, v3, v5\n\
-                                vxor.vv v4, v4, v5";
-
-    /// The χ sequence exactly as the LMUL=8 kernels emit it.
-    const CHI_SOURCE: &str = "vslidedownm.vi v16, v8, 1\n\
-                              vxor.vx v16, v16, s2\n\
-                              vslidedownm.vi v24, v8, 2\n\
-                              vand.vv v16, v16, v24\n\
-                              vxor.vv v0, v8, v16";
-
-    fn compile_source(source: &str, c: BlockCtx, elenum: usize) -> CompiledBlock {
-        let prog = program(krv_asm::assemble(source).expect("assembles").instructions());
-        compile_region(&prog, 0, c, geometry(elenum), &XREGS).expect("compiles")
-    }
-
-    #[test]
-    fn theta_idiom_fuses_with_canonical_captures() {
-        let block = compile_source(THETA_SOURCE, ctx(10, 10, Sew::E64, Lmul::M1), 10);
-        assert_eq!(block.fused.len(), 1, "exactly one span");
-        let span = &block.fused[0];
-        assert_eq!((span.start, span.len), (0, THETA_LEN));
-        let FusedOp::Theta {
-            planes,
-            c,
-            up,
-            rot,
-            j_up,
-            j_rot,
-            amount,
-            n,
-        } = &span.op
-        else {
-            panic!("expected θ, got {:?}", span.op);
-        };
-        // epr = 10 at m1: v0..v4 → words 0/10/20/30/40, temps v5/v6/v7.
-        assert_eq!(*planes, [0, 10, 20, 30, 40]);
-        assert_eq!((*c, *up, *rot), (50, 60, 70));
-        assert_eq!(*j_up, [4, 0, 1, 2, 3], "slide-up lane table");
-        assert_eq!(*j_rot, [1, 2, 3, 4, 0], "slide-down lane table");
-        assert_eq!((*amount, *n), (1, 10));
-        assert_eq!(block.fused_at(0).len(), 1);
-        assert!((1..THETA_LEN).all(|k| block.fused_at(k).is_empty()));
-    }
-
-    #[test]
-    fn chi_idiom_fuses_at_lmul8() {
-        let block = compile_source(CHI_SOURCE, ctx(25, 10, Sew::E64, Lmul::M8), 10);
-        assert_eq!(block.fused.len(), 1, "exactly one span");
-        let span = &block.fused[0];
-        assert_eq!((span.start, span.len), (0, CHI_LEN));
-        let FusedOp::Chi {
-            s,
-            t1,
-            t2,
-            d,
-            rs1,
-            j1,
-            j2,
-            n,
-        } = &span.op
-        else {
-            panic!("expected χ, got {:?}", span.op);
-        };
-        // epr = 10: groups v8/v16/v24/v0 → words 80/160/240/0.
-        assert_eq!((*s, *t1, *t2, *d), (80, 160, 240, 0));
-        assert_eq!(*rs1, 18, "s2 = x18 read at run time");
-        assert_eq!(*j1, [1, 2, 3, 4, 0]);
-        assert_eq!(*j2, [2, 3, 4, 0, 1]);
-        assert_eq!(*n, 25);
-    }
-
-    #[test]
-    fn near_miss_idioms_take_the_unfused_path() {
-        let c1 = ctx(10, 10, Sew::E64, Lmul::M1);
-        // Broken wiring: the D combine reads the parity instead of the
-        // slide-up temporary.
-        let miswired = THETA_SOURCE.replace("vxor.vv v5, v6, v7", "vxor.vv v5, v5, v7");
-        assert!(compile_source(&miswired, c1, 10).fused.is_empty());
-        // A stray op inserted mid-sequence.
-        let broken = THETA_SOURCE.replace(
-            "vrotup.vi v7, v7, 1",
-            "vrotup.vi v7, v7, 1\nvor.vv v6, v6, v6",
-        );
-        assert!(compile_source(&broken, c1, 10).fused.is_empty());
-        // Overlapping registers: χ writing its own source group.
-        let c8 = ctx(25, 10, Sew::E64, Lmul::M8);
-        let aliased = CHI_SOURCE.replace("vxor.vv v0, v8, v16", "vxor.vv v8, v8, v16");
-        assert!(compile_source(&aliased, c8, 10).fused.is_empty());
-        // Non-canonical slide offsets still fuse — the lane tables are
-        // captured, not assumed.
-        let offbeat = THETA_SOURCE
-            .replace("vslideupm.vi v6, v5, 1", "vslideupm.vi v6, v5, 3")
-            .replace("vrotup.vi v7, v7, 1", "vrotup.vi v7, v7, 17");
-        let block = compile_source(&offbeat, c1, 10);
-        assert_eq!(block.fused.len(), 1);
-        let FusedOp::Theta { j_up, amount, .. } = &block.fused[0].op else {
-            panic!("expected θ");
-        };
-        assert_eq!(*j_up, [2, 3, 4, 0, 1], "offset 3 lane table");
-        assert_eq!(*amount, 17);
-    }
 
     /// The E64 LMUL=8 round loop exactly as the kernel emits it: the
     /// 23-instruction round, then `loopctl`.
-    fn round_loop_source() -> String {
-        format!(
-            "permutation:\n{THETA_SOURCE}\n\
-             vsetvli x0, s5, e64, m8, tu, mu\n\
-             v64rho.vi v0, v0, -1\n\
-             vpi.vi v8, v0, -1\n\
-             {CHI_SOURCE}\n\
-             vsetvli x0, s1, e64, m1, tu, mu\n\
-             viota.vx v0, v0, s3\n\
-             addi s3, s3, 1\n\
-             blt s3, s4, permutation"
-        )
-    }
+    const ROUND_LOOP_SOURCE: &str = "permutation:\n\
+                                     vxor.vv v5, v3, v4\n\
+                                     vxor.vv v6, v1, v2\n\
+                                     vxor.vv v7, v0, v6\n\
+                                     vxor.vv v5, v5, v7\n\
+                                     vslideupm.vi v6, v5, 1\n\
+                                     vslidedownm.vi v7, v5, 1\n\
+                                     vrotup.vi v7, v7, 1\n\
+                                     vxor.vv v5, v6, v7\n\
+                                     vxor.vv v0, v0, v5\n\
+                                     vxor.vv v1, v1, v5\n\
+                                     vxor.vv v2, v2, v5\n\
+                                     vxor.vv v3, v3, v5\n\
+                                     vxor.vv v4, v4, v5\n\
+                                     vsetvli x0, s5, e64, m8, tu, mu\n\
+                                     v64rho.vi v0, v0, -1\n\
+                                     vpi.vi v8, v0, -1\n\
+                                     vslidedownm.vi v16, v8, 1\n\
+                                     vxor.vx v16, v16, s2\n\
+                                     vslidedownm.vi v24, v8, 2\n\
+                                     vand.vv v16, v16, v24\n\
+                                     vxor.vv v0, v8, v16\n\
+                                     vsetvli x0, s1, e64, m1, tu, mu\n\
+                                     viota.vx v0, v0, s3\n\
+                                     addi s3, s3, 1\n\
+                                     blt s3, s4, permutation";
 
     /// Scalar registers as the kernel presets them at EleNum = 10:
     /// `s1` = 10 (m1 AVL), `s2` = -1 (χ), `s5` = 50 (m8 AVL).
@@ -2706,29 +2186,15 @@ mod tests {
         }
     }
 
-    fn spans(block: &CompiledBlock) -> Vec<(usize, usize)> {
-        block.fused.iter().map(|s| (s.start, s.len)).collect()
+    fn compile_round_loop(source: &str, xregs: &[u32; 32]) -> CompiledBlock {
+        let prog = program(krv_asm::assemble(source).expect("assembles").instructions());
+        compile_region(&prog, 0, kernel_ctx(), geometry(10), xregs).expect("compiles")
     }
 
     #[test]
     fn round_region_fuses_with_expected_captures() {
-        let prog = program(
-            krv_asm::assemble(&round_loop_source())
-                .expect("assembles")
-                .instructions(),
-        );
-        let block = compile_region(&prog, 0, kernel_ctx(), geometry(10), &kernel_xregs())
-            .expect("compiles");
+        let block = compile_round_loop(ROUND_LOOP_SOURCE, &kernel_xregs());
         assert_eq!(block.len, ROUND_LEN + 2);
-        // The round goes first, then the θ it falls back to, then χ.
-        assert_eq!(
-            spans(&block),
-            [(0, ROUND_LEN), (0, THETA_LEN), (ROUND_CHI, CHI_LEN)]
-        );
-        assert_eq!(block.fused_at(0).len(), 2);
-        let FusedOp::Round(round) = block.fused[0].op else {
-            panic!("expected a round, got {:?}", block.fused[0].op);
-        };
         let expected = RoundSpan {
             planes: 0,
             n: 10,
@@ -2755,7 +2221,7 @@ mod tests {
                 vl: 10,
             },
         };
-        assert_eq!(round, expected);
+        assert_eq!(*block.rounds, [(0, expected)]);
         assert_eq!(
             block.resident,
             Some(ResidentLoop {
@@ -2769,43 +2235,81 @@ mod tests {
     }
 
     #[test]
-    fn near_miss_rounds_keep_theta_and_chi() {
-        let entry = kernel_ctx();
-        let compile = |source: &str, xregs: &[u32; 32]| {
-            let prog = program(krv_asm::assemble(source).expect("assembles").instructions());
-            compile_region(&prog, 0, entry, geometry(10), xregs).expect("compiles")
-        };
-        let verbatim = round_loop_source();
-        // A stray op between ρ and π, and a single-row π: θ and χ still
-        // fuse, the round does not, and neither loop is resident.
-        let stray = verbatim.replace(
-            "vpi.vi v8, v0, -1",
-            "vxor.vv v24, v24, v24\nvpi.vi v8, v0, -1",
-        );
-        let block = compile(&stray, &kernel_xregs());
-        assert_eq!(spans(&block), [(0, THETA_LEN), (ROUND_CHI + 1, CHI_LEN)]);
-        assert_eq!(block.resident, None);
-        let one_row = verbatim.replace("vpi.vi v8, v0, -1", "vpi.vi v8, v0, 0");
-        let block = compile(&one_row, &kernel_xregs());
-        assert_eq!(spans(&block), [(0, THETA_LEN), (ROUND_CHI, CHI_LEN)]);
-        assert_eq!(block.resident, None);
-        // A predicted m8 grant short of the five planes.
+    fn near_miss_rounds_do_not_fuse() {
+        // Each near miss still compiles through to the back-edge, but
+        // runs as its member ops: no round span, no resident loop.
+        let edit = |from: &str, to: &str| ROUND_LOOP_SOURCE.replace(from, to);
         let mut short = kernel_xregs();
         short[21] = 45;
-        let block = compile(&verbatim, &short);
-        assert_eq!(spans(&block), [(0, THETA_LEN), (ROUND_CHI, CHI_LEN)]);
+        let near_misses = [
+            (
+                "a miswired D combine",
+                edit("vxor.vv v5, v6, v7", "vxor.vv v5, v5, v7"),
+                kernel_xregs(),
+            ),
+            (
+                "a stray op inside θ",
+                edit(
+                    "vrotup.vi v7, v7, 1",
+                    "vrotup.vi v7, v7, 1\nvor.vv v6, v6, v6",
+                ),
+                kernel_xregs(),
+            ),
+            (
+                "a stray op between ρ and π",
+                edit(
+                    "vpi.vi v8, v0, -1",
+                    "vxor.vv v24, v24, v24\nvpi.vi v8, v0, -1",
+                ),
+                kernel_xregs(),
+            ),
+            (
+                "θ sliding by 3",
+                edit("vslideupm.vi v6, v5, 1", "vslideupm.vi v6, v5, 3"),
+                kernel_xregs(),
+            ),
+            (
+                "θ rotating by 17",
+                edit("vrotup.vi v7, v7, 1", "vrotup.vi v7, v7, 17"),
+                kernel_xregs(),
+            ),
+            (
+                "a single-row vpi",
+                edit("vpi.vi v8, v0, -1", "vpi.vi v8, v0, 0"),
+                kernel_xregs(),
+            ),
+            (
+                "vrhopi in place of vpi",
+                edit("vpi.vi v8, v0, -1", "vrhopi.vi v8, v0, -1"),
+                kernel_xregs(),
+            ),
+            (
+                "χ writing its own source group",
+                edit("vxor.vv v0, v8, v16", "vxor.vv v8, v8, v16"),
+                kernel_xregs(),
+            ),
+            ("a short m8 grant", ROUND_LOOP_SOURCE.to_string(), short),
+        ];
+        for (case, source, xregs) in near_misses {
+            let block = compile_round_loop(&source, &xregs);
+            assert!(block.branch_costs.is_some(), "{case}: region truncated");
+            assert!(block.rounds.is_empty(), "{case}: fused");
+            assert_eq!(block.resident, None, "{case}: resident");
+        }
         // A loop counter other than ι's index: the round fuses, the loop
         // is not resident.
-        let other_counter = verbatim.replace("addi s3, s3, 1", "addi s6, s6, 1");
-        let block = compile(&other_counter, &kernel_xregs());
-        assert_eq!(spans(&block)[0], (0, ROUND_LEN));
+        let other_counter = ROUND_LOOP_SOURCE.replace("addi s3, s3, 1", "addi s6, s6, 1");
+        let block = compile_round_loop(&other_counter, &kernel_xregs());
+        assert_eq!(block.rounds.len(), 1);
+        assert_eq!(block.rounds[0].0, 0);
         assert_eq!(block.resident, None);
     }
 
     #[test]
     fn fused_execution_matches_member_ops() {
-        // The fused single-pass executors must leave the register file
-        // bit-identical to running the captured member ops in order.
+        // The round's single-pass executor, run for 1–3 trips at once,
+        // must leave the register file bit-identical to the member ops
+        // run as many times with ι's index stepping 7, 8, 9.
         fn fill(len: usize) -> Vec<u64> {
             let mut x = 0x243F_6A88_85A3_08D3u64;
             (0..len)
@@ -2817,39 +2321,21 @@ mod tests {
         }
         let mut xregs = kernel_xregs();
         xregs[19] = 7; // s3: ι's round index
-        let round_source = round_loop_source();
-        for (source, c) in [
-            (THETA_SOURCE, ctx(10, 10, Sew::E64, Lmul::M1)),
-            (CHI_SOURCE, ctx(25, 10, Sew::E64, Lmul::M8)),
-            (round_source.as_str(), kernel_ctx()),
-        ] {
-            let prog = program(krv_asm::assemble(source).expect("assembles").instructions());
-            let block = compile_region(&prog, 0, c, geometry(10), &xregs).expect("compiles");
-            let span = block.fused.first().expect("fuses");
-            // A round also runs three trips at once, against three
-            // member-op trips with the index stepping 7, 8, 9.
-            let trips = if matches!(span.op, FusedOp::Round(_)) {
-                1..=3
-            } else {
-                1..=1
-            };
-            for trips in trips {
-                let mut by_members = fill(32 * 10);
-                for trip in 0..trips {
-                    run_members(
-                        &block.ops[span.start..span.start + span.len],
-                        &mut by_members,
-                        {
-                            let mut x = xregs;
-                            x[19] += trip as u32;
-                            x
-                        },
-                    );
-                }
-                let mut by_fusion = fill(32 * 10);
-                run_fused(&span.op, &mut by_fusion, &xregs, trips);
-                assert_eq!(by_members, by_fusion, "{source}, {trips} trip(s)");
+        let block = compile_round_loop(ROUND_LOOP_SOURCE, &xregs);
+        let &[(start, round)] = &*block.rounds else {
+            panic!("expected one round span, got {:?}", block.rounds);
+        };
+        let y = xregs[round.chi_rs1] as i32 as i64 as u64;
+        for trips in 1..=3 {
+            let mut by_members = fill(32 * 10);
+            for trip in 0..trips {
+                let mut x = xregs;
+                x[19] += trip as u32;
+                run_members(&block.ops[start..start + ROUND_LEN], &mut by_members, x);
             }
+            let mut by_fusion = fill(32 * 10);
+            exec_rounds(&mut by_fusion, &round, y, xregs[19], 1, trips);
+            assert_eq!(by_members, by_fusion, "{trips} trip(s)");
         }
     }
 
@@ -2860,14 +2346,14 @@ mod tests {
             match *op {
                 Op::Vsetvli { .. } => {}
                 Op::RhoTable { d, s, ref rots } => exec_rho(w, d, s, rots),
-                Op::PiPlanes {
+                Op::Pi {
                     d,
-                    elenum,
+                    d_len,
                     s,
                     s_len,
-                    ref spec,
+                    ref segs,
                     states,
-                } => exec_pi_planes(w, d, elenum, s, s_len, spec, states),
+                } => exec_pi(w, d, d_len, s, s_len, segs, states),
                 Op::Iota { d, s, len, rs1 } => exec_iota(w, d, s, len, RC[xregs[rs1] as usize]),
                 Op::BinVV { kind, d, a, b, len } => exec_bin_vv(w, kind, d, a, b, len),
                 Op::BinVX {
@@ -2886,98 +2372,6 @@ mod tests {
                 Op::RotConst { d, s, len, amount } => exec_rot(w, d, s, len, amount),
                 ref other => panic!("unexpected member op {other:?}"),
             }
-        }
-    }
-
-    /// Runs a fused span `trips` times at once (θ and χ only once).
-    fn run_fused(op: &FusedOp, w: &mut [u64], xregs: &[u32; 32], trips: usize) {
-        match *op {
-            FusedOp::Theta {
-                ref planes,
-                c,
-                up,
-                rot,
-                ref j_up,
-                ref j_rot,
-                amount,
-                n,
-            } => exec_theta(w, planes, c, up, rot, j_up, j_rot, amount, n),
-            FusedOp::Chi {
-                s,
-                t1,
-                t2,
-                d,
-                rs1,
-                ref j1,
-                ref j2,
-                n,
-            } => exec_chi(w, s, t1, t2, d, xregs[rs1] as i32 as i64 as u64, j1, j2, n),
-            FusedOp::Round(ref round) => {
-                let y = xregs[round.chi_rs1] as i32 as i64 as u64;
-                exec_rounds(w, round, y, xregs[round.iota_rs1], 1, trips);
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod fused_micro {
-    use super::*;
-    use std::time::Instant;
-
-    #[test]
-    #[ignore = "timing probe, run by hand with --release"]
-    fn time_round_ops() {
-        let mut w = vec![0x0123_4567_89AB_CDEFu64; 640];
-        for (i, x) in w.iter_mut().enumerate() {
-            *x = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-        let planes = [0usize, 20, 40, 60, 80];
-        let j_up = [4usize, 0, 1, 2, 3];
-        let j_rot = [1usize, 2, 3, 4, 0];
-        let rots: Box<[u32]> = (0..100).map(|g| RHO_OFFSETS[g / 20][g % 5]).collect();
-        let spec: Box<[[PiSpec; 5]; 5]> = Box::new(std::array::from_fn(|y| {
-            std::array::from_fn(|r| PiSpec {
-                off: r * 20 + (r + 3 * y) % 5,
-                rot: 0,
-            })
-        }));
-        const REPS: u32 = 200_000;
-        let mut best = [f64::INFINITY; 4];
-        for _ in 0..5 {
-            let t = Instant::now();
-            for _ in 0..REPS {
-                exec_theta(&mut w, &planes, 100, 120, 140, &j_up, &j_rot, 1, 20);
-            }
-            best[0] = best[0].min(t.elapsed().as_secs_f64());
-            let t = Instant::now();
-            for _ in 0..REPS {
-                exec_rho(&mut w, 160, 160, &rots);
-            }
-            best[1] = best[1].min(t.elapsed().as_secs_f64());
-            let t = Instant::now();
-            for _ in 0..REPS {
-                exec_pi_planes(&mut w, 160, 20, 0, 100, &spec, 4);
-            }
-            best[2] = best[2].min(t.elapsed().as_secs_f64());
-            let t = Instant::now();
-            for _ in 0..REPS {
-                exec_chi(
-                    &mut w,
-                    160,
-                    320,
-                    480,
-                    0,
-                    u64::MAX,
-                    &j_rot,
-                    &[2, 3, 4, 0, 1],
-                    100,
-                );
-            }
-            best[3] = best[3].min(t.elapsed().as_secs_f64());
-        }
-        for (name, b) in ["theta", "rho", "pi", "chi"].iter().zip(best) {
-            println!("{name}: {:.1}ns", b / REPS as f64 * 1e9);
         }
     }
 }

@@ -1,8 +1,8 @@
 //! The processor: scalar core + vector unit + memories + cycle counter.
 
 use crate::compiled::{
-    self, BlockCtx, CompiledBlock, CompiledProgram, CompiledSlot, FusedOp, Geometry, Op, OpExit,
-    RoundSpan,
+    self, BlockCtx, CompiledBlock, CompiledProgram, CompiledSlot, Geometry, Op, OpExit, RoundSpan,
+    ROUND_LEN,
 };
 use crate::config::ProcessorConfig;
 use crate::decoded::{DecodedInstr, DecodedProgram};
@@ -743,19 +743,18 @@ impl Processor {
             limit
         };
         let mut k = 0;
+        let mut rounds = block.rounds.iter().peekable();
         while k < body {
-            // The longest fused span that lies fully inside the body and
-            // admits its run-time checks runs as one pass; a stop inside
-            // a span, or a round whose checks fail, falls through to a
-            // shorter span or to the member ops, which are still in
-            // place.
-            if let Some(span) = block
-                .fused_at(k)
-                .iter()
-                .find(|span| k + span.len <= body && self.exec_fused_op(&span.op))
-            {
-                k += span.len;
-                continue;
+            // A round span that lies fully inside the body and admits its
+            // run-time checks runs as one pass; a stop inside it, or a
+            // failed check, falls through to its member ops, which are
+            // still in place. Spans never overlap, so `k` meets each
+            // span's start.
+            if let Some((_, round)) = rounds.next_if(|&&(at, _)| at == k) {
+                if k + ROUND_LEN <= body && self.exec_round(round) {
+                    k += ROUND_LEN;
+                    continue;
+                }
             }
             let op = &block.ops[k];
             match self.exec_compiled_op(op) {
@@ -825,57 +824,18 @@ impl Processor {
         Ok(())
     }
 
-    /// Executes one fused idiom — architecturally identical to running
-    /// its member ops back to back (see [`FusedOp`]) — and returns
+    /// Executes one round span — architecturally identical to running
+    /// its member ops back to back (see [`RoundSpan`]) — and returns
     /// `true`. Operand windows and disjointness were proven when the
-    /// span was built. θ and χ cannot trap or exit; a round returns
-    /// `false` without any write when a `vsetvli` guard would exit or ι
-    /// would trap, and the member ops then run.
-    fn exec_fused_op(&mut self, op: &FusedOp) -> bool {
-        match op {
-            FusedOp::Theta {
-                planes,
-                c,
-                up,
-                rot,
-                j_up,
-                j_rot,
-                amount,
-                n,
-            } => {
-                compiled::exec_theta(
-                    self.vu.words64_mut(),
-                    planes,
-                    *c,
-                    *up,
-                    *rot,
-                    j_up,
-                    j_rot,
-                    *amount,
-                    *n,
-                );
-            }
-            FusedOp::Chi {
-                s,
-                t1,
-                t2,
-                d,
-                rs1,
-                j1,
-                j2,
-                n,
-            } => {
-                let y = self.xregs[*rs1] as i32 as i64 as u64;
-                compiled::exec_chi(self.vu.words64_mut(), *s, *t1, *t2, *d, y, j1, j2, *n);
-            }
-            FusedOp::Round(round) => {
-                let index = self.xregs[round.iota_rs1];
-                if !self.round_guards_hold(round) || RC.get(index as usize).is_none() {
-                    return false;
-                }
-                self.run_rounds(round, index, 0, 1);
-            }
+    /// span was built. Returns `false` without any write when a
+    /// `vsetvli` guard would exit or ι would trap; the member ops then
+    /// run.
+    fn exec_round(&mut self, round: &RoundSpan) -> bool {
+        let index = self.xregs[round.iota_rs1];
+        if !self.round_guards_hold(round) || RC.get(index as usize).is_none() {
+            return false;
         }
+        self.run_rounds(round, index, 0, 1);
         true
     }
 
@@ -1006,25 +966,6 @@ impl Processor {
                 states,
             } => {
                 compiled::exec_pi(self.vu.words64_mut(), *d, *d_len, *s, *s_len, segs, *states);
-                Ok(OpExit::Next)
-            }
-            Op::PiPlanes {
-                d,
-                elenum,
-                s,
-                s_len,
-                spec,
-                states,
-            } => {
-                compiled::exec_pi_planes(
-                    self.vu.words64_mut(),
-                    *d,
-                    *elenum,
-                    *s,
-                    *s_len,
-                    spec,
-                    *states,
-                );
                 Ok(OpExit::Next)
             }
             &Op::Iota { d, s, len, rs1 } => {

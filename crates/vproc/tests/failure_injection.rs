@@ -264,9 +264,9 @@ fn decoded_cycle_limit_matches_undecoded() {
 // contract says a trap or an expiring cycle budget must still surface
 // with exactly the per-instruction prefix retired. These tests pin that
 // down against the stepper on programs containing the verbatim Keccak θ
-// idiom, which the tier additionally collapses into one fused span, and
-// the verbatim LMUL=8 round loop, which it runs as one whole-round span
-// and, from the second round on, as one resident call for every round.
+// sequence, which the tier runs as its member ops, and the verbatim
+// LMUL=8 round loop, which it runs as one whole-round span and, from the
+// second round on, as one resident call for every round.
 // ---------------------------------------------------------------------
 
 /// The 13-instruction θ idiom over five derived planes, run twice via a
