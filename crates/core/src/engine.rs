@@ -646,10 +646,10 @@ mod tests {
     }
 
     #[test]
-    fn e64_lmul8_rounds_run_as_one_span_and_one_resident_call() {
-        // A warm pass is one `run` that makes three region calls: the
-        // prologue with round 1 as one round span, rounds 2–24 as one
-        // resident call, and the stores, at every SN from 1 to 8.
+    fn e64_lmul8_rounds_run_as_one_resident_call() {
+        // A warm pass is one `run` that makes three region calls at every
+        // SN from 1 to 8: the prologue, a 24-trip resident call and the
+        // stores.
         for sn in 1..=8 {
             let mut engine = VectorKeccakEngine::with_compiled(KernelKind::E64Lmul8, sn, true);
             let mut states = distinct_states(sn);

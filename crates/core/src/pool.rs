@@ -16,7 +16,7 @@
 //! [`PoolMetrics::max_cycles`], the busiest engine's cycles, is the
 //! exact critical path of `W` accelerators working at once, and
 //! [`PoolMetrics::speedup`] is ≈ `W` for full-width dispatches. A
-//! warm E64 LMUL=8 pass on the compiled tier costs about 0.7–1.4 µs of
+//! warm E64 LMUL=8 pass on the compiled tier costs about 0.6–0.9 µs of
 //! host time on a 2-vCPU Xeon VM (SN = 1 to 4), less than handing it to
 //! another thread costs; at that scale a dispatch keeps its own
 //! bookkeeping off the heap too. A caller that wants host parallelism

@@ -74,7 +74,7 @@ fn distinct_states(n: usize) -> Vec<KeccakState> {
 #[test]
 fn e64_lmul8_passes_do_not_allocate() {
     const PASSES: usize = 100;
-    for sn in [1, 4] {
+    for sn in 1..=8 {
         let mut engine = VectorKeccakEngine::with_compiled(KernelKind::E64Lmul8, sn, true);
         let mut states = distinct_states(sn);
         let mut expected = states.clone();

@@ -191,7 +191,7 @@ mod tests {
                     for e in 0..10 {
                         let value = match reg {
                             0 => u64::MAX, // the all-ones mask
-                            _ => (10 * reg + e) as u64 * 0x9E37_79B9_7F4A_7C15,
+                            _ => ((10 * reg + e) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
                         };
                         vu.write_elem(VReg::from_index(reg), e, value);
                     }

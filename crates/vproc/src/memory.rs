@@ -117,40 +117,35 @@ impl DataMemory {
         true
     }
 
-    /// Bulk little-endian read of `out.len()` aligned 64-bit words at
-    /// `addr` — the public staging counterpart of the compiled tier's
-    /// fast path, so hosts can move whole state blocks without one
-    /// bounds-checked call per lane.
+    /// The `len` bytes at `addr`, borrowed in place, so a host can stage
+    /// a whole region with one bounds check instead of one per access
+    /// (no alignment is required; [`DataMemory::region_mut`] is the
+    /// writable form).
     ///
     /// # Errors
     ///
-    /// Returns a [`Trap`] if the region is misaligned or out of bounds.
-    pub fn read_block64(&self, addr: u32, out: &mut [u64]) -> Result<(), Trap> {
-        if self.read_words64(addr, out) {
-            Ok(())
-        } else {
-            Err(Trap::MemoryAccess {
-                addr,
-                size: (8 * out.len()) as u32,
-            })
-        }
+    /// Returns a [`Trap`] if the region exceeds the memory.
+    pub fn region(&self, addr: u32, len: usize) -> Result<&[u8], Trap> {
+        let base = addr as usize;
+        self.bytes.get(base..base + len).ok_or(Trap::MemoryAccess {
+            addr,
+            size: len as u32,
+        })
     }
 
-    /// Bulk little-endian write of aligned 64-bit words at `addr`
-    /// (counterpart of [`DataMemory::read_block64`]).
+    /// The writable form of [`DataMemory::region`].
     ///
     /// # Errors
     ///
-    /// Returns a [`Trap`] if the region is misaligned or out of bounds.
-    pub fn write_block64(&mut self, addr: u32, src: &[u64]) -> Result<(), Trap> {
-        if self.write_words64(addr, src) {
-            Ok(())
-        } else {
-            Err(Trap::MemoryAccess {
+    /// Returns a [`Trap`] if the region exceeds the memory.
+    pub fn region_mut(&mut self, addr: u32, len: usize) -> Result<&mut [u8], Trap> {
+        let base = addr as usize;
+        self.bytes
+            .get_mut(base..base + len)
+            .ok_or(Trap::MemoryAccess {
                 addr,
-                size: (8 * src.len()) as u32,
+                size: len as u32,
             })
-        }
     }
 
     /// Copies a byte slice into memory at `addr` (no alignment required).
@@ -159,14 +154,7 @@ impl DataMemory {
     ///
     /// Returns a [`Trap`] if the region exceeds the memory.
     pub fn write_bytes(&mut self, addr: u32, data: &[u8]) -> Result<(), Trap> {
-        let base = addr as usize;
-        if base + data.len() > self.bytes.len() {
-            return Err(Trap::MemoryAccess {
-                addr,
-                size: data.len() as u32,
-            });
-        }
-        self.bytes[base..base + data.len()].copy_from_slice(data);
+        self.region_mut(addr, data.len())?.copy_from_slice(data);
         Ok(())
     }
 
@@ -176,14 +164,7 @@ impl DataMemory {
     ///
     /// Returns a [`Trap`] if the region exceeds the memory.
     pub fn read_bytes(&self, addr: u32, len: usize) -> Result<Vec<u8>, Trap> {
-        let base = addr as usize;
-        if base + len > self.bytes.len() {
-            return Err(Trap::MemoryAccess {
-                addr,
-                size: len as u32,
-            });
-        }
-        Ok(self.bytes[base..base + len].to_vec())
+        self.region(addr, len).map(<[u8]>::to_vec)
     }
 }
 
@@ -228,5 +209,11 @@ mod tests {
         mem.write_bytes(3, &[1, 2, 3]).unwrap();
         assert_eq!(mem.read_bytes(3, 3).unwrap(), vec![1, 2, 3]);
         assert!(mem.write_bytes(15, &[0, 0]).is_err());
+        assert_eq!(mem.region(3, 3).unwrap(), &[1, 2, 3]);
+        mem.region_mut(4, 1).unwrap()[0] = 9;
+        assert_eq!(mem.read(4, 1).unwrap(), 9);
+        let past_end = Some(Trap::MemoryAccess { addr: 12, size: 5 });
+        assert_eq!(mem.region(12, 5).err(), past_end);
+        assert_eq!(mem.region_mut(12, 5).err(), past_end);
     }
 }
