@@ -663,6 +663,23 @@ mod tests {
     }
 
     #[test]
+    fn a_first_e64_lmul8_pass_makes_five_region_calls() {
+        // A fresh engine's first pass stops at the loop markers to
+        // measure the phase split, so it makes five region calls: the
+        // prologue, round 1 up to `loopctl`, the loop control, rounds 2
+        // to 24 as one resident call, and the stores. The prologue
+        // predicts its `vsetvli`'s AVL from the kernel's own `li s1`,
+        // not from the fresh processor's zero, so it runs whole instead
+        // of leaving at its guard.
+        for sn in 1..=8 {
+            let mut engine = VectorKeccakEngine::with_compiled(KernelKind::E64Lmul8, sn, true);
+            let mut states = distinct_states(sn);
+            engine.permute_slice(&mut states).expect("kernel runs");
+            assert_eq!(engine.processor().compiled_dispatches(), 5, "SN = {sn}");
+        }
+    }
+
+    #[test]
     fn a_warm_pass_is_one_run_with_the_first_pass_metrics() {
         // The first pass stops at the loop markers to measure the phase
         // split; a warm pass runs straight through from the entry to the

@@ -10,12 +10,13 @@
 //! even when [`PendingReply::wait`] is called much later.
 
 use crate::protocol::{
-    read_frame, write_frame, AlgorithmParams, ErrorCode, KemParameterSet, ProtocolError, Request,
-    Response, WireAlgorithm, DEFAULT_MAX_FRAME, MAX_CHUNK_LEN, MAX_OUTPUT_LEN,
+    absorb_head, hash_head, read_frame, send_frame, AlgorithmParams, ErrorCode, KemParameterSet,
+    ProtocolError, Request, Response, WireAlgorithm, DEFAULT_MAX_FRAME, MAX_CHUNK_LEN,
+    MAX_OUTPUT_LEN,
 };
 use krv_service::MetricsSnapshot;
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufWriter, Write};
+use std::io;
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -192,7 +193,7 @@ pub struct Client {
 
 #[derive(Debug)]
 struct WriterState {
-    stream: BufWriter<TcpStream>,
+    stream: TcpStream,
     next_id: u64,
 }
 
@@ -222,7 +223,7 @@ impl Client {
         };
         Ok(Self {
             writer: Mutex::new(WriterState {
-                stream: BufWriter::new(write_half),
+                stream: write_half,
                 next_id: 1,
             }),
             shared,
@@ -268,15 +269,8 @@ impl Client {
         output_len: usize,
         deadline: Option<Duration>,
     ) -> Result<PendingReply, ClientError> {
-        let request = |id| Request::Hash {
-            id,
-            algorithm,
-            output_len,
-            deadline,
-            params,
-            payload: message.to_vec(),
-        };
-        self.send(request)
+        let head = |id| hash_head(id, algorithm, output_len, deadline, &params, message.len());
+        self.send(head, message)
     }
 
     /// Submits a `STATS` request without waiting.
@@ -285,10 +279,27 @@ impl Client {
     ///
     /// Transport errors writing the frame.
     pub fn submit_stats(&self) -> Result<PendingReply, ClientError> {
-        self.send(|id| Request::Stats { id })
+        self.send_request(|id| Request::Stats { id })
     }
 
-    fn send(&self, request: impl FnOnce(u64) -> Request) -> Result<PendingReply, ClientError> {
+    /// Sends a request of a kind without a tail: its head is its whole
+    /// frame.
+    fn send_request(
+        &self,
+        request: impl FnOnce(u64) -> Request,
+    ) -> Result<PendingReply, ClientError> {
+        self.send(|id| request(id).frame_head(), &[])
+    }
+
+    /// The one send path: registers a fresh id, then writes the frame
+    /// `head` builds for it followed by `tail` (a HASH payload or an
+    /// ABSORB chunk, written from the caller's buffer; empty for every
+    /// other kind).
+    fn send(
+        &self,
+        head: impl FnOnce(u64) -> Vec<u8>,
+        tail: &[u8],
+    ) -> Result<PendingReply, ClientError> {
         let mut writer = self.writer.lock().expect("writer lock");
         let id = writer.next_id;
         writer.next_id += 1;
@@ -305,9 +316,7 @@ impl Client {
                     submitted: Instant::now(),
                 },
             );
-        let body = request(id).encode();
-        let outcome = write_frame(&mut writer.stream, &body).and_then(|()| writer.stream.flush());
-        if let Err(e) = outcome {
+        if let Err(e) = send_frame(&mut writer.stream, &head(id), tail) {
             self.shared
                 .state
                 .lock()
@@ -397,7 +406,7 @@ impl Client {
         z: [u8; 32],
         deadline: Option<Duration>,
     ) -> Result<PendingReply, ClientError> {
-        self.send(|id| Request::KemKeygen {
+        self.send_request(|id| Request::KemKeygen {
             id,
             set,
             deadline,
@@ -419,7 +428,7 @@ impl Client {
         deadline: Option<Duration>,
     ) -> Result<PendingReply, ClientError> {
         let ek = ek.to_vec();
-        self.send(move |id| Request::KemEncaps {
+        self.send_request(|id| Request::KemEncaps {
             id,
             set,
             deadline,
@@ -442,7 +451,7 @@ impl Client {
     ) -> Result<PendingReply, ClientError> {
         let dk = dk.to_vec();
         let ct = ct.to_vec();
-        self.send(move |id| Request::KemDecaps {
+        self.send_request(|id| Request::KemDecaps {
             id,
             set,
             deadline,
@@ -532,7 +541,7 @@ impl Client {
         params: AlgorithmParams,
     ) -> Result<StreamingSession<'_>, ClientError> {
         let session = self.next_session.fetch_add(1, Ordering::Relaxed);
-        let pending = self.send(|id| Request::Open {
+        let pending = self.send_request(|id| Request::Open {
             id,
             session,
             algorithm,
@@ -613,9 +622,8 @@ impl StreamingSession<'_> {
             }));
         }
         let session = self.session;
-        let chunk = chunk.to_vec();
         self.client
-            .send(move |id| Request::Absorb { id, session, chunk })
+            .send(|id| absorb_head(id, session, chunk.len()), chunk)
     }
 
     /// Absorbs `data`, splitting it at [`MAX_CHUNK_LEN`] and keeping up
@@ -649,7 +657,7 @@ impl StreamingSession<'_> {
     /// Transport errors and server error replies.
     pub fn finalize(&self, output_len: usize) -> Result<(), ClientError> {
         let session = self.session;
-        expect_ack(self.client.send(|id| Request::Finalize {
+        expect_ack(self.client.send_request(|id| Request::Finalize {
             id,
             session,
             output_len,
@@ -669,7 +677,7 @@ impl StreamingSession<'_> {
         while remaining > 0 {
             let take = remaining.min(MAX_OUTPUT_LEN);
             let session = self.session;
-            let pending = self.client.send(|id| Request::Squeeze {
+            let pending = self.client.send_request(|id| Request::Squeeze {
                 id,
                 session,
                 len: take,
@@ -693,7 +701,10 @@ impl StreamingSession<'_> {
     /// Transport errors and server error replies.
     pub fn close(self) -> Result<(), ClientError> {
         let session = self.session;
-        expect_ack(self.client.send(|id| Request::Close { id, session })?)
+        expect_ack(
+            self.client
+                .send_request(|id| Request::Close { id, session })?,
+        )
     }
 }
 
@@ -739,4 +750,70 @@ fn read_responses(stream: TcpStream, shared: &SharedState) {
     state.closed = true;
     drop(state);
     shared.arrived.notify_all();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+    use std::net::TcpListener;
+
+    /// Payload sizes around the 8 KiB a buffered writer held, and the
+    /// chunk limit.
+    const SIZES: [usize; 6] = [0, 1, 8191, 8192, 8193, MAX_CHUNK_LEN];
+
+    /// What the send path writes for a HASH payload or an ABSORB chunk —
+    /// a head built for the request and the caller's bytes behind it —
+    /// is byte for byte the length prefix and `Request::encode()`.
+    #[test]
+    fn hash_and_absorb_frames_match_the_encoded_request() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("address");
+        let capture = std::thread::spawn(move || {
+            let (mut socket, _) = listener.accept().expect("accept");
+            let mut bytes = Vec::new();
+            socket.read_to_end(&mut bytes).expect("read");
+            bytes
+        });
+        let client = Client::connect(addr).expect("connect");
+        let session = StreamingSession {
+            client: &client,
+            session: 0xC0DE,
+        };
+        let mut expected = Vec::new();
+        let mut id = 0;
+        for (n, len) in SIZES.into_iter().enumerate() {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 31 + n) as u8).collect();
+            let deadline = Some(Duration::from_millis(250));
+            client
+                .submit(WireAlgorithm::Shake128, &bytes, 48, deadline)
+                .expect("submit HASH");
+            session.submit_absorb(&bytes).expect("submit ABSORB");
+            let requests = [
+                Request::Hash {
+                    id: id + 1,
+                    algorithm: WireAlgorithm::Shake128,
+                    output_len: 48,
+                    deadline,
+                    params: AlgorithmParams::none(),
+                    payload: bytes.clone(),
+                },
+                Request::Absorb {
+                    id: id + 2,
+                    session: 0xC0DE,
+                    chunk: bytes,
+                },
+            ];
+            for request in requests {
+                let body = request.encode();
+                expected.extend_from_slice(&(body.len() as u32).to_le_bytes());
+                expected.extend_from_slice(&body);
+            }
+            id += 2;
+        }
+        drop(client);
+        let written = capture.join().expect("capture thread");
+        assert_eq!(written.len(), expected.len());
+        assert!(written == expected, "the frames differ from the encoding");
+    }
 }

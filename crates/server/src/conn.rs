@@ -50,14 +50,6 @@ use std::time::Instant;
 /// I/O thread's connections.
 const READS_PER_PUMP: usize = 4;
 
-/// Prepends the length prefix, turning a frame body into wire bytes.
-pub(crate) fn wire(body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(body);
-    out
-}
-
 /// The half of a connection its completions share with the I/O thread:
 /// the socket and, behind one lock, everything that decides what is
 /// written and when the connection may close.
@@ -131,13 +123,13 @@ impl Outbox {
 
     /// Queues a reply that does not settle an in-flight request.
     pub fn reply(&self, response: &Response) {
-        self.lock().frames.push_back(wire(&response.encode()));
+        self.lock().frames.push_back(response.frame());
     }
 
     /// Queues a reply settling one in-flight request, on the I/O thread.
     pub fn reply_op(&self, response: &Response) {
         let mut out = self.lock();
-        out.frames.push_back(wire(&response.encode()));
+        out.frames.push_back(response.frame());
         out.in_flight -= 1;
     }
 
@@ -310,10 +302,10 @@ impl Connection {
         self.parse_frames(ctx);
     }
 
-    /// Consumes every complete frame in `read_buf`. A frame is only
-    /// consumed whole — a partial frame stays put for the next pump —
-    /// and a violation stops the inbound side at the exact frame
-    /// boundary where it happened.
+    /// Consumes every complete frame in `read_buf`, decoding each where
+    /// it lies. A frame is only consumed whole — a partial frame stays
+    /// put for the next pump — and a violation stops the inbound side at
+    /// the exact frame boundary where it happened.
     fn parse_frames(&mut self, ctx: &IoCtx) {
         let mut at = 0;
         loop {
@@ -331,9 +323,9 @@ impl Connection {
             if remaining < 4 + len {
                 break;
             }
-            let body: Vec<u8> = self.read_buf[at + 4..at + 4 + len].to_vec();
+            let decoded = Request::decode(&self.read_buf[at + 4..at + 4 + len]);
             at += 4 + len;
-            match Request::decode(&body) {
+            match decoded {
                 Ok(request) => self.handle(request, ctx),
                 Err(_violation) => {
                     self.start_drain();
@@ -525,7 +517,7 @@ impl Connection {
                             Response::Error { id, code, detail }
                         }
                     };
-                    outbox.complete(wire(&response.encode()));
+                    outbox.complete(response.frame());
                 });
             }
             Err(refusal) => {

@@ -62,7 +62,7 @@
 
 use krv_service::{MetricsSnapshot, QuantileSummary};
 use krv_sha3::SpongeParams;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::time::Duration;
 
 /// The four magic bytes opening every frame body (`b"KRVH"`).
@@ -82,6 +82,9 @@ pub const VERSION: u8 = 5;
 
 /// Fixed header length of every frame body: magic, version, kind, id.
 pub const HEADER_LEN: usize = 4 + 1 + 1 + 8;
+
+/// Length of the `u32` prefix in front of every frame body.
+const PREFIX_LEN: usize = 4;
 
 /// The protocol's frame-size limit: the largest frame body either side
 /// accepts, **shared by client and server** (both sides read with this
@@ -902,6 +905,13 @@ impl Request {
 
     /// Encodes the frame body (without the length prefix).
     pub fn encode(&self) -> Vec<u8> {
+        [&self.frame_head()[PREFIX_LEN..], self.frame_tail()].concat()
+    }
+
+    /// The frame's wire bytes up to its tail: the length prefix, the
+    /// header and every field but HASH's payload and ABSORB's chunk. For
+    /// every other kind this is the whole frame.
+    pub(crate) fn frame_head(&self) -> Vec<u8> {
         match self {
             Request::Hash {
                 id,
@@ -910,108 +920,97 @@ impl Request {
                 deadline,
                 params,
                 payload,
-            } => {
-                let mut body = header(
-                    KIND_HASH,
-                    *id,
-                    1 + 4 + 8 + params.encoded_len() + 4 + payload.len(),
-                );
-                body.push(algorithm.id());
-                body.extend_from_slice(&(*output_len as u32).to_le_bytes());
-                let deadline_us =
-                    deadline.map_or(0, |d| d.as_micros().min(u128::from(u64::MAX)) as u64);
-                body.extend_from_slice(&deadline_us.to_le_bytes());
-                params.encode_into(&mut body);
-                body.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-                body.extend_from_slice(payload);
-                body
-            }
-            Request::Stats { id } => header(KIND_STATS, *id, 0),
+            } => hash_head(
+                *id,
+                *algorithm,
+                *output_len,
+                *deadline,
+                params,
+                payload.len(),
+            ),
+            Request::Stats { id } => framed(KIND_STATS, *id, 0, 0, |_| {}),
             Request::Open {
                 id,
                 session,
                 algorithm,
                 params,
-            } => {
-                let mut body = header(KIND_OPEN, *id, 8 + 1 + params.encoded_len());
-                body.extend_from_slice(&session.to_le_bytes());
-                body.push(algorithm.id());
-                params.encode_into(&mut body);
-                body
-            }
-            Request::Absorb { id, session, chunk } => {
-                let mut body = header(KIND_ABSORB, *id, 8 + 4 + chunk.len());
-                body.extend_from_slice(&session.to_le_bytes());
-                body.extend_from_slice(&(chunk.len() as u32).to_le_bytes());
-                body.extend_from_slice(chunk);
-                body
-            }
+            } => framed(KIND_OPEN, *id, 8 + 1 + params.encoded_len(), 0, |out| {
+                out.extend_from_slice(&session.to_le_bytes());
+                out.push(algorithm.id());
+                params.encode_into(out);
+            }),
+            Request::Absorb { id, session, chunk } => absorb_head(*id, *session, chunk.len()),
             Request::Finalize {
                 id,
                 session,
                 output_len,
-            } => {
-                let mut body = header(KIND_FINALIZE, *id, 8 + 4);
-                body.extend_from_slice(&session.to_le_bytes());
-                body.extend_from_slice(&(*output_len as u32).to_le_bytes());
-                body
-            }
-            Request::Squeeze { id, session, len } => {
-                let mut body = header(KIND_SQUEEZE, *id, 8 + 4);
-                body.extend_from_slice(&session.to_le_bytes());
-                body.extend_from_slice(&(*len as u32).to_le_bytes());
-                body
-            }
-            Request::Close { id, session } => {
-                let mut body = header(KIND_CLOSE, *id, 8);
-                body.extend_from_slice(&session.to_le_bytes());
-                body
-            }
+            } => framed(KIND_FINALIZE, *id, 8 + 4, 0, |out| {
+                out.extend_from_slice(&session.to_le_bytes());
+                out.extend_from_slice(&(*output_len as u32).to_le_bytes());
+            }),
+            Request::Squeeze { id, session, len } => framed(KIND_SQUEEZE, *id, 8 + 4, 0, |out| {
+                out.extend_from_slice(&session.to_le_bytes());
+                out.extend_from_slice(&(*len as u32).to_le_bytes());
+            }),
+            Request::Close { id, session } => framed(KIND_CLOSE, *id, 8, 0, |out| {
+                out.extend_from_slice(&session.to_le_bytes());
+            }),
             Request::KemKeygen {
                 id,
                 set,
                 deadline,
                 d,
                 z,
-            } => {
-                let mut body = header(KIND_KEM_KEYGEN, *id, 1 + 8 + 32 + 32);
-                body.push(set.id());
-                body.extend_from_slice(&encode_deadline(*deadline).to_le_bytes());
-                body.extend_from_slice(d);
-                body.extend_from_slice(z);
-                body
-            }
+            } => framed(KIND_KEM_KEYGEN, *id, 1 + 8 + 32 + 32, 0, |out| {
+                out.push(set.id());
+                out.extend_from_slice(&encode_deadline(*deadline).to_le_bytes());
+                out.extend_from_slice(d);
+                out.extend_from_slice(z);
+            }),
             Request::KemEncaps {
                 id,
                 set,
                 deadline,
                 m,
                 ek,
-            } => {
-                let mut body = header(KIND_KEM_ENCAPS, *id, 1 + 8 + 32 + 4 + ek.len());
-                body.push(set.id());
-                body.extend_from_slice(&encode_deadline(*deadline).to_le_bytes());
-                body.extend_from_slice(m);
-                body.extend_from_slice(&(ek.len() as u32).to_le_bytes());
-                body.extend_from_slice(ek);
-                body
-            }
+            } => framed(KIND_KEM_ENCAPS, *id, 1 + 8 + 32 + 4 + ek.len(), 0, |out| {
+                out.push(set.id());
+                out.extend_from_slice(&encode_deadline(*deadline).to_le_bytes());
+                out.extend_from_slice(m);
+                out.extend_from_slice(&(ek.len() as u32).to_le_bytes());
+                out.extend_from_slice(ek);
+            }),
             Request::KemDecaps {
                 id,
                 set,
                 deadline,
                 dk,
                 ct,
-            } => {
-                let mut body = header(KIND_KEM_DECAPS, *id, 1 + 8 + 4 + dk.len() + 4 + ct.len());
-                body.push(set.id());
-                body.extend_from_slice(&encode_deadline(*deadline).to_le_bytes());
-                body.extend_from_slice(&(dk.len() as u32).to_le_bytes());
-                body.extend_from_slice(dk);
-                body.extend_from_slice(&(ct.len() as u32).to_le_bytes());
-                body.extend_from_slice(ct);
-                body
-            }
+            } => framed(
+                KIND_KEM_DECAPS,
+                *id,
+                1 + 8 + 4 + dk.len() + 4 + ct.len(),
+                0,
+                |out| {
+                    out.push(set.id());
+                    out.extend_from_slice(&encode_deadline(*deadline).to_le_bytes());
+                    out.extend_from_slice(&(dk.len() as u32).to_le_bytes());
+                    out.extend_from_slice(dk);
+                    out.extend_from_slice(&(ct.len() as u32).to_le_bytes());
+                    out.extend_from_slice(ct);
+                },
+            ),
+        }
+    }
+
+    /// The bytes a frame carries behind its head: HASH's payload or
+    /// ABSORB's chunk, each the last field of its kind; empty for every
+    /// other kind.
+    pub(crate) fn frame_tail(&self) -> &[u8] {
+        match self {
+            Request::Hash { payload, .. } => payload,
+            Request::Absorb { chunk, .. } => chunk,
+            _ => &[],
         }
     }
 
@@ -1311,60 +1310,64 @@ impl Response {
 
     /// Encodes the frame body (without the length prefix).
     pub fn encode(&self) -> Vec<u8> {
+        let mut body = self.frame();
+        body.drain(..PREFIX_LEN);
+        body
+    }
+
+    /// The frame's wire bytes, length prefix included: what the daemon
+    /// queues for the socket.
+    pub(crate) fn frame(&self) -> Vec<u8> {
         match self {
-            Response::Digest { id, bytes } => {
-                let mut body = header(KIND_DIGEST, *id, 4 + bytes.len());
-                body.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                body.extend_from_slice(bytes);
-                body
-            }
+            Response::Digest { id, bytes } => framed(KIND_DIGEST, *id, 4 + bytes.len(), 0, |out| {
+                out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+                out.extend_from_slice(bytes);
+            }),
             Response::Error { id, code, detail } => {
                 let detail = &detail.as_bytes()[..detail.len().min(usize::from(u16::MAX))];
-                let mut body = header(KIND_ERROR, *id, 1 + 2 + detail.len());
-                body.push(*code as u8);
-                body.extend_from_slice(&(detail.len() as u16).to_le_bytes());
-                body.extend_from_slice(detail);
-                body
+                framed(KIND_ERROR, *id, 1 + 2 + detail.len(), 0, |out| {
+                    out.push(*code as u8);
+                    out.extend_from_slice(&(detail.len() as u16).to_le_bytes());
+                    out.extend_from_slice(detail);
+                })
             }
             Response::Stats { id, snapshot } => {
-                let mut body = header(KIND_STATS_REPLY, *id, SNAPSHOT_LEN);
-                encode_snapshot(snapshot, &mut body);
-                body
+                framed(KIND_STATS_REPLY, *id, SNAPSHOT_LEN, 0, |out| {
+                    encode_snapshot(snapshot, out);
+                })
             }
             Response::Opened { id, session } => session_ack(KIND_OPENED, *id, *session),
             Response::Absorbed { id, session } => session_ack(KIND_ABSORBED, *id, *session),
             Response::Finalized { id, session } => session_ack(KIND_FINALIZED, *id, *session),
             Response::Squeezed { id, session, bytes } => {
-                let mut body = header(KIND_SQUEEZED, *id, 8 + 4 + bytes.len());
-                body.extend_from_slice(&session.to_le_bytes());
-                body.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                body.extend_from_slice(bytes);
-                body
+                framed(KIND_SQUEEZED, *id, 8 + 4 + bytes.len(), 0, |out| {
+                    out.extend_from_slice(&session.to_le_bytes());
+                    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+                    out.extend_from_slice(bytes);
+                })
             }
             Response::Closed { id, session } => session_ack(KIND_CLOSED, *id, *session),
             Response::KemKeys { id, ek, dk } => {
-                let mut body = header(KIND_KEM_KEYS, *id, 4 + ek.len() + 4 + dk.len());
-                body.extend_from_slice(&(ek.len() as u32).to_le_bytes());
-                body.extend_from_slice(ek);
-                body.extend_from_slice(&(dk.len() as u32).to_le_bytes());
-                body.extend_from_slice(dk);
-                body
+                framed(KIND_KEM_KEYS, *id, 4 + ek.len() + 4 + dk.len(), 0, |out| {
+                    out.extend_from_slice(&(ek.len() as u32).to_le_bytes());
+                    out.extend_from_slice(ek);
+                    out.extend_from_slice(&(dk.len() as u32).to_le_bytes());
+                    out.extend_from_slice(dk);
+                })
             }
             Response::KemCiphertext {
                 id,
                 ct,
                 shared_secret,
-            } => {
-                let mut body = header(KIND_KEM_CIPHERTEXT, *id, 4 + ct.len() + 32);
-                body.extend_from_slice(&(ct.len() as u32).to_le_bytes());
-                body.extend_from_slice(ct);
-                body.extend_from_slice(shared_secret);
-                body
-            }
+            } => framed(KIND_KEM_CIPHERTEXT, *id, 4 + ct.len() + 32, 0, |out| {
+                out.extend_from_slice(&(ct.len() as u32).to_le_bytes());
+                out.extend_from_slice(ct);
+                out.extend_from_slice(shared_secret);
+            }),
             Response::KemSecret { id, shared_secret } => {
-                let mut body = header(KIND_KEM_SECRET, *id, 32);
-                body.extend_from_slice(shared_secret);
-                body
+                framed(KIND_KEM_SECRET, *id, 32, 0, |out| {
+                    out.extend_from_slice(shared_secret);
+                })
             }
         }
     }
@@ -1440,20 +1443,70 @@ impl Response {
     }
 }
 
-fn header(kind: u8, id: u64, payload_len: usize) -> Vec<u8> {
-    let mut body = Vec::with_capacity(HEADER_LEN + payload_len);
-    body.extend_from_slice(&MAGIC);
-    body.push(VERSION);
-    body.push(kind);
-    body.extend_from_slice(&id.to_le_bytes());
-    body
+/// Builds a frame's wire bytes: the length prefix, the header, then the
+/// kind's fields as `fields` writes them (about `capacity` bytes). The
+/// body runs `tail` bytes past the fields: HASH's payload or ABSORB's
+/// chunk, which the client writes from the caller's buffer. Every
+/// request head and every response is built here.
+fn framed(
+    kind: u8,
+    id: u64,
+    capacity: usize,
+    tail: usize,
+    fields: impl FnOnce(&mut Vec<u8>),
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(PREFIX_LEN + HEADER_LEN + capacity);
+    out.extend_from_slice(&[0; PREFIX_LEN]);
+    out.extend_from_slice(&MAGIC);
+    out.push(VERSION);
+    out.push(kind);
+    out.extend_from_slice(&id.to_le_bytes());
+    fields(&mut out);
+    let body_len = out.len() - PREFIX_LEN + tail;
+    out[..PREFIX_LEN].copy_from_slice(&prefix(body_len));
+    out
 }
 
-/// A session acknowledgement body: just the session id.
+/// The length prefix of a `body_len`-byte frame body: the one place its
+/// format is written, for requests and responses alike.
+fn prefix(body_len: usize) -> [u8; PREFIX_LEN] {
+    (body_len as u32).to_le_bytes()
+}
+
+/// A HASH frame's head: everything before the payload, which travels as
+/// the frame's tail.
+pub(crate) fn hash_head(
+    id: u64,
+    algorithm: WireAlgorithm,
+    output_len: usize,
+    deadline: Option<Duration>,
+    params: &AlgorithmParams,
+    payload_len: usize,
+) -> Vec<u8> {
+    let capacity = 1 + 4 + 8 + params.encoded_len() + 4;
+    framed(KIND_HASH, id, capacity, payload_len, |out| {
+        out.push(algorithm.id());
+        out.extend_from_slice(&(output_len as u32).to_le_bytes());
+        out.extend_from_slice(&encode_deadline(deadline).to_le_bytes());
+        params.encode_into(out);
+        out.extend_from_slice(&(payload_len as u32).to_le_bytes());
+    })
+}
+
+/// An ABSORB frame's head: everything before the chunk, which travels as
+/// the frame's tail.
+pub(crate) fn absorb_head(id: u64, session: u64, chunk_len: usize) -> Vec<u8> {
+    framed(KIND_ABSORB, id, 8 + 4, chunk_len, |out| {
+        out.extend_from_slice(&session.to_le_bytes());
+        out.extend_from_slice(&(chunk_len as u32).to_le_bytes());
+    })
+}
+
+/// A session acknowledgement frame: just the session id.
 fn session_ack(kind: u8, id: u64, session: u64) -> Vec<u8> {
-    let mut body = header(kind, id, 8);
-    body.extend_from_slice(&session.to_le_bytes());
-    body
+    framed(kind, id, 8, 0, |out| {
+        out.extend_from_slice(&session.to_le_bytes());
+    })
 }
 
 /// Encodes an optional deadline as whole microseconds; zero means "none".
@@ -1599,14 +1652,36 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame around an encoded body.
 ///
 /// # Errors
 ///
 /// Propagates the underlying I/O error.
 pub fn write_frame(writer: &mut impl Write, body: &[u8]) -> io::Result<()> {
-    writer.write_all(&(body.len() as u32).to_le_bytes())?;
-    writer.write_all(body)
+    send_frame(writer, &prefix(body.len()), body)
+}
+
+/// Writes one frame given as its head (length prefix first) and its
+/// tail, in vectored writes until both are out: a payload goes from the
+/// caller's buffer to the writer uncopied, and the head never leaves in
+/// a write of its own.
+///
+/// # Errors
+///
+/// Propagates the underlying I/O error; a writer that accepts nothing
+/// fails with [`io::ErrorKind::WriteZero`].
+pub(crate) fn send_frame(writer: &mut impl Write, head: &[u8], tail: &[u8]) -> io::Result<()> {
+    let mut parts = [IoSlice::new(head), IoSlice::new(tail)];
+    let mut parts = &mut parts[..];
+    while !parts.is_empty() {
+        match writer.write_vectored(parts) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Reads one length-prefixed frame body.
@@ -2100,12 +2175,10 @@ mod tests {
 
         // An ABSORB chunk over the named protocol limit. The declared
         // length is checked before the bytes, exactly like the frame
-        // limit, so build the frame by hand.
-        let mut oversized_chunk = header(KIND_ABSORB, 1, 12);
-        oversized_chunk.extend_from_slice(&7u64.to_le_bytes());
-        oversized_chunk.extend_from_slice(&((MAX_CHUNK_LEN + 1) as u32).to_le_bytes());
+        // limit, so an ABSORB head without its chunk is enough.
+        let oversized_chunk = absorb_head(1, 7, MAX_CHUNK_LEN + 1);
         assert_eq!(
-            Request::decode(&oversized_chunk),
+            Request::decode(&oversized_chunk[PREFIX_LEN..]),
             Err(ProtocolError::OversizedChunk {
                 len: MAX_CHUNK_LEN + 1
             })
@@ -2194,6 +2267,32 @@ mod tests {
         assert!(read_frame(&mut partial.as_slice(), 64).is_err());
         partial = wire[..7].to_vec();
         assert!(read_frame(&mut partial.as_slice(), 64).is_err());
+
+        // A writer that takes a few bytes a call still gets the whole
+        // frame, head and tail.
+        let mut trickle = Trickle(Vec::new());
+        write_frame(&mut trickle, &[0xA5; 8193]).expect("write");
+        assert_eq!(
+            read_frame(&mut trickle.0.as_slice(), 1 << 14)
+                .expect("read")
+                .expect("frame"),
+            Ok(vec![0xA5; 8193])
+        );
+    }
+
+    /// Takes at most seven bytes a call.
+    struct Trickle(Vec<u8>);
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = buf.len().min(7);
+            self.0.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
     }
 
     #[test]

@@ -678,13 +678,7 @@ fn random_chunk_splits_never_desync_framing() {
             payloads.push(payload);
         }
 
-        let mut at = 0;
-        while at < wire.len() {
-            let chunk = (1 + rng.below(37)).min(wire.len() - at);
-            stream.write_all(&wire[at..at + chunk]).expect("write");
-            stream.flush().expect("flush");
-            at += chunk;
-        }
+        write_in_random_splits(&mut stream, &wire, &mut rng);
 
         let mut responses = read_responses(&mut stream, count);
         responses.sort_by_key(|response| match response {
@@ -701,5 +695,69 @@ fn random_chunk_splits_never_desync_framing() {
             }
         }
     }
+
+    // One more input: a session around a MAX_CHUNK_LEN ABSORB, the
+    // largest frame a client sends.
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let chunk = rng.bytes(MAX_CHUNK_LEN);
+    let session = 5;
+    let frames = [
+        Request::Open {
+            id: 0,
+            session,
+            algorithm: WireAlgorithm::Sha3_256,
+            params: AlgorithmParams::none(),
+        },
+        Request::Absorb {
+            id: 1,
+            session,
+            chunk: chunk.clone(),
+        },
+        Request::Finalize {
+            id: 2,
+            session,
+            output_len: 32,
+        },
+        Request::Squeeze {
+            id: 3,
+            session,
+            len: 32,
+        },
+        Request::Close { id: 4, session },
+    ];
+    let mut wire = Vec::new();
+    for frame in &frames {
+        write_frame(&mut wire, &frame.encode()).expect("frame");
+    }
+    write_in_random_splits(&mut stream, &wire, &mut rng);
+    let responses = read_responses(&mut stream, frames.len());
+    assert_eq!(
+        responses,
+        [
+            Response::Opened { id: 0, session },
+            Response::Absorbed { id: 1, session },
+            Response::Finalized { id: 2, session },
+            Response::Squeezed {
+                id: 3,
+                session,
+                bytes: Sha3_256::digest(&chunk).to_vec(),
+            },
+            Response::Closed { id: 4, session },
+        ]
+    );
     server.shutdown();
+}
+
+/// Writes `wire` in seeded chunks of 1 to 37 bytes.
+fn write_in_random_splits(stream: &mut TcpStream, wire: &[u8], rng: &mut Rng) {
+    let mut at = 0;
+    while at < wire.len() {
+        let chunk = (1 + rng.below(37)).min(wire.len() - at);
+        stream.write_all(&wire[at..at + chunk]).expect("write");
+        stream.flush().expect("flush");
+        at += chunk;
+    }
 }

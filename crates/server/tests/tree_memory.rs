@@ -20,9 +20,10 @@ use std::time::Duration;
 const MIB: usize = 1 << 20;
 
 /// Peak live heap a session may add over its baseline: the 1 MiB chunk
-/// in its transient copies (client frame, read buffer, decoded frame,
-/// service request) with headroom — far below the 16 MiB message of
-/// case (b).
+/// in its one transient copy, the decoded chunk the service absorbs
+/// (the client writes from the caller's buffer, and the daemon decodes
+/// in the read buffer the warm-up grew), with headroom — far below the
+/// 16 MiB message of case (b).
 const BOUND: usize = 8 * MIB;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);

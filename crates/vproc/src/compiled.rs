@@ -16,8 +16,9 @@
 //! Everything the stepper does per instruction happens once per region:
 //!
 //! * **`vsetvli`** stays inside the region. The lowering predicts the
-//!   granted VL/`vtype` from the AVL register value observed at compile
-//!   time and lowers downstream ops under the new configuration; at run
+//!   granted VL/`vtype` from the AVL register's value at compile time,
+//!   or the constant a `li` earlier in the region writes to it, and
+//!   lowers downstream ops under the new configuration; at run
 //!   time the op re-executes the real `vsetvli` and *guards* the
 //!   prediction — on mismatch the region retires its exact prefix
 //!   (including the `vsetvli`) and hands back to the stepper, so a
@@ -217,11 +218,12 @@ pub(crate) enum Op {
         /// Absolute slot index in the program.
         index: usize,
     },
-    /// `csrr` of a configuration CSR, folded to a constant.
+    /// A scalar register set to a value known when the region compiles:
+    /// a `li` (`addi rd, x0, imm`) or a `csrr` of a configuration CSR.
     XConst {
         /// Destination scalar register.
         rd: XReg,
-        /// The folded CSR value.
+        /// The constant.
         value: u32,
     },
     /// `csrr cycle`: the counter at block entry plus the ledger prefix.
@@ -673,7 +675,8 @@ impl CompiledProgram {
 /// as the terminal op). A branch back to an op strictly inside the
 /// region instead cuts the region at that loop head. Interior
 /// `vsetvli`s update the tracked configuration using the AVL predicted
-/// from `xregs` and are guarded at run time. Returns `None` only when
+/// from `xregs` and the constants the region's own earlier ops write
+/// (`Op::XConst`), and are guarded at run time. Returns `None` only when
 /// not even the first instruction is compilable — the caller then
 /// steps that instruction.
 pub(crate) fn compile_region(
@@ -684,6 +687,9 @@ pub(crate) fn compile_region(
     xregs: &[u32; 32],
 ) -> Option<CompiledBlock> {
     let mut cur = ctx;
+    // The scalar registers as the region will have set them: a `li`
+    // before a `vsetvli` decides its AVL, whatever the entry value.
+    let mut known = *xregs;
     let mut ops = Vec::new();
     let mut ledger = Vec::new();
     let mut prefix_cycles = 0u64;
@@ -722,7 +728,7 @@ pub(crate) fn compile_region(
             // `vsetvli` stays in the region under a runtime guard.
             Instruction::Vsetvli { rd, rs1, vtype } => {
                 let avl = if rs1 != XReg::X0 {
-                    xregs[rs1.index()]
+                    known[rs1.index()]
                 } else if rd != XReg::X0 {
                     u32::MAX
                 } else {
@@ -750,6 +756,10 @@ pub(crate) fn compile_region(
         let Some(op) = lower(slot, index, index - start, cur, geometry, prefix_cycles) else {
             break;
         };
+        if let Op::XConst { rd, value } = op {
+            // A write to `x0` lands in a slot no AVL is read from.
+            known[rd.index()] = value;
+        }
         ledger.push(entry);
         ops.push(op);
         prefix_cycles += slot.timing.cost(cur.timing());
@@ -1218,6 +1228,15 @@ fn lower(
     // one element is one storage word.
     let vec64 = elen64 && ctx.sew_bits == 64;
     match slot.instr {
+        Instruction::OpImm {
+            kind: OpImmKind::Addi,
+            rd,
+            rs1: XReg::X0,
+            imm,
+        } => Some(Op::XConst {
+            rd,
+            value: imm as u32,
+        }),
         Instruction::OpImm { kind, rd, rs1, imm } => Some(Op::ScalarImm { kind, rd, rs1, imm }),
         Instruction::Lui { .. }
         | Instruction::Auipc { .. }
